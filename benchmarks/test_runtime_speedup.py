@@ -100,7 +100,6 @@ class TestBatchedRuntimeSpeedup:
             "n_reference_sims": N_REFERENCE,
             "sampled_max_relative_rmse": errors.max_relative_rmse(),
             "n_branches": compiled.n_branches,
-            "n_states": compiled.n_states,
         })
 
         # The served outputs must still track the engine on the sampled

@@ -6,8 +6,8 @@ this example shows the serving side of that bargain with :mod:`repro.runtime`:
 1. sweep one circuit family over several training stimuli and extract a
    Hammerstein model from the merged Transfer Function Trajectory,
 2. **compile** the model into a discrete-time kernel — poles and residues
-   folded into real recurrence matrices at a fixed sample rate, the static
-   nonlinear maps tabulated,
+   folded into one complex recurrence per branch at a fixed sample rate, the
+   static nonlinear maps tabulated,
 3. **register** the compiled artifact in a content-hash-keyed on-disk
    registry together with the sweep's provenance (any later process can load
    and serve it without re-extracting),

@@ -4,10 +4,9 @@ The paper extracts an analytical Hammerstein model so the full nonlinear
 circuit never has to be simulated again; this package is the serving side of
 that bargain.  It turns extraction results into deployable artifacts:
 
-* :mod:`~repro.runtime.compiled` — fold a model's poles/residues into
-  real-valued discrete-time recurrence matrices at a fixed sample rate and
-  tabulate its static nonlinear maps (:func:`compile_model` /
-  :class:`CompiledModel`);
+* :mod:`~repro.runtime.compiled` — fold each of a model's branches into one
+  complex first-order recurrence at a fixed sample rate and tabulate its
+  static nonlinear maps (:func:`compile_model` / :class:`CompiledModel`);
 * :mod:`~repro.runtime.batch` — evaluate thousands of stimuli in lock-step
   as one ``(n_stimuli, n_steps)`` array, memory-chunked along the batch axis
   (:func:`evaluate_batch`, :func:`stack_stimuli`);

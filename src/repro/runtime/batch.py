@@ -1,20 +1,22 @@
 """Lock-step batched evaluation of compiled Hammerstein models.
 
 This is the serving hot path: thousands of stimuli stacked into one
-``(n_stimuli, n_steps)`` array, all model state vectors advanced together.
-Per time step the kernel performs a handful of fused array operations on
-``(n_states, chunk)`` blocks — there is no per-stimulus Python whatsoever,
-which is what buys the orders-of-magnitude margin over re-simulating each
-stimulus through the full transient engine (the paper's reported speed-up,
-multiplied across the batch axis).
+``(n_stimuli, n_steps)`` array, all model states advanced together.  One
+complex table lookup yields every branch drive for every step; the input
+terms of the recurrence are then formed for all steps at once, and each time
+step costs one complex multiply-add on an ``(n_branches, chunk)`` block —
+there is no per-stimulus Python whatsoever, which is what buys the
+orders-of-magnitude margin over re-simulating each stimulus through the full
+transient engine (the paper's reported speed-up, multiplied across the batch
+axis).
 
 The batch axis is memory-chunked the same way
 :func:`repro.circuit.linalg.batched_transfer` chunks its frequency axis: the
-transient per-chunk workspace (interpolated branch drives plus the
-pre-combined recurrence drive) is kept below ``max_chunk_bytes``.  Chunking
-never changes results — stimuli are independent and every operation is
-element-wise along the batch axis — so the same batch evaluated with any
-chunk size is bitwise identical.
+transient per-chunk workspace (interpolated branch drives plus the complex
+branch states) is kept below ``max_chunk_bytes``.  Chunking never changes
+results — stimuli are independent and every operation is element-wise along
+the batch axis — so the same batch evaluated with any chunk size is bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ def evaluate_batch(model, inputs: np.ndarray,
         results into ``outputs`` — for the shm dataplane, the write into
         the shared segment).  This is how shard workers attribute their
         stage timings without touching the tracer: the stamps ride the
-        reply descriptor and the parent materialises the spans.  ``None``
-        (the default) keeps the hot loop free of clock reads.
+        reply descriptor and the parent materialises the spans.  The clock
+        is read once per chunk, never per time step, so the phases are
+        timed whether or not a dict is passed.
     """
     inputs = np.asarray(inputs, dtype=float)
     single = inputs.ndim == 1
@@ -136,11 +139,11 @@ def evaluate_batch(model, inputs: np.ndarray,
             f"{first_row}), step {first_step} "
             f"(value {inputs[first_row, first_step]!r})")
 
-    # Peak per-stimulus workspace of _evaluate_block: vr/vi tables (2P rows of
-    # K floats), their fancy-indexed per-state copies vr_s/vi_s (2S rows), the
-    # pre-combined drive (S rows) plus np.diff/product temporaries (~S rows)
-    # and a handful of scalar-per-step rows (u, knots, static, outputs).
-    rows = (2 * model.n_branches + 4 * model.n_states + 6)
+    # Peak per-stimulus workspace of _evaluate_block, in rows of K floats:
+    # per branch, the complex drives and states (2 rows each) plus the lookup
+    # and product temporaries beside them (~7 rows per branch measured), and
+    # a handful of per-step rows (u, knots, static, outputs).
+    rows = 10 * model.n_branches + 6
     per_stim = 8 * n_steps * rows
     chunk = max(1, int(max_chunk_bytes // max(per_stim, 1)))
 
@@ -148,71 +151,64 @@ def evaluate_batch(model, inputs: np.ndarray,
         outputs = np.empty_like(inputs)
     else:
         outputs = out[None, :] if out.ndim == 1 else out
-    if timings is None:
-        for start in range(0, n_batch, chunk):
-            block = inputs[start:start + chunk]
-            outputs[start:start + chunk] = _evaluate_block(model, block)
-    else:
-        eval_s = stage_out_s = 0.0
-        for start in range(0, n_batch, chunk):
-            block = inputs[start:start + chunk]
-            t0 = time.monotonic()
-            result = _evaluate_block(model, block)
-            t1 = time.monotonic()
-            outputs[start:start + chunk] = result
-            eval_s += t1 - t0
-            stage_out_s += time.monotonic() - t1
+    eval_s = stage_out_s = 0.0
+    for start in range(0, n_batch, chunk):
+        t0 = time.monotonic()
+        result = _evaluate_block(model, inputs[start:start + chunk])
+        t1 = time.monotonic()
+        outputs[start:start + chunk] = result
+        eval_s += t1 - t0
+        stage_out_s += time.monotonic() - t1
+    if timings is not None:
         timings["eval_s"] = timings.get("eval_s", 0.0) + eval_s
         timings["stage_out_s"] = timings.get("stage_out_s", 0.0) + stage_out_s
     return outputs[0] if single else outputs
 
 
 def _table_lookup(table: np.ndarray, idx: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Linear interpolation of (stacked) uniform tables at precomputed knots.
+    """Linear interpolation of a flat uniform table at precomputed knots.
 
-    ``table`` is ``(..., n_table)``; ``idx``/``frac`` index along the last
-    axis with shapes broadcastable to the output ``(..., *idx.shape)``.
+    The result has the shape of ``idx``; ``frac`` broadcasts against it.
     """
-    return table[..., idx] * (1.0 - frac) + table[..., idx + 1] * frac
+    return table.take(idx) * (1.0 - frac) + table.take(idx + 1) * frac
 
 
 def _evaluate_block(model, u: np.ndarray) -> np.ndarray:
     """Advance one (chunk, n_steps) block through the compiled recurrence."""
-    n_block, n_steps = u.shape
-
-    # Uniform-grid interpolation knots, shared by every table.
+    # Uniform-grid interpolation knots, step-major (K, B), shared by every table.
+    u = np.ascontiguousarray(u.T)
+    n_steps, n_block = u.shape
     du = (model.u_max - model.u_min) / (model.n_table - 1)
     pos = (np.clip(u, model.u_min, model.u_max) - model.u_min) / du
     idx = np.minimum(pos.astype(np.intp), model.n_table - 2)
     frac = pos - idx
 
-    static = _table_lookup(model.static_table, idx, frac)          # (B, K)
+    outputs = _table_lookup(model.static_table, idx, frac)         # (K, B)
     if model.n_branches == 0:
-        return static
+        return outputs.T
 
-    vr = _table_lookup(model.branch_vr, idx, frac)                  # (P, B, K)
-    vi = _table_lookup(model.branch_vi, idx, frac)
+    # Every branch drive in one lookup of the flattened complex tables.
+    offsets = model.n_table * np.arange(model.n_branches)[:, None]
+    v = _table_lookup(model.branch_table.ravel(), idx[:, None, :] + offsets,
+                      frac[:, None, :])                             # (K, P, B)
 
-    sb = model.state_branch
-    # Pre-combine the per-state recurrence drive for all steps:
-    #   drive[:, :, n] = b0 * v_n + b1 * (v_{n+1} - v_n)   (real arithmetic)
-    vr_s, vi_s = vr[sb], vi[sb]                                     # (S, B, K)
-    drive = (model.b0r[:, None, None] * vr_s[:, :, :-1]
-             + model.b0i[:, None, None] * vi_s[:, :, :-1]
-             + model.b1r[:, None, None] * np.diff(vr_s, axis=2)
-             + model.b1i[:, None, None] * np.diff(vi_s, axis=2))    # (S, B, K-1)
+    # Input terms of every step; z[0] starts each branch at equilibrium.
+    z = np.empty_like(v)
+    np.multiply(model.init[:, None], v[0], out=z[0])
+    np.multiply(model.w0[:, None], v[:-1], out=z[1:])
+    z[1:] += model.w1[:, None] * v[1:]
 
-    # Equilibrium initial condition from the first sample's branch drives.
-    state = (model.init_vr[:, None] * vr_s[:, :, 0]
-             + model.init_vi[:, None] * vi_s[:, :, 0])              # (S, B)
+    # z[n] += E z[n-1]: one complex multiply-add per step over all P * B
+    # states, with E repeated per row so the loop never broadcasts.
+    expz = np.repeat(model.expz, n_block)
+    carry = np.empty_like(expz)
+    states = z.reshape(n_steps, -1)
+    prev = states[0]
+    for state in states[1:]:
+        np.multiply(expz, prev, out=carry)
+        state += carry
+        prev = state
 
-    outputs = np.empty((n_block, n_steps))
-    c = model.c_out
-    outputs[:, 0] = static[:, 0] + c @ state
-    a_diag = model.a_diag[:, None]
-    a_off = model.a_off[:, None]
-    partner = model.partner
-    for n in range(n_steps - 1):
-        state = a_diag * state + a_off * state[partner] + drive[:, :, n]
-        outputs[:, n + 1] = static[:, n + 1] + c @ state
-    return outputs
+    for p, weight in enumerate(model.c_out):
+        outputs += weight * z[:, p].real
+    return outputs.T

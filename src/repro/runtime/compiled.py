@@ -7,12 +7,12 @@ partial-fraction evaluation per branch per sample, one complex scalar
 recurrence per branch.  :func:`compile_model` removes every remaining Python
 indirection by freezing the model at a fixed sample interval ``dt``:
 
-* each branch's first-order filter is folded into **real-valued recurrence
-  coefficients**.  The exact exponential update
-  ``y_{n+1} = E y_n + W0 v_n + W1 (v_{n+1}-v_n)`` (see
-  :mod:`repro.rvf.timedomain`) with complex ``E = exp(a dt)`` becomes a real
-  2x2 rotation-scaling block per branch — two real states advanced with pure
-  array arithmetic, no complex dtype on the hot path;
+* each branch's first-order filter is folded into **one complex recurrence**:
+  the exact exponential update
+  ``z_{n+1} = E z_n + W0 v_n + W1 (v_{n+1}-v_n)`` of
+  :mod:`repro.rvf.timedomain`, with ``E = exp(a dt)``, is stored as the
+  per-branch coefficients ``(E, W0 - W1, W1)`` so every branch advances with
+  one complex multiply-add per step;
 * each branch's **static nonlinear map** ``f_p(u)`` (and the static path
   ``F_0(u)``) is tabulated on a uniform input grid and evaluated by vectorised
   linear interpolation, so serving never touches the analytical
@@ -39,7 +39,7 @@ from ..rvf.hammerstein import HammersteinModel, _evaluate_state_function
 __all__ = ["CompiledModel", "compile_model"]
 
 #: Serialisation format tag stored with every registry entry.
-FORMAT = "compiled-hammerstein-v1"
+FORMAT = "compiled-hammerstein-v2"
 
 #: Default number of static-table samples.  4097 = 2**12 + 1 keeps the
 #: interpolation error of smooth partial-fraction maps far below the
@@ -51,18 +51,20 @@ DEFAULT_TABLE_SIZE = 4097
 class CompiledModel:
     """A Hammerstein model frozen at a fixed sample rate, as plain arrays.
 
-    The dynamic part is ``n_states = 2 * n_branches`` real states advanced by
+    Each of the ``n_branches`` branches is one complex state advanced by
 
     .. math::
 
-        S'_i = A^{diag}_i S_i + A^{off}_i S_{partner(i)}
-               + b^{0r}_i v^r_{\\beta(i)} + b^{0i}_i v^i_{\\beta(i)}
-               + b^{1r}_i \\Delta v^r_{\\beta(i)} + b^{1i}_i \\Delta v^i_{\\beta(i)}
+        z_{p,n+1} = E_p z_{p,n} + w^0_p v_{p,n} + w^1_p v_{p,n+1},
+        \\qquad z_{p,0} = \\iota_p v_{p,0}
 
-    where ``beta(i) = state_branch[i]`` maps states to branches and
-    ``v^r/v^i`` are the tabulated real/imaginary parts of the branch drive
-    ``f_p(u)``.  The output is ``F_0(u_n) + c^T S_n``.  All arrays are
-    read-only inputs of the batch evaluator; none are mutated at serve time.
+    where ``v_p = f_p(u)`` is the tabulated branch drive, ``w^0 = W0 - W1``
+    and ``w^1 = W1`` are the exponential-integrator weights of
+    :meth:`HammersteinBranch.recurrence
+    <repro.rvf.hammerstein.HammersteinBranch.recurrence>` and
+    ``iota = -1/a`` starts every branch at equilibrium.  The output is
+    ``F_0(u_n) + sum_p c_p Re z_{p,n}``.  All arrays are read-only inputs of
+    the batch evaluator; none are mutated at serve time.
     """
 
     #: Fixed sample interval the recurrence was folded at.
@@ -72,26 +74,15 @@ class CompiledModel:
     u_max: float
     #: Tabulated static path ``F_0(u)``, shape ``(n_table,)``.
     static_table: np.ndarray
-    #: Tabulated branch drives ``Re f_p(u)`` / ``Im f_p(u)``,
-    #: shape ``(n_branches, n_table)``.
-    branch_vr: np.ndarray
-    branch_vi: np.ndarray
-    #: Real recurrence: diagonal and partner (off-diagonal) coefficients,
-    #: partner index and owning branch per state, all shape ``(n_states,)``.
-    a_diag: np.ndarray
-    a_off: np.ndarray
-    partner: np.ndarray
-    state_branch: np.ndarray
-    #: Input weights of the recurrence (see class docstring).
-    b0r: np.ndarray
-    b0i: np.ndarray
-    b1r: np.ndarray
-    b1i: np.ndarray
-    #: Equilibrium initialisation ``S_0 = init_vr * v^r_0 + init_vi * v^i_0``.
-    init_vr: np.ndarray
-    init_vi: np.ndarray
-    #: Output weights ``c`` (2 for the real part of complex pairs, 1 for real
-    #: poles, 0 for imaginary parts).
+    #: Tabulated complex branch drives ``f_p(u)``, shape ``(n_branches, n_table)``.
+    branch_table: np.ndarray
+    #: Per-branch complex recurrence coefficients ``E``, ``W0 - W1``, ``W1``
+    #: and the equilibrium start ``-1/a``, all shape ``(n_branches,)``.
+    expz: np.ndarray
+    w0: np.ndarray
+    w1: np.ndarray
+    init: np.ndarray
+    #: Output weights ``c`` (2 for a complex-conjugate pair, 1 for a real pole).
     c_out: np.ndarray
     #: Book-keeping: names, extraction metadata, provenance.
     input_name: str = "u"
@@ -101,11 +92,7 @@ class CompiledModel:
     # ------------------------------------------------------------------ shape
     @property
     def n_branches(self) -> int:
-        return int(self.branch_vr.shape[0])
-
-    @property
-    def n_states(self) -> int:
-        return int(self.a_diag.size)
+        return int(self.branch_table.shape[0])
 
     @property
     def n_table(self) -> int:
@@ -152,10 +139,8 @@ class CompiledModel:
         return t_start + self.dt * np.arange(int(n_steps))
 
     # ----------------------------------------------------------- serialization
-    _ARRAY_FIELDS = ("static_table", "branch_vr", "branch_vi", "a_diag", "a_off",
-                     "partner", "state_branch", "b0r", "b0i", "b1r", "b1i",
-                     "init_vr", "init_vi", "c_out")
-    _SCALAR_FIELDS = ("dt", "u_min", "u_max")
+    _ARRAY_FIELDS = ("static_table", "branch_table", "expz", "w0", "w1",
+                     "init", "c_out")
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The array payload (registry ``npz`` content), in canonical order."""
@@ -168,8 +153,8 @@ class CompiledModel:
                 "input_name": self.input_name, "output_name": self.output_name}
 
     def describe(self) -> str:
-        return (f"compiled model: {self.n_branches} branches / {self.n_states} "
-                f"real states, dt={self.dt:.3e}s, static tables of "
+        return (f"compiled model: {self.n_branches} complex branches, "
+                f"dt={self.dt:.3e}s, static tables of "
                 f"{self.n_table} samples on [{self.u_min:.3f}, {self.u_max:.3f}]")
 
 
@@ -216,47 +201,21 @@ def compile_model(model: HammersteinModel, dt: float,
 
     u_grid = np.linspace(u_min, u_max, table_size)
 
-    # ------------------------------------------------------- static tables
+    # ------------------------------------------- tables and branch recurrences
     static_table = np.asarray(model.static_output(u_grid), dtype=float)
     n_branches = model.n_branches
-    branch_vr = np.empty((n_branches, table_size))
-    branch_vi = np.empty((n_branches, table_size))
+    branch_table = np.empty((n_branches, table_size), dtype=complex)
+    expz = np.empty(n_branches, dtype=complex)
+    w0 = np.empty(n_branches, dtype=complex)
+    w1 = np.empty(n_branches, dtype=complex)
+    init = np.empty(n_branches, dtype=complex)
+    c_out = np.empty(n_branches)
     for j, branch in enumerate(model.branches):
-        v = _evaluate_state_function(branch.static_function, u_grid)
-        branch_vr[j] = v.real
-        branch_vi[j] = v.imag
-
-    # -------------------------------------------------- recurrence folding
-    n_states = 2 * n_branches
-    a_diag = np.empty(n_states)
-    a_off = np.empty(n_states)
-    partner = np.empty(n_states, dtype=np.intp)
-    state_branch = np.empty(n_states, dtype=np.intp)
-    b0r = np.empty(n_states)
-    b0i = np.empty(n_states)
-    b1r = np.empty(n_states)
-    b1i = np.empty(n_states)
-    init_vr = np.empty(n_states)
-    init_vi = np.empty(n_states)
-    c_out = np.zeros(n_states)
-
-    for j, branch in enumerate(model.branches):
-        expz, w0, w1 = branch.recurrence(dt)
-        re, im = 2 * j, 2 * j + 1
-        state_branch[re] = state_branch[im] = j
-        partner[re], partner[im] = im, re
-        a_diag[re] = a_diag[im] = expz.real
-        a_off[re], a_off[im] = -expz.imag, expz.imag
-        # Re(W v) = Wr vr - Wi vi ; Im(W v) = Wi vr + Wr vi.
-        b0r[re], b0i[re] = w0.real, -w0.imag
-        b0r[im], b0i[im] = w0.imag, w0.real
-        b1r[re], b1i[re] = w1.real, -w1.imag
-        b1r[im], b1i[im] = w1.imag, w1.real
-        # Equilibrium start y_0 = -v_0 / a.
-        w_init = -1.0 / branch.pole
-        init_vr[re], init_vi[re] = w_init.real, -w_init.imag
-        init_vr[im], init_vi[im] = w_init.imag, w_init.real
-        c_out[re] = 2.0 if branch.is_complex_pair else 1.0
+        branch_table[j] = _evaluate_state_function(branch.static_function, u_grid)
+        expz[j], w0[j], w1[j] = branch.recurrence(dt)
+        init[j] = -1.0 / branch.pole           # equilibrium: 0 = a z + v
+        c_out[j] = 2.0 if branch.is_complex_pair else 1.0
+    w0 -= w1        # W0 v_n + W1 (v_{n+1} - v_n) = (W0 - W1) v_n + W1 v_{n+1}
 
     from dataclasses import asdict
 
@@ -271,10 +230,8 @@ def compile_model(model: HammersteinModel, dt: float,
 
     return CompiledModel(
         dt=float(dt), u_min=u_min, u_max=u_max,
-        static_table=static_table, branch_vr=branch_vr, branch_vi=branch_vi,
-        a_diag=a_diag, a_off=a_off, partner=partner, state_branch=state_branch,
-        b0r=b0r, b0i=b0i, b1r=b1r, b1i=b1i,
-        init_vr=init_vr, init_vi=init_vi, c_out=c_out,
+        static_table=static_table, branch_table=branch_table,
+        expz=expz, w0=w0, w1=w1, init=init, c_out=c_out,
         input_name=model.input_name, output_name=model.output_name,
         metadata=meta,
     )

@@ -17,6 +17,12 @@ across processes and platforms with identical float semantics, and any
 corruption — truncated archives, tampered metadata, bit rot — is detected at
 load time and raised as :class:`~repro.exceptions.RegistryError`.
 
+New entries are written in the ``compiled-hammerstein-v2`` format (one
+complex recurrence per branch).  Entries of the earlier
+``compiled-hammerstein-v1`` format (a real 2x2 block per branch) stay
+loadable under their original keys: they are verified against the payload
+as stored, then converted by copying values into the v2 arrays.
+
 Registries additionally maintain a **persistent index** (``_index.json``)
 mapping keys to entry sizes, so :meth:`ModelRegistry.keys` and membership
 tests are O(1) file reads instead of O(n) directory scans — the difference
@@ -47,6 +53,16 @@ INDEX_NAME = "_index.json"
 #: Index schema version; bumping it forces a rebuild on older indexes.
 INDEX_VERSION = 1
 
+#: The earlier format: two real states per branch, advanced by a 2x2 block.
+FORMAT_V1 = "compiled-hammerstein-v1"
+#: Array fields per loadable format, in canonical (hashed) order.
+_FIELDS_BY_FORMAT = {
+    FORMAT: CompiledModel._ARRAY_FIELDS,
+    FORMAT_V1: ("static_table", "branch_vr", "branch_vi", "a_diag", "a_off",
+                "partner", "state_branch", "b0r", "b0i", "b1r", "b1i",
+                "init_vr", "init_vi", "c_out"),
+}
+
 
 def content_hash(model: CompiledModel) -> str:
     """SHA-256 over the canonical payload of a compiled model.
@@ -56,15 +72,43 @@ def content_hash(model: CompiledModel) -> str:
     free-form metadata/provenance, so re-registering the same model trained
     by a differently-described sweep lands on the same key.
     """
+    return _payload_hash(model.arrays(), model.scalars())
+
+
+def _payload_hash(arrays: dict, scalars: dict) -> str:
     digest = hashlib.sha256()
-    for name, array in model.arrays().items():
+    for name, array in arrays.items():
         array = np.ascontiguousarray(array)
         digest.update(name.encode())
         digest.update(str(array.dtype).encode())
         digest.update(repr(array.shape).encode())
         digest.update(array.tobytes())
-    digest.update(json.dumps(model.scalars(), sort_keys=True).encode())
+    digest.update(json.dumps(scalars, sort_keys=True).encode())
     return digest.hexdigest()
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    out = real.astype(complex)
+    out.imag = imag
+    return out
+
+
+def _from_v1(arrays: dict) -> dict:
+    """The v2 arrays of a v1 payload, by copying values out of its 2x2 blocks.
+
+    v1 kept branch ``p`` as states ``2p`` (real part) and ``2p + 1``
+    (imaginary part); each complex coefficient is recovered exactly from one
+    column of its block.
+    """
+    re, im = slice(0, None, 2), slice(1, None, 2)
+    w1 = _complex(arrays["b1r"][re], arrays["b1r"][im])
+    return {"static_table": arrays["static_table"],
+            "branch_table": _complex(arrays["branch_vr"], arrays["branch_vi"]),
+            "expz": _complex(arrays["a_diag"][re], arrays["a_off"][im]),
+            "w0": _complex(arrays["b0r"][re], arrays["b0r"][im]) - w1,
+            "w1": w1,
+            "init": _complex(arrays["init_vr"][re], arrays["init_vr"][im]),
+            "c_out": np.ascontiguousarray(arrays["c_out"][re])}
 
 
 class ModelRegistry:
@@ -268,7 +312,8 @@ class ModelRegistry:
         With ``verify`` (the default) the arrays are re-hashed and compared
         against both the key and the recorded metadata hash; any mismatch —
         truncated ``npz``, swapped files, edited metadata — raises
-        :class:`~repro.exceptions.RegistryError`.
+        :class:`~repro.exceptions.RegistryError`.  A v1 entry is verified as
+        stored, then converted to the v2 arrays.
         """
         npz_path, json_path = self._npz_path(key), self._json_path(key)
         if not npz_path.exists() or not json_path.exists():
@@ -283,35 +328,36 @@ class ModelRegistry:
             record = json.loads(json_path.read_text())
         except (json.JSONDecodeError, OSError) as exc:
             raise RegistryError(f"unreadable registry metadata {json_path}: {exc}") from exc
-        if record.get("format") != FORMAT:
+        fields = _FIELDS_BY_FORMAT.get(record.get("format"))
+        if fields is None:
             raise RegistryError(
                 f"registry entry {key!r} has unsupported format "
                 f"{record.get('format')!r} (expected {FORMAT!r})")
 
         try:
             with np.load(npz_path) as archive:
-                arrays = {name: archive[name] for name in CompiledModel._ARRAY_FIELDS}
+                arrays = {name: archive[name] for name in fields}
         except Exception as exc:  # zipfile/OSError/KeyError: all mean "corrupt"
             raise RegistryError(
                 f"corrupt registry archive {npz_path}: {exc}") from exc
 
-        model = CompiledModel(
-            dt=float(record["dt"]), u_min=float(record["u_min"]),
-            u_max=float(record["u_max"]),
-            input_name=record.get("input_name", "u"),
-            output_name=record.get("output_name", "y"),
-            metadata=record.get("metadata", {}),
-            **arrays,
-        )
+        scalars = {"format": record["format"], "dt": float(record["dt"]),
+                   "u_min": float(record["u_min"]),
+                   "u_max": float(record["u_max"]),
+                   "input_name": record.get("input_name", "u"),
+                   "output_name": record.get("output_name", "y")}
         if verify:
-            actual = content_hash(model)
+            actual = _payload_hash(arrays, scalars)
             recorded = record.get("content_hash")
             if actual != key or recorded != key:
                 raise RegistryError(
                     f"registry entry {key!r} failed integrity verification: "
                     f"arrays hash to {actual[:12]}..., metadata records "
                     f"{str(recorded)[:12]}...")
-        return model
+        if scalars.pop("format") == FORMAT_V1:
+            arrays = _from_v1(arrays)
+        return CompiledModel(**scalars, **arrays,
+                             metadata=record.get("metadata", {}))
 
     def provenance(self, key: str) -> dict:
         """The provenance record stored alongside a model."""

@@ -232,7 +232,7 @@ class HammersteinModel:
 
         Delegates to :func:`repro.runtime.compile_model` (whose default
         ``table_size`` applies when none is given); see there for the
-        semantics of the sampled static tables and the recurrence matrices.
+        semantics of the sampled static tables and the branch recurrences.
         """
         from ..runtime import compile_model
         from ..runtime.compiled import DEFAULT_TABLE_SIZE

@@ -49,7 +49,7 @@ def phi1(z: np.ndarray | complex) -> np.ndarray | complex:
     """(exp(z) - 1) / z with a series fallback near z = 0.
 
     Public because the compiled runtime (:mod:`repro.runtime`) folds the same
-    exponential-integrator weights into its recurrence matrices; the two
+    exponential-integrator weights into its per-branch recurrences; the two
     evaluation paths must agree to machine precision.
     """
     z = np.asarray(z, dtype=complex)

@@ -1,6 +1,7 @@
 """Tests of the compiled model runtime: compile, batch-serve, registry, validate."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ from repro.runtime import (
     ModelRegistry,
     compile_model,
     content_hash,
+    evaluate_batch,
+    shard_slices,
     stack_stimuli,
     validate_model,
 )
@@ -60,6 +63,14 @@ def compiled():
     return compile_model(synthetic_model(), dt=1e-9, input_range=(0.0, 1.0))
 
 
+@pytest.fixture(scope="module")
+def static_only():
+    """The synthetic model without branches: the kernel's static path alone."""
+    model = synthetic_model()
+    model.branches = []
+    return compile_model(model, dt=1e-9, input_range=(0.0, 1.0))
+
+
 def make_stimulus(n_steps=300, dt=1e-9):
     times = dt * np.arange(n_steps)
     return times, 0.5 + 0.4 * np.sin(2e6 * 2 * np.pi * times * 3) \
@@ -77,26 +88,42 @@ class TestCompile:
 
     def test_shapes_and_metadata(self, compiled):
         assert compiled.n_branches == 2
-        assert compiled.n_states == 4
-        assert compiled.c_out.tolist() == [2.0, 0.0, 1.0, 0.0]
+        assert compiled.c_out.tolist() == [2.0, 1.0]
         assert compiled.metadata["dc_input"] == 0.5
         assert compiled.sample_rate == pytest.approx(1e9)
 
-    def test_single_and_batch_rows_agree(self, compiled):
+    def test_single_and_batch_rows_agree(self, compiled, static_only):
         _, u = make_stimulus()
-        batch = np.vstack([u, 0.5 * u + 0.25, np.full_like(u, 0.4)])
-        single_rows = [compiled.evaluate(row) for row in batch]
-        outputs = compiled.evaluate(batch)
-        assert outputs.shape == batch.shape
-        for row, single in zip(outputs, single_rows):
-            np.testing.assert_array_equal(row, single)
+        full = np.vstack([u, 0.5 * u + 0.25, np.full_like(u, 0.4)])
+        for model in (compiled, static_only):
+            reference = model.evaluate(full)
+            # K = 1 and K = 2 bound the recurrence loop; B = 1 is one row.
+            for batch in (full, full[:, :2], full[:, :1], full[:1]):
+                single_rows = [model.evaluate(row) for row in batch]
+                outputs = model.evaluate(batch)
+                assert outputs.shape == batch.shape
+                for row, single in zip(outputs, single_rows):
+                    np.testing.assert_array_equal(row, single)
+                # A shorter run is a prefix of the longer one, bit for bit.
+                np.testing.assert_array_equal(
+                    outputs, reference[:batch.shape[0], :batch.shape[1]])
 
-    def test_chunking_is_bitwise_stable(self, compiled):
+    def test_chunking_is_bitwise_stable(self, compiled, static_only):
         rng = np.random.default_rng(7)
-        batch = 0.5 + 0.3 * rng.standard_normal((17, 64))
-        full = compiled.evaluate(batch)
-        tiny_chunks = compiled.evaluate(batch, max_chunk_bytes=1)
-        np.testing.assert_array_equal(full, tiny_chunks)
+        for model in (compiled, static_only):
+            for shape in ((17, 64), (17, 2), (17, 1), (1, 64), (1, 1)):
+                batch = 0.5 + 0.3 * rng.standard_normal(shape)
+                full = model.evaluate(batch)
+                tiny_chunks = model.evaluate(batch, max_chunk_bytes=1)
+                np.testing.assert_array_equal(full, tiny_chunks)
+                timings = {}
+                timed = evaluate_batch(model, batch, max_chunk_bytes=1,
+                                       timings=timings)
+                np.testing.assert_array_equal(full, timed)
+                assert set(timings) == {"eval_s", "stage_out_s"}
+                split = np.vstack([model.evaluate(batch[rows]) for rows
+                                   in shard_slices(shape[0], 3)])
+                np.testing.assert_array_equal(full, split)
 
     def test_out_of_range_inputs_clamp_to_table_edges(self, compiled):
         inside = compiled.evaluate(np.full(32, compiled.u_max))
@@ -294,6 +321,46 @@ class TestRegistry:
                        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
         served = np.load(tmp_path / "served.npy")
         np.testing.assert_array_equal(served, expected)
+
+
+#: A ``compiled-hammerstein-v1`` entry (a real 2x2 block per branch):
+#: ``synthetic_model()`` compiled at ``dt=1e-9`` over ``(0, 1)`` with
+#: ``table_size=65`` and stored by that format's ``ModelRegistry.save``.
+V1_FIXTURE = Path(__file__).parent / "fixtures" / "registry_v1"
+V1_KEY = "26c05d5ae258a961d6c28db52c45922d501565f9b6bf69f6b071abd6051e3336"
+
+
+class TestRegistryV1Entries:
+    """Entries of the earlier format stay valid under their original keys."""
+
+    @pytest.fixture
+    def v1_registry(self, tmp_path):
+        for path in V1_FIXTURE.glob(f"{V1_KEY}.*"):
+            shutil.copy(path, tmp_path / path.name)
+        return ModelRegistry(tmp_path)
+
+    def test_v1_entry_loads_bitwise_equal_to_fresh_compile(self, v1_registry):
+        assert v1_registry.keys() == [V1_KEY]
+        loaded = v1_registry.load(V1_KEY)           # passes verification
+        fresh = compile_model(synthetic_model(), dt=1e-9,
+                              input_range=(0.0, 1.0), table_size=65)
+        # Same names, dtypes, shapes and bytes: the payload hashes alike.
+        assert content_hash(loaded) == content_hash(fresh) != V1_KEY
+        for name, array in fresh.arrays().items():
+            np.testing.assert_array_equal(getattr(loaded, name), array)
+        assert loaded.metadata == fresh.metadata
+        _, u = make_stimulus()
+        batch = np.vstack([u, u[::-1]])
+        np.testing.assert_array_equal(loaded.evaluate(batch),
+                                      fresh.evaluate(batch))
+
+    def test_tampered_v1_metadata_refused(self, v1_registry):
+        meta_path = v1_registry.root / f"{V1_KEY}.json"
+        record = json.loads(meta_path.read_text())
+        record["u_max"] = 2.0                 # mismatch with the hashed payload
+        meta_path.write_text(json.dumps(record))
+        with pytest.raises(RegistryError, match="integrity"):
+            v1_registry.load(V1_KEY)
 
 
 class TestRegistryIndex:
