@@ -148,8 +148,7 @@ class TestShardedMicroBatchServing:
             "shardpool_coalesced_batch_ms": pool_seconds * 1e3,
             "single_call_coalesced_batch_ms": single_batch_seconds * 1e3,
             "shardpool_vs_single_call": pool_seconds / single_batch_seconds,
-            "transport": ("shared_memory"
-                          if pool_stats["segment_bytes"] else "pipe"),
+            "transport": "shared_memory",
             "segment_bytes": pool_stats["segment_bytes"],
         })
 

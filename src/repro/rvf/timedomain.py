@@ -69,11 +69,6 @@ def phi2(z: np.ndarray | complex) -> np.ndarray | complex:
     return result if result.ndim else complex(result)
 
 
-#: Backwards-compatible aliases (the weights predate the public names).
-_phi1 = phi1
-_phi2 = phi2
-
-
 def simulate_hammerstein(model, times: np.ndarray, inputs: np.ndarray) -> ModelSimulationResult:
     """Simulate an extracted model on a sampled input waveform.
 
@@ -120,16 +115,16 @@ def simulate_hammerstein(model, times: np.ndarray, inputs: np.ndarray) -> ModelS
         if uniform:
             z = pole * dt[0]
             expz = np.exp(z)
-            w0 = dt[0] * _phi1(z)
-            w1 = dt[0] * _phi2(z)
+            w0 = dt[0] * phi1(z)
+            w1 = dt[0] * phi2(z)
             for n in range(n_points - 1):
                 y = expz * y + v[n] * w0 + (v[n + 1] - v[n]) * w1
                 outputs_c[n + 1] = y
         else:
             for n in range(n_points - 1):
                 z = pole * dt[n]
-                y = np.exp(z) * y + v[n] * dt[n] * _phi1(z) \
-                    + (v[n + 1] - v[n]) * dt[n] * _phi2(z)
+                y = np.exp(z) * y + v[n] * dt[n] * phi1(z) \
+                    + (v[n + 1] - v[n]) * dt[n] * phi2(z)
                 outputs_c[n + 1] = y
         if branch.is_complex_pair:
             branch_outputs[b_idx] = 2.0 * outputs_c.real

@@ -22,7 +22,8 @@ bitwise determinism carried through end to end.
   lane-dispatch → shard → respond front-end;
 * :mod:`~repro.serve.stats` — :class:`ServeStats` latency/throughput
   snapshots (queue vs end-to-end percentiles, per-model lane breakdown)
-  and the gateway's :class:`GatewayCounters`.
+  built on the exactly mergeable :class:`LatencySummary`, and the
+  gateway's :class:`GatewayCounters`.
 
 The canonical flow::
 

@@ -67,13 +67,14 @@ class ServePolicy:
     #: Shard-job retries after a worker crash before the affected requests
     #: fail (cleanly, with a ServeError — never a hang).
     max_retries: int = 2
-    #: Byte size of each shard worker's shared-memory dataplane segment.
-    #: Batch rows travel to the worker (and results travel back) through
-    #: this segment — the pipe carries only ``(job_id, key, offset, shape)``
-    #: descriptors, so dispatch → evaluate → reassembly never pickles a
-    #: float64 row.  A job too large for half the segment falls back to the
-    #: pickle-over-pipe transport transparently; ``0`` disables the shared
-    #: segments entirely (every job takes the pipe path).
+    #: Byte size of each shard worker's shared-memory dataplane segment,
+    #: the only shard transport.  Batch rows travel to the worker (and
+    #: results travel back) through this segment — the pipe carries only
+    #: ``(job_id, key, shape)`` descriptors, so dispatch → evaluate →
+    #: reassembly never pickles a float64 row.  A batch too large for one
+    #: job per worker is cut into segment-sized jobs that run in waves.
+    #: Must be at least ``16 * max_request_samples``, so one admitted row
+    #: fits in and out.
     segment_bytes: int = 64 << 20
     #: Per shard-job deadline (seconds).  A worker that is *alive but wedged*
     #: (stuck in evaluate, deadlocked allocator) can otherwise hang its lane
@@ -119,10 +120,11 @@ class ServePolicy:
                 "header plus a sample)")
         if self.max_retries < 0:
             raise ServeError("ServePolicy.max_retries must be non-negative")
-        if self.segment_bytes < 0:
+        if self.segment_bytes < 16 * self.max_request_samples:
             raise ServeError(
-                "ServePolicy.segment_bytes must be non-negative (0 disables "
-                "the shared-memory dataplane)")
+                f"ServePolicy.segment_bytes={self.segment_bytes} must hold "
+                "one max_request_samples row in and out (16 * "
+                f"{self.max_request_samples} bytes)")
         if self.job_timeout < 0.0:
             raise ServeError(
                 "ServePolicy.job_timeout must be non-negative (0 disables "

@@ -54,15 +54,6 @@ from .stats import LatencySummary, ModelLaneStats, ServeStats
 
 __all__ = ["ModelServer"]
 
-#: Most recent per-request latency samples kept for :meth:`ModelServer.stats`
-#: percentiles; a long-running server must not grow its accounting without
-#: bound alongside its traffic.
-LATENCY_WINDOW = 100_000
-
-#: Per-model latency window (each served model keeps its own, smaller one).
-MODEL_LATENCY_WINDOW = 20_000
-
-
 class _Lane:
     """One dispatch lane: a daemon thread draining batches for its models."""
 
@@ -87,7 +78,7 @@ class _ModelStats:
     """Per-model accounting (guarded by the server lock)."""
 
     __slots__ = ("lane", "n_batches", "n_rows", "n_completed", "n_failed",
-                 "queue_latencies", "e2e_latencies")
+                 "queue_latency", "e2e_latency")
 
     def __init__(self, lane: int) -> None:
         self.lane = lane
@@ -95,8 +86,9 @@ class _ModelStats:
         self.n_rows = 0
         self.n_completed = 0
         self.n_failed = 0
-        self.queue_latencies: deque[float] = deque(maxlen=MODEL_LATENCY_WINDOW)
-        self.e2e_latencies: deque[float] = deque(maxlen=MODEL_LATENCY_WINDOW)
+        #: Lifetime summaries, grown by one bucket merge per batch.
+        self.queue_latency = LatencySummary()
+        self.e2e_latency = LatencySummary()
 
 
 class ModelServer:
@@ -171,7 +163,7 @@ class ModelServer:
         # first appear, up to policy.n_lanes; then keys share lanes.
         self._lanes: list[_Lane] = []
         self._lane_by_key: dict[str, _Lane] = {}
-        # Counters and windowed latency populations (guarded by _lock).
+        # Counters (guarded by _lock).
         self._n_submitted = 0
         self._n_completed = 0
         self._n_failed = 0
@@ -181,8 +173,6 @@ class ModelServer:
         #: the ``max_queue_depth`` limit guards (batcher queues AND closed
         #: batches waiting on / inside a lane).
         self._n_inflight = 0
-        self._queue_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._e2e_latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._model_stats: dict[str, _ModelStats] = {}
         self._timer = threading.Thread(
             target=self._timer_run, name="repro-serve-timer", daemon=True)
@@ -399,33 +389,31 @@ class ModelServer:
             failure = (exc if isinstance(exc, ServeError)
                        else ServeError(f"batch evaluation failed: {exc!r}"))
         now = time.monotonic()
+        # The batch's summaries are built outside the lock; under it the
+        # accounting is counters plus one bucket merge per summary.
+        t_submit = np.array([request.t_submit for request in batch.requests])
+        t_closed = np.array([request.t_closed for request in batch.requests])
+        queue = LatencySummary.of(t_closed - t_submit)
+        e2e = LatencySummary.of(now - t_submit)
         # Account first, then wake the callers: a caller returning from
         # future.result() must find its own request already counted when it
         # immediately asks for stats().
         with self._lock:
             self._n_batches += 1
             self._n_rows_batched += len(batch)
-            model = self._model_stats.get(batch.key)
-            if model is not None:
-                model.n_batches += 1
-                model.n_rows += len(batch)
-            for request in batch.requests:
-                queue_s = request.t_closed - request.t_submit
-                e2e_s = now - request.t_submit
-                self._queue_latencies.append(queue_s)
-                self._e2e_latencies.append(e2e_s)
-                if model is not None:
-                    model.queue_latencies.append(queue_s)
-                    model.e2e_latencies.append(e2e_s)
+            model = self._model_stats[batch.key]
+            model.n_batches += 1
+            model.n_rows += len(batch)
+            model.queue_latency = LatencySummary.merge(
+                (model.queue_latency, queue))
+            model.e2e_latency = LatencySummary.merge((model.e2e_latency, e2e))
             self._n_inflight -= len(batch)
             if failure is None:
                 self._n_completed += len(batch)
-                if model is not None:
-                    model.n_completed += len(batch)
+                model.n_completed += len(batch)
             else:
                 self._n_failed += len(batch)
-                if model is not None:
-                    model.n_failed += len(batch)
+                model.n_failed += len(batch)
         # Span emission sits outside the lock (REP102/lockwatch clean) and
         # before the futures resolve, mirroring the BatchServed contract: a
         # caller returning from future.result() finds its trace complete.
@@ -501,45 +489,37 @@ class ModelServer:
     def stats(self) -> ServeStats:
         """Snapshot of counters and latency percentiles.
 
-        Counters (and the mean batch size) are lifetime totals; the latency
-        percentiles summarise the most recent :data:`LATENCY_WINDOW` samples
-        (:data:`MODEL_LATENCY_WINDOW` per model).  Safe to call at any time,
-        including before the first batch completes — empty windows summarise
-        to zeros.
+        Everything is a lifetime value: counters, the mean batch size and
+        the latency summaries, whose percentiles are accurate to within
+        :data:`~repro.serve.stats.ALPHA` (1%) relative.  The server-wide
+        summaries are the exact merge of the per-model ones.  Safe to call
+        at any time, including before the first batch completes — empty
+        summaries report zeros.
         """
         t_snapshot = time.monotonic()
         with self._lock:
-            queue = list(self._queue_latencies)
-            e2e = list(self._e2e_latencies)
             submitted, completed = self._n_submitted, self._n_completed
             failed, pending = self._n_failed, self._n_inflight
             n_batches, n_rows = self._n_batches, self._n_rows_batched
-            # Copy the raw windows only; the percentile math runs after the
-            # lock is released so a many-model stats() poll cannot stall
-            # submits and lane accounting behind it.
-            model_rows = [
-                (key, model.lane, model.n_batches, model.n_rows,
-                 model.n_completed, model.n_failed,
-                 self._batcher.pending(key),
-                 list(model.queue_latencies), list(model.e2e_latencies))
-                for key, model in self._model_stats.items()]
+            per_model = {
+                key: ModelLaneStats(
+                    key=key, lane=model.lane, n_batches=model.n_batches,
+                    n_rows=model.n_rows, n_completed=model.n_completed,
+                    n_failed=model.n_failed,
+                    n_coalescing=self._batcher.pending(key),
+                    queue_latency=model.queue_latency,
+                    e2e_latency=model.e2e_latency,
+                    max_batch=self.policy.max_batch)
+                for key, model in self._model_stats.items()}
             n_lanes = max(1, len(self._lanes))
-        per_model = {
-            key: ModelLaneStats(
-                key=key, lane=lane, n_batches=n_batches, n_rows=n_rows,
-                n_completed=n_completed, n_failed=n_failed,
-                n_coalescing=n_coalescing,
-                queue_latency=LatencySummary.of(queue_window),
-                e2e_latency=LatencySummary.of(e2e_window),
-                max_batch=self.policy.max_batch)
-            for (key, lane, n_batches, n_rows, n_completed, n_failed,
-                 n_coalescing, queue_window, e2e_window) in model_rows}
         return ServeStats(
             n_submitted=submitted, n_completed=completed, n_failed=failed,
             n_pending=pending, n_batches=n_batches,
             mean_batch_size=(n_rows / n_batches) if n_batches else 0.0,
-            queue_latency=LatencySummary.of(queue),
-            e2e_latency=LatencySummary.of(e2e),
+            queue_latency=LatencySummary.merge(
+                model.queue_latency for model in per_model.values()),
+            e2e_latency=LatencySummary.merge(
+                model.e2e_latency for model in per_model.values()),
             cache=self._cache.stats.as_dict(),
             pool=self._pool.stats() if self._pool is not None else {},
             per_model=per_model,

@@ -5,25 +5,25 @@ loaded once from the registry (integrity-checked via
 :class:`~repro.runtime.registry.ModelHandle`) and kept warm across batches —
 only the stimulus rows and result rows cross the process boundary per batch.
 
-**Zero-copy dataplane**: every worker owns a ``multiprocessing.shared_memory``
-segment created by the pool.  Dispatch writes the shard's rows straight into
-the worker's segment and the pipe carries only a ``(job_id, key, offsets,
-shape)`` descriptor; the worker evaluates *in place* — the compiled kernel
-writes its outputs directly into the segment (``evaluate_batch(out=...)``) —
-and replies with another descriptor, so neither request rows nor result rows
-are ever pickled.  A job too large for half the segment transparently falls
-back to the original pickle-over-pipe transport; ``segment_bytes=0`` disables
-the segments entirely.  Every job uses the same region (rows at offset 0,
-results right after): a worker holds at most one job at a time, a respawned
-worker gets a *fresh* segment (so a retried job can never alias a dead
-job's bytes), and reusing the region keeps its pages warm — the kernel
-faults them in once, not once per batch.
+**Zero-copy dataplane**, the only transport: every worker owns a
+``multiprocessing.shared_memory`` segment created by the pool.  Dispatch
+writes the job's rows straight into the worker's segment and the pipe
+carries only a ``(job_id, key, shape)`` descriptor; the worker evaluates *in
+place* — the compiled kernel writes its outputs directly into the segment
+(``evaluate_batch(out=...)``) — and replies with its stage timings, so
+neither request rows nor result rows are ever pickled.  Every job uses the
+same region (rows at offset 0, results right after): a worker holds at most
+one job at a time, a respawned worker gets a *fresh* segment (so a retried
+job can never alias a dead job's bytes), and reusing the region keeps its
+pages warm — the kernel faults them in once, not once per batch.
 
 Sharding is the deterministic contiguous partition of
-:func:`repro.runtime.batch.shard_slices`; because the batched kernel is
-element-wise along the batch axis and bitwise chunk-invariant, reassembling
-the shard results into the original row order reproduces the single-process
-``evaluate`` bit for bit — for *any* number of shards, which is what lets
+:func:`repro.runtime.batch.shard_slices` into one job per leased worker, or
+into more, segment-sized jobs when the batch would not fit: those run in
+*waves* of one job per worker.  Because the batched kernel is element-wise
+along the batch axis and bitwise chunk-invariant, reassembling the job
+results into the original row order reproduces the single-process
+``evaluate`` bit for bit — for *any* number of jobs, which is what lets
 concurrent callers lease different worker subsets.
 
 Concurrency model: workers are **leased per batch**.  An ``evaluate()`` call
@@ -37,10 +37,11 @@ execute their batches *simultaneously* instead of queueing on a global lock.
 Failure model: a worker that dies mid-batch (OOM-killed, segfaulted,
 ``kill -9``) is detected through its broken pipe / liveness check, respawned
 with a cold cache (and a fresh segment — the dead worker's is reclaimed),
-and the affected shard is retried up to ``max_retries`` times.  A worker
-that is *alive but wedged* is caught by the optional per-job deadline
-(``job_timeout``): a job that misses it is treated exactly like a crash.
-Requests beyond the retry budget fail with a
+and the affected job is retried in a later wave, up to ``max_retries``
+times.  A worker that is *alive but wedged* is caught by the optional
+per-job deadline (``job_timeout``, counted from the job's dispatch, so the
+wedged jobs of one wave time out together): a job that misses it is
+treated exactly like a crash.  Requests beyond the retry budget fail with a
 :class:`~repro.exceptions.ServeError`; they never hang.  Worker-side Python
 exceptions (corrupt registry entry, bad key) are not crashes: they propagate
 back once, immediately, without a retry.
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from multiprocessing import resource_tracker, shared_memory
@@ -73,11 +73,6 @@ _POLL_INTERVAL = 0.05
 #: realistic ``job_timeout`` without leaving a sleeping process behind should
 #: termination somehow fail.
 _STALL_SECONDS = 3600.0
-
-# Transport descriptor tags (pipe messages stay tiny tuples, never arrays).
-_SHM = "shm"
-_PIPE = "pipe"
-
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach a worker to the pool-owned segment without adopting ownership.
@@ -112,19 +107,25 @@ def _destroy_segment(segment: shared_memory.SharedMemory | None) -> None:
         pass
 
 
-def _worker_main(conn, segment_name: str | None, registry_root: str,
+def _job_views(segment: shared_memory.SharedMemory,
+               shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """A job's rows (front of the segment) and results (right after)."""
+    rows = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
+    out = np.ndarray(shape, dtype=np.float64, buffer=segment.buf,
+                     offset=rows.nbytes)
+    return rows, out
+
+
+def _worker_main(conn, segment_name: str, registry_root: str,
                  cache_bytes: int, fault_keys: frozenset[str],
                  stall_keys: frozenset[str], delay_s: float) -> None:
     """Worker loop: receive a job descriptor, evaluate, reply with one.
 
-    Shared-memory jobs arrive as ``(job_id, key, ("shm", in_off, out_off,
-    shape))``: the rows live in the worker's segment at ``in_off`` and the
-    kernel writes its outputs at ``out_off`` (``evaluate_batch(out=...)``),
-    so the reply pipes back only ``(job_id, True, ("shm", out_off, shape),
-    (t_start, eval_s, stage_out_s))`` — the trailing stage stamps feed the
-    parent-materialised worker spans.  Oversized jobs arrive as ``(job_id,
-    key, ("pipe", rows))`` and reply in kind — the pre-dataplane transport
-    kept as the fallback.
+    Jobs arrive as ``(job_id, key, shape)``: the rows sit at the front of
+    the worker's segment and the kernel writes its outputs right after them
+    (``evaluate_batch(out=...)``), so the reply pipes back only ``(job_id,
+    True, (t_start, eval_s, stage_out_s))`` — the stage stamps feed the
+    parent-materialised worker spans.
 
     ``fault_keys`` is crash-injection instrumentation for the failure-path
     tests: serving a listed key terminates the process the way a segfault
@@ -137,7 +138,7 @@ def _worker_main(conn, segment_name: str | None, registry_root: str,
     every job stalls that long before evaluating, modelling the I/O /
     remote-shard latency that per-model lanes exist to hide.
     """
-    segment = _attach_segment(segment_name) if segment_name else None
+    segment = _attach_segment(segment_name)
     cache = ModelCache(cache_bytes)
     try:
         while True:
@@ -148,7 +149,7 @@ def _worker_main(conn, segment_name: str | None, registry_root: str,
             if message is None:
                 conn.close()
                 return
-            job_id, key, descriptor = message
+            job_id, key, shape = message
             if key in fault_keys:
                 os._exit(43)
             if key in stall_keys:
@@ -164,32 +165,20 @@ def _worker_main(conn, segment_name: str | None, registry_root: str,
                 t_job = time.monotonic()
                 model = cache.get_or_load(
                     key, ModelHandle(registry_root, key).load)
-                if descriptor[0] == _SHM:
-                    _, in_off, out_off, shape = descriptor
-                    rows = np.ndarray(shape, dtype=np.float64,
-                                      buffer=segment.buf, offset=in_off)
-                    out = np.ndarray(shape, dtype=np.float64,
-                                     buffer=segment.buf, offset=out_off)
-                    stamps: dict = {}
-                    evaluate_batch(model, rows, out=out, timings=stamps)
-                    del rows, out    # views must not pin segment.buf
-                    out_s = stamps.get("stage_out_s", 0.0)
-                    eval_s = max(0.0, time.monotonic() - t_job - out_s)
-                    conn.send((job_id, True, (_SHM, out_off, shape),
-                               (t_job, eval_s, out_s)))
-                else:
-                    outputs = model.evaluate(descriptor[1])
-                    eval_s = time.monotonic() - t_job
-                    conn.send((job_id, True, (_PIPE, outputs),
-                               (t_job, eval_s, 0.0)))
+                rows, out = _job_views(segment, shape)
+                stamps: dict = {}
+                evaluate_batch(model, rows, out=out, timings=stamps)
+                del rows, out        # views must not pin segment.buf
+                out_s = stamps.get("stage_out_s", 0.0)
+                eval_s = max(0.0, time.monotonic() - t_job - out_s)
+                conn.send((job_id, True, (t_job, eval_s, out_s)))
             except Exception:   # noqa: BLE001 - workers must report, never crash
                 conn.send((job_id, False, traceback.format_exc()))
     finally:
-        if segment is not None:
-            try:
-                segment.close()
-            except (BufferError, OSError):   # pragma: no cover - best effort
-                pass
+        try:
+            segment.close()
+        except (BufferError, OSError):   # pragma: no cover - best effort
+            pass
 
 
 class _Worker:
@@ -198,7 +187,7 @@ class _Worker:
     def __init__(self, process, conn, segment) -> None:
         self.process = process
         self.conn = conn
-        #: Pool-owned shared-memory segment (None when the dataplane is off).
+        #: Pool-owned shared-memory segment (None once reclaimed).
         self.segment = segment
 
 
@@ -221,12 +210,15 @@ class ShardPool:
         when omitted; ``fork`` on Linux keeps worker start-up cheap).
     segment_bytes:
         Size of each worker's shared-memory dataplane segment.  A job needs
-        two regions (rows in, results out); one larger than half the segment
-        falls back to the pipe transport.  ``0`` disables the segments.
+        two regions (rows in, results out), so a job holds at most
+        ``segment_bytes // (16 * n_steps)`` rows; a batch with more rows per
+        leased worker is cut into more jobs, run in waves.  A batch whose
+        single row does not fit fails with a
+        :class:`~repro.exceptions.ServeError`.
     job_timeout:
-        Per-job deadline in seconds; a worker that holds a job longer is
-        treated as crashed (respawned, retry budget charged).  ``0``
-        disables the deadline.
+        Per-job deadline in seconds, counted from the job's dispatch; a
+        worker that holds a job longer is treated as crashed (respawned,
+        retry budget charged).  ``0`` disables the deadline.
     fault_injection:
         Test instrumentation: model keys whose service crashes the first
         worker that picks them up (see :func:`_worker_main`).
@@ -261,7 +253,11 @@ class ShardPool:
         self.registry_root = str(registry_root)
         self.cache_bytes = int(cache_bytes)
         self.max_retries = int(max_retries)
-        self.segment_bytes = max(0, int(segment_bytes))
+        self.segment_bytes = int(segment_bytes)
+        if self.segment_bytes < 16:
+            raise ServeError(
+                f"ShardPool segment_bytes={self.segment_bytes} cannot hold "
+                "one sample in and out (16 bytes)")
         self.job_timeout = float(job_timeout)
         self._ctx = multiprocessing.get_context(mp_context)
         self._fault_keys = frozenset(fault_injection or ())
@@ -292,16 +288,15 @@ class ShardPool:
     # ------------------------------------------------------------ process mgmt
     def _spawn(self, fault_keys: frozenset[str],
                stall_keys: frozenset[str]) -> _Worker:
-        segment = (shared_memory.SharedMemory(create=True,
-                                              size=self.segment_bytes)
-                   if self.segment_bytes > 0 else None)
+        segment = shared_memory.SharedMemory(create=True,
+                                             size=self.segment_bytes)
         parent_conn, child_conn = self._ctx.Pipe()
         try:
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, segment.name if segment else None,
-                      self.registry_root, self.cache_bytes, fault_keys,
-                      stall_keys, self._delay_s),
+                args=(child_conn, segment.name, self.registry_root,
+                      self.cache_bytes, fault_keys, stall_keys,
+                      self._delay_s),
                 daemon=True)
             process.start()
         except BaseException:
@@ -349,32 +344,20 @@ class ShardPool:
             self.broker.publish(WorkerRespawned(worker_index=index))
 
     # --------------------------------------------------------------- transport
-    def _place_job(self, index: int, key: str, job_id: int,
-                   rows: np.ndarray):
-        """Build one job message, staging the rows in shared memory.
+    def _stage(self, index: int, key: str, job_id: int, rows: np.ndarray):
+        """Copy ``rows`` into the worker's segment; returns the job message.
 
-        Copies ``rows`` into the worker's segment (the only copy on the
-        dispatch side — the worker reads and writes the segment in place)
-        and returns a descriptor-only pipe message.  Falls back to the
-        pickle-over-pipe transport when the job would not fit twice (rows in
-        + results out) in the segment.
-
-        The region is always the front of the segment: a worker holds at
-        most one job at a time, and a crashed or timed-out worker is
-        respawned with a fresh segment before any retry, so reuse can never
-        alias a dead job's bytes — while keeping the pages warm across
-        batches instead of faulting fresh ones per job.
+        The only copy on the dispatch side — the worker reads and writes the
+        segment in place.  The region is always the front of the segment: a
+        worker holds at most one job at a time, and a crashed or timed-out
+        worker is respawned with a fresh segment before any retry, so reuse
+        can never alias a dead job's bytes — while keeping the pages warm
+        across batches instead of faulting fresh ones per job.
         """
-        worker = self._workers[index]
-        nbytes = rows.nbytes
-        if worker.segment is None or 2 * nbytes > worker.segment.size:
-            return (job_id, key, (_PIPE, rows))
-        in_off, out_off = 0, nbytes
-        staged = np.ndarray(rows.shape, dtype=np.float64,
-                            buffer=worker.segment.buf, offset=in_off)
+        staged = _job_views(self._workers[index].segment, rows.shape)[0]
         staged[:] = rows
         del staged                       # views must not pin segment.buf
-        return (job_id, key, (_SHM, in_off, out_off, rows.shape))
+        return (job_id, key, rows.shape)
 
     def _send(self, index: int, payload) -> bool:
         worker = self._workers[index]
@@ -386,22 +369,24 @@ class ShardPool:
         except (BrokenPipeError, OSError):
             return False
 
-    def _recv(self, index: int, expect_id: int):
+    def _recv(self, index: int, expect_id: int, deadline: float | None):
         """``(reply, None)`` for job ``expect_id``, or ``(None, reason)``.
 
         ``reason`` is ``"crash"`` for a worker that died and ``"timeout"``
-        for one that is alive but has held the job past ``job_timeout`` —
-        the caller treats both identically for recovery (respawn, charge the
-        retry budget) and only uses the reason to publish the right
+        for one that is alive but still holds the job at ``deadline`` (on
+        the monotonic clock, stamped when the job was dispatched, so the
+        jobs of one wave time out together rather than one after another).
+        The caller treats both identically for recovery (respawn, charge
+        the retry budget) and only uses the reason to publish the right
         telemetry event: a wedged worker must never hang a lane.  Stale
         replies from previously abandoned batches are discarded.
         """
         worker = self._workers[index]
-        deadline = (time.monotonic() + self.job_timeout
-                    if self.job_timeout > 0.0 else None)
         while True:
+            wait = _POLL_INTERVAL if deadline is None else min(
+                _POLL_INTERVAL, max(0.0, deadline - time.monotonic()))
             try:
-                if worker.conn.poll(_POLL_INTERVAL):
+                if worker.conn.poll(wait):
                     reply = worker.conn.recv()
                     if reply[0] == expect_id:
                         return reply, None
@@ -456,8 +441,7 @@ class ShardPool:
         single-process :meth:`CompiledModel.evaluate
         <repro.runtime.compiled.CompiledModel.evaluate>` of the same array
         (the batch kernel is bitwise chunk-invariant, so neither the lease
-        size nor the transport — shared segment or pipe fallback — changes
-        results).
+        size nor the number of jobs and waves changes results).
 
         Thread-safe by leasing: each concurrent call owns a disjoint subset
         of workers (each pipe still has exactly one reader — the lease
@@ -500,7 +484,15 @@ class ShardPool:
 
     def _evaluate_on(self, leased: list[int], key: str,
                      inputs: np.ndarray, trace_ids=None) -> np.ndarray:
-        slices = shard_slices(inputs.shape[0], len(leased))
+        n_rows, n_steps = inputs.shape
+        rows_per_job = self.segment_bytes // (16 * n_steps)
+        if rows_per_job < 1:
+            raise ServeError(
+                f"one row of {n_steps} samples needs {16 * n_steps} bytes of "
+                "shared segment (rows in + results out); ShardPool "
+                f"segment_bytes={self.segment_bytes} is too small")
+        slices = shard_slices(n_rows, max(len(leased),
+                                          -(-n_rows // rows_per_job)))
         outputs = np.empty_like(inputs)
         pending = list(range(len(slices)))
         crashes = [0] * len(slices)
@@ -512,13 +504,16 @@ class ShardPool:
         # crashed-then-retried attempts survive an exhausted retry budget).
         closing = tracer.batch() if tracer is not None else None
         while pending:
-            dispatched: list[tuple[int, int]] = []
+            # One wave: at most one job per leased worker.  A crashed or
+            # timed-out job rejoins the queue for a later wave.
+            wave, pending = pending[:len(leased)], pending[len(leased):]
+            dispatched: list[tuple[int, int, int, float | None]] = []
             spawn_failure: int | None = None
-            for job in pending:
+            for job, worker in zip(wave, leased):
                 t_stage = time.monotonic()
-                job_id = self._dispatch(leased[job], key, inputs[slices[job]])
+                job_id = self._dispatch(worker, key, inputs[slices[job]])
                 if tracer is not None:
-                    # Stage-in covers staging the shard's rows into the
+                    # Stage-in covers staging the job's rows into the
                     # worker's segment plus the descriptor send; a retried
                     # job re-emits it, so retry attempts show up as sibling
                     # spans under the same parent.
@@ -528,35 +523,35 @@ class ShardPool:
                         if tracer.sampled(trace_id):
                             closing.add("shard_stage_in", trace_id, t_stage,
                                         stage_s, parent="serve_execute",
-                                        worker_index=leased[job])
+                                        worker_index=worker)
                 if job_id is None:
                     spawn_failure = job
                     break
-                dispatched.append((job, job_id))
+                deadline = (time.monotonic() + self.job_timeout
+                            if self.job_timeout > 0.0 else None)
+                dispatched.append((job, worker, job_id, deadline))
             # Collect EVERY dispatched reply before acting on any failure:
-            # abandoning an in-flight job would leave its worker blocked in a
-            # send larger than the pipe buffer, and the next dispatch to that
-            # worker would then deadlock against it.  Between rounds every
-            # leased worker is idle and every leased pipe drained.
-            pending = []
+            # a worker still evaluating would write its results over the
+            # rows the next job stages into its segment.  Between waves
+            # every leased worker is idle and every leased pipe drained.
             failure: ServeError | None = None
-            for job, job_id in dispatched:
-                reply, reason = self._recv(leased[job], job_id)
+            for job, worker, job_id, deadline in dispatched:
+                reply, reason = self._recv(worker, job_id, deadline)
                 if reply is None:           # crash/wedge: respawn, maybe retry
                     if self.broker:
                         shard_traces = self._shard_traces(trace_ids,
                                                           slices[job])
                         if reason == "timeout":
                             self.broker.publish(JobTimedOut(
-                                worker_index=leased[job], key=key,
+                                worker_index=worker, key=key,
                                 timeout_s=self.job_timeout,
                                 trace_ids=shard_traces))
                         else:
                             self.broker.publish(WorkerCrashed(
-                                worker_index=leased[job], key=key,
+                                worker_index=worker, key=key,
                                 trace_ids=shard_traces))
                     crashes[job] += 1
-                    self._respawn(leased[job])
+                    self._respawn(worker)
                     if crashes[job] > self.max_retries:
                         failure = failure or ServeError(
                             f"shard job for rows {slices[job]} of model "
@@ -568,7 +563,7 @@ class ShardPool:
                         self.retried_jobs += 1
                     pending.append(job)
                     continue
-                _, ok, payload = reply[:3]
+                _, ok, payload = reply
                 if not ok:                  # worker-side exception: no retry
                     failure = failure or ServeError(
                         f"shard worker failed to evaluate model {key[:12]}...:"
@@ -579,35 +574,29 @@ class ShardPool:
                     for trace_id in self._shard_traces(trace_ids, slices[job])
                     if tracer.sampled(trace_id))
                     if tracer is not None else ())
-                if tracer is not None and len(reply) > 3:
+                if tracer is not None:
                     # Materialise the worker-side spans from the stamped
                     # timings (same CLOCK_MONOTONIC, different process).
-                    t_job, eval_s, out_s = reply[3]
+                    t_job, eval_s, out_s = payload
                     for trace_id in shard_traces:
                         closing.add("worker_evaluate", trace_id, t_job,
                                     eval_s, parent="serve_execute",
-                                    worker_index=leased[job])
+                                    worker_index=worker)
                         closing.add("worker_stage_out", trace_id,
                                     t_job + eval_s, out_s,
                                     parent="serve_execute",
-                                    worker_index=leased[job])
+                                    worker_index=worker)
                 t_reassemble = time.monotonic()
-                if payload[0] == _SHM:
-                    _, out_off, shape = payload
-                    segment = self._workers[leased[job]].segment
-                    view = np.ndarray(shape, dtype=np.float64,
-                                      buffer=segment.buf, offset=out_off)
-                    outputs[slices[job]] = view
-                    del view                 # must not pin segment.buf
-                else:
-                    outputs[slices[job]] = payload[1]
+                target = outputs[slices[job]]
+                target[:] = _job_views(self._workers[worker].segment,
+                                       target.shape)[1]
                 if tracer is not None:
                     reassemble_s = time.monotonic() - t_reassemble
                     for trace_id in shard_traces:
                         closing.add("serve_reassemble", trace_id,
                                     t_reassemble, reassemble_s,
                                     parent="serve_execute",
-                                    worker_index=leased[job])
+                                    worker_index=worker)
             if spawn_failure is not None:
                 failure = failure or ServeError(
                     f"shard worker for rows {slices[spawn_failure]} of model "
@@ -626,8 +615,8 @@ class ShardPool:
         with self._lease:
             self._sequence += 1
             job_id = self._sequence
-        if self._send(worker_index, self._place_job(worker_index, key, job_id,
-                                                    rows)):
+        if self._send(worker_index, self._stage(worker_index, key, job_id,
+                                                rows)):
             return job_id
         # Dead before the job even reached it — no rows were riding on it
         # yet, so the crash event names the worker and key but no traces.
@@ -636,8 +625,8 @@ class ShardPool:
                                               key=key))
         self._respawn(worker_index)
         # The respawned worker owns a fresh segment: re-stage the rows.
-        if self._send(worker_index, self._place_job(worker_index, key, job_id,
-                                                    rows)):
+        if self._send(worker_index, self._stage(worker_index, key, job_id,
+                                                rows)):
             return job_id
         return None
 

@@ -12,10 +12,13 @@ micro-batching deployment tunes against each other:
   including evaluation and any crash-retry stalls.
 
 :meth:`ModelServer.stats <repro.serve.server.ModelServer.stats>` snapshots
-these into a :class:`ServeStats` value with percentile summaries — both the
-server-wide populations and a per-model breakdown attributed to the dispatch
-lane serving each model.  The TCP gateway (:mod:`repro.gateway`) keeps its
-connection/frame accounting in a :class:`GatewayCounters`.
+these into a :class:`ServeStats` value with lifetime latency summaries — a
+per-model breakdown attributed to the dispatch lane serving each model, and
+its exact merge server-wide.  :class:`LatencySummary` is the one latency
+primitive of the serving stack: the server, the metrics windows and their
+roll-ups (:mod:`repro.telemetry.metrics`) all summarise and merge with it.
+The TCP gateway (:mod:`repro.gateway`) keeps its connection/frame
+accounting in a :class:`GatewayCounters`.
 
 Every summary here is **empty-window safe**: a freshly started server (or a
 model that has not completed a batch yet) reports zeroed percentiles, never
@@ -25,83 +28,126 @@ moment the server starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GatewayCounters", "LatencySummary", "ModelLaneStats", "ServeStats"]
+__all__ = ["ALPHA", "GatewayCounters", "LatencySummary", "ModelLaneStats",
+           "ServeStats"]
+
+
+#: Relative accuracy of every latency percentile: a reported value lies
+#: within ``ALPHA`` (1%) of the sample of the requested rank.
+ALPHA = 0.01
+
+#: Bucket ``i`` holds the samples in ``(GAMMA**(i - 1), GAMMA**i]``.
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
 
 
 @dataclass(frozen=True)
 class LatencySummary:
-    """Percentile summary of one latency population (seconds).
+    """Mergeable summary of one latency population (seconds).
 
-    Non-finite samples are dropped before the percentiles are taken, and an
-    empty (or all-non-finite) window summarises to zeros — querying a server
-    before its first batch completes must never trip on an empty percentile.
+    A fixed log-bucket quantile sketch (DDSketch, Masson et al., VLDB 2019,
+    arXiv:1908.10693): a positive sample ``x`` counts into bucket
+    ``ceil(log(x) / log(GAMMA))``, whose representative
+    ``2 GAMMA**i / (GAMMA + 1)`` lies within :data:`ALPHA` of every sample
+    in it; zero (and any non-positive) samples count apart, as zeros.
+    ``count``, ``total`` and the exact ``min``/``max`` sit beside the
+    bucket counts, so :meth:`merge` is exact: the merge of the summaries of
+    several sample sets *is* the summary of their concatenation, which
+    makes window roll-ups true quantiles.  Memory is bounded by the
+    dynamic range of the samples, not their number.
+
+    Non-finite samples are dropped, and an empty (or all-non-finite)
+    population summarises to zeros — querying a server before its first
+    batch completes must never trip on an empty percentile.
     """
 
-    count: int
-    mean: float
-    min: float
-    p50: float
-    p90: float
-    p95: float
-    p99: float
-    max: float
+    count: int = 0
+    total: float = 0.0
+    min: float = 0.0
+    max: float = 0.0
+    #: Index of the first bucket in ``buckets``.
+    offset: int = 0
+    #: Counts of the consecutive buckets ``offset, offset + 1, ...`` as raw
+    #: ``intp`` bytes (immutable, so a summary stays a hashable value); the
+    #: samples they leave out of ``count`` are zeros.
+    buckets: bytes = b""
+
+    mean = property(lambda self: self.total / max(self.count, 1))
+    p50 = property(lambda self: self.percentile(50.0))
+    p90 = property(lambda self: self.percentile(90.0))
+    p95 = property(lambda self: self.percentile(95.0))
+    p99 = property(lambda self: self.percentile(99.0))
 
     @classmethod
     def of(cls, samples) -> "LatencySummary":
         values = np.asarray(samples, dtype=float).ravel()
-        if values.size:
-            values = values[np.isfinite(values)]
-        if values.size == 0:
-            return cls(count=0, mean=0.0, min=0.0, p50=0.0, p90=0.0, p95=0.0,
-                       p99=0.0, max=0.0)
-        p50, p90, p95, p99 = np.percentile(values, [50.0, 90.0, 95.0, 99.0])
-        return cls(count=int(values.size), mean=float(values.mean()),
-                   min=float(values.min()), p50=float(p50), p90=float(p90),
-                   p95=float(p95), p99=float(p99), max=float(values.max()))
-
-    def percentile(self, q: float) -> float:
-        """Interpolate an arbitrary percentile from the stored summary knots.
-
-        The q=0 knot is the true window minimum, so low percentiles
-        interpolate between min and p50 instead of collapsing onto p50.
-        NaN-safe by construction: an empty summary answers 0.0 for every
-        ``q`` instead of propagating NaN into dashboards or gates.
-        """
-        if self.count == 0:
-            return 0.0
-        knots_q = [0.0, 50.0, 90.0, 95.0, 99.0, 100.0]
-        knots_v = [self.min, self.p50, self.p90, self.p95, self.p99, self.max]
-        return float(np.interp(float(q), knots_q, knots_v))
+        values = values[np.isfinite(values)]
+        if not values.size:
+            return cls()
+        index = np.ceil(np.log(values[values > 0.0]) / _LOG_GAMMA).astype(int)
+        offset = int(index.min()) if index.size else 0
+        return cls(count=int(values.size), total=float(values.sum()),
+                   min=float(values.min()), max=float(values.max()),
+                   offset=offset,
+                   buckets=np.bincount(index - offset).tobytes())
 
     @classmethod
     def merge(cls, summaries) -> "LatencySummary":
-        """Fold several window summaries into one rolling summary.
+        """The summary of the concatenated samples of ``summaries``.
 
-        The windowed-percentile primitive of the metrics aggregator: each
-        fixed-duration window keeps only its own :class:`LatencySummary`,
-        and a rolling view over N windows merges them without re-touching
-        the raw samples.  ``count``/``mean``/``min``/``max`` merge exactly;
-        the percentile knots merge as count-weighted means, which is the
-        standard streaming approximation (exact when the windows are
-        identically distributed, and never outside [min, max]).  Empty
-        summaries contribute nothing; merging none (or only empties) is the
-        zeroed summary, keeping the empty-window-safe contract.
+        Counts, totals and bucket counts add; ``min``/``max`` stay exact.
+        Empty summaries contribute nothing; merging none (or only empties)
+        is the zeroed summary, keeping the empty-window-safe contract.
         """
         live = [s for s in summaries if s.count]
-        if not live:
-            return cls.of(())
-        total = sum(s.count for s in live)
-        weighted = lambda field: sum(
-            getattr(s, field) * s.count for s in live) / total
-        return cls(count=total, mean=weighted("mean"),
-                   min=min(s.min for s in live),
-                   p50=weighted("p50"), p90=weighted("p90"),
-                   p95=weighted("p95"), p99=weighted("p99"),
-                   max=max(s.max for s in live))
+        if len(live) < 2:
+            return live[0] if live else cls()
+        binned = [(s.offset, np.frombuffer(s.buckets, dtype=np.intp))
+                  for s in live if s.buckets]
+        offset = min((start for start, _ in binned), default=0)
+        end = max((start + c.size for start, c in binned), default=0)
+        counts = np.zeros(end - offset, dtype=np.intp)
+        for start, c in binned:
+            counts[start - offset:start - offset + c.size] += c
+        return cls(count=sum(s.count for s in live),
+                   total=sum(s.total for s in live),
+                   min=min(s.min for s in live), max=max(s.max for s in live),
+                   offset=offset, buckets=counts.tobytes())
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-th percentile (``0 <= q <= 100``), within ``ALPHA``.
+
+        Applies ``np.percentile``'s linear interpolation to the bucketed
+        ranks; rank 0 and rank ``count - 1`` answer the exact ``min`` and
+        ``max``.  NaN-safe by construction: an empty summary answers 0.0
+        for every ``q`` instead of propagating NaN into dashboards or gates.
+        """
+        if not self.count:
+            return 0.0
+        rank = (self.count - 1) * float(q) / 100.0
+        below = math.floor(rank)
+        low = self._value_at(below)
+        if rank == below:
+            return low
+        return low + (rank - below) * (self._value_at(below + 1) - low)
+
+    def _value_at(self, rank: int) -> float:
+        """The sample of ascending ``rank``, to within ``ALPHA``."""
+        if rank <= 0:
+            return self.min
+        if rank >= self.count - 1:
+            return self.max
+        cumulative = np.cumsum(np.frombuffer(self.buckets, dtype=np.intp))
+        # The zeros rank first, then the buckets in ascending order.
+        rank -= self.count - int(cumulative[-1] if cumulative.size else 0)
+        bucket = self.offset + int(np.searchsorted(cumulative, rank, "right"))
+        value = 2.0 * _GAMMA ** bucket / (_GAMMA + 1.0) if rank >= 0 else 0.0
+        return min(max(value, self.min), self.max)
 
     def as_dict(self) -> dict:
         return {"count": self.count, "mean_s": self.mean, "min_s": self.min,

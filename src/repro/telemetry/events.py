@@ -364,11 +364,15 @@ class MetricsWindowClosed(TelemetryEvent):
     receives pre-aggregated operational metrics without re-deriving them
     from the raw stream.  ``queue_latency`` / ``e2e_latency`` are
     :meth:`LatencySummary.as_dict <repro.serve.stats.LatencySummary.as_dict>`
-    payloads; ``per_model`` maps model key → that model's window slice
-    (rows, batches, throughput, fill ratio, latency summaries); ``stages``
-    maps span stage name → that stage's window latency summary (fed by
-    ``SpanClosed`` events, addressable by alert rules as
-    ``stages.<stage>.p95_s``).
+    payloads of the window-wide summaries — the exact merge of the
+    per-model slices, with percentiles within
+    :data:`~repro.serve.stats.ALPHA` (1%) relative; ``per_model`` maps
+    model key → that model's window slice (rows, batches, throughput, fill
+    ratio, latency summaries); ``stages`` maps span stage name → that
+    stage's window latency summary (fed by ``SpanClosed`` events,
+    addressable by alert rules as ``stages.<stage>.p95_s``).  The payloads
+    carry percentiles, not buckets: roll-ups merge the aggregator's typed
+    window ring in-process (:class:`~repro.telemetry.metrics.MetricsReport`).
     """
 
     window_index: int

@@ -7,7 +7,11 @@ fixed-duration windows kept in a ring buffer — per-model throughput,
 p50/p95/p99 queue and end-to-end latency (reconstructed from trace-chained
 ``RequestSubmitted`` → ``BatchClosed`` → ``BatchServed`` pairs), batch-fill
 ratio against ``max_batch``, and rejection / crash / timeout / eviction /
-subscriber-drop rates.
+subscriber-drop rates.  Latency is summarised per model with
+:class:`~repro.serve.stats.LatencySummary`; the window-wide summary and
+every rolling :class:`MetricsReport` are exact merges of those, so a
+rolled-up p99 is the p99 of all the rolled-up samples (within
+:data:`~repro.serve.stats.ALPHA`).
 
 Windowing is **event-time** on the publisher's monotonic clock (every event
 carries ``t`` stamped at construction), so the aggregator computes the same
@@ -45,9 +49,6 @@ from .events import MetricsWindowClosed
 __all__ = ["MetricsAggregator", "MetricsReport", "ModelWindowMetrics",
            "WindowMetrics"]
 
-#: The zeroed latency summary (shared default — LatencySummary is frozen).
-_EMPTY_SUMMARY = LatencySummary.of(())
-
 #: How long the consuming thread blocks before checking for idle windows.
 _POLL_S = 0.1
 
@@ -62,8 +63,8 @@ class ModelWindowMetrics:
     n_served: int = 0
     n_failed: int = 0
     max_batch: int = 0
-    queue_latency: LatencySummary = _EMPTY_SUMMARY
-    e2e_latency: LatencySummary = _EMPTY_SUMMARY
+    queue_latency: LatencySummary = LatencySummary()
+    e2e_latency: LatencySummary = LatencySummary()
 
     @property
     def mean_batch_size(self) -> float:
@@ -114,8 +115,8 @@ class WindowMetrics:
     n_events: int = 0
     queue_depth: int = 0
     max_batch: int = 0
-    queue_latency: LatencySummary = _EMPTY_SUMMARY
-    e2e_latency: LatencySummary = _EMPTY_SUMMARY
+    queue_latency: LatencySummary = LatencySummary()
+    e2e_latency: LatencySummary = LatencySummary()
     #: Per-model slices keyed by model key (:class:`ModelWindowMetrics`).
     per_model: dict = field(default_factory=dict)
     #: Per-stage latency keyed by span stage name (:class:`LatencySummary`),
@@ -164,7 +165,11 @@ class WindowMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Rolling roll-up over the last N closed windows (typed snapshot)."""
+    """Rolling roll-up over the last N closed windows (typed snapshot).
+
+    Counters add up and latency summaries merge exactly, so the report's
+    percentiles are those of every sample in the rolled-up windows.
+    """
 
     window_s: float
     n_windows: int
@@ -186,8 +191,8 @@ class MetricsReport:
     max_batch: int = 0
     throughput_rps: float = 0.0
     fill_ratio: float = 0.0
-    queue_latency: LatencySummary = _EMPTY_SUMMARY
-    e2e_latency: LatencySummary = _EMPTY_SUMMARY
+    queue_latency: LatencySummary = LatencySummary()
+    e2e_latency: LatencySummary = LatencySummary()
     #: Merged per-model slices keyed by model key.
     per_model: dict = field(default_factory=dict)
     #: Merged per-stage latency keyed by span stage name.
@@ -318,8 +323,7 @@ class _WindowAcc:
     __slots__ = ("n_submitted", "n_served", "n_failed", "n_batches",
                  "n_rejected", "n_crashes", "n_respawns", "n_timeouts",
                  "n_evictions", "n_subscriber_dropped", "n_late",
-                 "n_unmatched", "n_events", "queue", "e2e", "models",
-                 "stages")
+                 "n_unmatched", "n_events", "models", "stages")
 
     def __init__(self) -> None:
         for name in ("n_submitted", "n_served", "n_failed", "n_batches",
@@ -327,8 +331,6 @@ class _WindowAcc:
                      "n_evictions", "n_subscriber_dropped", "n_late",
                      "n_unmatched", "n_events"):
             setattr(self, name, 0)
-        self.queue: list = []
-        self.e2e: list = []
         self.models: dict = {}
         self.stages: dict = {}
 
@@ -513,8 +515,10 @@ class MetricsAggregator:
             n_late=acc.n_late, n_unmatched=acc.n_unmatched,
             n_events=acc.n_events, queue_depth=len(self._pending),
             max_batch=self.max_batch,
-            queue_latency=LatencySummary.of(acc.queue),
-            e2e_latency=LatencySummary.of(acc.e2e),
+            queue_latency=LatencySummary.merge(
+                m.queue_latency for m in per_model.values()),
+            e2e_latency=LatencySummary.merge(
+                m.e2e_latency for m in per_model.values()),
             per_model=per_model,
             stages={stage: LatencySummary.of(samples)
                     for stage, samples in acc.stages.items()})
@@ -547,9 +551,7 @@ class MetricsAggregator:
                 if info is None:
                     acc.n_unmatched += 1
                     continue
-                sample = max(0.0, t - info[0])
-                acc.queue.append(sample)
-                acc.model(event.key).queue.append(sample)
+                acc.model(event.key).queue.append(max(0.0, t - info[0]))
         elif name == "BatchServed":
             acc.n_batches += 1
             model = acc.model(event.key)
@@ -566,9 +568,7 @@ class MetricsAggregator:
                 if info is None:
                     acc.n_unmatched += 1
                     continue
-                sample = max(0.0, t - info[0])
-                acc.e2e.append(sample)
-                model.e2e.append(sample)
+                model.e2e.append(max(0.0, t - info[0]))
         elif name == "SpanClosed":
             acc.stages.setdefault(event.name, []).append(
                 float(event.duration_s))

@@ -139,10 +139,6 @@ def _numerator_columns(svals: np.ndarray, poles: np.ndarray, real_mode: bool,
     return phi
 
 
-def _sigma_coefficient_count(poles: np.ndarray, real_mode: bool) -> int:
-    return len(poles)
-
-
 def _relocate_poles(svals: np.ndarray, data: np.ndarray, weights: np.ndarray,
                     poles: np.ndarray, opts: VectorFitOptions) -> tuple[np.ndarray, float]:
     """One pole-relocation step; returns (new_poles, sigma_constant).

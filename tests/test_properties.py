@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repro.circuit.waveforms import BitPattern, Sine, prbs_bits
 from repro.rvf import PartialFractionFunction, basis_primitive
-from repro.rvf.timedomain import _phi1, _phi2
+from repro.rvf.timedomain import phi1, phi2
+from repro.serve.stats import ALPHA, LatencySummary
 from repro.units import format_si, parse_value
 from repro.vectfit import flip_unstable, sort_poles, split_real_complex
 from repro.vectfit.poles import enforce_conjugate_closure
@@ -97,13 +98,13 @@ class TestCalculusProperties:
     def test_phi_functions_match_definitions(self, z_real):
         z = complex(z_real, 0.0)
         assume(abs(z) > 1e-3)
-        assert complex(_phi1(z)) == pytest.approx((np.exp(z) - 1) / z, rel=1e-6)
-        assert complex(_phi2(z)) == pytest.approx((np.exp(z) - 1 - z) / z ** 2, rel=1e-4)
+        assert complex(phi1(z)) == pytest.approx((np.exp(z) - 1) / z, rel=1e-6)
+        assert complex(phi2(z)) == pytest.approx((np.exp(z) - 1 - z) / z ** 2, rel=1e-4)
 
     @given(st.complex_numbers(max_magnitude=1e-7, allow_nan=False, allow_infinity=False))
     def test_phi_functions_near_zero_limits(self, z):
-        assert complex(_phi1(z)) == pytest.approx(1.0, abs=1e-6)
-        assert complex(_phi2(z)) == pytest.approx(0.5, abs=1e-6)
+        assert complex(phi1(z)) == pytest.approx(1.0, abs=1e-6)
+        assert complex(phi2(z)) == pytest.approx(0.5, abs=1e-6)
 
 
 class TestWaveformProperties:
@@ -130,3 +131,29 @@ class TestWaveformProperties:
         values = pattern.sample(times)
         assert values.min() >= low - 1e-9
         assert values.max() <= high + 1e-9
+
+
+class TestLatencySummaryProperties:
+    latency_samples = st.lists(
+        st.one_of(st.floats(min_value=0.0, max_value=1e3),
+                  st.sampled_from([0.0, np.nan, np.inf])),
+        min_size=1, max_size=200)
+
+    @given(latency_samples, st.data())
+    def test_merged_partitions_summarise_the_concatenation(self, samples,
+                                                           data):
+        labels = data.draw(st.lists(st.integers(0, 4), min_size=len(samples),
+                                    max_size=len(samples)))
+        parts = [[x for x, label in zip(samples, labels) if label == part]
+                 for part in range(5)]
+        merged = LatencySummary.merge(LatencySummary.of(p) for p in parts)
+        whole = LatencySummary.of(samples)
+        assert (merged.count, merged.min, merged.max, merged.offset,
+                merged.buckets) == (whole.count, whole.min, whole.max,
+                                    whole.offset, whole.buckets)
+        finite = np.asarray(samples)[np.isfinite(samples)]
+        mean = finite.mean() if finite.size else 0.0
+        assert merged.mean == pytest.approx(mean, rel=1e-12)
+        for q in (0.0, 1.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0):
+            exact = np.percentile(finite, q) if finite.size else 0.0
+            assert merged.percentile(q) == pytest.approx(exact, rel=ALPHA)

@@ -16,7 +16,7 @@ from repro.rvf import (
     fit_residue_trajectories,
     simulate_hammerstein,
 )
-from repro.rvf.timedomain import _phi1, _phi2
+from repro.rvf.timedomain import phi1, phi2
 from repro.tft import StateEstimator
 
 
@@ -259,13 +259,13 @@ class TestHammersteinModel:
 
 class TestTimeDomainSimulation:
     def test_phi_functions_small_argument_series(self):
-        assert _phi1(1e-12) == pytest.approx(1.0, rel=1e-9)
-        assert _phi2(1e-12) == pytest.approx(0.5, rel=1e-9)
+        assert phi1(1e-12) == pytest.approx(1.0, rel=1e-9)
+        assert phi2(1e-12) == pytest.approx(0.5, rel=1e-9)
 
     def test_phi_functions_large_argument(self):
         z = -50.0
-        assert _phi1(z) == pytest.approx((np.exp(z) - 1) / z)
-        assert _phi2(z) == pytest.approx((np.exp(z) - 1 - z) / z ** 2)
+        assert phi1(z) == pytest.approx((np.exp(z) - 1) / z)
+        assert phi2(z) == pytest.approx((np.exp(z) - 1 - z) / z ** 2)
 
     def test_linear_model_step_response(self):
         # dy/dt = a y + r*u with u stepping from 0.5 to 1.5 => first-order step.

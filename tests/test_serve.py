@@ -21,6 +21,7 @@ from repro.serve import (
     ServeRequest,
     ShardPool,
 )
+from repro.serve.stats import ALPHA
 from repro.tft.state_estimator import StateEstimator
 
 #: Generous wall-clock bound on any future in these tests; failure-path
@@ -255,18 +256,46 @@ class TestShardPool:
         with pytest.raises(ServeError, match="closed"):
             pool.evaluate(key, request_batch(2, 8))
 
-    def test_pipe_fallback_bitwise_equal(self, registry, compiled, key):
-        """Jobs too large for the segment (or with shm disabled) take the
-        pickle-over-pipe path and stay bitwise-equal."""
+    def test_oversized_batch_runs_in_waves_bitwise_equal(self, registry,
+                                                         compiled, key):
+        """A batch too large for one job per worker is cut into
+        segment-sized jobs that run in waves and stay bitwise-equal."""
         batch = request_batch(13, 64)
         direct = compiled.evaluate(batch)
-        # Segment smaller than one job's 2x footprint: every job falls back.
+        # A 64-sample row needs 512 B in + 512 B out: a 1 KiB segment holds
+        # one row per job, so 13 jobs run in 7 waves over 2 workers.
         with ShardPool(registry.root, 2, segment_bytes=1024) as pool:
             np.testing.assert_array_equal(pool.evaluate(key, batch), direct)
-        # Dataplane disabled outright.
-        with ShardPool(registry.root, 2, segment_bytes=0) as pool:
-            np.testing.assert_array_equal(pool.evaluate(key, batch), direct)
-            assert all(worker.segment is None for worker in pool._workers)
+
+    def test_waves_retry_a_crashed_job_in_a_later_wave(self, registry,
+                                                       compiled, key):
+        batch = request_batch(13, 64)
+        with ShardPool(registry.root, 2, segment_bytes=1024,
+                       fault_injection={key}) as pool:
+            np.testing.assert_array_equal(pool.evaluate(key, batch),
+                                          compiled.evaluate(batch))
+            assert pool.respawns >= 1 and pool.retried_jobs >= 1
+
+    def test_waves_retry_a_wedged_job_after_its_timeout(self, registry,
+                                                        compiled, key):
+        batch = request_batch(13, 64)
+        with ShardPool(registry.root, 2, segment_bytes=1024, job_timeout=0.5,
+                       stall_injection={key}) as pool:
+            np.testing.assert_array_equal(pool.evaluate(key, batch),
+                                          compiled.evaluate(batch))
+            assert pool.stats()["timed_out_jobs"] >= 1
+            assert pool.retried_jobs >= 1
+
+    def test_row_wider_than_half_the_segment_is_a_named_error(self, registry,
+                                                              compiled, key):
+        with ShardPool(registry.root, 2, segment_bytes=1024) as pool:
+            with pytest.raises(ServeError, match="segment_bytes=1024"):
+                pool.evaluate(key, request_batch(3, 65))
+            batch = request_batch(3, 64)         # the pool keeps serving
+            np.testing.assert_array_equal(pool.evaluate(key, batch),
+                                          compiled.evaluate(batch))
+        with pytest.raises(ServeError, match="segment_bytes=0"):
+            ShardPool(registry.root, 1, segment_bytes=0)
 
     def test_region_reuse_across_many_batches(self, registry, compiled, key):
         """A segment barely larger than one job forces every batch to reuse
@@ -327,6 +356,18 @@ class TestShardPool:
             with pytest.raises(ServeError, match="max_retries=0"):
                 pool.evaluate(key, request_batch(4, 32))
             assert pool.stats()["timed_out_jobs"] >= 1
+
+    def test_job_deadlines_run_from_dispatch(self, registry, key):
+        """Three wedged workers time out together, not one after another:
+        each job's deadline is stamped when it is dispatched."""
+        with ShardPool(registry.root, 3, max_retries=0, job_timeout=0.5,
+                       stall_injection={key}) as pool:
+            start = time.monotonic()
+            with pytest.raises(ServeError, match="max_retries=0"):
+                pool.evaluate(key, request_batch(6, 32))
+            elapsed = time.monotonic() - start
+            assert pool.stats()["timed_out_jobs"] == 3
+        assert elapsed < 2 * 0.5
 
     def test_respawn_refused_after_close(self, registry):
         """Satellite: _respawn must refuse once the pool is closed — a lease
@@ -598,6 +639,20 @@ class TestDispatchLanes:
         assert sorted(set(lanes)) == [0, 1]      # both lanes used, none idle
         assert stats.n_lanes == 2
 
+    def test_server_latency_is_the_merge_of_its_models(self, compiled,
+                                                       tmp_path):
+        registry, keys = self.multi_registry(compiled, tmp_path, n_models=2)
+        policy = ServePolicy(max_batch=4, max_wait=1e-3, n_lanes=2)
+        with ModelServer(registry, policy) as server:
+            for key in keys:
+                server.serve(key, request_batch(6, 16))
+            stats = server.stats()
+        for name in ("queue_latency", "e2e_latency"):
+            per_model = [getattr(m, name) for m in stats.per_model.values()]
+            assert [summary.count for summary in per_model] == [6, 6]
+            assert getattr(stats, name) == LatencySummary.merge(per_model)
+            assert getattr(stats, name).count == 12
+
     def test_single_lane_serialises_all_models(self, compiled, tmp_path):
         registry, keys = self.multi_registry(compiled, tmp_path)
         policy = ServePolicy(max_batch=4, max_wait=1e-3, n_lanes=1)
@@ -680,7 +735,7 @@ class TestServeStatsSafety:
         assert summary.percentile(50.0) == pytest.approx(summary.p50)
         assert summary.percentile(99.0) == pytest.approx(summary.p99)
         assert summary.percentile(100.0) == pytest.approx(summary.max)
-        assert summary.percentile(70.0) == pytest.approx(0.6, abs=0.1)
+        assert summary.percentile(70.0) == pytest.approx(0.7, rel=ALPHA)
 
     def test_low_percentiles_use_true_minimum(self):
         """Satellite: q < 50 must interpolate from the window min, not
@@ -733,3 +788,8 @@ class TestServePolicyValidation:
     def test_bad_policies_rejected(self, kwargs):
         with pytest.raises(ServeError):
             ServePolicy(**kwargs).validate()
+
+    def test_segment_holds_one_admitted_row_in_and_out(self):
+        ServePolicy(segment_bytes=1600, max_request_samples=100).validate()
+        with pytest.raises(ServeError, match="16 \\* 100 bytes"):
+            ServePolicy(segment_bytes=1599, max_request_samples=100).validate()

@@ -23,7 +23,7 @@ from repro.exceptions import GatewayError
 from repro.gateway import Gateway, GatewayClient
 from repro.runtime import ModelRegistry, compile_model, content_hash
 from repro.serve import ModelServer, ServePolicy
-from repro.serve.stats import LatencySummary
+from repro.serve.stats import ALPHA, LatencySummary
 from repro.telemetry import (
     AlertManager,
     AlertRule,
@@ -34,6 +34,7 @@ from repro.telemetry import (
     MetricsWindowClosed,
     RequestSubmitted,
     TopicBroker,
+    WindowMetrics,
     WorkerCrashed,
     event_from_dict,
 )
@@ -186,6 +187,17 @@ class TestAggregatorWindows:
         assert event.queue_depth == 10             # oldest evicted, counted
         assert event.n_unmatched == 15
 
+    def test_window_latency_merges_every_model(self):
+        agg = MetricsAggregator(window_s=1.0, max_batch=4, t0=0.0)
+        agg.ingest(submitted(1, t=0.1, key="a"))
+        agg.ingest(submitted(2, t=0.1, key="b"))
+        agg.ingest(served((1,), t=0.2, key="a"))
+        agg.ingest(served((2,), t=0.5, key="b"))
+        (event,) = agg.close_window()
+        assert event.e2e_latency["count"] == 2
+        assert event.e2e_latency["min_s"] == pytest.approx(0.1)
+        assert event.e2e_latency["max_s"] == pytest.approx(0.4)
+
     def test_report_merges_windows_and_models(self):
         agg = MetricsAggregator(window_s=1.0, max_batch=4, t0=0.0)
         agg.ingest(submitted(1, t=0.1, key="a"))
@@ -239,7 +251,7 @@ class TestLatencySummaryWindows:
     def test_p95_between_p90_and_p99(self):
         summary = LatencySummary.of(np.linspace(0.0, 1.0, 1001))
         assert summary.p90 <= summary.p95 <= summary.p99
-        assert summary.p95 == pytest.approx(0.95, abs=1e-6)
+        assert summary.p95 == pytest.approx(0.95, rel=ALPHA)
         assert summary.percentile(95.0) == pytest.approx(summary.p95)
 
     def test_merge_weights_by_count(self):
@@ -249,7 +261,7 @@ class TestLatencySummaryWindows:
         assert merged.count == 40
         assert merged.mean == pytest.approx(2.0)
         assert merged.min == 1.0 and merged.max == 5.0
-        assert merged.p95 == pytest.approx(2.0)
+        assert merged.p95 == pytest.approx(5.0)
 
     def test_merge_skips_empties_and_merges_none_to_zero(self):
         empty = LatencySummary.of(())
@@ -258,6 +270,21 @@ class TestLatencySummaryWindows:
         merged = LatencySummary.merge([empty, empty])
         assert merged.count == 0 and merged.p95 == 0.0
         assert LatencySummary.merge([]).count == 0
+
+    def test_bursty_rollup_reports_the_true_p99(self):
+        """Nine quiet 500-request windows at 5 ms and one overloaded
+        50-request window at 200 ms: 50 of 4550 samples sit above the 1%
+        tail, so the rolled-up p99 is 200 ms.  Averaging the windows' p99s
+        would report ~7 ms and a p99 alert would never fire."""
+        windows = [
+            WindowMetrics(index=i, t_start=float(i), t_end=i + 1.0,
+                          e2e_latency=LatencySummary.of(
+                              np.full(50 if i == 9 else 500,
+                                      0.200 if i == 9 else 0.005)))
+            for i in range(10)]
+        report = MetricsReport.of(windows, window_s=1.0)
+        assert report.e2e_latency.count == 4550
+        assert report.e2e_latency.p99 >= 0.198
 
 
 # ------------------------------------------------------------ alert hysteresis
