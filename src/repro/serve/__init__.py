@@ -11,8 +11,9 @@ bitwise determinism carried through end to end.
 * :mod:`~repro.serve.policy` — one frozen :class:`ServePolicy` value holds
   every deployment knob (``max_batch``, ``max_wait``, lane/worker counts,
   cache budget, request/connection limits);
-* :mod:`~repro.serve.batcher` — per-``(model, n_steps)`` coalescing queues
-  closing into :class:`MicroBatch` objects (pure data structure);
+* :mod:`~repro.serve.batcher` — per-``(model, n_steps)`` request FIFOs
+  that free lanes pull :class:`MicroBatch` objects from (pure data
+  structure);
 * :mod:`~repro.serve.shards` — :class:`ShardPool` worker processes with warm
   model caches, crash detection, respawn, deterministic reassembly, and
   per-worker leasing so concurrent lanes split the pool instead of queueing;

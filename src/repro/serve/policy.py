@@ -21,23 +21,26 @@ class ServePolicy:
     """Configuration of a :class:`~repro.serve.server.ModelServer`.
 
     The two batching knobs trade latency for throughput exactly as in any
-    micro-batching server: a request is dispatched as soon as its coalesced
-    batch reaches ``max_batch`` rows, or when the oldest request in the batch
-    has waited ``max_wait`` seconds, whichever comes first.
+    micro-batching server: a request is released to its lane as soon as its
+    coalescing group reaches ``max_batch`` rows, or when the oldest request
+    in the group has waited ``max_wait`` seconds, whichever comes first.  A
+    busy lane does not hold the policy up: when it frees, it takes up to
+    ``max_batch`` of the requests waiting for it in one batch.
     """
 
-    #: Rows per coalesced lock-step batch; a full batch dispatches
-    #: immediately.
+    #: Most rows per lock-step batch.  A group that reaches it is released
+    #: at once; a lane that frees takes at most this many waiting rows.
     max_batch: int = 256
     #: Longest time (seconds) a request may wait for co-batching before its
-    #: partial batch is dispatched anyway.
+    #: partial group is released anyway (its lane takes it as soon as the
+    #: lane is free).
     max_wait: float = 2e-3
     #: Per-request sample limit.  Oversized requests are rejected at submit
     #: time with a :class:`~repro.exceptions.ServeError` naming this limit —
     #: one runaway client must not be able to wedge a whole batch.
     max_request_samples: int = 1 << 20
     #: Upper bound on in-flight requests (accepted but not yet answered,
-    #: whether still coalescing, queued as a closed batch, or executing);
+    #: whether still waiting for a lane to take them or executing);
     #: submissions beyond it are rejected, not silently queued.
     max_queue_depth: int = 100_000
     #: Worker processes in the shard pool.  ``0`` evaluates batches inline in

@@ -1,19 +1,22 @@
 """The serving front-end: submit → coalesce → lane-dispatch → shard → respond.
 
 :class:`ModelServer` accepts individual stimulus requests (model key +
-waveform sample array) and returns a future per request.  Requests are closed
-into lock-step micro-batches under the ``max_batch`` / ``max_wait`` policy
-(:mod:`repro.serve.batcher`) and executed by **per-model dispatch lanes**:
-each model key is pinned to one lane thread (lanes are created on demand up
-to ``ServePolicy.n_lanes``; beyond that, keys share the least-loaded lane),
-and lanes execute their batches concurrently — each leasing its own subset
-of shard-pool workers (:mod:`repro.serve.shards`) — so traffic for one model
+waveform sample array) and returns a future per request.  Requests wait in
+per-``(model, n_steps)`` FIFOs (:mod:`repro.serve.batcher`) and are executed
+by **per-model dispatch lanes**: each model key is pinned to one lane thread
+at its first submit (lanes are created on demand up to
+``ServePolicy.n_lanes``; beyond that, keys share the least-loaded lane), and
+lanes execute their batches concurrently — each leasing its own subset of
+shard-pool workers (:mod:`repro.serve.shards`) — so traffic for one model
 never queues behind another model's running batch.  ``n_lanes=1`` reproduces
 the original single-lane dispatcher: one batch at a time, globally.
 
-A lightweight timer thread enforces the coalescing deadlines when no
-submissions are arriving; the submit path closes due batches too, so the
-``max_wait`` bound holds whenever any traffic is flowing.
+Lanes **pull**: a lane that is free takes the oldest *ready* FIFO among its
+keys — one the ``max_batch`` / ``max_wait`` policy has released — up to
+``max_batch`` rows at once, so the backlog that piles up behind a busy lane
+leaves as one full batch instead of a queue of small ones.  An idle lane
+sleeps on its own condition until its earliest coalescing deadline or until
+one of its FIFOs fills; no timer thread is involved.
 
 Request validation happens at **submit time**, in the caller's thread: an
 oversized, empty, non-finite or unknown-key request is rejected with a
@@ -33,7 +36,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -55,16 +57,15 @@ from .stats import LatencySummary, ModelLaneStats, ServeStats
 __all__ = ["ModelServer"]
 
 class _Lane:
-    """One dispatch lane: a daemon thread draining batches for its models."""
+    """One dispatch lane: a daemon thread pulling batches for its models."""
 
-    __slots__ = ("index", "keys", "queue", "ready", "executing", "thread")
+    __slots__ = ("index", "keys", "ready", "executing", "thread")
 
     def __init__(self, server: "ModelServer", index: int) -> None:
         self.index = index
         self.keys: set[str] = set()
-        self.queue: deque[MicroBatch] = deque()
-        #: Signalled (under the server lock) when a batch is routed here or
-        #: the server starts shutting down.
+        #: Signalled (under the server lock) when one of this lane's FIFOs
+        #: fills or gets its first request, on flush, and on shutdown.
         self.ready = lockwatch.monitored_condition("serve.server", server._lock)
         #: True while this lane's thread is inside a batch evaluation
         #: (guarded by the server lock; feeds the fair-share worker split).
@@ -153,14 +154,13 @@ class ModelServer:
                 broker=self.telemetry,
                 tracer=self.tracer)
         self._lock = lockwatch.monitored_lock("serve.server")
-        self._wakeup = lockwatch.monitored_condition("serve.server", self._lock)
         self._batcher = MicroBatcher(self.policy.max_batch,
                                      self.policy.max_wait,
                                      on_close=self._on_batch_closed)
         self._closed = False
         self._t_started = time.monotonic()
         # Dispatch lanes (guarded by _lock): created on demand as model keys
-        # first appear, up to policy.n_lanes; then keys share lanes.
+        # are first submitted, up to policy.n_lanes; then keys share lanes.
         self._lanes: list[_Lane] = []
         self._lane_by_key: dict[str, _Lane] = {}
         # Counters (guarded by _lock).
@@ -170,13 +170,10 @@ class ModelServer:
         self._n_batches = 0
         self._n_rows_batched = 0
         #: Requests accepted but not yet resolved/failed — the real backlog
-        #: the ``max_queue_depth`` limit guards (batcher queues AND closed
-        #: batches waiting on / inside a lane).
+        #: the ``max_queue_depth`` limit guards (requests waiting in the
+        #: batcher AND batches executing in a lane).
         self._n_inflight = 0
         self._model_stats: dict[str, _ModelStats] = {}
-        self._timer = threading.Thread(
-            target=self._timer_run, name="repro-serve-timer", daemon=True)
-        self._timer.start()
 
     def describe(self) -> str:
         return (f"ModelServer({self.registry.root}, "
@@ -185,9 +182,10 @@ class ModelServer:
 
     # -------------------------------------------------------------- telemetry
     def _on_batch_closed(self, batch: MicroBatch) -> None:
-        """Batcher ``on_close`` hook (runs under the server lock)."""
+        """Batcher ``on_close`` hook: a lane took ``batch`` (runs under the
+        server lock)."""
         if self.telemetry:
-            # repro: allow[REP102] closes happen under the server lock so BatchClosed follows its RequestSubmitted
+            # repro: allow[REP102] takes happen under the server lock so BatchClosed follows its RequestSubmitted
             self.telemetry.publish(BatchClosed(
                 key=batch.key, n_steps=batch.n_steps, n_rows=len(batch),
                 trace_ids=batch.trace_ids))
@@ -223,22 +221,22 @@ class ModelServer:
             self._model_stats[key] = _ModelStats(lane.index)
         return lane
 
-    def _route(self, batches) -> None:
-        """Hand closed batches to their lanes (caller holds ``_lock``)."""
-        for batch in batches:
-            lane = self._lane_for(batch.key)
-            lane.queue.append(batch)
-            lane.ready.notify_all()
-
     def _lane_run(self, lane: _Lane) -> None:
         while True:
             with self._lock:
                 lane.executing = False
-                while not lane.queue:
+                while True:
+                    now = time.monotonic()
+                    batch = self._batcher.take(now, lane.keys)
+                    if batch is not None:
+                        break
+                    # close() released every pending request, so nothing
+                    # ready means nothing left for this lane.
                     if self._closed:
                         return
-                    lane.ready.wait()
-                batch = lane.queue.popleft()
+                    deadline = self._batcher.next_deadline(lane.keys)
+                    lane.ready.wait(None if deadline is None
+                                    else deadline - now)
                 lane.executing = True
             self._execute(batch)
 
@@ -248,40 +246,15 @@ class ModelServer:
         The pool's lease is first-come-first-served, so without a cap the
         first lane to dispatch would grab every free worker and serialise
         the other lanes behind its batch.  The share divides the pool by the
-        number of lanes that currently have work — executing, queued, or
-        still coalescing requests in the batcher (counting model keys that
-        have not been assigned a lane yet as future lanes).
+        number of lanes that currently have work — executing, or holding
+        requests in the batcher.
         """
         assert self._pool is not None
         with self._lock:
-            busy = {lane.index for lane in self._lanes
-                    if lane.executing or lane.queue}
-            unassigned = 0
-            for key in self._batcher.keys():
-                lane = self._lane_by_key.get(key)
-                if lane is None:
-                    unassigned += 1
-                else:
-                    busy.add(lane.index)
-            # An unassigned key only adds concurrency if a lane can still be
-            # created for it; beyond the lane budget it will share an
-            # existing (already counted or serial) lane.
-            unassigned = min(unassigned,
-                             self.policy.n_lanes - len(self._lanes))
-        n_busy = max(1, len(busy) + unassigned)
-        return max(1, self._pool.n_workers // n_busy)
-
-    def _timer_run(self) -> None:
-        """Close overdue coalescing groups while traffic is quiet."""
-        while True:
-            with self._wakeup:
-                if self._closed:
-                    return
-                now = time.monotonic()
-                self._route(self._batcher.due(now))
-                deadline = self._batcher.next_deadline()
-                timeout = None if deadline is None else max(0.0, deadline - now)
-                self._wakeup.wait(timeout)
+            busy = {lane.index for lane in self._lanes if lane.executing}
+            busy.update(self._lane_by_key[key].index
+                        for key in self._batcher.keys())
+        return max(1, self._pool.n_workers // max(1, len(busy)))
 
     # ------------------------------------------------------------- submission
     def submit(self, key: str, samples) -> Future:
@@ -312,7 +285,7 @@ class ModelServer:
                 f"unknown model key {key[:12]!r}... — not in "
                 f"{self.registry.describe()}"))
         request = ServeRequest(key=key, samples=samples)
-        with self._wakeup:
+        with self._lock:
             if self._closed:
                 raise self._reject(key, "closed", ServerClosedError(
                     f"{self.describe()} is closed; a submission after "
@@ -330,21 +303,16 @@ class ModelServer:
             # without a side channel.
             request.future.trace_id = request.trace_id
             # Published before the batcher sees the request, under the same
-            # lock that closes batches: a request's RequestSubmitted always
-            # precedes the BatchClosed naming its trace id.
+            # lock lanes take batches under: a request's RequestSubmitted
+            # always precedes the BatchClosed naming its trace id.
             if self.telemetry:
                 # repro: allow[REP102] publish is non-blocking (drop-oldest) and the ordering contract needs the lock
                 self.telemetry.publish(RequestSubmitted(
                     key=key, n_steps=request.n_steps,
                     trace_id=request.trace_id))
-            batch = self._batcher.add(request, now)
-            if batch is not None:
-                self._route([batch])
-            # Close overdue groups from the submit path too: every lane may
-            # be deep in a batch evaluation, and the max_wait bound must
-            # hold as long as *any* traffic is flowing.
-            self._route(self._batcher.due(now))
-            self._wakeup.notify()
+            lane = self._lane_for(key)
+            if self._batcher.add(request, now):
+                lane.ready.notify()
         return request.future
 
     def serve(self, key: str, batch) -> np.ndarray:
@@ -360,13 +328,18 @@ class ModelServer:
     def _execute(self, batch: MicroBatch) -> None:
         t_started = time.monotonic()
         try:
-            inputs = batch.stack()
-            t_stacked = time.monotonic()
             if self._pool is not None:
-                outputs = self._pool.evaluate(batch.key, inputs,
-                                              max_workers=self._worker_share(),
+                # The pool stages each request's samples straight into its
+                # workers' segments and hands back one owned row per
+                # request: no stacked copy of the batch on this side.
+                share = self._worker_share()
+                t_dispatched = time.monotonic()
+                outputs = self._pool.evaluate(batch.key, batch.rows,
+                                              max_workers=share,
                                               trace_ids=batch.trace_ids)
             else:
+                inputs = np.vstack(batch.rows)
+                t_dispatched = time.monotonic()
                 # The dispatcher cache is shared across lanes: loads are
                 # serialised under a lock, evaluation (a pure function of
                 # the model arrays) runs outside it.
@@ -374,7 +347,7 @@ class ModelServer:
                     model = self._cache.get_or_load(
                         batch.key, lambda: self.registry.load(batch.key))
                 t_eval = time.monotonic()
-                outputs = model.evaluate(inputs)
+                outputs = [row.copy() for row in model.evaluate(inputs)]
                 if self.tracer:
                     duration = time.monotonic() - t_eval
                     evaluated = self.tracer.batch()
@@ -385,7 +358,7 @@ class ModelServer:
                     evaluated.flush()
             failure = None
         except Exception as exc:   # noqa: BLE001 - must resolve the futures
-            t_stacked = t_started
+            t_dispatched = t_started
             failure = (exc if isinstance(exc, ServeError)
                        else ServeError(f"batch evaluation failed: {exc!r}"))
         now = time.monotonic()
@@ -430,7 +403,7 @@ class ModelServer:
                 closing.add("serve_coalesce", trace_id, t_closed,
                             t_started - t_closed)
                 closing.add("serve_dispatch", trace_id, t_started,
-                            t_stacked - t_started, parent="serve_execute")
+                            t_dispatched - t_started, parent="serve_execute")
                 closing.add("serve_execute", trace_id, t_started,
                             now - t_started)
                 closing.add(ROOT_SPAN, trace_id, t_submit, now - t_submit,
@@ -451,29 +424,27 @@ class ModelServer:
 
     # ----------------------------------------------------------------- control
     def flush(self) -> None:
-        """Close all partially-filled batches immediately (no waiting)."""
-        with self._wakeup:
-            self._route(self._batcher.drain(time.monotonic()))
-            self._wakeup.notify()
+        """Release every pending request to the lanes now (no waiting)."""
+        with self._lock:
+            self._batcher.flush(time.monotonic())
+            for lane in self._lanes:
+                lane.ready.notify()
 
     def close(self, timeout: float | None = None) -> None:
-        """Drain pending work, stop the lanes, the timer and the shard pool.
+        """Drain pending work, stop the lanes and the shard pool.
 
         Every already-submitted future is resolved (or failed) before the
         lanes exit; submissions after ``close`` raise a
         :class:`~repro.exceptions.ServeError` naming this server.
         """
-        with self._wakeup:
+        with self._lock:
             if not self._closed:
                 self._closed = True
-                self._route(self._batcher.drain(time.monotonic()))
-            # Wake the timer and every lane: queued batches are still
-            # processed (lanes only exit on an empty queue), then threads
-            # fall out on the closed flag.
-            self._wakeup.notify_all()
+                self._batcher.flush(time.monotonic())
+            # Wake every lane: released requests are still taken and served
+            # (lanes only exit once nothing is pending for them).
             for lane in self._lanes:
-                lane.ready.notify_all()
-        self._timer.join(timeout)
+                lane.ready.notify()
         for lane in self._lanes:
             lane.thread.join(timeout)
         if self._pool is not None:

@@ -344,20 +344,23 @@ class ShardPool:
             self.broker.publish(WorkerRespawned(worker_index=index))
 
     # --------------------------------------------------------------- transport
-    def _stage(self, index: int, key: str, job_id: int, rows: np.ndarray):
+    def _stage(self, index: int, key: str, job_id: int, rows):
         """Copy ``rows`` into the worker's segment; returns the job message.
 
-        The only copy on the dispatch side — the worker reads and writes the
-        segment in place.  The region is always the front of the segment: a
-        worker holds at most one job at a time, and a crashed or timed-out
-        worker is respawned with a fresh segment before any retry, so reuse
-        can never alias a dead job's bytes — while keeping the pages warm
-        across batches instead of faulting fresh ones per job.
+        The only copy on the dispatch side: each row goes straight from the
+        caller's array into its place in the segment, and the worker reads
+        and writes the segment in place.  The region is always the front of
+        the segment: a worker holds at most one job at a time, and a crashed
+        or timed-out worker is respawned with a fresh segment before any
+        retry, so reuse can never alias a dead job's bytes — while keeping
+        the pages warm across batches instead of faulting fresh ones per job.
         """
-        staged = _job_views(self._workers[index].segment, rows.shape)[0]
-        staged[:] = rows
+        shape = (len(rows), len(rows[0]))
+        staged = _job_views(self._workers[index].segment, shape)[0]
+        for i, row in enumerate(rows):
+            staged[i] = row
         del staged                       # views must not pin segment.buf
-        return (job_id, key, rows.shape)
+        return (job_id, key, shape)
 
     def _send(self, index: int, payload) -> bool:
         worker = self._workers[index]
@@ -432,16 +435,19 @@ class ShardPool:
             self._lease.notify_all()
 
     # --------------------------------------------------------------- execution
-    def evaluate(self, key: str, inputs: np.ndarray,
-                 max_workers: int | None = None,
-                 trace_ids=None) -> np.ndarray:
+    def evaluate(self, key: str, rows, max_workers: int | None = None,
+                 trace_ids=None) -> list[np.ndarray]:
         """Evaluate a lock-step batch, sharded across leased workers.
 
-        Returns outputs in the input's row order, bitwise-equal to a
-        single-process :meth:`CompiledModel.evaluate
-        <repro.runtime.compiled.CompiledModel.evaluate>` of the same array
-        (the batch kernel is bitwise chunk-invariant, so neither the lease
-        size nor the number of jobs and waves changes results).
+        ``rows`` is a sequence of equal-length 1-D sample arrays (a list of
+        requests' samples, or the rows of a 2-D array); each is staged
+        straight into its worker's segment.  Returns one output row per
+        input row, in order, each copied out of the segment into an array
+        of its own — bitwise-equal to the rows of a single-process
+        :meth:`CompiledModel.evaluate
+        <repro.runtime.compiled.CompiledModel.evaluate>` of the stacked
+        array (the batch kernel is bitwise chunk-invariant, so neither the
+        lease size nor the number of jobs and waves changes results).
 
         Thread-safe by leasing: each concurrent call owns a disjoint subset
         of workers (each pipe still has exactly one reader — the lease
@@ -455,10 +461,11 @@ class ShardPool:
         """
         if self._closed:
             raise ServeError("shard pool is closed")
-        inputs = np.ascontiguousarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[0] < 1:
-            raise ServeError(f"shard batch must be (rows, n_steps); got {inputs.shape}")
-        cap = inputs.shape[0]
+        shape = np.shape(rows[0]) if len(rows) else ()
+        if len(shape) != 1 or any(np.shape(row) != shape for row in rows):
+            raise ServeError("shard batch must be one or more equal-length "
+                             f"1-D rows; got {len(rows)} row(s)")
+        cap = len(rows)
         if max_workers is not None:
             cap = min(cap, max(1, int(max_workers)))
         t_lease = time.monotonic()
@@ -473,7 +480,7 @@ class ShardPool:
                                parent="serve_execute")
             leases.flush()
         try:
-            return self._evaluate_on(leased, key, inputs, trace_ids)
+            return self._evaluate_on(leased, key, rows, trace_ids)
         finally:
             self._release_workers(leased)
 
@@ -482,9 +489,9 @@ class ShardPool:
             return ()
         return tuple(trace_ids[shard_slice])
 
-    def _evaluate_on(self, leased: list[int], key: str,
-                     inputs: np.ndarray, trace_ids=None) -> np.ndarray:
-        n_rows, n_steps = inputs.shape
+    def _evaluate_on(self, leased: list[int], key: str, rows,
+                     trace_ids=None) -> list[np.ndarray]:
+        n_rows, n_steps = len(rows), len(rows[0])
         rows_per_job = self.segment_bytes // (16 * n_steps)
         if rows_per_job < 1:
             raise ServeError(
@@ -493,7 +500,7 @@ class ShardPool:
                 f"segment_bytes={self.segment_bytes} is too small")
         slices = shard_slices(n_rows, max(len(leased),
                                           -(-n_rows // rows_per_job)))
-        outputs = np.empty_like(inputs)
+        outputs: list = [None] * n_rows
         pending = list(range(len(slices)))
         crashes = [0] * len(slices)
         tracer = self.tracer if (self.tracer and trace_ids is not None) \
@@ -511,7 +518,7 @@ class ShardPool:
             spawn_failure: int | None = None
             for job, worker in zip(wave, leased):
                 t_stage = time.monotonic()
-                job_id = self._dispatch(worker, key, inputs[slices[job]])
+                job_id = self._dispatch(worker, key, rows[slices[job]])
                 if tracer is not None:
                     # Stage-in covers staging the job's rows into the
                     # worker's segment plus the descriptor send; a retried
@@ -587,9 +594,11 @@ class ShardPool:
                                     parent="serve_execute",
                                     worker_index=worker)
                 t_reassemble = time.monotonic()
-                target = outputs[slices[job]]
-                target[:] = _job_views(self._workers[worker].segment,
-                                       target.shape)[1]
+                shard = slices[job]
+                results = _job_views(self._workers[worker].segment,
+                                     (shard.stop - shard.start, n_steps))[1]
+                outputs[shard] = [row.copy() for row in results]
+                del results              # views must not pin segment.buf
                 if tracer is not None:
                     reassemble_s = time.monotonic() - t_reassemble
                     for trace_id in shard_traces:
@@ -610,7 +619,7 @@ class ShardPool:
         return outputs
 
     # ----------------------------------------------------------------- control
-    def _dispatch(self, worker_index: int, key: str, rows: np.ndarray) -> int | None:
+    def _dispatch(self, worker_index: int, key: str, rows) -> int | None:
         """Send one job (respawning a dead worker once); returns its job id."""
         with self._lease:
             self._sequence += 1

@@ -1,15 +1,17 @@
 """Latency / throughput accounting of a running model server and gateway.
 
 The server records two timestamps per request on its monotonic clock —
-submission and batch closure — and takes the completion time when it
-resolves the batch.  Their differences separate the two costs a
-micro-batching deployment tunes against each other:
+submission and release by the batching policy — and takes the completion
+time when it resolves the batch.  Their differences separate the two costs
+a micro-batching deployment tunes against each other:
 
 * **queue (coalescing) latency** ``t_closed - t_submit``: the wait the
-  batching policy *added* to the request; bounded by ``max_wait`` for every
-  deadline-flushed batch and ~0 for requests that completed a full batch;
+  batching policy *added* to the request; bounded by ``max_wait`` (its
+  group's deadline) and ~0 for requests that completed a full group.  The
+  wait for a busy lane to take the request is not part of it (the tracer
+  reports it as the ``serve_coalesce`` span);
 * **end-to-end latency** ``t_done - t_submit``: what the caller observed,
-  including evaluation and any crash-retry stalls.
+  including that wait, evaluation and any crash-retry stalls.
 
 :meth:`ModelServer.stats <repro.serve.server.ModelServer.stats>` snapshots
 these into a :class:`ServeStats` value with lifetime latency summaries — a
@@ -165,6 +167,8 @@ class ModelLaneStats:
     n_rows: int
     n_completed: int
     n_failed: int
+    #: Requests submitted but not yet taken by the model's lane — still
+    #: coalescing, or released and waiting for the lane to free up.
     n_coalescing: int
     queue_latency: LatencySummary
     e2e_latency: LatencySummary
@@ -228,8 +232,8 @@ class ServeStats:
     e2e_latency: LatencySummary
     cache: dict = field(default_factory=dict)
     pool: dict = field(default_factory=dict)
-    #: Per-model breakdown keyed by model key (only models that have had at
-    #: least one request routed to a lane appear).
+    #: Per-model breakdown keyed by model key (a model appears at its
+    #: first accepted submit, which pins it to a lane).
     per_model: dict = field(default_factory=dict)
     n_lanes: int = 1
     #: When this snapshot was taken, on the server's monotonic clock — the

@@ -153,7 +153,12 @@ class RequestRejected(TelemetryEvent):
 @register_event
 @dataclass(frozen=True)
 class BatchClosed(TelemetryEvent):
-    """A coalescing group closed into a lock-step batch (full or deadline)."""
+    """A dispatch lane took a lock-step batch of waiting requests.
+
+    Published when the lane takes the batch, i.e. at dispatch: the requests'
+    ``t_closed`` stamps (the batching policy's release) can be earlier, when
+    the lane was busy at their release.
+    """
 
     key: str
     n_steps: int

@@ -357,6 +357,12 @@ class MetricsAggregator:
     Windows are ``window_s`` seconds of *event time*; the ring keeps the
     last ``n_windows`` closed windows for :meth:`report`.  ``max_batch``
     (normally ``ServePolicy.max_batch``) is the fill-ratio denominator.
+
+    Queue latency here runs from ``RequestSubmitted`` to ``BatchClosed``,
+    which a lane publishes when it takes the batch: it spans submit →
+    dispatch, i.e. the server's ``ServeStats`` queue latency (the batching
+    policy's wait) *plus* the wait for a free lane (the ``serve_coalesce``
+    span), not the ``ServeStats`` queue latency alone.
     """
 
     #: Topics the aggregator consumes — its own ``MetricsWindowClosed``

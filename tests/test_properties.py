@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.circuit.waveforms import BitPattern, Sine, prbs_bits
 from repro.rvf import PartialFractionFunction, basis_primitive
 from repro.rvf.timedomain import phi1, phi2
+from repro.serve import MicroBatcher, ServeRequest
 from repro.serve.stats import ALPHA, LatencySummary
 from repro.units import format_si, parse_value
 from repro.vectfit import flip_unstable, sort_poles, split_real_complex
@@ -157,3 +158,68 @@ class TestLatencySummaryProperties:
         for q in (0.0, 1.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0):
             exact = np.percentile(finite, q) if finite.size else 0.0
             assert merged.percentile(q) == pytest.approx(exact, rel=ALPHA)
+
+
+class TestMicroBatcherScheduleProperties:
+    #: Clock ticks are 2**-10 s, so every sum and difference of times below
+    #: is exact and the invariants are checked without a float tolerance.
+    TICK = 2.0 ** -10
+    steps = st.lists(
+        st.tuples(st.integers(0, 6),                   # ticks since last step
+                  st.sampled_from(["add", "take"]),
+                  st.sampled_from(["a", "b"]),         # add: model key
+                  st.sampled_from([4, 8]),             # add: n_steps
+                  st.sampled_from([None, ("a",), ("b",), ("a", "b")])),
+        min_size=1, max_size=80)
+
+    @settings(max_examples=300)
+    @given(steps, st.integers(1, 5), st.integers(0, 8))
+    def test_random_schedules_keep_the_batching_invariants(
+            self, steps, max_batch, wait_ticks):
+        """Random arrivals and lane takes: every request is taken once, in
+        FIFO order within its group; no batch exceeds max_batch; the policy
+        releases each request within max_wait of its submit and no later
+        than its take; and a due FIFO is never left waiting."""
+        max_wait = wait_ticks * self.TICK
+        batcher = MicroBatcher(max_batch, max_wait)
+        submitted: list[ServeRequest] = []
+        pending: dict[tuple, list[ServeRequest]] = {}
+        taken: list[ServeRequest] = []
+
+        def take(now: float, keys) -> bool:
+            due = any(
+                (keys is None or key in keys) and fifo
+                and (len(fifo) >= max_batch
+                     or now - fifo[0].t_submit >= max_wait)
+                for (key, _), fifo in pending.items())
+            batch = batcher.take(now, keys)
+            assert batch is not None or not due
+            if batch is None:
+                return False
+            assert keys is None or batch.key in keys
+            assert 1 <= len(batch) <= max_batch
+            fifo = pending[(batch.key, batch.n_steps)]
+            assert batch.requests == fifo[:len(batch)]
+            del fifo[:len(batch)]
+            for request in batch.requests:
+                assert request.t_submit <= request.t_closed <= now
+                assert request.t_closed - request.t_submit <= max_wait
+            taken.extend(batch.requests)
+            return True
+
+        now = 0.0
+        for ticks, kind, key, n_steps, keys in steps:
+            now += ticks * self.TICK
+            if kind == "add":
+                request = ServeRequest(key=key, samples=np.zeros(n_steps))
+                batcher.add(request, now)
+                pending.setdefault((key, n_steps), []).append(request)
+                submitted.append(request)
+            else:
+                take(now, keys)
+        batcher.flush(now)
+        while take(now, None):
+            pass
+        assert batcher.pending() == 0
+        assert not any(pending.values())
+        assert sorted(map(id, taken)) == sorted(map(id, submitted))

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -77,6 +78,14 @@ def request_batch(n_rows: int = 24, n_steps: int = 64, seed: int = 0) -> np.ndar
     return 0.5 + 0.3 * rng.standard_normal((n_rows, n_steps))
 
 
+def wait_until_taken(server: ModelServer, key: str) -> None:
+    """Block until ``key``'s lane has taken every request submitted so far."""
+    deadline = time.monotonic() + FUTURE_TIMEOUT
+    while server.stats().per_model[key].n_coalescing:
+        assert time.monotonic() < deadline, "lane never took the request"
+        time.sleep(1e-3)
+
+
 # --------------------------------------------------------------------------- cache
 class _FakeModel:
     def __init__(self, nbytes):
@@ -140,51 +149,108 @@ class TestMicroBatcher:
     def request(key="m", n_steps=8):
         return ServeRequest(key=key, samples=np.zeros(n_steps))
 
-    def test_full_batch_closes_immediately_in_order(self):
+    def test_full_fifo_is_taken_whole_in_order(self):
         batcher = MicroBatcher(max_batch=3, max_wait=10.0)
         first, second = self.request(), self.request()
-        assert batcher.add(first, now=0.0) is None
-        assert batcher.add(second, now=0.1) is None
-        batch = batcher.add(self.request(), now=0.2)
+        assert batcher.add(first, now=0.0)          # first pending: wake
+        assert not batcher.add(second, now=0.1)
+        assert batcher.take(now=0.15) is None       # neither full nor due
+        assert batcher.add(self.request(), now=0.2)  # filled: wake
+        batch = batcher.take(now=0.5)
         assert batch is not None and len(batch) == 3
         assert batch.requests[0] is first and batch.requests[1] is second
-        assert batcher.pending() == 0
+        assert batcher.pending() == 0 and batcher.take(now=0.5) is None
+        # Released by the filling arrival, not by the (later) take.
         assert all(r.t_closed == 0.2 for r in batch.requests)
 
-    def test_deadline_pinned_by_oldest_request(self):
+    def test_take_waits_for_the_deadline_pinned_by_oldest(self):
         batcher = MicroBatcher(max_batch=100, max_wait=1.0)
         batcher.add(self.request(), now=5.0)
         batcher.add(self.request(), now=5.9)     # must not extend the wait
         assert batcher.next_deadline() == pytest.approx(6.0)
-        assert batcher.due(now=5.99) == []
-        closed = batcher.due(now=6.0)
-        assert len(closed) == 1 and len(closed[0]) == 2
+        assert batcher.take(now=5.99) is None
+        batch = batcher.take(now=7.5)            # lane was busy until 7.5
+        assert len(batch) == 2
+        # Both were released at the deadline, whenever the lane got there.
+        assert all(r.t_closed == pytest.approx(6.0) for r in batch.requests)
+        assert batcher.next_deadline() is None
 
-    def test_groups_are_per_key_and_length(self):
+    def test_fifos_are_per_key_and_length(self):
         batcher = MicroBatcher(max_batch=2, max_wait=10.0)
-        assert batcher.add(self.request("a"), 0.0) is None
-        assert batcher.add(self.request("b"), 0.0) is None
-        assert batcher.add(self.request("a", n_steps=16), 0.0) is None
+        batcher.add(self.request("a"), 0.0)
+        batcher.add(self.request("b"), 0.1)
+        batcher.add(self.request("a", n_steps=16), 0.2)
         assert batcher.pending() == 3
-        batch = batcher.add(self.request("a"), 0.0)      # fills ("a", 8)
-        assert batch is not None and batch.key == "a" and batch.n_steps == 8
-        drained = batcher.drain(now=1.0)
-        assert sorted((b.key, b.n_steps) for b in drained) == \
-            [("a", 16), ("b", 8)]
+        batcher.add(self.request("a"), 0.3)             # fills ("a", 8)
+        batch = batcher.take(now=0.3)
+        assert batch.key == "a" and batch.n_steps == 8 and len(batch) == 2
+        assert batcher.take(now=0.3) is None
+        batcher.flush(now=1.0)
+        taken = [batcher.take(now=1.0), batcher.take(now=1.0)]
+        # Oldest ready FIFO first: ("b", 8) was submitted before ("a", 16).
+        assert [(b.key, b.n_steps) for b in taken] == [("b", 8), ("a", 16)]
         assert batcher.pending() == 0
 
-    def test_per_key_pending_and_drain(self):
+    def test_take_is_limited_to_the_lanes_keys(self):
         batcher = MicroBatcher(max_batch=10, max_wait=10.0)
         batcher.add(self.request("a"), 0.0)
         batcher.add(self.request("a", n_steps=16), 0.0)
         batcher.add(self.request("b"), 0.0)
         assert batcher.pending("a") == 2 and batcher.pending("b") == 1
         assert batcher.keys() == {"a", "b"}
-        drained = batcher.drain(now=1.0, key="a")
-        assert sorted(b.n_steps for b in drained) == [8, 16]
-        assert all(b.key == "a" for b in drained)
+        assert batcher.next_deadline({"b"}) == pytest.approx(10.0)
+        batcher.flush(now=1.0)
+        taken = [batcher.take(1.0, {"a"}), batcher.take(1.0, {"a"})]
+        assert sorted(b.n_steps for b in taken) == [8, 16]
+        assert all(b.key == "a" for b in taken)
+        assert batcher.take(1.0, {"a"}) is None
         assert batcher.pending("a") == 0 and batcher.pending("b") == 1
         assert batcher.keys() == {"b"}
+        assert all(r.t_closed == 1.0 for b in taken for r in b.requests)
+
+    def test_busy_lane_backlog_leaves_as_one_batch(self):
+        """Three bursts pile up behind a busy lane; one take serves them
+        all, each burst stamped with its own group's deadline."""
+        batcher = MicroBatcher(max_batch=12, max_wait=1.0)
+        bursts = [[self.request() for _ in range(4)] for _ in range(3)]
+        for i, burst in enumerate(bursts):
+            for j, request in enumerate(burst):
+                batcher.add(request, now=10.0 * i + 0.1 * j)
+        batch = batcher.take(now=100.0)
+        assert batch.requests == [r for burst in bursts for r in burst]
+        for i, burst in enumerate(bursts):
+            assert all(r.t_closed == 10.0 * i + 1.0 for r in burst)
+        assert batcher.pending() == 0
+
+    def test_rows_taken_before_release_are_stamped_at_take(self):
+        batcher = MicroBatcher(max_batch=3, max_wait=1.0)
+        old = [self.request() for _ in range(2)]
+        young = [self.request() for _ in range(2)]
+        for t, request in zip((0.0, 0.5), old):
+            batcher.add(request, now=t)
+        for t, request in zip((2.0, 2.5), young):
+            batcher.add(request, now=t)
+        batch = batcher.take(now=2.6)          # old group due at 1.0
+        assert batch.requests == old + young[:1]
+        assert [r.t_closed for r in batch.requests] == [1.0, 1.0, 2.6]
+        # The row left behind starts a fresh group pinned by itself.
+        assert batcher.next_deadline() == pytest.approx(3.5)
+        assert batcher.take(now=3.4) is None
+        rest = batcher.take(now=3.5)
+        assert rest.requests == young[1:] and young[1].t_closed == 3.5
+
+    def test_arrival_after_the_deadline_starts_the_next_group(self):
+        """A group past its deadline is released then, even if a later
+        arrival would have filled it: the late joiner waits afresh."""
+        batcher = MicroBatcher(max_batch=2, max_wait=1.0)
+        early, late = self.request(), self.request()
+        batcher.add(early, now=0.0)
+        assert not batcher.add(late, now=5.0)      # did not fill a group
+        assert early.t_closed == 1.0
+        assert batcher.next_deadline() == pytest.approx(6.0)
+        batch = batcher.take(now=5.5)
+        assert batch.requests == [early, late]
+        assert late.t_closed == 5.5               # taken before its release
 
 
 # --------------------------------------------------------------------- shard pool
@@ -266,6 +332,23 @@ class TestShardPool:
         # one row per job, so 13 jobs run in 7 waves over 2 workers.
         with ShardPool(registry.root, 2, segment_bytes=1024) as pool:
             np.testing.assert_array_equal(pool.evaluate(key, batch), direct)
+
+    @pytest.mark.parametrize("segment_bytes", [64 << 20, 1024],
+                             ids=["one-wave", "13-waves"])
+    def test_list_of_rows_returns_owned_rows(self, registry, compiled, key,
+                                             segment_bytes):
+        """Rows given as separate 1-D arrays come back as separate owned
+        rows, bitwise-equal to evaluating the stacked array."""
+        batch = request_batch(13, 64)
+        rows = [row.copy() for row in batch]
+        with ShardPool(registry.root, 2, segment_bytes=segment_bytes) as pool:
+            outputs = pool.evaluate(key, rows)
+        direct = compiled.evaluate(batch)
+        assert isinstance(outputs, list) and len(outputs) == len(rows)
+        for output, expected in zip(outputs, direct):
+            assert output.flags.owndata and output.shape == (64,)
+            # Still readable after close(): nothing points into a segment.
+            np.testing.assert_array_equal(output, expected)
 
     def test_waves_retry_a_crashed_job_in_a_later_wave(self, registry,
                                                        compiled, key):
@@ -530,6 +613,29 @@ class TestServerBatching:
         stats_batch = server.stats()
         assert stats_batch.queue_latency.max >= 0.02
 
+    def test_busy_lane_backlog_leaves_as_one_full_batch(self, registry,
+                                                        compiled, key):
+        """Bursts arriving while the only lane is stalled leave together as
+        one full batch, each request still released within max_wait."""
+        max_wait = 1e-3
+        policy = ServePolicy(max_batch=12, max_wait=max_wait, n_workers=1)
+        rows = request_batch(13, 32)
+        with ModelServer(registry, policy, delay_injection=0.2) as server:
+            futures = [server.submit(key, rows[0])]    # occupies the lane
+            wait_until_taken(server, key)
+            for burst in range(3):
+                futures += [server.submit(key, row)
+                            for row in rows[1 + 4 * burst:5 + 4 * burst]]
+                time.sleep(0.01)
+            outputs = np.vstack([f.result(FUTURE_TIMEOUT) for f in futures])
+            stats = server.stats()
+        np.testing.assert_array_equal(outputs, compiled.evaluate(rows))
+        assert stats.n_batches == 2
+        assert stats.per_model[key].n_rows == 13
+        # Deadline stamps carry float rounding (a few ulp past max_wait).
+        longest = stats.queue_latency.max
+        assert longest < max_wait or longest == pytest.approx(max_wait)
+
     def test_mixed_lengths_form_separate_batches(self, registry, compiled, key):
         short, long = np.full(16, 0.4), np.full(32, 0.6)
         with ModelServer(registry, ServePolicy(max_batch=2, max_wait=60.0)) as server:
@@ -665,6 +771,36 @@ class TestDispatchLanes:
         np.testing.assert_array_equal(outputs[keys[0]],
                                       compiled.evaluate(batch))
 
+    def test_keys_sharing_a_lane_are_served_oldest_ready_first(
+            self, compiled, tmp_path):
+        """One lane, two models: when the lane frees it takes the FIFO
+        whose oldest request is oldest, not the one it happens to list
+        first."""
+        registry, keys = self.multi_registry(compiled, tmp_path, n_models=2)
+        policy = ServePolicy(max_batch=2, max_wait=1e-3, n_lanes=1,
+                             n_workers=1)
+        order: list[str] = []
+        futures = []
+
+        def submit(key: str) -> None:
+            future = server.submit(key, np.full(16, 0.5))
+            future.add_done_callback(lambda _, key=key: order.append(key))
+            futures.append(future)
+            time.sleep(3e-3)
+
+        with ModelServer(registry, policy, delay_injection=0.2) as server:
+            submit(keys[0])                  # occupies the lane
+            wait_until_taken(server, keys[0])
+            # keys[0]'s FIFO is listed first, but after its first batch of
+            # two leaves, keys[1]'s request is the oldest one pending.
+            for key in (keys[0], keys[0], keys[1], keys[0]):
+                submit(key)
+            for future in futures:
+                future.result(FUTURE_TIMEOUT)
+            stats = server.stats()
+        assert order == [keys[0], keys[0], keys[0], keys[1], keys[0]]
+        assert stats.n_batches == 4
+
     def test_lanes_overlap_with_sharded_pool(self, compiled, tmp_path):
         """Two models, two lanes, two workers: bitwise-equal under overlap."""
         registry, keys = self.multi_registry(compiled, tmp_path, n_models=2)
@@ -681,6 +817,53 @@ class TestDispatchLanes:
             np.testing.assert_array_equal(output, expected.evaluate(rows[i]))
         assert {model.lane for model in stats.per_model.values()} == {0, 1}
         assert stats.n_failed == 0
+
+    def test_concurrent_submitters_and_lanes_lose_no_request(self, compiled,
+                                                            tmp_path):
+        """Stress: more submitting threads than cores, three models on two
+        lanes (one shared), a short switch interval.  Every request is taken
+        exactly once and answered bitwise-equal; no count drifts."""
+        registry, keys = self.multi_registry(compiled, tmp_path)
+        models = {key: registry.load(key) for key in keys}
+        policy = ServePolicy(max_batch=8, max_wait=1e-3, n_lanes=2)
+        n_threads, n_each = 4, 60
+        results: dict[tuple[int, int], tuple] = {}
+        errors: list[BaseException] = []
+
+        def drive(thread: int) -> None:
+            rng = np.random.default_rng(thread)
+            try:
+                for i in range(n_each):
+                    key = keys[(thread + i) % len(keys)]
+                    row = 0.5 + 0.3 * rng.standard_normal(16 + 8 * (i % 2))
+                    results[thread, i] = (key, row, server.submit(key, row))
+            except BaseException as exc:   # noqa: BLE001
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ModelServer(registry, policy) as server:
+                threads = [threading.Thread(target=drive, args=(t,))
+                           for t in range(n_threads)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(FUTURE_TIMEOUT)
+                assert not any(thread.is_alive() for thread in threads)
+                for key, row, future in results.values():
+                    np.testing.assert_array_equal(
+                        future.result(FUTURE_TIMEOUT),
+                        models[key].evaluate(row))
+                stats = server.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and len(results) == n_threads * n_each
+        assert stats.n_completed == n_threads * n_each and stats.n_pending == 0
+        assert sum(m.n_rows for m in stats.per_model.values()) == \
+            n_threads * n_each
+        assert all(m.n_coalescing == 0 for m in stats.per_model.values())
+        assert stats.mean_batch_size <= policy.max_batch
 
     def test_one_lanes_failure_leaves_other_models_serving(self, compiled,
                                                            tmp_path):
