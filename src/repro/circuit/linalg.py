@@ -9,16 +9,14 @@ the matrix entries have drifted less than a relative tolerance since the
 factorisation.  Convergence is unaffected because the Newton residual is
 always evaluated exactly; a stale factor only changes the search direction.
 
-Both dense matrices (``scipy.linalg.lu_factor``) and sparse CSC matrices
-(``scipy.sparse.linalg.splu``) are supported; since the compiled assembly
-(:mod:`repro.circuit.assembly`) emits every Jacobian on one shared sparsity
-pattern, the drift check reduces to a vector comparison of the CSC data
-arrays.
+Both dense matrices (LAPACK ``getrf``/``getrs``, called directly) and sparse
+CSC matrices (``scipy.sparse.linalg.splu``) are supported; since the compiled
+assembly (:mod:`repro.circuit.assembly`) emits every Jacobian on one shared
+sparsity pattern, the drift check reduces to a vector comparison of the CSC
+data arrays.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.linalg as _sla
@@ -42,7 +40,8 @@ class FactorizationCache:
         circuits, whose Jacobian is constant across a whole transient).
     singular_threshold:
         A dense factorisation whose smallest pivot magnitude falls at or below
-        this value raises :class:`SingularMatrixError`.
+        this value, or that has a NaN or infinite pivot, raises
+        :class:`SingularMatrixError` and caches nothing.
     drift_indices:
         Optional *per-block* drift metric: positions (into the CSC ``data``
         vector, or flat indices into the raveled dense matrix) of the entries
@@ -55,6 +54,11 @@ class FactorizationCache:
         systems.  Callers are responsible for :meth:`invalidate` when entries
         *outside* the block change for structural reasons (e.g. the
         ``G + (2/dt) C`` combination after a time-step change).
+
+    Dense matrices go straight to LAPACK ``getrf``/``getrs`` (the routine
+    chosen by dtype exactly as ``scipy.linalg`` does), so a Newton step pays
+    for the factorisation and the solve rather than for wrapper layers; a
+    singular probe raises without emitting any warning.
 
     Attributes
     ----------
@@ -149,24 +153,25 @@ class FactorizationCache:
                 self._lu = None
                 raise SingularMatrixError(f"sparse LU factorisation failed: {exc}") from exc
         else:
-            with warnings.catch_warnings():
-                # Singular probes are routine during gmin/source stepping; the
-                # pivot check below raises a typed error, so the LinAlgWarning
-                # scipy emits alongside it is pure noise.
-                warnings.simplefilter("ignore", _sla.LinAlgWarning)
-                lu, piv = _sla.lu_factor(matrix, check_finite=False)
-            pivots = np.abs(np.diag(lu))
-            if pivots.size and np.nanmin(pivots) <= self.singular_threshold:
+            getrf, = _sla.get_lapack_funcs(("getrf",), (data,))
+            lu, piv, info = getrf(data)
+            pivots = np.abs(np.diagonal(lu))
+            # Singular probes are routine during gmin/source stepping; a zero
+            # pivot (info > 0), one at or below the threshold, or a NaN or
+            # infinite one (a non-finite Jacobian) all raise the typed error.
+            if info or not (pivots.min() > self.singular_threshold
+                            and pivots.max() < np.inf):
                 self._lu = None
                 raise SingularMatrixError(
-                    "dense LU factorisation produced a zero pivot (singular matrix)")
+                    "dense LU factorisation produced a zero or non-finite pivot")
             self._lu = (lu, piv)
 
     def _apply(self, rhs: np.ndarray) -> np.ndarray:
         if self._sparse:
             return self._lu.solve(rhs)
         lu, piv = self._lu
-        return _sla.lu_solve((lu, piv), rhs, check_finite=False)
+        getrs, = _sla.get_lapack_funcs(("getrs",), (lu, rhs))
+        return getrs(lu, piv, rhs)[0]
 
 
 def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,
@@ -174,9 +179,12 @@ def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,
                      max_chunk_bytes: int = 64 << 20) -> np.ndarray:
     """``D^T (G + s C)^{-1} B`` for every ``s``, via batched LAPACK solves.
 
-    The frequency axis is chunked so the transient ``(chunk, n, n)`` complex
-    stack stays below ``max_chunk_bytes`` — large densified systems would
-    otherwise multiply their peak memory by the full frequency count.
+    The frequency axis is chunked so the ``(chunk, n, n)`` complex stack stays
+    below ``max_chunk_bytes`` — large densified systems would otherwise
+    multiply their peak memory by the full frequency count.  The stack is
+    allocated once and each chunk's systems are written into it in place:
+    ``G + Re(s) C`` into the real part and ``Im(s) C`` into the imaginary
+    part, so on the imaginary axis the real part is ``G`` itself.
     Returns shape ``(len(s_values), n_outputs, n_inputs)``.  Raises
     ``numpy.linalg.LinAlgError`` if any system in the batch is singular.
     """
@@ -185,10 +193,14 @@ def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,
     chunk = max(1, int(max_chunk_bytes // max(16 * n * n, 1)))
     result = np.empty((s_values.size, output_matrix.shape[1], input_matrix.shape[1]),
                       dtype=complex)
+    stack = np.empty((min(chunk, s_values.size), n, n), dtype=complex)
     for start in range(0, s_values.size, chunk):
-        s_chunk = s_values[start:start + chunk]
-        systems = g_mat[None, :, :] + s_chunk[:, None, None] * c_mat[None, :, :]
-        rhs = np.broadcast_to(rhs_full, (s_chunk.size,) + rhs_full.shape)
+        s_chunk = s_values[start:start + chunk, None, None]
+        systems = stack[:s_chunk.shape[0]]
+        real = np.multiply(s_chunk.real, c_mat, out=systems.real)
+        real += g_mat
+        np.multiply(s_chunk.imag, c_mat, out=systems.imag)
+        rhs = np.broadcast_to(rhs_full, (s_chunk.shape[0],) + rhs_full.shape)
         solved = np.linalg.solve(systems, rhs)
         result[start:start + chunk] = np.einsum("no,fni->foi", output_matrix, solved)
     return result

@@ -39,7 +39,9 @@ def basis_matrix(svals: np.ndarray, poles: np.ndarray, real_mode: bool) -> np.nd
     In real mode the columns are ordered: one column per real pole followed by
     two columns per conjugate pair (in the canonical pole ordering of
     :func:`repro.vectfit.poles.sort_poles`).  In complex mode there is simply
-    one column per pole.
+    one column per pole.  Every column of a kind is built by one array
+    operation over all of its poles, element for element the same arithmetic
+    as building the columns one pole at a time.
     """
     svals = np.asarray(svals, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex)
@@ -47,18 +49,14 @@ def basis_matrix(svals: np.ndarray, poles: np.ndarray, real_mode: bool) -> np.nd
         return 1.0 / (svals[:, None] - poles[None, :])
 
     real_idx, pair_idx = split_real_complex(poles)
-    columns: list[np.ndarray] = []
-    for i in real_idx:
-        columns.append(1.0 / (svals - poles[i]))
-    for i in pair_idx:
-        a = poles[i]
-        phi_plus = 1.0 / (svals - a)
-        phi_minus = 1.0 / (svals - np.conj(a))
-        columns.append(phi_plus + phi_minus)
-        columns.append(1j * phi_plus - 1j * phi_minus)
-    if not columns:
-        return np.zeros((svals.size, 0), dtype=complex)
-    return np.column_stack(columns)
+    n_real = real_idx.size
+    phi = np.empty((svals.size, n_real + 2 * pair_idx.size), dtype=complex)
+    phi[:, :n_real] = 1.0 / (svals[:, None] - poles[real_idx])
+    phi_plus = 1.0 / (svals[:, None] - poles[pair_idx])
+    phi_minus = 1.0 / (svals[:, None] - np.conj(poles[pair_idx]))
+    phi[:, n_real::2] = phi_plus + phi_minus
+    phi[:, n_real + 1::2] = 1j * phi_plus - 1j * phi_minus
+    return phi
 
 
 def coefficients_to_residues(coefficients: np.ndarray, poles: np.ndarray,

@@ -1,11 +1,16 @@
 """(Relaxed) vector fitting with a common pole set over many responses.
 
-This implements the Vector Fitting algorithm of Gustavsen & Semlyen with the
-relaxed non-triviality constraint and the QR-based per-response elimination of
-the "fast" implementation (the paper's reference [9]).  A single pole set is
-identified that is shared by *all* responses — exactly the property the TFT
-method relies on ("if one is able to fix the poles over the entire state
-space, then the nonlinear functionality is fully embedded in the residues").
+This implements the Vector Fitting algorithm of Gustavsen & Semlyen (IEEE
+TPWRD 14(3), 1999) with the relaxed non-triviality constraint and the
+QR-based per-response elimination of the "fast" implementation (the paper's
+reference [9]; Deschrijver et al., IEEE MWCL 18(6), 2008).  Each
+pole-relocation step stacks the weighted equations of all ``K`` responses
+into one ``(K, rows, cols)`` array and eliminates every response's numerator
+coefficients with a single batched QR, so the step costs one LAPACK dispatch
+rather than ``K``.  A single pole set is identified that is shared by *all*
+responses — exactly the property the TFT method relies on ("if one is able
+to fix the poles over the entire state space, then the nonlinear
+functionality is fully embedded in the residues").
 
 The same engine is reused by the recursive step: fitting residue trajectories
 along the state axis is just vector fitting with ``s = j*x`` and complex
@@ -123,67 +128,63 @@ def _compute_weights(data: np.ndarray, scheme: str) -> np.ndarray:
 
 
 def _stack_real(matrix: np.ndarray) -> np.ndarray:
-    return np.vstack([matrix.real, matrix.imag])
+    """Real rows over imaginary rows (rows are the second-to-last axis)."""
+    return np.concatenate([matrix.real, matrix.imag], axis=-2)
 
 
-def _numerator_columns(svals: np.ndarray, poles: np.ndarray, real_mode: bool,
-                       fit_constant: bool, fit_proportional: bool) -> np.ndarray:
-    phi = basis_matrix(svals, poles, real_mode)
+def _numerator_columns(svals: np.ndarray, phi: np.ndarray,
+                       opts: VectorFitOptions) -> np.ndarray:
+    """The basis ``phi`` plus the constant and proportional columns opted in."""
     extra = []
-    if fit_constant:
+    if opts.fit_constant:
         extra.append(np.ones_like(svals, dtype=complex))
-    if fit_proportional:
+    if opts.fit_proportional:
         extra.append(np.asarray(svals, dtype=complex))
-    if extra:
-        phi = np.column_stack([phi] + extra)
-    return phi
+    return np.column_stack([phi] + extra) if extra else phi
 
 
 def _relocate_poles(svals: np.ndarray, data: np.ndarray, weights: np.ndarray,
                     poles: np.ndarray, opts: VectorFitOptions) -> tuple[np.ndarray, float]:
-    """One pole-relocation step; returns (new_poles, sigma_constant).
+    """One pole-relocation step; returns (new_poles, |d_tilde|).
 
     For every response ``k`` the (weighted) equations
     ``p_k(s) - sigma(s) H_k(s) = 0`` (relaxed) or ``= H_k(s)`` (non-relaxed)
-    are assembled; the per-response numerator coefficients are eliminated with
-    a QR factorisation so only the shared ``sigma`` coefficients remain — the
-    fast multiport formulation of the paper's reference [9].
+    are assembled into one ``(K, rows, cols)`` stack (real and imaginary
+    parts stacked row-wise in real mode).  One batched QR of that stack
+    eliminates every response's numerator coefficients at once, so only the
+    shared ``sigma`` coefficients remain — the fast multiport formulation of
+    the paper's reference [9].  The relaxed path needs only the ``R``
+    factors; the non-relaxed fallback also projects each response's
+    right-hand side onto its ``Q`` with one batched ``matmul``.
     """
     real_mode = opts.real_coefficients
-    n_responses = data.shape[0]
-    phi_num = _numerator_columns(svals, poles, real_mode,
-                                 opts.fit_constant, opts.fit_proportional)
+    use_relaxed = opts.relaxed
+    n_responses, n_samples = data.shape
     phi_sigma = basis_matrix(svals, poles, real_mode)
+    phi_num = _numerator_columns(svals, phi_sigma, opts)
     n_num = phi_num.shape[1]
     n_sig = phi_sigma.shape[1]
-
-    use_relaxed = opts.relaxed
     n_sig_cols = n_sig + (1 if use_relaxed else 0)
 
-    reduced_rows: list[np.ndarray] = []
-    reduced_rhs: list[np.ndarray] = []
-    for k in range(n_responses):
-        w = weights[k][:, None]
-        h = data[k][:, None]
-        sigma_block = -phi_sigma * h
-        if use_relaxed:
-            sigma_block = np.column_stack([sigma_block, -h])
-        block = np.column_stack([phi_num, sigma_block]) * w
-        rhs = np.zeros(block.shape[0], dtype=complex) if use_relaxed else (data[k] * weights[k])
-        if real_mode:
-            block = _stack_real(block)
-            rhs = np.concatenate([rhs.real, rhs.imag])
-        q, r = np.linalg.qr(block, mode="reduced")
-        reduced_rows.append(r[n_num:, n_num:])
-        if use_relaxed:
-            reduced_rhs.append(np.zeros(r.shape[0] - n_num,
-                                        dtype=float if real_mode else complex))
-        else:
-            projected = q.conj().T @ rhs
-            reduced_rhs.append(np.asarray(projected[n_num:]))
+    h = data[:, :, None]
+    blocks = np.empty((n_responses, n_samples, n_num + n_sig_cols), dtype=complex)
+    blocks[:, :, :n_num] = phi_num
+    np.multiply(-phi_sigma, h, out=blocks[:, :, n_num:n_num + n_sig])
+    if use_relaxed:
+        np.negative(h, out=blocks[:, :, n_num + n_sig:])
+    blocks *= weights[:, :, None]
+    if real_mode:
+        blocks = _stack_real(blocks)
 
-    lhs = np.vstack(reduced_rows)
-    rhs_vec = np.concatenate(reduced_rhs)
+    if use_relaxed:
+        r = np.linalg.qr(blocks, mode="r")
+        rhs_vec = np.zeros(n_responses * (r.shape[1] - n_num), dtype=blocks.dtype)
+    else:
+        q, r = np.linalg.qr(blocks)
+        rhs = (data * weights)[:, :, None]
+        projected = q.conj().swapaxes(1, 2) @ (_stack_real(rhs) if real_mode else rhs)
+        rhs_vec = projected[:, n_num:, 0].ravel()
+    lhs = r[:, n_num:, n_num:].reshape(-1, n_sig_cols)
 
     if use_relaxed:
         # Non-triviality constraint: the sum over all samples of sigma(s)
@@ -238,24 +239,28 @@ def _separate_poles_from_samples(poles: np.ndarray, svals: np.ndarray,
     poles = np.array(poles, dtype=complex, copy=True)
     scale = float(np.max(np.abs(svals))) or 1.0
     min_distance = 1e-6 * scale
-    moved = False
-    for i, pole in enumerate(poles):
-        distances = np.abs(svals - pole)
-        j = int(np.argmin(distances))
-        if distances[j] < min_distance:
-            moved = True
-            direction = pole - svals[j]
-            if real_mode and pole.imag == 0.0:
-                # Keep real poles real: push along the real axis.
-                sign = 1.0 if direction.real >= 0.0 else -1.0
-                poles[i] = complex(svals[j].real + sign * min_distance, 0.0)
-                continue
-            if abs(direction) == 0.0:
-                direction = 1j if pole.imag >= 0 else -1j
-            else:
-                direction = direction / abs(direction)
-            poles[i] = svals[j] + direction * min_distance
-    if moved and real_mode:
+    distances = np.abs(svals[None, :] - poles[:, None])          # (P, L)
+    nearest = np.argmin(distances, axis=1)
+    close = distances.min(axis=1) < min_distance
+    if not close.any():
+        return poles
+    anchor = svals[nearest[close]]
+    pole = poles[close]
+    direction = pole - anchor
+    # hypot, not the vectorised complex abs, rounds the length as abs() of a
+    # single complex value does.  A pole exactly on a sample leaves
+    # vertically, on its own side.
+    length = np.hypot(direction.real, direction.imag)
+    unit = np.where(length == 0.0, np.where(pole.imag >= 0.0, 1j, -1j),
+                    direction / np.where(length == 0.0, 1.0, length))
+    moved = anchor + unit * min_distance
+    if real_mode:
+        # Keep real poles real: push them along the real axis.
+        on_axis = pole.imag == 0.0
+        sign = np.where(direction.real >= 0.0, 1.0, -1.0)
+        moved[on_axis] = anchor[on_axis].real + sign[on_axis] * min_distance
+    poles[close] = moved
+    if real_mode:
         # Re-symmetrise conjugate pairs that may have been nudged unevenly.
         poles = sort_poles(poles)
     return poles
@@ -307,10 +312,9 @@ def _identify_residues(svals: np.ndarray, data: np.ndarray, weights: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Least-squares residues/constants for fixed poles; returns errors too."""
     real_mode = opts.real_coefficients
-    phi = _numerator_columns(svals, poles, real_mode,
-                             opts.fit_constant, opts.fit_proportional)
+    phi = _numerator_columns(svals, basis_matrix(svals, poles, real_mode), opts)
     n_responses = data.shape[0]
-    n_basis = basis_matrix(svals, poles, real_mode).shape[1]
+    n_basis = len(poles)
 
     residues = np.zeros((n_responses, len(poles)), dtype=complex)
     constants = np.zeros(n_responses, dtype=complex)

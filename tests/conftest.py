@@ -10,6 +10,7 @@ import pytest
 
 from repro.checks import lockwatch
 from repro.circuit import Circuit, CubicConductance, Sine, TransientOptions, transient_analysis
+from repro.circuits import build_output_buffer, buffer_training_waveform
 from repro.rvf import RVFOptions, extract_rvf_model
 from repro.tft import SnapshotTrajectory, default_frequency_grid, extract_tft
 
@@ -57,3 +58,26 @@ def nonlinear_rvf(nonlinear_tft):
     """RVF extraction result for the nonlinear low-pass."""
     return extract_rvf_model(nonlinear_tft, RVFOptions(error_bound=1e-3,
                                                        max_frequency_poles=12))
+
+
+@pytest.fixture(scope="session")
+def buffer_trajectory():
+    """Jacobian snapshots of the paper's output buffer over one training period.
+
+    The same flow as the repository benchmark's ``extract`` workload: the
+    2 MHz training sine, 150 fixed steps per period.
+    """
+    waveform = buffer_training_waveform()
+    system = build_output_buffer(input_waveform=waveform).build()
+    trajectory = SnapshotTrajectory(system)
+    period = 1.0 / waveform.frequency
+    transient_analysis(system, TransientOptions(t_stop=period, dt=period / 150),
+                       snapshot_callback=trajectory)
+    return trajectory
+
+
+@pytest.fixture(scope="session")
+def buffer_tft(buffer_trajectory):
+    """The buffer's TFT: 110 snapshots x 41 frequencies (1 Hz .. 10 GHz)."""
+    return extract_tft(buffer_trajectory, default_frequency_grid(1.0, 10e9, 4),
+                       max_snapshots=110)

@@ -170,6 +170,46 @@ class TestBatchedTransferChunking:
         np.testing.assert_allclose(tiny_chunks, full, rtol=0, atol=0)
 
 
+def expression_transfer(g_mat, c_mat, s_values, input_matrix, output_matrix):
+    """Reference ``D^T (G + s C)^{-1} B``: the stack formed as ``G + s*C``."""
+    systems = g_mat[None, :, :] + s_values[:, None, None] * c_mat[None, :, :]
+    rhs = np.broadcast_to(input_matrix.astype(complex),
+                          (s_values.size,) + input_matrix.shape)
+    return np.einsum("no,fni->foi", output_matrix, np.linalg.solve(systems, rhs))
+
+
+class TestInPlaceTransferStack:
+    """``batched_transfer`` builds G + sC in place, with the same bits."""
+
+    @pytest.mark.parametrize("chunk", ["one", "several"])
+    def test_buffer_snapshots_bitwise_equal_expression_form(self, buffer_trajectory,
+                                                            buffer_tft, chunk):
+        from repro.circuit.linalg import batched_transfer
+        s_values = 2j * np.pi * buffer_tft.frequencies
+        b, d = buffer_trajectory.input_matrix, buffer_trajectory.output_matrix
+        n = b.shape[0]
+        # Seven frequencies per chunk: 41 frequencies take six chunks.
+        max_chunk_bytes = (64 << 20) if chunk == "one" else 16 * n * n * 7
+        for snapshot in buffer_trajectory.snapshots[::10]:
+            g, c = snapshot.conductance, snapshot.capacitance
+            got = batched_transfer(g, c, s_values, b, d, max_chunk_bytes=max_chunk_bytes)
+            expected = expression_transfer(g, c, s_values, b, d)
+            assert np.array_equal(got.view(float), expected.view(float))
+
+    def test_general_complex_s_matches_expression_form(self, buffer_trajectory):
+        from repro.circuit.linalg import batched_transfer
+        snapshot = buffer_trajectory.snapshots[40]
+        omega = 2 * np.pi * frequency_grid(1e3, 1e10, 4)
+        s_values = -0.3 * omega + 1j * omega
+        b, d = buffer_trajectory.input_matrix, buffer_trajectory.output_matrix
+        for max_chunk_bytes in (64 << 20, 1):
+            got = batched_transfer(snapshot.conductance, snapshot.capacitance,
+                                   s_values, b, d, max_chunk_bytes=max_chunk_bytes)
+            expected = expression_transfer(snapshot.conductance, snapshot.capacitance,
+                                           s_values, b, d)
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
 class TestDiodeGroupEquivalence:
     """The vectorised diode group must be an exact drop-in for the scalar path."""
 

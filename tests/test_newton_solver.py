@@ -1,5 +1,7 @@
 """Branch coverage for the damped Newton solver and the factor cache."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -168,6 +170,43 @@ class TestFactorizationCache:
         x2 = cache.solve(a2, b)
         assert cache.factorizations == 2
         assert np.allclose(a @ x1, b) and np.allclose(a2.toarray() @ x2, b)
+
+    @pytest.mark.parametrize("entry", ["all-nan", "one-nan", "one-inf"])
+    def test_non_finite_pivot_raises_and_caches_nothing(self, entry):
+        if entry == "all-nan":
+            a = np.full((3, 3), np.nan)
+        else:
+            a = np.eye(3)
+            a[1, 1] = np.nan if entry == "one-nan" else np.inf
+        cache = FactorizationCache(reuse_tolerance=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(2):               # nothing cached: factorised again
+                with pytest.raises(SingularMatrixError):
+                    cache.solve(a, np.ones(3))
+        assert cache.factorizations == 2 and cache.reuses == 0
+        x = cache.solve(np.eye(3), np.ones(3))
+        assert np.array_equal(x, np.ones(3)) and cache.factorizations == 3
+
+    def test_singular_probe_raises_without_warning(self):
+        cache = FactorizationCache()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                cache.solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+        assert cache.factorizations == 1
+
+    def test_dense_solve_matches_scipy_lu(self):
+        from scipy.linalg import lu_factor, lu_solve
+        rng = np.random.default_rng(3)
+        for dtype in (float, complex):
+            a = rng.standard_normal((27, 27)).astype(dtype)
+            b = rng.standard_normal(27).astype(dtype)
+            if dtype is complex:
+                a = a + 1j * rng.standard_normal((27, 27))
+            x = FactorizationCache().solve(a, b)
+            assert x.dtype == np.dtype(dtype)
+            assert np.array_equal(x, lu_solve(lu_factor(a), b))
 
     def test_solve_linear_sparse_singular(self):
         singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))

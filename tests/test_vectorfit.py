@@ -1,5 +1,7 @@
 """Tests for the vector fitting engine, pole utilities and rational functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,13 @@ from repro.vectfit import (
     vector_fit,
 )
 from repro.vectfit.poles import enforce_conjugate_closure
+from repro.vectfit.vectorfit import (
+    _canonical_order,
+    _compute_weights,
+    _relocate_poles,
+    _separate_poles_from_samples,
+    _sigma_zeros,
+)
 
 
 def synthetic_response(svals, poles, residues, constant=0.0):
@@ -29,6 +38,108 @@ def synthetic_response(svals, poles, residues, constant=0.0):
     for p, r in zip(poles, residues):
         values = values + r / (svals - p)
     return values
+
+
+def per_pair_basis(svals, poles, real_mode):
+    """Reference basis: one column (real mode: one pair of columns) per pole."""
+    svals = np.asarray(svals, dtype=complex).ravel()
+    poles = np.asarray(poles, dtype=complex)
+    if not real_mode:
+        columns = [1.0 / (svals - p) for p in poles]
+    else:
+        real_idx, pair_idx = split_real_complex(poles)
+        columns = [1.0 / (svals - poles[i]) for i in real_idx]
+        for i in pair_idx:
+            phi_plus = 1.0 / (svals - poles[i])
+            phi_minus = 1.0 / (svals - np.conj(poles[i]))
+            columns += [phi_plus + phi_minus, 1j * phi_plus - 1j * phi_minus]
+    if not columns:
+        return np.zeros((svals.size, 0), dtype=complex)
+    return np.column_stack(columns)
+
+
+def per_pole_separation(poles, svals, real_mode):
+    """Reference sample separation: one pole at a time, in scalar arithmetic."""
+    poles = np.array(poles, dtype=complex, copy=True)
+    min_distance = 1e-6 * (float(np.max(np.abs(svals))) or 1.0)
+    moved = False
+    for i, pole in enumerate(poles):
+        distances = np.abs(svals - pole)
+        j = int(np.argmin(distances))
+        if distances[j] >= min_distance:
+            continue
+        moved = True
+        direction = pole - svals[j]
+        if real_mode and pole.imag == 0.0:
+            sign = 1.0 if direction.real >= 0.0 else -1.0
+            poles[i] = complex(svals[j].real + sign * min_distance, 0.0)
+        elif abs(direction) == 0.0:
+            poles[i] = svals[j] + (1j if pole.imag >= 0 else -1j) * min_distance
+        else:
+            poles[i] = svals[j] + direction / abs(direction) * min_distance
+    return sort_poles(poles) if moved and real_mode else poles
+
+
+def per_response_relocation(svals, data, weights, poles, opts):
+    """Reference pole relocation: one QR (and projection) per response."""
+    real_mode = opts.real_coefficients
+    phi_sigma = basis_matrix(svals, poles, real_mode)
+    extra = [np.ones_like(svals, dtype=complex)] if opts.fit_constant else []
+    if opts.fit_proportional:
+        extra.append(np.asarray(svals, dtype=complex))
+    phi_num = np.column_stack([phi_sigma] + extra) if extra else phi_sigma
+    n_num, n_sig = phi_num.shape[1], phi_sigma.shape[1]
+    rows, rhs_parts = [], []
+    for k in range(data.shape[0]):
+        w = weights[k][:, None]
+        h = data[k][:, None]
+        sigma_block = -phi_sigma * h
+        if opts.relaxed:
+            sigma_block = np.column_stack([sigma_block, -h])
+        block = np.column_stack([phi_num, sigma_block]) * w
+        rhs = np.zeros(block.shape[0], dtype=complex) if opts.relaxed else data[k] * weights[k]
+        if real_mode:
+            block = np.vstack([block.real, block.imag])
+            rhs = np.concatenate([rhs.real, rhs.imag])
+        q, r = np.linalg.qr(block, mode="reduced")
+        rows.append(r[n_num:, n_num:])
+        if opts.relaxed:
+            rhs_parts.append(np.zeros(r.shape[0] - n_num, dtype=float if real_mode else complex))
+        else:
+            rhs_parts.append((q.conj().T @ rhs)[n_num:])
+    lhs = np.vstack(rows)
+    rhs_vec = np.concatenate(rhs_parts)
+    if opts.relaxed:
+        total = data.size
+        scale = float(np.linalg.norm(weights * data)) / max(total, 1)
+        sigma_full = np.column_stack([phi_sigma, np.ones_like(svals, dtype=complex)])
+        sums = np.sum(sigma_full.real if real_mode else sigma_full, axis=0)
+        lhs = np.vstack([lhs, (scale * sums * data.shape[0])[None, :]])
+        rhs_vec = np.concatenate([rhs_vec, [scale * total]])
+    solution, *_ = np.linalg.lstsq(lhs, rhs_vec, rcond=None)
+    d_tilde = 1.0
+    if opts.relaxed:
+        d_tilde = float(solution[n_sig].real) if real_mode else complex(solution[n_sig])
+        if abs(d_tilde) < opts.min_relaxation_magnitude:
+            return per_response_relocation(svals, data, weights, poles,
+                                           dataclasses.replace(opts, relaxed=False))
+    new_poles = _sigma_zeros(poles, solution[:n_sig], d_tilde, real_mode)
+    if opts.enforce_stability:
+        new_poles = flip_unstable(new_poles)
+    return _canonical_order(new_poles, real_mode), abs(d_tilde)
+
+
+def assert_relocation_matches_reference(svals, data, poles, opts, n_steps):
+    """Run ``n_steps`` relocations as vector_fit does, each against the loop."""
+    weights = _compute_weights(data, opts.weighting)
+    poles = _separate_poles_from_samples(
+        _canonical_order(poles, opts.real_coefficients), svals, opts.real_coefficients)
+    for _ in range(n_steps):
+        expected_poles, expected_d = per_response_relocation(svals, data, weights, poles, opts)
+        new_poles, d_abs = _relocate_poles(svals, data, weights, poles, opts)
+        assert np.array_equal(new_poles, expected_poles)
+        assert d_abs == expected_d
+        poles = _separate_poles_from_samples(new_poles, svals, opts.real_coefficients)
 
 
 class TestPoleUtilities:
@@ -115,6 +226,150 @@ class TestBasis:
         values = evaluate_model(s, poles, residues[None, :])[0]
         assert values[0] == pytest.approx(np.conj(values[1]))
 
+    BASIS_POLES = {
+        "empty": np.zeros(0, dtype=complex),
+        "real-only": np.array([-3.0, -2e3, -7e6], dtype=complex),
+        "pair-only": sort_poles(np.array([-1 + 2j, -1 - 2j, -2e3 + 7e4j, -2e3 - 7e4j])),
+        "mixed": sort_poles(np.array([-0.5, -1 + 2j, -1 - 2j, -4e5, -1e6 + 3e8j,
+                                      -1e6 - 3e8j, 0.9 + 0.2j, 0.9 - 0.2j])),
+    }
+
+    @pytest.mark.parametrize("real_mode", [True, False])
+    @pytest.mark.parametrize("axis", ["frequency", "state"])
+    @pytest.mark.parametrize("pole_set", sorted(BASIS_POLES))
+    def test_matches_per_pair_reference_bitwise(self, pole_set, axis, real_mode):
+        if axis == "frequency":
+            svals = 2j * np.pi * np.logspace(0, 10, 41)
+        else:
+            svals = np.linspace(0.4, 1.4, 110).astype(complex)
+        poles = self.BASIS_POLES[pole_set]
+        phi = basis_matrix(svals, poles, real_mode)
+        expected = per_pair_basis(svals, poles, real_mode)
+        assert phi.shape == expected.shape == (svals.size, poles.size)
+        # Compared as floats, so the signs of zeros count too.
+        assert np.array_equal(phi.view(float), expected.view(float))
+
+
+class TestPoleSeparation:
+    STATES = np.linspace(0.4, 1.4, 21).astype(complex)      # state-axis fits
+    SVALS = 2j * np.pi * np.logspace(0, 10, 41)             # frequency-axis fits
+
+    @staticmethod
+    def min_distance(svals):
+        return 1e-6 * np.max(np.abs(svals))
+
+    @pytest.mark.parametrize("offset, side", [(0.0, 1.0), (-1e-9, -1.0), (1e-9, 1.0)])
+    def test_real_pole_on_sample_moves_along_real_axis(self, offset, side):
+        sample = self.STATES[7]
+        moved = _separate_poles_from_samples(np.array([sample + offset]), self.STATES, True)
+        assert moved[0].imag == 0.0
+        assert moved[0].real - sample.real == pytest.approx(
+            side * self.min_distance(self.STATES), rel=1e-9)
+
+    @pytest.mark.parametrize("real_mode", [True, False])
+    def test_complex_pole_on_sample_moves_along_its_offset(self, real_mode):
+        # Real mode fits real state samples with conjugate pairs; complex mode
+        # fits on s = j*x with single poles.
+        svals = self.STATES if real_mode else 1j * self.STATES
+        offset = 5e-7 * np.exp(0.7j)                      # min distance 1.4e-6
+        pole = svals[4] + offset
+        poles = np.array([pole, np.conj(pole)]) if real_mode else np.array([pole])
+        moved = _separate_poles_from_samples(poles, svals, real_mode)
+        nearest = moved[np.argmin(np.abs(moved - pole))]
+        step = nearest - svals[4]
+        assert abs(step) == pytest.approx(self.min_distance(svals), rel=1e-9)
+        assert np.angle(step) == pytest.approx(0.7, abs=1e-8)
+
+    def test_pole_exactly_on_sample_leaves_on_its_own_side(self):
+        svals = 1j * self.STATES
+        moved = _separate_poles_from_samples(np.array([svals[4]]), svals, False)
+        assert moved[0] - svals[4] == pytest.approx(1j * self.min_distance(svals), rel=1e-9)
+
+    @pytest.mark.parametrize("svals, poles", [
+        (SVALS, np.array([-0.01 * 2 * np.pi + 2j * np.pi, -0.01 * 2 * np.pi - 2j * np.pi,
+                          -6e8 + 6e10j, -6e8 - 6e10j])),
+        (STATES, np.array([0.9 + 1e-9j, 0.9 - 1e-9j, 0.4 + 0j, -2.0 + 0j])),
+    ])
+    def test_real_mode_set_stays_conjugate_closed(self, svals, poles):
+        moved = _separate_poles_from_samples(poles, svals, True)
+        assert not np.array_equal(moved, poles)
+        real_idx, pair_idx = split_real_complex(moved)
+        assert len(real_idx) + 2 * len(pair_idx) == moved.size
+        assert np.array_equal(moved[pair_idx + 1], np.conj(moved[pair_idx]))
+        assert np.all(moved[real_idx].imag == 0.0)
+
+    @pytest.mark.parametrize("svals, poles, real_mode", [
+        (SVALS, initial_complex_poles(1.0, 1e10, 4), True),
+        (STATES, np.array([0.75 + 1e-9, 0.55 + 4e-7j, 0.55 - 4e-7j, 1.0 - 3e-7j,
+                           1.0 + 3e-7j, -2.0 + 0j]), True),
+        (1j * STATES, np.array([0.7j + 5e-7 * np.exp(0.7j), 0.9j, -2.0 + 0j,
+                                1.15j - 1e-7]), False),
+    ])
+    def test_matches_per_pole_reference_bitwise(self, svals, poles, real_mode):
+        moved = _separate_poles_from_samples(poles, svals, real_mode)
+        expected = per_pole_separation(poles, svals, real_mode)
+        assert not np.array_equal(expected, poles)
+        assert np.array_equal(moved.view(float), expected.view(float))
+
+    @pytest.mark.parametrize("real_mode", [True, False])
+    def test_poles_away_from_samples_are_unchanged(self, real_mode):
+        for svals, poles in ((self.SVALS, np.array([-5e7 + 0j, -1e6 + 1e8j, -1e6 - 1e8j])),
+                             (self.STATES, np.array([-0.6 + 0j, 0.9 + 0.3j, 0.9 - 0.3j]))):
+            moved = _separate_poles_from_samples(poles, svals, real_mode)
+            assert moved is not poles
+            assert np.array_equal(moved, poles)
+
+
+class TestRelocationEquivalence:
+    """The batched QR step equals the per-response loop, bit for bit."""
+
+    @staticmethod
+    def synthetic_family(real_mode, n_responses):
+        rng = np.random.default_rng(17 + n_responses)
+        if real_mode:
+            svals = 2j * np.pi * np.logspace(3, 10, 41)
+            poles = np.array([-2e5, -3e7 + 2e8j, -3e7 - 2e8j, -1e9 + 8e9j, -1e9 - 8e9j])
+            scale = np.array([1e5, 1e8, 1e8, 1e9, 1e9])
+        else:
+            svals = 1j * np.linspace(0.4, 1.4, 60)
+            poles = np.array([-0.5 + 0.9j, -0.3 - 0.2j, 0.2 + 1.6j])
+            scale = np.ones(3)
+        rows = []
+        for _ in range(n_responses):
+            residues = scale * (rng.normal(size=poles.size) + 1j * rng.normal(size=poles.size))
+            if real_mode:
+                residues[2::2] = np.conj(residues[1::2])
+                residues[0] = residues[0].real
+            clean = synthetic_response(svals, poles, residues, rng.normal())
+            noise = rng.normal(size=svals.size) + 1j * rng.normal(size=svals.size)
+            rows.append(clean + 1e-3 * np.abs(clean) * noise)
+        return svals, np.array(rows)
+
+    @pytest.mark.parametrize("n_responses", [1, 6, 110])
+    @pytest.mark.parametrize("weighting", ["uniform", "inverse"])
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("real_mode", [True, False])
+    def test_matches_per_response_loop(self, real_mode, relaxed, weighting, n_responses):
+        svals, data = self.synthetic_family(real_mode, n_responses)
+        if real_mode:
+            initial = initial_complex_poles(1e3, 1e10, 4)
+        else:
+            initial = initial_real_poles(0.4, 1.4, 3)
+        opts = VectorFitOptions(real_coefficients=real_mode, relaxed=relaxed,
+                                weighting=weighting, enforce_stability=real_mode)
+        assert_relocation_matches_reference(svals, data, initial, opts, n_steps=3)
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_matches_per_response_loop_on_buffer_tft(self, buffer_tft, order, relaxed):
+        response = buffer_tft.siso_response(0, 0)
+        dynamic = response - buffer_tft.siso_dc(0, 0).real[:, None]
+        svals = 2j * np.pi * buffer_tft.frequencies
+        opts = VectorFitOptions(relaxed=relaxed)
+        initial = initial_complex_poles(buffer_tft.frequencies.min(),
+                                        buffer_tft.frequencies.max(), order)
+        assert_relocation_matches_reference(svals, dynamic, initial, opts, n_steps=4)
+
 
 class TestVectorFitRealMode:
     FREQS = np.logspace(5, 10, 60)
@@ -128,6 +383,14 @@ class TestVectorFitRealMode:
         data = self._data([1e7, 1e9 + 5e8j, 1e9 - 5e8j], constant=0.2)
         result = vector_fit(self.SVALS, data, initial_complex_poles(1e5, 1e10, 3))
         assert result.relative_error < 1e-6
+
+    def test_non_relaxed_recovers_exact_rational_function(self):
+        data = self._data([1e7, 1e9 + 5e8j, 1e9 - 5e8j], constant=0.2)
+        result = vector_fit(self.SVALS, data, initial_complex_poles(1e5, 1e10, 3),
+                            VectorFitOptions(relaxed=False))
+        assert result.relative_error < 1e-6
+        assert np.allclose(np.sort_complex(result.poles),
+                           np.sort_complex(self.TRUE_POLES), rtol=1e-4)
 
     def test_recovers_pole_locations(self):
         data = self._data([1e7, 1e9 + 5e8j, 1e9 - 5e8j])
