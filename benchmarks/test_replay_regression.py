@@ -22,8 +22,8 @@ the absolute numbers recorded into ``BENCH_metrics.json``, which CI uploads
 for cross-run tracking.
 
 Correctness rides along: every pass must serve all 1000 requests bitwise
-identically to direct evaluation, and the aggregator's trace pairing must
-cover the full session (no unmatched ids, no subscriber drops).
+identically to direct evaluation, and the aggregator must see the full
+session submitted and served (no unmatched rows, no subscriber drops).
 
 Run directly for a report::
 

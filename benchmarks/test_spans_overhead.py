@@ -15,6 +15,9 @@ Two overhead gates and one completeness claim, recorded into
   1000 requests must assemble into a span tree rooted at ``request``
   whose ``serve_queue`` + ``serve_coalesce`` + ``serve_execute`` children
   tile the root — per-stage durations sum to the recorded e2e latency.
+  The load's published ``SpanClosed`` events per request are recorded next
+  to the spans assembled per request: a batch or job stage is one event
+  shared by its members, so the first number is the smaller one.
 
 Methodology is ``test_telemetry_overhead``'s: alternated loads (plain,
 traced, off, plain, ...) compared on interquartile means, so machine
@@ -94,11 +97,12 @@ def _traced_load(server, key, stimuli):
         time.sleep(0.01)
         assembler.extend(subscription.drain())
     n_dropped = subscription.n_dropped
+    n_events = subscription.n_delivered
     subscription.close()
     assert n_dropped == 0, (
         f"span subscriber dropped {n_dropped} events — enlarge the "
         "benchmark subscription queue")
-    return seconds, served, assembler, expected
+    return seconds, served, assembler, expected, n_events
 
 
 class TestSpanTracingOverhead:
@@ -110,7 +114,7 @@ class TestSpanTracingOverhead:
         direct = compiled.evaluate(stimuli)
 
         plain_times, traced_times, off_times = [], [], []
-        assembler, expected = None, set()
+        assembler, expected, n_events = None, set(), 0
         with ModelServer(registry, POLICY,
                          tracing=TracerConfig(sample_rate=1.0)) as server, \
              ModelServer(registry, POLICY,
@@ -124,8 +128,8 @@ class TestSpanTracingOverhead:
                 seconds, served = _time_load(server, key, stimuli)
                 np.testing.assert_array_equal(served, direct)
                 plain_times.append(seconds)
-                seconds, served, assembler, expected = _traced_load(
-                    server, key, stimuli)
+                seconds, served, assembler, expected, n_events = \
+                    _traced_load(server, key, stimuli)
                 np.testing.assert_array_equal(served, direct)
                 traced_times.append(seconds)
                 seconds, served = _time_load(off_server, key, stimuli)
@@ -173,8 +177,9 @@ class TestSpanTracingOverhead:
                   f"{plain_s * 1e3:.0f} ms, full tracing "
                   f"{traced_s * 1e3:.0f} ms ({traced_overhead:.3f}x), "
                   f"sampling off {off_s * 1e3:.0f} ms "
-                  f"({off_overhead:.3f}x); last traced load assembled "
-                  f"{n_spans} spans over {len(expected)} complete traces "
+                  f"({off_overhead:.3f}x); last traced load published "
+                  f"{n_events} span events and assembled {n_spans} spans "
+                  f"over {len(expected)} complete traces "
                   f"({n_worker_spans} worker-attributed)")
 
         record_benchmark("BENCH_spans.json", "span_tracing_overhead", {
@@ -197,6 +202,8 @@ class TestSpanTracingOverhead:
             "off_overhead_gate_x": OFF_GATE,
             "n_spans_last_load": n_spans,
             "n_worker_spans_last_load": n_worker_spans,
+            "span_events_per_request": n_events / N_REQUESTS,
+            "spans_per_request": n_spans / N_REQUESTS,
             "stage_names": sorted(stage_names),
             "trees_complete": True,
         })

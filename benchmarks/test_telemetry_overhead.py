@@ -12,7 +12,7 @@ Three claims, recorded into ``BENCH_telemetry.json``:
   ``RequestSubmitted``, then in a ``BatchClosed`` and a ``BatchServed``.
 * ``aggregator_overhead`` — the same gate for the PR 9 consumer tier: a
   live :class:`~repro.telemetry.MetricsAggregator` folding the stream into
-  windows (trace pairing, percentile summaries, republication) must also
+  windows (latency folding, percentile summaries, republication) must also
   stay within 5%, measured with the same interleaved-load IQ-mean
   methodology.
 * ``record_replay`` — a :class:`~repro.telemetry.RunRecorder` journals a
@@ -270,7 +270,7 @@ class TestTelemetryOverhead:
         overhead = aggregated_s / plain_s
 
         # Aggregation acceptance on the last load: the fold covered the
-        # whole session with complete trace pairing.
+        # whole session, every served row seen submitted.
         assert report.n_submitted == N_REQUESTS
         assert report.n_served == N_REQUESTS
         assert report.n_unmatched == 0

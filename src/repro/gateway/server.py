@@ -244,6 +244,10 @@ class Gateway:
                       writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._conn_tasks.add(task)
+        # Shutdown cancels this task, possibly while it already waits in
+        # wait_closed() below; it must still end normally, because the
+        # stream protocol's done-callback (Python 3.11) logs a cancelled
+        # handler task as "Exception in callback".
         try:
             await self._serve_connection(reader, writer)
         except asyncio.CancelledError:
@@ -253,7 +257,7 @@ class Gateway:
             try:
                 writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     async def _serve_connection(self, reader: asyncio.StreamReader,

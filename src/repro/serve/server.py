@@ -151,8 +151,7 @@ class ModelServer:
                 fault_injection=fault_injection,
                 stall_injection=stall_injection,
                 delay_injection=delay_injection,
-                broker=self.telemetry,
-                tracer=self.tracer)
+                broker=self.telemetry)
         self._lock = lockwatch.monitored_lock("serve.server")
         self._batcher = MicroBatcher(self.policy.max_batch,
                                      self.policy.max_wait,
@@ -327,6 +326,9 @@ class ModelServer:
     # -------------------------------------------------------------- execution
     def _execute(self, batch: MicroBatch) -> None:
         t_started = time.monotonic()
+        # The batch's span collector: sampling is decided once per member,
+        # and each batch or job stage becomes one span for all of them.
+        spans = self.tracer.batch(batch.trace_ids) if self.tracer else None
         try:
             if self._pool is not None:
                 # The pool stages each request's samples straight into its
@@ -336,7 +338,8 @@ class ModelServer:
                 t_dispatched = time.monotonic()
                 outputs = self._pool.evaluate(batch.key, batch.rows,
                                               max_workers=share,
-                                              trace_ids=batch.trace_ids)
+                                              trace_ids=batch.trace_ids,
+                                              spans=spans)
             else:
                 inputs = np.vstack(batch.rows)
                 t_dispatched = time.monotonic()
@@ -348,14 +351,10 @@ class ModelServer:
                         batch.key, lambda: self.registry.load(batch.key))
                 t_eval = time.monotonic()
                 outputs = [row.copy() for row in model.evaluate(inputs)]
-                if self.tracer:
-                    duration = time.monotonic() - t_eval
-                    evaluated = self.tracer.batch()
-                    for trace_id in batch.trace_ids:
-                        if self.tracer.sampled(trace_id):
-                            evaluated.add("serve_evaluate", trace_id, t_eval,
-                                          duration, parent="serve_execute")
-                    evaluated.flush()
+                if spans is not None:
+                    spans.add("serve_evaluate", t_eval,
+                              time.monotonic() - t_eval,
+                              parent="serve_execute")
             failure = None
         except Exception as exc:   # noqa: BLE001 - must resolve the futures
             t_dispatched = t_started
@@ -366,8 +365,10 @@ class ModelServer:
         # accounting is counters plus one bucket merge per summary.
         t_submit = np.array([request.t_submit for request in batch.requests])
         t_closed = np.array([request.t_closed for request in batch.requests])
-        queue = LatencySummary.of(t_closed - t_submit)
-        e2e = LatencySummary.of(now - t_submit)
+        queue_s = t_closed - t_submit
+        e2e_s = now - t_submit
+        queue = LatencySummary.of(queue_s)
+        e2e = LatencySummary.of(e2e_s)
         # Account first, then wake the callers: a caller returning from
         # future.result() must find its own request already counted when it
         # immediately asks for stats().
@@ -390,25 +391,21 @@ class ModelServer:
         # Span emission sits outside the lock (REP102/lockwatch clean) and
         # before the futures resolve, mirroring the BatchServed contract: a
         # caller returning from future.result() finds its trace complete.
-        tracer = self.tracer
-        if tracer:
-            closing = tracer.batch()
+        if spans is not None:
+            spans.add("serve_dispatch", t_started, t_dispatched - t_started,
+                      parent="serve_execute")
+            spans.add("serve_execute", t_started, now - t_started)
             for request in batch.requests:
-                trace_id = request.trace_id
-                if not tracer.sampled(trace_id):
-                    continue
-                t_submit, t_closed = request.t_submit, request.t_closed
-                closing.add("serve_queue", trace_id, t_submit,
-                            t_closed - t_submit)
-                closing.add("serve_coalesce", trace_id, t_closed,
-                            t_started - t_closed)
-                closing.add("serve_dispatch", trace_id, t_started,
-                            t_dispatched - t_started, parent="serve_execute")
-                closing.add("serve_execute", trace_id, t_started,
-                            now - t_started)
-                closing.add(ROOT_SPAN, trace_id, t_submit, now - t_submit,
-                            parent="")
-            closing.flush()
+                member = (request.trace_id,)
+                spans.add("serve_queue", request.t_submit,
+                          request.t_closed - request.t_submit,
+                          trace_ids=member)
+                spans.add("serve_coalesce", request.t_closed,
+                          t_started - request.t_closed, trace_ids=member)
+                spans.add(ROOT_SPAN, request.t_submit,
+                          now - request.t_submit, parent="",
+                          trace_ids=member)
+            spans.flush()
         # Published before the futures resolve, mirroring the accounting
         # order: a caller returning from future.result() finds its request's
         # full submit → closed → served chain already on the wire.
@@ -416,7 +413,8 @@ class ModelServer:
             self.telemetry.publish(BatchServed(
                 key=batch.key, n_steps=batch.n_steps, n_rows=len(batch),
                 ok=failure is None, duration_s=now - t_started,
-                trace_ids=batch.trace_ids))
+                trace_ids=batch.trace_ids, queue_s=tuple(queue_s.tolist()),
+                e2e_s=tuple(e2e_s.tolist())))
         if failure is None:
             batch.resolve(outputs)
         else:

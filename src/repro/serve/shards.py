@@ -233,23 +233,16 @@ class ShardPool:
         Optional :class:`~repro.telemetry.broker.TopicBroker` the pool
         publishes its failure-path events to (``WorkerCrashed``,
         ``JobTimedOut``, ``WorkerRespawned``); the server passes its own.
-    tracer:
-        Optional :class:`~repro.telemetry.spans.Tracer` for per-stage span
-        attribution (lease, stage-in, worker evaluate/stage-out,
-        reassembly).  Parent-side only: workers never receive it (REP106);
-        their stage timings ride the reply descriptors instead.
     """
 
     def __init__(self, registry_root, n_workers: int, cache_bytes: int = 256 << 20,
                  max_retries: int = 2, mp_context: str | None = None,
                  segment_bytes: int = 64 << 20, job_timeout: float = 0.0,
                  fault_injection=None, stall_injection=None,
-                 delay_injection: float = 0.0, broker=None,
-                 tracer=None) -> None:
+                 delay_injection: float = 0.0, broker=None) -> None:
         if n_workers < 1:
             raise ServeError("ShardPool needs at least one worker")
         self.broker = broker
-        self.tracer = tracer
         self.registry_root = str(registry_root)
         self.cache_bytes = int(cache_bytes)
         self.max_retries = int(max_retries)
@@ -436,7 +429,7 @@ class ShardPool:
 
     # --------------------------------------------------------------- execution
     def evaluate(self, key: str, rows, max_workers: int | None = None,
-                 trace_ids=None) -> list[np.ndarray]:
+                 trace_ids=None, spans=None) -> list[np.ndarray]:
         """Evaluate a lock-step batch, sharded across leased workers.
 
         ``rows`` is a sequence of equal-length 1-D sample arrays (a list of
@@ -456,8 +449,14 @@ class ShardPool:
         dispatch lanes so the first lane to dispatch cannot starve the
         others by grabbing the whole pool; a lone caller (no cap) leases
         every free worker.  ``trace_ids`` (one per input row, in row order)
-        only feeds telemetry: failure events name exactly the requests that
-        were riding on the affected shard.
+        and ``spans`` only feed telemetry: failure events name exactly the
+        requests that were riding on the affected shard, and ``spans`` —
+        the caller's :class:`~repro.telemetry.spans.SpanBatch`, opened over
+        ``trace_ids`` — collects one lease span for the batch and one
+        stage-in, worker-evaluate, worker-stage-out and reassembly span per
+        job (per attempt, for retried jobs).  The caller flushes it, also
+        when this call raises.  Workers never see it (REP106): their stage
+        timings ride the reply descriptors.
         """
         if self._closed:
             raise ServeError("shard pool is closed")
@@ -470,17 +469,11 @@ class ShardPool:
             cap = min(cap, max(1, int(max_workers)))
         t_lease = time.monotonic()
         leased = self._acquire_workers(cap)
-        tracer = self.tracer
-        if tracer and trace_ids is not None:
-            lease_s = time.monotonic() - t_lease
-            leases = tracer.batch()
-            for trace_id in trace_ids:
-                if tracer.sampled(trace_id):
-                    leases.add("shard_lease", trace_id, t_lease, lease_s,
-                               parent="serve_execute")
-            leases.flush()
+        if spans is not None:
+            spans.add("shard_lease", t_lease, time.monotonic() - t_lease,
+                      parent="serve_execute")
         try:
-            return self._evaluate_on(leased, key, rows, trace_ids)
+            return self._evaluate_on(leased, key, rows, trace_ids, spans)
         finally:
             self._release_workers(leased)
 
@@ -490,7 +483,7 @@ class ShardPool:
         return tuple(trace_ids[shard_slice])
 
     def _evaluate_on(self, leased: list[int], key: str, rows,
-                     trace_ids=None) -> list[np.ndarray]:
+                     trace_ids=None, spans=None) -> list[np.ndarray]:
         n_rows, n_steps = len(rows), len(rows[0])
         rows_per_job = self.segment_bytes // (16 * n_steps)
         if rows_per_job < 1:
@@ -503,13 +496,6 @@ class ShardPool:
         outputs: list = [None] * n_rows
         pending = list(range(len(slices)))
         crashes = [0] * len(slices)
-        tracer = self.tracer if (self.tracer and trace_ids is not None) \
-            else None
-        # One span batch for the whole evaluation: the parent-materialised
-        # shard/worker stages publish in a single broker hop per call
-        # instead of one per span (flushed on failure too, so the spans of
-        # crashed-then-retried attempts survive an exhausted retry budget).
-        closing = tracer.batch() if tracer is not None else None
         while pending:
             # One wave: at most one job per leased worker.  A crashed or
             # timed-out job rejoins the queue for a later wave.
@@ -519,18 +505,16 @@ class ShardPool:
             for job, worker in zip(wave, leased):
                 t_stage = time.monotonic()
                 job_id = self._dispatch(worker, key, rows[slices[job]])
-                if tracer is not None:
+                if spans is not None:
                     # Stage-in covers staging the job's rows into the
                     # worker's segment plus the descriptor send; a retried
                     # job re-emits it, so retry attempts show up as sibling
                     # spans under the same parent.
-                    stage_s = time.monotonic() - t_stage
-                    for trace_id in self._shard_traces(trace_ids,
-                                                       slices[job]):
-                        if tracer.sampled(trace_id):
-                            closing.add("shard_stage_in", trace_id, t_stage,
-                                        stage_s, parent="serve_execute",
-                                        worker_index=worker)
+                    spans.add("shard_stage_in", t_stage,
+                              time.monotonic() - t_stage,
+                              parent="serve_execute", worker_index=worker,
+                              trace_ids=self._shard_traces(trace_ids,
+                                                           slices[job]))
                 if job_id is None:
                     spawn_failure = job
                     break
@@ -576,46 +560,34 @@ class ShardPool:
                         f"shard worker failed to evaluate model {key[:12]}...:"
                         f"\n{payload}")
                     continue
-                shard_traces = (tuple(
-                    trace_id
-                    for trace_id in self._shard_traces(trace_ids, slices[job])
-                    if tracer.sampled(trace_id))
-                    if tracer is not None else ())
-                if tracer is not None:
+                shard = slices[job]
+                if spans is not None:
                     # Materialise the worker-side spans from the stamped
                     # timings (same CLOCK_MONOTONIC, different process).
                     t_job, eval_s, out_s = payload
-                    for trace_id in shard_traces:
-                        closing.add("worker_evaluate", trace_id, t_job,
-                                    eval_s, parent="serve_execute",
-                                    worker_index=worker)
-                        closing.add("worker_stage_out", trace_id,
-                                    t_job + eval_s, out_s,
-                                    parent="serve_execute",
-                                    worker_index=worker)
+                    job_traces = self._shard_traces(trace_ids, shard)
+                    spans.add("worker_evaluate", t_job, eval_s,
+                              parent="serve_execute", worker_index=worker,
+                              trace_ids=job_traces)
+                    spans.add("worker_stage_out", t_job + eval_s, out_s,
+                              parent="serve_execute", worker_index=worker,
+                              trace_ids=job_traces)
                 t_reassemble = time.monotonic()
-                shard = slices[job]
                 results = _job_views(self._workers[worker].segment,
                                      (shard.stop - shard.start, n_steps))[1]
                 outputs[shard] = [row.copy() for row in results]
                 del results              # views must not pin segment.buf
-                if tracer is not None:
-                    reassemble_s = time.monotonic() - t_reassemble
-                    for trace_id in shard_traces:
-                        closing.add("serve_reassemble", trace_id,
-                                    t_reassemble, reassemble_s,
-                                    parent="serve_execute",
-                                    worker_index=worker)
+                if spans is not None:
+                    spans.add("serve_reassemble", t_reassemble,
+                              time.monotonic() - t_reassemble,
+                              parent="serve_execute", worker_index=worker,
+                              trace_ids=job_traces)
             if spawn_failure is not None:
                 failure = failure or ServeError(
                     f"shard worker for rows {slices[spawn_failure]} of model "
                     f"{key[:12]}... could not be (re)started")
             if failure is not None:
-                if closing is not None:
-                    closing.flush()
                 raise failure
-        if closing is not None:
-            closing.flush()
         return outputs
 
     # ----------------------------------------------------------------- control

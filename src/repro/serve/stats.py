@@ -16,9 +16,14 @@ a micro-batching deployment tunes against each other:
 :meth:`ModelServer.stats <repro.serve.server.ModelServer.stats>` snapshots
 these into a :class:`ServeStats` value with lifetime latency summaries — a
 per-model breakdown attributed to the dispatch lane serving each model, and
-its exact merge server-wide.  :class:`LatencySummary` is the one latency
-primitive of the serving stack: the server, the metrics windows and their
-roll-ups (:mod:`repro.telemetry.metrics`) all summarise and merge with it.
+its exact merge server-wide.  The server computes both latencies once per
+request, when it resolves the batch, and publishes the same samples on the
+batch's ``BatchServed`` event: there is one definition of each, and the
+metrics windows (:mod:`repro.telemetry.metrics`) fold exactly these
+samples, so windows merged over a run equal ``ServeStats`` bucket for
+bucket.  :class:`LatencySummary` is the one latency primitive of the
+serving stack: the server, the metrics windows and their roll-ups all
+summarise and merge with it.
 The TCP gateway (:mod:`repro.gateway`) keeps its connection/frame
 accounting in a :class:`GatewayCounters`.
 

@@ -184,6 +184,9 @@ class TopicBroker:
         #: Immutable snapshot, replaced wholesale on (un)subscribe — publish
         #: iterates it without taking the broker lock.
         self._subs: tuple[Subscription, ...] = ()
+        #: Topics some live subscription receives (``None``: every topic),
+        #: replaced together with ``_subs`` so :meth:`accepts` is one read.
+        self._topics: frozenset | None = frozenset()
         #: Events ever published while at least one subscriber was attached
         #: (approximate under heavy contention — it is telemetry, not money).
         self.n_published = 0
@@ -194,6 +197,17 @@ class TopicBroker:
     @property
     def n_subscribers(self) -> int:
         return len(self._subs)
+
+    def accepts(self, topic: str) -> bool:
+        """True while some live subscription receives ``topic`` — the gate
+        for a publisher whose events are costly to build (span tracing)."""
+        topics = self._topics
+        return topics is None or topic in topics
+
+    def _set_subs_locked(self, subs: tuple) -> None:
+        self._subs = subs
+        self._topics = (None if any(s.topics is None for s in subs)
+                        else frozenset().union(*(s.topics for s in subs)))
 
     def subscribe(self, topics: Iterable[str] | None = None,
                   maxsize: int = 4096,
@@ -215,12 +229,13 @@ class TopicBroker:
         """
         sub = Subscription(self, topics, maxsize, wakeup)
         with self._lock:
-            self._subs = self._subs + (sub,)
+            self._set_subs_locked(self._subs + (sub,))
         return sub
 
     def _unsubscribe(self, sub: Subscription) -> None:
         with self._lock:
-            self._subs = tuple(s for s in self._subs if s is not sub)
+            self._set_subs_locked(tuple(s for s in self._subs
+                                        if s is not sub))
 
     def publish(self, event) -> int:
         """Offer ``event`` to every matching subscription; never blocks.

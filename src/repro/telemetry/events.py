@@ -5,11 +5,15 @@ Every event is a small frozen dataclass carrying a monotonic timestamp
 event concerns specific requests, the **trace ids** of those requests.  A
 trace id is assigned by :meth:`ModelServer.submit
 <repro.serve.server.ModelServer.submit>` and rides on the request through
-batch coalescing, lane dispatch, shard evaluation and reply resolution, so
-one request's full lifecycle is reconstructable from its event stream:
-``RequestSubmitted`` → ``BatchClosed`` (its batch) → ``BatchServed`` (and,
-on the failure paths, ``WorkerCrashed`` / ``JobTimedOut`` naming the same
-ids).
+batch coalescing, lane dispatch, shard evaluation and reply resolution.
+Events are **batch-scoped** wherever the work is: ``BatchClosed`` and
+``BatchServed`` are published once per batch and list their members' trace
+ids (``BatchServed`` with each member's queue and end-to-end latency), the
+failure events (``WorkerCrashed`` / ``JobTimedOut``) name the ids riding on
+the affected job, and a ``SpanClosed`` of a batch or job stage names every
+sampled member it covers.  One request's lifecycle is the events naming its
+trace id: ``RequestSubmitted`` → ``BatchClosed`` → ``BatchServed``, and its
+spans.
 
 Events serialise to plain JSON-able dicts via :meth:`TelemetryEvent.as_dict`
 — the payload of the gateway's ``EVENT`` wire frames and of the
@@ -25,7 +29,7 @@ the ``t`` field last (it defaults to construction time).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -62,7 +66,9 @@ __all__ = [
 
 #: Version of the event payload layout; bumped when a field changes meaning
 #: or disappears (adding fields with defaults is backward compatible).
-SCHEMA_VERSION = 1
+#: 2: ``SpanClosed`` names its member traces in ``trace_ids`` (1 carried one
+#: ``trace_id``; such payloads still decode, see :class:`SpanClosed`).
+SCHEMA_VERSION = 2
 
 #: Registry of event classes by name — the decode side of the wire/store.
 _EVENT_TYPES: dict[str, type] = {}
@@ -114,13 +120,15 @@ def event_from_dict(payload: dict) -> TelemetryEvent:
             f"unknown telemetry event type {name!r} (known: "
             f"{', '.join(event_topics())})")
     kwargs = {}
-    for spec in fields(cls):
-        if spec.name not in payload:
+    # __dataclass_fields__ also lists init-only fields (the schema-1
+    # ``SpanClosed.trace_id``), which dataclasses.fields() leaves out.
+    for name in cls.__dataclass_fields__:
+        if name not in payload:
             continue
-        value = payload[spec.name]
+        value = payload[name]
         if isinstance(value, list):
             value = tuple(value)
-        kwargs[spec.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -170,7 +178,14 @@ class BatchClosed(TelemetryEvent):
 @register_event
 @dataclass(frozen=True)
 class BatchServed(TelemetryEvent):
-    """A batch finished executing; its futures are about to resolve."""
+    """A batch finished executing; its futures are about to resolve.
+
+    ``queue_s`` and ``e2e_s`` hold each member's queue latency (the
+    batching policy's wait) and end-to-end latency, in ``trace_ids`` order:
+    the samples the server folds into its own
+    :class:`~repro.serve.stats.ServeStats`, so a consumer's latency
+    statistics reconcile with the server's by construction.
+    """
 
     key: str
     n_steps: int
@@ -178,6 +193,8 @@ class BatchServed(TelemetryEvent):
     ok: bool
     duration_s: float
     trace_ids: tuple = ()
+    queue_s: tuple = ()
+    e2e_s: tuple = ()
     t: float = field(default_factory=_now)
 
 
@@ -308,12 +325,19 @@ class SweepCompleted(TelemetryEvent):
 @register_event
 @dataclass(frozen=True)
 class SpanClosed(TelemetryEvent):
-    """One closed span of a request's trace (a stage of its lifecycle).
+    """One closed span: a stage of the lifecycle of every trace it names.
 
     Published by :class:`~repro.telemetry.spans.Tracer` when a sampled
-    span closes.  ``name`` is the stage (``serve_queue``,
-    ``worker_evaluate``, ...) — dot-free, so per-stage window metrics stay
-    addressable by :class:`~repro.telemetry.alerts.AlertRule` dotted paths
+    span closes.  ``trace_ids`` are the sampled traces the stage belongs
+    to: one for a per-request stage (``serve_queue``, the ``request``
+    root, the gateway stages), every sampled member of the batch or shard
+    job for a stage that batch or job ran once (``serve_execute``,
+    ``worker_evaluate``, ...) — one span shared by many traces, like an
+    OpenTelemetry span link.  Consumers fan it out to its members: each
+    member's trace tree, journal row and stage sample is what a span of
+    that member alone would give.  ``name`` is the stage — dot-free, so
+    per-stage window metrics stay addressable by
+    :class:`~repro.telemetry.alerts.AlertRule` dotted paths
     (``stages.worker_evaluate.p95_s``).  ``parent`` names the enclosing
     stage (``""`` marks the trace root); stage names are unique within a
     trace except across shard retries, where repeated attempt-stage spans
@@ -321,15 +345,25 @@ class SpanClosed(TelemetryEvent):
     shard worker that executed a worker-side stage (``-1`` elsewhere);
     worker stages are stamped in the reply descriptor and materialised by
     the parent process, never published from the worker itself.
+
+    ``trace_id`` is an init-only shorthand for a single-member span, and
+    the field schema-1 payloads carry: ``event_from_dict`` of such a
+    payload builds the same single-member span.  It is not stored; read
+    ``trace_ids``.
     """
 
     name: str
-    trace_id: int
     t_start: float
     duration_s: float
+    trace_ids: tuple = ()
     parent: str = ""
     worker_index: int = -1
+    trace_id: InitVar[int] = 0
     t: float = field(default_factory=_now)
+
+    def __post_init__(self, trace_id: int) -> None:
+        if trace_id:
+            object.__setattr__(self, "trace_ids", (int(trace_id),))
 
 
 @register_event

@@ -4,23 +4,30 @@
 telemetry of PR 7: it subscribes to the serving-layer events of a
 :class:`~repro.telemetry.broker.TopicBroker` and folds them into
 fixed-duration windows kept in a ring buffer — per-model throughput,
-p50/p95/p99 queue and end-to-end latency (reconstructed from trace-chained
-``RequestSubmitted`` → ``BatchClosed`` → ``BatchServed`` pairs), batch-fill
-ratio against ``max_batch``, and rejection / crash / timeout / eviction /
-subscriber-drop rates.  Latency is summarised per model with
-:class:`~repro.serve.stats.LatencySummary`; the window-wide summary and
-every rolling :class:`MetricsReport` are exact merges of those, so a
-rolled-up p99 is the p99 of all the rolled-up samples (within
-:data:`~repro.serve.stats.ALPHA`).
+p50/p95/p99 queue and end-to-end latency, batch-fill ratio against
+``max_batch``, in-flight depth, and rejection / crash / timeout / eviction
+/ subscriber-drop rates.  The latency samples are the per-member
+``queue_s`` / ``e2e_s`` each ``BatchServed`` carries — the very samples the
+server folds into :class:`~repro.serve.stats.ServeStats` — so a window's
+queue latency *is* the server's (the batching policy's wait; the wait for a
+free lane is the ``serve_coalesce`` span stage) and the windows merged over
+a run reconcile with ``ServeStats`` bucket for bucket.  Latency is
+summarised per model with :class:`~repro.serve.stats.LatencySummary`; the
+window-wide summary and every rolling :class:`MetricsReport` are exact
+merges of those, so a rolled-up p99 is the p99 of all the rolled-up
+samples (within :data:`~repro.serve.stats.ALPHA`).
 
 Windowing is **event-time** on the publisher's monotonic clock (every event
 carries ``t`` stamped at construction), so the aggregator computes the same
 windows whether it runs live behind the broker or replays a journaled
 stream through :meth:`ingest`.  Out-of-order events that arrive after their
 window closed are clamped into the current window and counted (``n_late``)
-rather than dropped; trace ids whose ``RequestSubmitted`` was lost to a
-slow-subscriber drop are counted (``n_unmatched``) and skipped, so a lossy
-stream degrades the sample population, never the aggregator.
+rather than dropped.  ``queue_depth`` counts requests in flight (+1 per
+``RequestSubmitted``, minus the rows of each ``BatchServed``); served rows
+beyond that count — their ``RequestSubmitted`` was lost to a
+slow-subscriber drop, or published before the aggregator subscribed — are
+counted (``n_unmatched``), so a lossy stream degrades the counts, never the
+aggregator.
 
 On every window close the aggregator republishes a schema-versioned
 :class:`~repro.telemetry.events.MetricsWindowClosed` event through the same
@@ -357,35 +364,30 @@ class MetricsAggregator:
     Windows are ``window_s`` seconds of *event time*; the ring keeps the
     last ``n_windows`` closed windows for :meth:`report`.  ``max_batch``
     (normally ``ServePolicy.max_batch``) is the fill-ratio denominator.
-
-    Queue latency here runs from ``RequestSubmitted`` to ``BatchClosed``,
-    which a lane publishes when it takes the batch: it spans submit →
-    dispatch, i.e. the server's ``ServeStats`` queue latency (the batching
-    policy's wait) *plus* the wait for a free lane (the ``serve_coalesce``
-    span), not the ``ServeStats`` queue latency alone.
+    Latencies are the per-member samples each ``BatchServed`` carries, so
+    the aggregator pairs no trace ids and keeps no per-request state: its
+    only state across windows is the in-flight count.
     """
 
     #: Topics the aggregator consumes — its own ``MetricsWindowClosed``
     #: republications are deliberately not in this set.
-    TOPICS = ("RequestSubmitted", "RequestRejected", "BatchClosed",
-              "BatchServed", "WorkerCrashed", "WorkerRespawned",
-              "JobTimedOut", "CacheEvicted", "SpanClosed")
+    TOPICS = ("RequestSubmitted", "RequestRejected", "BatchServed",
+              "WorkerCrashed", "WorkerRespawned", "JobTimedOut",
+              "CacheEvicted", "SpanClosed")
 
     def __init__(self, broker: TopicBroker | None = None,
                  window_s: float = 1.0, n_windows: int = 60,
                  max_batch: int = 0, maxsize: int = 65536,
-                 max_pending: int = 100_000, republish: bool = True,
-                 t0: float | None = None) -> None:
+                 republish: bool = True, t0: float | None = None) -> None:
         self.window_s = max(1e-3, float(window_s))
         self.n_windows = max(1, int(n_windows))
         self.max_batch = int(max_batch)
-        self.max_pending = max(1, int(max_pending))
         self._republish = bool(republish)
         self._broker = broker
         self._lock = lockwatch.monitored_lock("telemetry.metrics")
-        #: trace id -> (t_submit, model key); survives window boundaries so
-        #: a request submitted in window k and served in k+1 still pairs.
-        self._pending: dict = {}
+        #: Requests submitted and not yet served; survives window
+        #: boundaries.
+        self._in_flight = 0
         self._ring: deque = deque(maxlen=self.n_windows)
         self._index = 0
         self._t0 = None if t0 is None else float(t0)
@@ -451,7 +453,7 @@ class MetricsAggregator:
         windows (all ring windows when ``None``); zeroed when none closed."""
         with self._lock:
             windows = tuple(self._ring)
-            queue_depth = len(self._pending)
+            queue_depth = self._in_flight
         if last is not None:
             windows = windows[-max(0, int(last)):]
         return MetricsReport.of(windows, window_s=self.window_s,
@@ -519,7 +521,7 @@ class MetricsAggregator:
             n_evictions=acc.n_evictions,
             n_subscriber_dropped=acc.n_subscriber_dropped,
             n_late=acc.n_late, n_unmatched=acc.n_unmatched,
-            n_events=acc.n_events, queue_depth=len(self._pending),
+            n_events=acc.n_events, queue_depth=self._in_flight,
             max_batch=self.max_batch,
             queue_latency=LatencySummary.merge(
                 m.queue_latency for m in per_model.values()),
@@ -545,19 +547,9 @@ class MetricsAggregator:
         name = type(event).__name__
         if name == "RequestSubmitted":
             acc.n_submitted += 1
-            self._pending[event.trace_id] = (t, event.key)
-            while len(self._pending) > self.max_pending:
-                self._pending.pop(next(iter(self._pending)))
-                acc.n_unmatched += 1
+            self._in_flight += 1
         elif name == "RequestRejected":
             acc.n_rejected += 1
-        elif name == "BatchClosed":
-            for trace_id in event.trace_ids:
-                info = self._pending.get(trace_id)
-                if info is None:
-                    acc.n_unmatched += 1
-                    continue
-                acc.model(event.key).queue.append(max(0.0, t - info[0]))
         elif name == "BatchServed":
             acc.n_batches += 1
             model = acc.model(event.key)
@@ -569,15 +561,16 @@ class MetricsAggregator:
             else:
                 acc.n_failed += event.n_rows
                 model.n_failed += event.n_rows
-            for trace_id in event.trace_ids:
-                info = self._pending.pop(trace_id, None)
-                if info is None:
-                    acc.n_unmatched += 1
-                    continue
-                model.e2e.append(max(0.0, t - info[0]))
+            matched = min(event.n_rows, self._in_flight)
+            acc.n_unmatched += event.n_rows - matched
+            self._in_flight -= matched
+            model.queue.extend(event.queue_s)
+            model.e2e.extend(event.e2e_s)
         elif name == "SpanClosed":
-            acc.stages.setdefault(event.name, []).append(
-                float(event.duration_s))
+            # One sample per member trace: a batch stage weighs as much as
+            # the per-request spans it stands for.
+            acc.stages.setdefault(event.name, []).extend(
+                [float(event.duration_s)] * len(event.trace_ids))
         elif name == "WorkerCrashed":
             acc.n_crashes += 1
         elif name == "WorkerRespawned":

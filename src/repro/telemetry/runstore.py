@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from ..checks import lockwatch
 from ..exceptions import RunStoreError
-from .events import TelemetryEvent
+from .events import SpanClosed, TelemetryEvent, event_from_dict
 
 __all__ = ["ReplayRequest", "RunRecord", "RunStore", "STORE_VERSION"]
 
@@ -240,29 +240,32 @@ class RunStore:
         self.record_events(run_id, (event,))
 
     @staticmethod
-    def _span_row(run_id: int, payload: dict) -> tuple:
-        return (run_id, int(payload.get("trace_id", 0)),
-                str(payload.get("name", "")),
-                str(payload.get("parent", "")),
-                float(payload.get("t_start", 0.0)),
-                float(payload.get("duration_s", 0.0)),
-                int(payload.get("worker_index", -1)),
-                _canonical(payload))
+    def _span_rows(run_id: int, span: SpanClosed) -> list:
+        """One single-member row per member trace of ``span``."""
+        payload = span.as_dict()
+        return [(run_id, trace_id, span.name, span.parent, span.t_start,
+                 span.duration_s, span.worker_index,
+                 _canonical(dict(payload, trace_ids=[trace_id])))
+                for trace_id in span.trace_ids]
 
     def record_events(self, run_id: int, events) -> int:
-        """Journal a batch of events in one transaction; returns the count.
+        """Journal a batch of events in one transaction; returns the count
+        of rows written.
 
-        ``SpanClosed`` payloads split off into the ``spans`` table (same
-        transaction), so a recorded run keeps its trace spans queryable
-        by ``(run_id, trace_id)`` instead of buried in the event journal.
+        ``SpanClosed`` events split off into the ``spans`` table (same
+        transaction), one row per member trace, so a recorded run keeps its
+        trace spans queryable by ``(run_id, trace_id)`` instead of buried
+        in the event journal.
         """
         rows, span_rows = [], []
         for event in events:
+            if isinstance(event, dict) and event.get("event") == "SpanClosed":
+                event = event_from_dict(event)
+            if isinstance(event, SpanClosed):
+                span_rows.extend(self._span_rows(run_id, event))
+                continue
             payload = event.as_dict() if isinstance(event, TelemetryEvent) \
                 else dict(event)
-            if payload.get("event") == "SpanClosed":
-                span_rows.append(self._span_row(run_id, payload))
-                continue
             rows.append((run_id, float(payload.get("t", 0.0)),
                          str(payload.get("event", "")),
                          int(payload.get("trace_id", 0)),
@@ -337,8 +340,10 @@ class RunStore:
     def spans(self, run_id: int, trace_id: int | None = None) -> list[dict]:
         """Journaled ``SpanClosed`` payloads of a run, in record order.
 
-        Optionally narrowed to one trace — the shape
-        :class:`~repro.telemetry.spans.TraceAssembler` rebuilds trees from.
+        Each row names one trace (a span shared by a batch was written once
+        per member).  Optionally narrowed to one trace — the shape
+        :class:`~repro.telemetry.spans.TraceAssembler` rebuilds trees from,
+        schema-1 rows (one ``trace_id``) included.
         """
         sql = "SELECT payload FROM spans WHERE run_id = ?"
         params: tuple = (run_id,)

@@ -3,7 +3,7 @@
 PR 9's windowed metrics answer *how slow* a request was; this module
 answers *where the time went*.  A :class:`Tracer` hangs off the server's
 :class:`~repro.telemetry.broker.TopicBroker` and records **spans** — named,
-timed stages of one request's lifecycle, keyed by the trace id that already
+timed stages of a request's lifecycle, keyed by the trace id that already
 rides submit → batch → shard → reply.  Closed spans publish as ordinary
 :class:`~repro.telemetry.events.SpanClosed` events, so they reach every
 existing consumer unchanged: the gateway's ``EVENTS_SUBSCRIBE`` wire, the
@@ -13,19 +13,29 @@ journal (dedicated ``spans`` table).
 
 Design points:
 
-* **falsy off switch** — like the broker itself, ``bool(tracer)`` is False
-  while the broker has no subscriber (or ``sample_rate`` is 0), so hot
-  paths pay one truthiness check and nothing else;
-* **head-based sampling** — the keep/drop decision is made once per trace
-  id by a seeded hash (:meth:`Tracer.sampled`), deterministically, so a
+* **falsy off switch** — ``bool(tracer)`` is False while no live
+  subscription accepts ``SpanClosed`` (or ``sample_rate`` is 0), so hot
+  paths pay one check and nothing else, also while other topics are
+  watched;
+* **batch-scoped spans** — a stage a batch or a shard job runs once
+  (``serve_execute``, ``shard_lease``, ``worker_evaluate``, ...) is **one**
+  span naming every sampled member (``SpanClosed.trace_ids``), collected
+  per batch by :class:`SpanBatch`; per-request stages (``serve_queue``,
+  ``serve_coalesce``, the ``request`` root, the gateway stages) name one
+  trace.  Consumers fan a span out to its members, so trees, journal rows
+  and stage statistics are those of one span per member;
+* **head-based sampling, decided here only** — the keep/drop decision is a
+  seeded hash of the trace id (:meth:`Tracer.sampled`), made once per
+  member when a :class:`SpanBatch` is opened, deterministically, so a
   sampled-out trace produces **zero** spans across every layer and tests
   can pin the decision;
-* **two recording forms** — ``with tracer.span(name, trace_id):`` for
-  stages that wrap live code (REP107 enforces the ``with``), and
-  :meth:`Tracer.emit` for stages whose boundaries were captured as plain
-  timestamps (batcher queue times, worker reply-descriptor stamps) —
-  shard workers never see the tracer (REP106); the parent materialises
-  their spans from the stamped timings;
+* **three recording forms** — ``with tracer.span(name, trace_id):`` for
+  stages that wrap live code (REP107 enforces the ``with``),
+  :meth:`Tracer.emit` for one trace's stage whose boundaries were captured
+  as plain timestamps (the gateway's decode/encode/write), and
+  :meth:`Tracer.batch` for a batch's stages — shard workers never see the
+  tracer (REP106); the parent materialises their spans from the timings
+  stamped into the reply descriptors;
 * **name-linked hierarchy** — a span names its ``parent`` stage instead of
   carrying a pointer, so spans can close in any order on any thread and
   :class:`TraceAssembler` still rebuilds the tree; retried shard attempts
@@ -43,7 +53,7 @@ import time
 from dataclasses import dataclass, field
 
 from .broker import TopicBroker
-from .events import SpanClosed
+from .events import SpanClosed, event_from_dict
 
 __all__ = [
     "ROOT_SPAN",
@@ -127,10 +137,11 @@ class _Span:
 class Tracer:
     """Low-overhead span recorder over a :class:`TopicBroker`.
 
-    Falsy while tracing cannot go anywhere (no broker subscriber) or is
-    switched off (``sample_rate`` 0) — instrumentation sites guard with
-    ``if tracer:`` exactly like event publication guards with
-    ``if broker:``, so the untraced hot path pays one attribute check.
+    Falsy while tracing cannot go anywhere (no live subscription accepts
+    ``SpanClosed``) or is switched off (``sample_rate`` 0) —
+    instrumentation sites guard with ``if tracer:`` exactly like event
+    publication guards with ``if broker:``, so the untraced hot path pays
+    one check.
     """
 
     __slots__ = ("_broker", "config")
@@ -141,7 +152,8 @@ class Tracer:
         self.config = config or TracerConfig()
 
     def __bool__(self) -> bool:
-        return bool(self._broker) and self.config.sample_rate > 0.0
+        return (self.config.sample_rate > 0.0
+                and self._broker.accepts("SpanClosed"))
 
     def sampled(self, trace_id: int) -> bool:
         """The head-based keep/drop decision for one trace (deterministic)."""
@@ -184,48 +196,53 @@ class Tracer:
         elif not sampled:
             return
         self._broker.publish(SpanClosed(
-            name=name, trace_id=int(trace_id), t_start=float(t_start),
+            name=name, trace_ids=(int(trace_id),), t_start=float(t_start),
             duration_s=max(0.0, float(duration_s)), parent=parent,
             worker_index=int(worker_index)))
 
-    def batch(self) -> "SpanBatch":
-        """A collector that publishes many spans in one broker hop.
+    def batch(self, trace_ids) -> "SpanBatch":
+        """The span collector of one batch whose members are ``trace_ids``.
 
-        The resolve path closes several spans per request; emitting them
-        one at a time pays a subscriber-queue lock hop each.  A batch
-        gathers them and hands the lot to
-        :meth:`~repro.telemetry.broker.TopicBroker.publish_many` on
-        :meth:`SpanBatch.flush`.
+        The sampling decision is made here, once per member; the batch's
+        stages then publish in one broker hop on :meth:`SpanBatch.flush`
+        (:meth:`~repro.telemetry.broker.TopicBroker.publish_many`).
         """
-        return SpanBatch(self)
+        return SpanBatch(self, trace_ids)
 
 
 class SpanBatch:
-    """Accumulates materialised spans for one bulk publish.
+    """The spans of one batch, published in one broker hop.
 
-    Callers are responsible for the sampling decision (everything added is
-    published verbatim) — the pattern is one :meth:`Tracer.sampled` check
-    per trace, then :meth:`add` for each of its spans, then one
-    :meth:`flush` after the loop, **outside any lock** (REP107 applies to
-    span traffic exactly as to single emits).
+    :meth:`add` closes one span for the sampled members it names — every
+    sampled member by default (a batch stage), a shard job's rows, or one
+    request — and skips it when none of them is sampled.  :meth:`flush`
+    publishes what was added; call it **outside any lock** (REP107 applies
+    to span traffic exactly as to single emits).
     """
 
-    __slots__ = ("_tracer", "_events")
+    __slots__ = ("_tracer", "_members", "_kept", "_events")
 
-    def __init__(self, tracer: Tracer) -> None:
+    def __init__(self, tracer: Tracer, trace_ids) -> None:
         self._tracer = tracer
+        every = tracer.config.sample_rate >= 1.0
+        self._members = (tuple(trace_ids) if every else
+                         tuple(t for t in trace_ids if tracer.sampled(t)))
+        self._kept = None if every else frozenset(self._members)
         self._events: list[SpanClosed] = []
 
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def add(self, name: str, trace_id: int, t_start: float,
-            duration_s: float, parent: str = ROOT_SPAN,
-            worker_index: int = -1) -> None:
-        self._events.append(SpanClosed(
-            name=name, trace_id=int(trace_id), t_start=float(t_start),
-            duration_s=max(0.0, float(duration_s)), parent=parent,
-            worker_index=int(worker_index)))
+    def add(self, name: str, t_start: float, duration_s: float,
+            parent: str = ROOT_SPAN, worker_index: int = -1,
+            trace_ids=None) -> None:
+        if trace_ids is None:
+            trace_ids = self._members
+        elif self._kept is not None:
+            trace_ids = [t for t in trace_ids if t in self._kept]
+        if trace_ids:
+            self._events.append(SpanClosed(
+                name=name, trace_ids=tuple(trace_ids),
+                t_start=float(t_start),
+                duration_s=max(0.0, float(duration_s)), parent=parent,
+                worker_index=int(worker_index)))
 
     def flush(self) -> None:
         if self._events:
@@ -258,31 +275,17 @@ class SpanNode:
             yield from child.walk()
 
 
-def _as_span_fields(item) -> dict:
-    """Normalise a SpanClosed event / payload dict to constructor kwargs."""
-    if isinstance(item, SpanClosed):
-        payload = item.as_dict()
-    else:
-        payload = item
-    return {
-        "name": str(payload["name"]),
-        "trace_id": int(payload.get("trace_id", 0)),
-        "t_start": float(payload.get("t_start", 0.0)),
-        "duration_s": float(payload.get("duration_s", 0.0)),
-        "parent": str(payload.get("parent", "")),
-        "worker_index": int(payload.get("worker_index", -1)),
-    }
-
-
 class TraceAssembler:
     """Rebuild per-trace span trees from a ``SpanClosed`` stream.
 
-    Feed it events (typed or ``as_dict`` payloads) in any order;
-    :meth:`tree` links children to parents **by stage name** within one
-    trace.  When a parent stage appears more than once (retried shard
-    attempts), a child attaches to the instance whose time window contains
-    its start, falling back to the last-started instance — so retry spans
-    land under the attempt that produced them and nothing is orphaned.
+    Feed it events (typed or ``as_dict`` payloads, of either schema) in any
+    order; a span naming several traces adds one node to each member's
+    trace.  :meth:`tree` links children to parents **by stage name**
+    within one trace.  When a parent stage appears more than once (retried
+    shard attempts), a child attaches to the instance whose time window
+    contains its start, falling back to the last-started instance — so
+    retry spans land under the attempt that produced them and nothing is
+    orphaned.
     """
 
     def __init__(self) -> None:
@@ -290,12 +293,15 @@ class TraceAssembler:
 
     def add(self, item) -> None:
         """Ingest one span (ignores any non-``SpanClosed`` payload)."""
-        if isinstance(item, dict) and item.get("event") != "SpanClosed":
+        if isinstance(item, dict) and item.get("event") == "SpanClosed":
+            item = event_from_dict(item)
+        if not isinstance(item, SpanClosed):
             return
-        if not isinstance(item, (dict, SpanClosed)):
-            return
-        node = SpanNode(**_as_span_fields(item))
-        self._spans.setdefault(node.trace_id, []).append(node)
+        for trace_id in item.trace_ids:
+            self._spans.setdefault(trace_id, []).append(SpanNode(
+                name=item.name, trace_id=trace_id, t_start=item.t_start,
+                duration_s=item.duration_s, parent=item.parent,
+                worker_index=item.worker_index))
 
     def extend(self, items) -> None:
         for item in items:

@@ -7,6 +7,7 @@ requests through one connection.
 """
 
 import asyncio
+import logging
 import socket
 import time
 import struct
@@ -542,6 +543,33 @@ class TestGatewayFailureIsolation:
         with pytest.raises(GatewayError, match="is closed"):
             gateway.start()
         server.close()
+
+    def test_close_during_connection_teardown_logs_nothing(
+            self, registry, monkeypatch, caplog):
+        """Shutdown cancels a connection task already parked in
+        ``writer.wait_closed()``: the task must end normally, or asyncio
+        logs "Exception in callback" for the cancelled handler task."""
+        original = asyncio.StreamWriter.wait_closed
+
+        async def slow_wait_closed(writer):
+            await asyncio.sleep(2.0)
+            await original(writer)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with ModelServer(registry, ServePolicy(max_batch=4,
+                                               max_wait=1e-3)) as server:
+            gateway = Gateway(server).start()
+            raw_connection(gateway).close()
+            deadline = time.monotonic() + 10.0
+            while not (gateway.counters.n_connections == 1
+                       and gateway.counters.n_open_connections == 0):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.1)           # parked in the slowed wait_closed
+            gateway.close()
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
 
     def test_chunk_stream_truncation_fails_only_its_request(
             self, serving, compiled_pair, keys):

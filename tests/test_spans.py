@@ -20,6 +20,7 @@ from repro.exceptions import RunStoreError
 from repro.gateway import Gateway, GatewayClient
 from repro.runtime import ModelRegistry, compile_model, content_hash
 from repro.serve import ModelServer, ServePolicy
+from repro.telemetry import spans as spans_module
 from repro.telemetry import (
     ROOT_SPAN,
     STORE_VERSION,
@@ -34,6 +35,7 @@ from repro.telemetry import (
     Tracer,
     TracerConfig,
     describe_trace,
+    event_from_dict,
     subscribe_spans,
 )
 from test_serve import small_model
@@ -64,7 +66,7 @@ def key(compiled):
 
 def span(name, trace_id=7, t_start=0.0, duration_s=1.0, parent=ROOT_SPAN,
          worker_index=-1):
-    return SpanClosed(name=name, trace_id=trace_id, t_start=t_start,
+    return SpanClosed(name=name, trace_ids=(trace_id,), t_start=t_start,
                       duration_s=duration_s, parent=parent,
                       worker_index=worker_index)
 
@@ -90,6 +92,12 @@ class TestTracer:
         with broker.subscribe(topics=("SpanClosed",)):
             assert Tracer(broker)
             assert not Tracer(broker, TracerConfig(sample_rate=0.0))
+        # Only a subscription that takes SpanClosed turns tracing on.
+        with broker.subscribe(topics=("BatchServed",)):
+            assert broker and not Tracer(broker)
+            with broker.subscribe():                  # every topic
+                assert Tracer(broker)
+            assert not Tracer(broker)
 
     def test_config_validates_sample_rate(self):
         with pytest.raises(ValueError, match="sample_rate"):
@@ -119,7 +127,7 @@ class TestTracer:
             event = sub.get(timeout=5.0)
         assert isinstance(event, SpanClosed)
         assert event.name == "serve_execute"
-        assert event.trace_id == 5
+        assert event.trace_ids == (5,)
         assert event.parent == ROOT_SPAN
         assert event.worker_index == 2
         assert event.duration_s > 0.0
@@ -324,6 +332,21 @@ class TestServedRequestTraces:
                 assert len(parents) == 1
         assert retried >= 1
 
+    def test_other_topic_subscriber_builds_no_spans(self, registry, key,
+                                                    monkeypatch):
+        built = []
+        real = spans_module.SpanClosed
+        monkeypatch.setattr(spans_module, "SpanClosed",
+                            lambda **fields: built.append(fields)
+                            or real(**fields))
+        policy = ServePolicy(max_batch=4, max_wait=2e-3, n_workers=2)
+        with ModelServer(registry, policy) as server:
+            with server.telemetry.subscribe(topics=("BatchServed",)) as sub:
+                assert server.telemetry and not server.tracer
+                server.serve(key, request_batch(8, 32))
+                assert sub.drain()
+        assert built == []
+
     def test_sampled_out_traces_produce_zero_spans_end_to_end(
             self, registry, key):
         config = TracerConfig(sample_rate=0.5, seed=11)
@@ -332,20 +355,26 @@ class TestServedRequestTraces:
         # populations are non-empty within the first eight requests.
         expected_kept = {i for i in range(1, 9) if decision(i)}
         assert expected_kept and expected_kept != set(range(1, 9))
-        policy = ServePolicy(max_batch=4, max_wait=2e-3, n_workers=0)
         batch = request_batch(8, 32)
-        with ModelServer(registry, policy, tracing=config) as server:
-            with subscribe_spans(server.telemetry) as (assembler, sub):
-                futures = [server.submit(key, row) for row in batch]
-                for future in futures:
-                    future.result(FUTURE_TIMEOUT)
-                drain_spans(
-                    assembler, sub,
-                    lambda asm: set(asm.trace_ids()) == expected_kept
-                    and all(asm.complete(t) for t in asm.trace_ids()))
-                # Settle: nothing trickles in for the dropped ids.
-                assert sub.get(timeout=0.2) is None
-        assert set(assembler.trace_ids()) == expected_kept
+        # In-process and sharded: a kept trace keeps every stage, the ones
+        # its batch and shard job share with other members too.
+        for n_workers, n_stages in ((0, 6), (2, 10)):
+            policy = ServePolicy(max_batch=4, max_wait=2e-3,
+                                 n_workers=n_workers)
+            with ModelServer(registry, policy, tracing=config) as server:
+                with subscribe_spans(server.telemetry) as (assembler, sub):
+                    futures = [server.submit(key, row) for row in batch]
+                    for future in futures:
+                        future.result(FUTURE_TIMEOUT)
+                    drain_spans(
+                        assembler, sub,
+                        lambda asm: set(asm.trace_ids()) == expected_kept
+                        and all(asm.complete(t) for t in asm.trace_ids()))
+                    # Settle: nothing trickles in for the dropped ids.
+                    assert sub.get(timeout=0.2) is None
+            assert set(assembler.trace_ids()) == expected_kept
+            for trace_id in expected_kept:
+                assert len(assembler.spans(trace_id)) == n_stages
 
 
 # ------------------------------------------------------------------ gateway
@@ -380,6 +409,87 @@ class TestGatewaySpans:
 
 
 # ----------------------------------------------------------------- runstore
+class TestBatchScopedSpans:
+    """One span shared by a batch's members is consumed exactly like one
+    single-member span per member (and like schema-1 payloads, which name
+    one ``trace_id`` each)."""
+
+    MEMBERS = (11, 12, 13)
+
+    def batch_spans(self, shared):
+        """A hand-built two-job batch; batch and job stages are one span
+        for all their members when ``shared``, one per member otherwise."""
+        spans = []
+
+        def add(name, trace_ids, t_start, duration_s, parent=ROOT_SPAN,
+                worker_index=-1):
+            groups = [trace_ids] if shared else [(t,) for t in trace_ids]
+            spans.extend(SpanClosed(
+                name=name, trace_ids=group, t_start=t_start,
+                duration_s=duration_s, parent=parent,
+                worker_index=worker_index, t=9.0) for group in groups)
+
+        for index, trace_id in enumerate(self.MEMBERS):
+            t_submit = 0.1 * index
+            add(ROOT_SPAN, (trace_id,), t_submit, 2.0 - t_submit, parent="")
+            add("serve_queue", (trace_id,), t_submit, 0.05)
+            add("serve_coalesce", (trace_id,), t_submit + 0.05,
+                0.45 - t_submit)
+        add("serve_execute", self.MEMBERS, 0.5, 1.5)
+        add("serve_dispatch", self.MEMBERS, 0.5, 0.1, parent="serve_execute")
+        add("shard_lease", self.MEMBERS, 0.6, 0.1, parent="serve_execute")
+        for job, worker, t_stage in (((11, 12), 0, 0.7), ((13,), 1, 0.75)):
+            for name, offset, duration in (
+                    ("shard_stage_in", 0.0, 0.05),
+                    ("worker_evaluate", 0.05, 0.8),
+                    ("worker_stage_out", 0.85, 0.05),
+                    ("serve_reassemble", 0.9, 0.1)):
+                add(name, job, t_stage + offset, duration,
+                    parent="serve_execute", worker_index=worker)
+        return spans
+
+    def consume(self, events, path):
+        def shape(node):
+            return (node.name, node.t_start, node.duration_s,
+                    node.worker_index, tuple(map(shape, node.children)))
+
+        assembler = TraceAssembler()
+        assembler.extend(events)
+        with RunStore(path) as store:
+            run_id = store.open_run("batch")
+            store.record_events(run_id, events)
+            rows = {t: store.spans(run_id, trace_id=t) for t in self.MEMBERS}
+        agg = MetricsAggregator(window_s=10.0, t0=0.0)
+        for event in events:
+            agg.ingest(event if isinstance(event, SpanClosed)
+                       else event_from_dict(event))
+        (window,) = agg.close_window()
+        return ({t: shape(assembler.tree(t)) for t in self.MEMBERS},
+                {t: [n.name for n in assembler.critical_path(t)]
+                 for t in self.MEMBERS},
+                {t: describe_trace(assembler, t) for t in self.MEMBERS},
+                rows, window.stages)
+
+    @pytest.mark.parametrize("form", ["shared", "schema1"])
+    def test_fans_out_to_the_same_trees_rows_and_stages(self, form,
+                                                        tmp_path):
+        single = self.batch_spans(shared=False)
+        if form == "shared":
+            events = self.batch_spans(shared=True)
+            assert len(events) == 3 * 3 + 3 + 4 * 2 < len(single)
+        else:
+            events = []
+            for span_event in single:
+                payload = span_event.as_dict()
+                (payload["trace_id"],) = payload.pop("trace_ids")
+                events.append(dict(payload, schema=1))
+        reference = self.consume(single, tmp_path / "single.sqlite")
+        assert self.consume(events, tmp_path / f"{form}.sqlite") == reference
+        _, _, _, rows, stages = reference
+        assert all(len(rows[t]) == 10 for t in self.MEMBERS)
+        assert stages["worker_evaluate"]["count"] == 3
+
+
 class TestRunStoreSpans:
     def test_span_events_route_to_spans_table(self, tmp_path):
         with RunStore(tmp_path / "runs.sqlite") as store:

@@ -24,6 +24,7 @@ from repro.runtime import ModelRegistry, compile_model, content_hash
 from repro.serve import ModelServer, ServePolicy
 from repro.sweep import Scenario, SweepOptions, run_sweep
 from repro.telemetry import (
+    SCHEMA_VERSION,
     BatchClosed,
     BatchServed,
     ChunkStreamError,
@@ -184,13 +185,15 @@ class TestTopicBroker:
 class TestEventSchema:
     def test_as_dict_round_trips_through_json(self):
         event = BatchServed(key="ab", n_steps=64, n_rows=3, ok=True,
-                            duration_s=0.5, trace_ids=(1, 2, 3))
+                            duration_s=0.5, trace_ids=(1, 2, 3),
+                            queue_s=(0.1, 0.0, 0.25), e2e_s=(0.5, 0.4, 0.6))
         payload = json.loads(json.dumps(event.as_dict()))
         back = event_from_dict(payload)
         assert back == event
         assert back.trace_ids == (1, 2, 3)
+        assert back.queue_s == (0.1, 0.0, 0.25)
         assert payload["event"] == "BatchServed"
-        assert payload["schema"] == 1
+        assert payload["schema"] == SCHEMA_VERSION
 
     def test_unknown_event_name_raises_key_error(self):
         with pytest.raises(KeyError, match="NoSuchEvent"):

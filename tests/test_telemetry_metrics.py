@@ -2,7 +2,7 @@
 
 The windowing tests drive :class:`~repro.telemetry.MetricsAggregator`
 synchronously with hand-stamped events (``t0=0.0``), which makes window
-boundaries, out-of-order arrivals and trace-chain gaps exactly
+boundaries, out-of-order arrivals and lost submit events exactly
 reproducible.  The integration tests attach the live aggregator + alert
 manager to a real :class:`~repro.serve.ModelServer` — and, for the wire
 round-trip, a real :class:`~repro.gateway.Gateway` — and assert alerts
@@ -11,6 +11,7 @@ fire and clear deterministically under injected shard crashes
 latency (``delay_injection``).
 """
 
+import collections
 import json
 import math
 import threading
@@ -25,18 +26,21 @@ from repro.runtime import ModelRegistry, compile_model, content_hash
 from repro.serve import ModelServer, ServePolicy
 from repro.serve.stats import ALPHA, LatencySummary
 from repro.telemetry import (
+    SCHEMA_VERSION,
     AlertManager,
     AlertRule,
-    BatchClosed,
     BatchServed,
     MetricsAggregator,
     MetricsReport,
     MetricsWindowClosed,
     RequestSubmitted,
+    RunRecorder,
+    RunStore,
     TopicBroker,
     WindowMetrics,
     WorkerCrashed,
     event_from_dict,
+    subscribe_spans,
 )
 from test_serve import small_model
 from test_telemetry import drain_until, request_batch
@@ -65,10 +69,12 @@ def submitted(trace_id, t, key="m", n_steps=64):
     return RequestSubmitted(key=key, n_steps=n_steps, trace_id=trace_id, t=t)
 
 
-def served(trace_ids, t, key="m", n_rows=None, ok=True, n_steps=64):
+def served(trace_ids, t, key="m", n_rows=None, ok=True, n_steps=64,
+           queue_s=(), e2e_s=()):
     return BatchServed(key=key, n_steps=n_steps,
                        n_rows=len(trace_ids) if n_rows is None else n_rows,
-                       ok=ok, duration_s=0.0, trace_ids=tuple(trace_ids), t=t)
+                       ok=ok, duration_s=0.0, trace_ids=tuple(trace_ids),
+                       queue_s=tuple(queue_s), e2e_s=tuple(e2e_s), t=t)
 
 
 def assert_no_nan(payload, path="payload"):
@@ -88,9 +94,8 @@ class TestAggregatorWindows:
         agg = MetricsAggregator(window_s=1.0, max_batch=4, t0=0.0)
         agg.ingest(submitted(1, t=0.10))
         agg.ingest(submitted(2, t=0.20))
-        agg.ingest(BatchClosed(key="m", n_steps=64, n_rows=2,
-                               trace_ids=(1, 2), t=0.30))
-        agg.ingest(served((1, 2), t=0.50))
+        agg.ingest(served((1, 2), t=0.50, queue_s=(0.20, 0.10),
+                          e2e_s=(0.40, 0.30)))
         (event,) = agg.close_window()
         assert event.window_index == 0
         assert event.n_submitted == 2
@@ -115,34 +120,35 @@ class TestAggregatorWindows:
         assert closed[0].n_submitted == 1
         assert closed[0].queue_depth == 1          # trace 1 still in flight
         # The serve arrives late, stamped before window 1 opened: it is
-        # clamped into the current window (counted), never lost, and its
-        # trace pairing still resolves across the boundary.
-        agg.ingest(served((1, 2), t=0.95))
+        # clamped into the current window (counted), never lost, and it
+        # still serves both in-flight requests across the boundary.
+        agg.ingest(served((1, 2), t=0.95, queue_s=(0.01, 0.0),
+                          e2e_s=(0.45, 0.0)))
         (event,) = agg.close_window()
         assert event.window_index == 1
         assert event.n_late == 1
         assert event.n_served == 2
         assert event.n_unmatched == 0
+        assert event.queue_depth == 0
+        # The batch's own latencies land in the window it was served in.
         assert event.e2e_latency["count"] == 2
-        # trace 1 submitted at 0.50, served (late stamp) at 0.95; trace 2's
-        # negative gap clamps to zero instead of going negative.
         assert event.e2e_latency["max_s"] == pytest.approx(0.45, abs=1e-9)
         assert event.e2e_latency["min_s"] == pytest.approx(0.0, abs=1e-9)
 
     def test_dropped_submit_events_leave_unmatched_not_broken(self):
         # A slow subscriber dropped the RequestSubmitted events (n_dropped
-        # > 0 upstream): the batch events name trace ids the aggregator
-        # never saw.  They must be counted, not crash the fold or poison
-        # the latency population.
+        # > 0 upstream): the batch serves rows the aggregator never saw
+        # submitted.  They must be counted, not crash the fold or drive
+        # the in-flight depth negative.
         agg = MetricsAggregator(window_s=1.0, max_batch=8, t0=0.0)
         agg.ingest(submitted(1, t=0.10))
-        agg.ingest(BatchClosed(key="m", n_steps=64, n_rows=3,
-                               trace_ids=(1, 7, 8), t=0.20))
-        agg.ingest(served((1, 7, 8), t=0.40))
+        agg.ingest(served((1, 7, 8), t=0.40, queue_s=(0.1, 0.2, 0.3),
+                          e2e_s=(0.3, 0.3, 0.3)))
         (event,) = agg.close_window()
-        assert event.n_unmatched == 4              # 2 at close + 2 at serve
-        assert event.queue_latency["count"] == 1
-        assert event.e2e_latency["count"] == 1
+        assert event.n_unmatched == 2              # rows 7 and 8
+        assert event.queue_depth == 0
+        assert event.queue_latency["count"] == 3   # the batch's own samples
+        assert event.e2e_latency["count"] == 3
         assert event.n_served == 3                 # row counts still exact
         assert_no_nan(event.as_dict())
 
@@ -177,22 +183,12 @@ class TestAggregatorWindows:
         assert events[-1].window_index == 999
         assert agg.ingest(submitted(2, t=1000.5)) == []
 
-    def test_pending_trace_map_is_bounded(self):
-        agg = MetricsAggregator(window_s=1.0, max_batch=8, max_pending=10,
-                                t0=0.0)
-        for trace_id in range(25):
-            agg.ingest(submitted(trace_id, t=0.1))
-        (event,) = agg.close_window()
-        assert event.n_submitted == 25
-        assert event.queue_depth == 10             # oldest evicted, counted
-        assert event.n_unmatched == 15
-
     def test_window_latency_merges_every_model(self):
         agg = MetricsAggregator(window_s=1.0, max_batch=4, t0=0.0)
         agg.ingest(submitted(1, t=0.1, key="a"))
         agg.ingest(submitted(2, t=0.1, key="b"))
-        agg.ingest(served((1,), t=0.2, key="a"))
-        agg.ingest(served((2,), t=0.5, key="b"))
+        agg.ingest(served((1,), t=0.2, key="a", e2e_s=(0.1,)))
+        agg.ingest(served((2,), t=0.5, key="b", e2e_s=(0.4,)))
         (event,) = agg.close_window()
         assert event.e2e_latency["count"] == 2
         assert event.e2e_latency["min_s"] == pytest.approx(0.1)
@@ -201,11 +197,11 @@ class TestAggregatorWindows:
     def test_report_merges_windows_and_models(self):
         agg = MetricsAggregator(window_s=1.0, max_batch=4, t0=0.0)
         agg.ingest(submitted(1, t=0.1, key="a"))
-        agg.ingest(served((1,), t=0.2, key="a"))
+        agg.ingest(served((1,), t=0.2, key="a", e2e_s=(0.1,)))
         agg.ingest(submitted(2, t=1.1, key="b"))
-        agg.ingest(served((2,), t=1.3, key="b"))
+        agg.ingest(served((2,), t=1.3, key="b", e2e_s=(0.2,)))
         agg.ingest(submitted(3, t=2.1, key="a"))
-        agg.ingest(served((3,), t=2.4, key="a"))
+        agg.ingest(served((3,), t=2.4, key="a", e2e_s=(0.3,)))
         agg.close_window()
         report = agg.report()
         assert report.n_windows == 3
@@ -232,7 +228,7 @@ class TestAggregatorWindows:
         assert isinstance(event, MetricsWindowClosed)
         payload = event.as_dict()
         assert payload["event"] == "MetricsWindowClosed"
-        assert payload["schema"] == 1
+        assert payload["schema"] == SCHEMA_VERSION
         rebuilt = event_from_dict(json.loads(json.dumps(payload)))
         assert rebuilt == event
         watcher.close()
@@ -366,6 +362,72 @@ class TestLiveAggregation:
         assert report.e2e_latency.count == 32
         assert 0.0 < report.fill_ratio <= 1.0
         assert report.per_model[key].n_served == 32
+
+    def test_windows_reconcile_with_serve_stats_and_journal(
+            self, registry, compiled, key, tmp_path):
+        """Windows fold the latencies the server accounts, so merged over
+        the run they equal ``ServeStats`` bucket for bucket; the journal
+        agrees on the counts, and every batch or job stage is published
+        once for all its members."""
+        batch = request_batch(300, 64)
+        policy = ServePolicy(max_batch=64, max_wait=2e-3, n_workers=2)
+        with ModelServer(registry, policy) as server, \
+                RunStore(tmp_path / "runs.sqlite") as store:
+            with MetricsAggregator(server.telemetry, window_s=0.05,
+                                   n_windows=10_000,
+                                   max_batch=policy.max_batch) as agg, \
+                    RunRecorder(server.telemetry, store,
+                                name="reconcile") as recorder, \
+                    subscribe_spans(server.telemetry) as (assembler, sub):
+                futures = [server.submit(key, row) for row in batch]
+                outputs = np.vstack([f.result(FUTURE_TIMEOUT)
+                                     for f in futures])
+                trace_ids = {future.trace_id for future in futures}
+                spans = []
+                deadline = time.monotonic() + 10.0
+                while not all(assembler.complete(t) for t in trace_ids):
+                    assert time.monotonic() < deadline
+                    drained = sub.drain()
+                    spans.extend(drained)
+                    assembler.extend(drained)
+                    time.sleep(0.01)
+            stats = server.stats()
+            report = agg.report()
+            events = store.events(recorder.run_id)
+            rows = store.spans(recorder.run_id)
+        np.testing.assert_array_equal(outputs, compiled.evaluate(batch))
+        n = len(batch)
+        assert stats.n_completed == n and stats.n_failed == 0
+        for ours, theirs in ((report.queue_latency, stats.queue_latency),
+                             (report.e2e_latency, stats.e2e_latency)):
+            assert ours.count == theirs.count == n
+            assert (ours.min, ours.max) == (theirs.min, theirs.max)
+            assert (ours.offset, ours.buckets) == \
+                (theirs.offset, theirs.buckets)
+            assert ours.mean == pytest.approx(theirs.mean, rel=1e-12)
+        assert sum(w.n_served for w in report.windows) == stats.n_completed
+        assert report.n_submitted == n
+        assert report.n_unmatched == 0 and report.queue_depth == 0
+        # The journal reconciles too.
+        kinds = collections.Counter(e["event"] for e in events)
+        assert kinds["RequestSubmitted"] == n
+        assert sum(e["n_rows"] for e in events
+                   if e["event"] == "BatchServed") == stats.n_completed
+        per_trace = collections.Counter(r["trace_ids"][0] for r in rows)
+        assert per_trace == {t: len(assembler.spans(t)) for t in trace_ids}
+        # Each batch stage once per batch, each job stage once per job:
+        # either way every request is a member exactly once.
+        members = collections.defaultdict(list)
+        for span in spans:
+            members[span.name].append(span.trace_ids)
+        for stage in ("serve_dispatch", "serve_execute", "shard_lease"):
+            assert len(members[stage]) == stats.n_batches
+        for stage in ("serve_dispatch", "serve_execute", "shard_lease",
+                      "shard_stage_in", "worker_evaluate",
+                      "worker_stage_out", "serve_reassemble",
+                      "serve_queue", "serve_coalesce", "request"):
+            covered = [t for ids in members[stage] for t in ids]
+            assert sorted(covered) == sorted(trace_ids), stage
 
     def test_timeout_alert_raises_and_clears_under_stall(self, registry,
                                                          key):
@@ -502,4 +564,4 @@ class TestAlertWireRoundTrip:
         assert raised.topic == "AlertRaised"
         assert raised.name == "crash_rate"
         assert raised.value >= 1.0
-        assert seen[0]["schema"] == 1
+        assert seen[0]["schema"] == SCHEMA_VERSION
