@@ -22,8 +22,8 @@ REP105    telemetry events and gateway frame codes registered once,
           schema-versioned, encoder/decoder symmetric
 REP106    shard-worker payloads must not capture locks / brokers /
           sqlite handles
-REP107    ``tracer.span()`` only as a ``with`` context manager; no span
-          traffic lexically under a ``with <lock>:`` block
+REP107    no ``spans.flush()`` (a span batch's publish) lexically under
+          a ``with <lock>:`` block
 ========  =============================================================
 
 This ``__init__`` stays import-light on purpose: the telemetry broker

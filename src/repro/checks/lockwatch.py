@@ -16,12 +16,15 @@ thread takes B then A.  ``lockwatch`` catches those on real traffic:
 * **inversion detection** — acquiring B while holding A when the graph
   already contains (B, A) reports a ``lock-order`` violation with both
   stacks, once per unordered pair;
-* **publish-under-lock** — :meth:`TopicBroker.publish
-  <repro.telemetry.broker.TopicBroker.publish>` calls :func:`note_publish`;
-  publishing while any instrumented lock is held is reported unless the
-  call site carries a ``# repro: allow[REP102] <reason>`` pragma within
-  two lines (the same pragma syntax the static checker honors, looked up
-  via :mod:`linecache` so the justification lives at the site).
+* **publish-under-lock** — :meth:`TopicBroker.publish_many
+  <repro.telemetry.broker.TopicBroker.publish_many>`, the broker's one
+  publish path, calls :func:`note_publish`; publishing while any
+  instrumented lock is held is reported against the line that called
+  ``publish``, ``publish_many`` or ``spans.flush()``, unless that line
+  carries a ``# repro: allow[REP102] <reason>`` pragma (``allow[REP107]``
+  for a span batch's flush) within two lines — the same pragma syntax the
+  static checker honors, looked up via :mod:`linecache` so the
+  justification lives at the site.
 
 Tests make violations fatal: the session-scoped gate in ``tests/conftest``
 calls :func:`assert_clean` at teardown whenever the watcher is active.
@@ -61,7 +64,7 @@ _held_local = threading.local()
 _edges: dict[tuple[str, str], str] = {}      # (first, second) -> sample stack
 _reported_pairs: set[frozenset] = set()
 _reported_sites: set[tuple[str, int]] = set()
-_pragma_cache: dict[tuple[str, int], bool] = {}
+_pragma_cache: dict[tuple[str, int, str], bool] = {}
 _violations: list[Violation] = []
 _active = os.environ.get("REPRO_LOCKWATCH", "").strip() not in ("", "0")
 
@@ -171,13 +174,13 @@ def _note_released(name: str) -> None:
             return
 
 
-def _site_allowed(filename: str, lineno: int) -> bool:
-    """Does the publish call site carry an allow[REP102] pragma nearby?"""
-    key = (filename, lineno)
+def _site_allowed(filename: str, lineno: int, rule: str) -> bool:
+    """Does the publishing call site carry an allow[``rule``] pragma nearby?"""
+    key = (filename, lineno, rule)
     cached = _pragma_cache.get(key)
     if cached is None:
         cached = any(
-            "repro: allow[" in line and "REP102" in line
+            "repro: allow[" in line and rule in line
             for line in (linecache.getline(filename, n)
                          for n in range(max(1, lineno - 2), lineno + 3)))
         with _state_lock:
@@ -185,18 +188,33 @@ def _site_allowed(filename: str, lineno: int) -> bool:
     return cached
 
 
-def note_publish(depth: int = 1) -> None:
-    """Called by ``TopicBroker.publish``; flags publishing under a lock."""
+#: Modules between a publishing call site and :func:`note_publish`, with the
+#: rule whose pragma exempts a call site that enters through them: the
+#: broker's ``publish`` / ``publish_many`` (REP102) and a span batch's
+#: ``flush`` (REP107).
+_PUBLISH_PATH = {"repro.telemetry.broker": "REP102",
+                 "repro.telemetry.spans": "REP107"}
+
+
+def note_publish() -> None:
+    """Called by ``TopicBroker.publish_many``; flags publishing under a lock."""
     if not _active:
         return
     stack = _stack()
     if not stack:
         return
-    frame = sys._getframe(depth)
-    # Attribute the publish to the broker's *caller*, where the pragma lives.
-    caller = frame.f_back or frame
-    site = (caller.f_code.co_filename, caller.f_lineno)
-    if _site_allowed(*site):
+    # Attribute the publish to the first frame outside the publish path —
+    # the line that called publish, publish_many or spans.flush(), where
+    # the pragma lives.
+    frame = sys._getframe(1)
+    rule = "REP102"
+    while frame.f_back is not None:
+        entered = _PUBLISH_PATH.get(frame.f_globals.get("__name__"))
+        if entered is None:
+            break
+        rule, frame = entered, frame.f_back
+    site = (frame.f_code.co_filename, frame.f_lineno)
+    if _site_allowed(*site, rule):
         return
     with _state_lock:
         if site in _reported_sites:
@@ -204,9 +222,10 @@ def note_publish(depth: int = 1) -> None:
         _reported_sites.add(site)
         _violations.append(Violation(
             "publish-under-lock",
-            f"TopicBroker.publish at {site[0]}:{site[1]} while holding "
+            f"publish at {site[0]}:{site[1]} while holding "
             f"{list(stack)!r}; publish hands control to subscriber wakeups — "
-            "move it outside the lock or allow-pragma the ordering contract",
+            f"move it outside the lock or allow[{rule}]-pragma the ordering "
+            "contract",
             _where()))
 
 

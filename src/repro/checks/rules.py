@@ -18,10 +18,9 @@ what they see.  The rules encode invariants this repo actually bled for
   visibly attribute the failure, never silently swallow it.
 * REP106 — locks, brokers and sqlite handles are process-local; shipping
   one to a shard worker pickles a token that is dead on arrival.
-* REP107 — ``tracer.span(...)`` not used as a context manager never closes
-  (the span is silently lost); span traffic (``span``/``emit``) lexically
-  under ``with <lock>:`` publishes telemetry while holding the lock — the
-  same hand-control-to-foreign-code hazard REP102 guards for ``publish``.
+* REP107 — ``spans.flush()`` lexically under ``with <lock>:`` publishes a
+  span batch while holding the lock — the same hand-control-to-foreign-code
+  hazard REP102 guards for ``publish``.
 """
 
 from __future__ import annotations
@@ -112,7 +111,8 @@ def rep101_no_blocking_in_async(path: str, tree: ast.Module,
 
 _LOCKISH_NAME = re.compile(r"lock|cond|lease|mutex|wakeup|^ready$")
 _LOCK_CONSTRUCTORS = {"threading.Lock", "threading.RLock", "threading.Condition"}
-_FORBIDDEN_UNDER_LOCK = {"publish", "set_result", "set_exception"}
+_FORBIDDEN_UNDER_LOCK = {"publish", "publish_many", "set_result",
+                         "set_exception"}
 
 
 def _is_lockish(ctx: ast.AST) -> bool:
@@ -124,45 +124,45 @@ def _is_lockish(ctx: ast.AST) -> bool:
     return bool(term) and _LOCKISH_NAME.search(term) is not None
 
 
+def _calls_under_lock(tree: ast.Module) -> list[ast.Call]:
+    """Every call lexically inside a ``with <lock>:`` block."""
+    calls: list[ast.Call] = []
+
+    def visit(node: ast.AST, locked: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            locked = False    # a nested def runs later, not under the lock
+        elif isinstance(node, (ast.With, ast.AsyncWith)):
+            inner = locked or any(_is_lockish(item.context_expr)
+                                  for item in node.items)
+            for child in node.body:
+                visit(child, inner)
+            for item in node.items:
+                visit(item, locked)
+            return
+        elif locked and isinstance(node, ast.Call):
+            calls.append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, locked)
+
+    visit(tree, False)
+    return calls
+
+
 def rep102_no_publish_under_lock(path: str, tree: ast.Module,
                                  lines: Sequence[str]):
     """No publish / future resolution / user callback under ``with <lock>:``."""
     findings: list[tuple[int, str]] = []
-    lock_depth = 0
-
-    def visit(node: ast.AST) -> None:
-        nonlocal lock_depth
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            # A nested def runs later, not while the lock is held.
-            saved, lock_depth = lock_depth, 0
-            for child in ast.iter_child_nodes(node):
-                visit(child)
-            lock_depth = saved
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            lockish = any(_is_lockish(item.context_expr) for item in node.items)
-            lock_depth += lockish
-            for child in node.body:
-                visit(child)
-            lock_depth -= lockish
-            for item in node.items:
-                visit(item)
-            return
-        if isinstance(node, ast.Call) and lock_depth > 0:
-            attr = _terminal(node.func)
-            if attr in _FORBIDDEN_UNDER_LOCK:
-                findings.append((node.lineno,
-                                 f"{attr}() inside a with-lock block hands "
-                                 "control to foreign code while holding the "
-                                 "lock (deadlock / lock-order hazard)"))
-            elif attr.startswith("on_") or attr == "callback":
-                findings.append((node.lineno,
-                                 f"user callback {attr}() invoked inside a "
-                                 "with-lock block"))
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
+    for node in _calls_under_lock(tree):
+        attr = _terminal(node.func)
+        if attr in _FORBIDDEN_UNDER_LOCK:
+            findings.append((node.lineno,
+                             f"{attr}() inside a with-lock block hands "
+                             "control to foreign code while holding the "
+                             "lock (deadlock / lock-order hazard)"))
+        elif attr.startswith("on_") or attr == "callback":
+            findings.append((node.lineno,
+                             f"user callback {attr}() invoked inside a "
+                             "with-lock block"))
     return findings
 
 
@@ -341,72 +341,25 @@ def rep106_no_handles_to_workers(path: str, tree: ast.Module,
 
 # --------------------------------------------------------------------- REP107
 
-_TRACERISH = re.compile(r"tracer")
-
-
-def _is_tracerish(node: ast.AST) -> bool:
-    """Does a receiver expression look like it holds a span tracer?"""
-    term = _terminal(node).lstrip("_").lower()
-    return bool(term) and _TRACERISH.search(term) is not None
-
 
 def rep107_span_discipline(path: str, tree: ast.Module,
                            lines: Sequence[str]):
-    """``tracer.span()`` only as a ``with`` context; no span traffic under a lock.
+    """No ``spans.flush()`` lexically inside a ``with <lock>:`` block.
 
-    Two hazards, one rule:
-
-    * an orphan ``tracer.span(...)`` (not the context expression of a
-      ``with``) never runs ``__exit__`` — the span silently never closes
-      and the trace tree loses a stage with no error anywhere;
-    * ``tracer.span(...)`` / ``tracer.emit(...)`` lexically inside a
-      ``with <lock>:`` block publishes a ``SpanClosed`` event while the
-      lock is held — the same foreign-code re-entrancy hazard REP102
-      flags for bare ``publish()``.
+    Every span is recorded into a :class:`~repro.telemetry.spans.SpanBatch`
+    and published by its ``flush()``; a flush under a lock publishes
+    ``SpanClosed`` events while the lock is held — the foreign-code
+    re-entrancy hazard REP102 flags for bare ``publish()``.  The receiver
+    must look like a span batch (its name contains ``spans``), so
+    ``file.flush()`` and ``server.flush()`` stay clean.
     """
-    findings: list[tuple[int, str]] = []
-    with_items = {id(item.context_expr)
-                  for node in ast.walk(tree)
-                  if isinstance(node, (ast.With, ast.AsyncWith))
-                  for item in node.items}
-    lock_depth = 0
-
-    def visit(node: ast.AST) -> None:
-        nonlocal lock_depth
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            # A nested def runs later, not while the lock is held.
-            saved, lock_depth = lock_depth, 0
-            for child in ast.iter_child_nodes(node):
-                visit(child)
-            lock_depth = saved
-            return
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            lockish = any(_is_lockish(item.context_expr) for item in node.items)
-            lock_depth += lockish
-            for child in node.body:
-                visit(child)
-            lock_depth -= lockish
-            for item in node.items:
-                visit(item)
-            return
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and _is_tracerish(node.func.value)):
-            attr = node.func.attr
-            if attr == "span" and id(node) not in with_items:
-                findings.append((node.lineno,
-                                 "tracer.span() must be the context "
-                                 "expression of a with statement; an orphan "
-                                 "span never closes and is silently lost"))
-            if attr in ("span", "emit") and lock_depth > 0:
-                findings.append((node.lineno,
-                                 f"tracer.{attr}() inside a with-lock block "
-                                 "publishes span telemetry while holding the "
-                                 "lock (deadlock / lock-order hazard)"))
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(tree)
-    return findings
+    return [(node.lineno, "spans.flush() inside a with-lock block publishes "
+             "span telemetry while holding the lock (deadlock / lock-order "
+             "hazard)")
+            for node in _calls_under_lock(tree)
+            if isinstance(node.func, ast.Attribute)
+            and node.func.attr == "flush"
+            and "spans" in _terminal(node.func.value).lower()]
 
 
 RULES = {

@@ -289,29 +289,41 @@ def _wire_samples(values, dtype: int) -> np.ndarray:
                                 dtype=WIRE_DTYPES[dtype])
 
 
-def encode_request(request_id: int, key: str, samples,
-                   dtype: int = DTYPE_FLOAT64) -> bytes:
-    """One request frame (length prefix included)."""
+def _request_parts(request_id: int, key: str, samples,
+                   dtype) -> tuple[bytes, int, np.ndarray]:
+    """Validated key bytes, wire dtype code and wire samples of a request."""
     if request_id < 1:
         raise FrameError("request_id must be a positive integer (0 is the "
                          "connection-fatal sentinel)")
     key_bytes = _key_bytes(key)
     dtype = dtype_code(dtype)
-    wire = _wire_samples(samples, dtype)
-    payload = (_PREFIX.pack(MAGIC, PROTOCOL_VERSION, REQUEST, request_id)
-               + _REQUEST_HEAD.pack(dtype, wire.size, len(key_bytes))
-               + key_bytes + wire.tobytes())
-    return _frame(payload)
+    return key_bytes, dtype, _wire_samples(samples, dtype)
+
+
+def _request_frame(request_id: int, key_bytes: bytes, dtype: int,
+                   wire: np.ndarray) -> bytes:
+    return _frame(_PREFIX.pack(MAGIC, PROTOCOL_VERSION, REQUEST, request_id)
+                  + _REQUEST_HEAD.pack(dtype, wire.size, len(key_bytes))
+                  + key_bytes + wire.tobytes())
+
+
+def _result_frame(request_id: int, dtype: int, wire: np.ndarray) -> bytes:
+    return _frame(_PREFIX.pack(MAGIC, PROTOCOL_VERSION, RESULT, request_id)
+                  + _RESULT_HEAD.pack(dtype, wire.size) + wire.tobytes())
+
+
+def encode_request(request_id: int, key: str, samples,
+                   dtype: int = DTYPE_FLOAT64) -> bytes:
+    """One request frame (length prefix included)."""
+    return _request_frame(request_id,
+                          *_request_parts(request_id, key, samples, dtype))
 
 
 def encode_result(request_id: int, outputs,
                   dtype: int = DTYPE_FLOAT64) -> bytes:
     """One result frame (length prefix included)."""
     dtype = dtype_code(dtype)
-    wire = _wire_samples(outputs, dtype)
-    payload = (_PREFIX.pack(MAGIC, PROTOCOL_VERSION, RESULT, request_id)
-               + _RESULT_HEAD.pack(dtype, wire.size) + wire.tobytes())
-    return _frame(payload)
+    return _result_frame(request_id, dtype, _wire_samples(outputs, dtype))
 
 
 def _chunk_series(request_id: int, msg_type: int, head_size: int,
@@ -344,20 +356,16 @@ def encode_request_frames(request_id: int, key: str, samples,
                           max_frame_bytes: int = 64 << 20) -> list[bytes]:
     """Encode a request as one frame, or a chunk series when it must stream.
 
-    The single-frame form is byte-identical to :func:`encode_request`; a
-    stimulus whose frame would exceed ``max_frame_bytes`` becomes an
-    in-order ``REQUEST_CHUNK`` series instead of being refused.
+    The single-frame form is byte-identical to :func:`encode_request`,
+    built from the same validated key and converted samples; a stimulus
+    whose frame would exceed ``max_frame_bytes`` becomes an in-order
+    ``REQUEST_CHUNK`` series instead of being refused.
     """
-    if request_id < 1:
-        raise FrameError("request_id must be a positive integer (0 is the "
-                         "connection-fatal sentinel)")
-    key_bytes = _key_bytes(key)
-    dtype = dtype_code(dtype)
-    wire = _wire_samples(samples, dtype)
+    key_bytes, dtype, wire = _request_parts(request_id, key, samples, dtype)
     single_payload = (_PREFIX.size + _REQUEST_HEAD.size + len(key_bytes)
                       + wire.nbytes)
     if single_payload <= max_frame_bytes:
-        return [encode_request(request_id, key, samples, dtype=dtype)]
+        return [_request_frame(request_id, key_bytes, dtype, wire)]
     return _chunk_series(
         request_id, REQUEST_CHUNK, _REQUEST_CHUNK_HEAD.size,
         lambda offset: _REQUEST_CHUNK_HEAD.pack(dtype, wire.size, offset,
@@ -368,12 +376,13 @@ def encode_request_frames(request_id: int, key: str, samples,
 def encode_result_frames(request_id: int, outputs,
                          dtype: int = DTYPE_FLOAT64,
                          max_frame_bytes: int = 64 << 20) -> list[bytes]:
-    """Encode a result as one frame, or a ``RESULT_CHUNK`` series."""
+    """Encode a result as one frame (byte-identical to
+    :func:`encode_result`, converted once), or a ``RESULT_CHUNK`` series."""
     dtype = dtype_code(dtype)
     wire = _wire_samples(outputs, dtype)
     single_payload = _PREFIX.size + _RESULT_HEAD.size + wire.nbytes
     if single_payload <= max_frame_bytes:
-        return [encode_result(request_id, outputs, dtype=dtype)]
+        return [_result_frame(request_id, dtype, wire)]
     return _chunk_series(
         request_id, RESULT_CHUNK, _RESULT_CHUNK_HEAD.size,
         lambda offset: _RESULT_CHUNK_HEAD.pack(dtype, wire.size, offset),

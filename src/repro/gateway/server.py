@@ -39,7 +39,10 @@ stream.  The gateway itself publishes ``ConnectionOpened`` /
 ``ConnectionClosed``, ``ProtocolError`` and ``ChunkStreamError`` events to
 the same broker, and — when the server's span tracer is live — contributes
 ``gateway_decode`` / ``gateway_encode`` / ``gateway_write`` spans to each
-sampled request's trace (the trace id rides the request future).
+sampled request's trace through one
+:class:`~repro.telemetry.spans.SpanBatch` per request, opened at decode
+(the trace id rides the request future; the sampling decision is the span
+batch's, not the gateway's).
 """
 
 from __future__ import annotations
@@ -435,24 +438,27 @@ class Gateway:
                 message.request_id, code, str(exc)))
             return
         # The trace id exists only once the server admitted the request, so
-        # the decode span is materialised retroactively from its timestamps.
+        # the request's span batch opens here (sampling it once) and takes
+        # the decode span retroactively from its timestamps; the encode and
+        # write stages reuse it.  Unsampled, it is falsy and no stage takes
+        # timestamps for it.
         tracer = self._server.tracer
-        if tracer:
-            trace_id = getattr(future, "trace_id", 0)
-            if trace_id and tracer.sampled(trace_id):
-                tracer.emit("gateway_decode", trace_id, t_decode, decode_s,
-                            sampled=True)
+        spans = tracer.batch((future.trace_id,)) if tracer else None
+        if spans:
+            spans.add("gateway_decode", t_decode, decode_s)
+            spans.flush()
         counters.n_requests += 1
         conn.n_requests += 1
         conn.inflight += 1
         request_id = message.request_id
         dtype = message.dtype
         future.add_done_callback(
-            lambda fut: self._reply_threadsafe(conn, request_id, dtype, fut))
+            lambda fut: self._reply_threadsafe(conn, request_id, dtype, fut,
+                                               spans))
 
     # --------------------------------------------------------------- replies
     def _reply_threadsafe(self, conn: _Connection, request_id: int,
-                          dtype: int, future) -> None:
+                          dtype: int, future, spans) -> None:
         """Future callback — runs on a dispatch-lane thread.
 
         Must never raise into the lane's batch resolution: a gateway torn
@@ -463,22 +469,15 @@ class Gateway:
             if loop is None or loop.is_closed():
                 return
             loop.call_soon_threadsafe(self._reply, conn, request_id, dtype,
-                                      future)
+                                      future, spans)
         except RuntimeError:
             pass                           # loop shut down under us
 
     def _reply(self, conn: _Connection, request_id: int, dtype: int,
-               future) -> None:
+               future, spans) -> None:
         if not conn.alive:
             # The read loop is gone; its in-flight accounting with it.
             return
-        # One sampling decision covers the encode span here and the write
-        # span downstream: an unsampled reply rides the queue with trace
-        # id 0, so the write loop's guard is a single integer test.
-        tracer = self._server.tracer
-        trace_id = getattr(future, "trace_id", 0) if tracer else 0
-        if trace_id and not tracer.sampled(trace_id):
-            trace_id = 0
         if future.cancelled():
             frames = [protocol.encode_error(
                 request_id, protocol.E_INTERNAL, "request cancelled")]
@@ -499,15 +498,16 @@ class Gateway:
                 frames = protocol.encode_result_frames(
                     request_id, future.result(), dtype=dtype,
                     max_frame_bytes=self.policy.max_frame_bytes)
-                if trace_id:
-                    tracer.emit("gateway_encode", trace_id, t_encode,
-                                time.monotonic() - t_encode, sampled=True)
+                if spans:
+                    spans.add("gateway_encode", t_encode,
+                              time.monotonic() - t_encode)
+                    spans.flush()
         # The in-flight slot is released by the writer once this frame is
         # actually on the wire (see _write_loop) — releasing it here would
         # let a slow-draining client re-fill the queue beyond its cap while
         # earlier replies still wait on its stalled socket.
         conn.outgoing.put_nowait(
-            (b"".join(frames), True, len(frames), trace_id))
+            (b"".join(frames), True, len(frames), spans))
 
     async def _enqueue(self, conn: _Connection, frame: bytes) -> None:
         """Queue a protocol-error frame, bounded by its own slot budget.
@@ -520,7 +520,7 @@ class Gateway:
         if not conn.alive:                 # writer died while we waited
             conn.error_slots.release()
             return
-        conn.outgoing.put_nowait((frame, False, 1, 0))
+        conn.outgoing.put_nowait((frame, False, 1, None))
 
     def _release_slot(self, conn: _Connection) -> None:
         conn.inflight -= 1
@@ -547,7 +547,8 @@ class Gateway:
                 payload["gateway"] = self.stats()
                 conn.inflight += 1
                 conn.outgoing.put_nowait(
-                    (protocol.encode_stats(request_id, payload), True, 1, 0))
+                    (protocol.encode_stats(request_id, payload), True, 1,
+                     None))
             await asyncio.sleep(interval)
 
     def _start_events_pump(self, conn: _Connection,
@@ -576,7 +577,7 @@ class Gateway:
                         break
                     conn.inflight += 1
                     conn.outgoing.put_nowait((protocol.encode_event(
-                        request_id, event.as_dict()), True, 1, 0))
+                        request_id, event.as_dict()), True, 1, None))
                 if (len(subscription)
                         and conn.inflight
                         >= self.policy.max_inflight_per_conn):
@@ -598,20 +599,20 @@ class Gateway:
                 item = await conn.outgoing.get()
                 if item is None:
                     return
-                frame, counts_inflight, n_frames, trace_id = item
+                frame, counts_inflight, n_frames, spans = item
                 # Count before writing: transport.write() can push the bytes
                 # to the socket synchronously, and a client observing the
                 # reply must also observe it counted.
                 self.counters.n_frames_out += n_frames
-                if trace_id:
-                    # Sampling was decided when _reply queued the item; an
-                    # unsampled reply arrives with trace id 0.
+                if spans:
+                    # Sampled at decode: error, stats and event frames carry
+                    # None, an unsampled reply a falsy span batch.
                     t_write = time.monotonic()
                     conn.writer.write(frame)
                     await conn.writer.drain()
-                    self._server.tracer.emit(
-                        "gateway_write", trace_id, t_write,
-                        time.monotonic() - t_write, sampled=True)
+                    spans.add("gateway_write", t_write,
+                              time.monotonic() - t_write)
+                    spans.flush()
                 else:
                     conn.writer.write(frame)
                     await conn.writer.drain()

@@ -22,7 +22,12 @@ Request validation happens at **submit time**, in the caller's thread: an
 oversized, empty, non-finite or unknown-key request is rejected with a
 :class:`~repro.exceptions.ServeError` naming the violated limit before it
 can touch a batch — one bad request must never poison the lock-step batch it
-would have joined.
+would have joined.  The registry is asked about a key only until the server
+admits it: keys are content hashes, so an admitted key always names the
+same model, and the per-request membership check (three ``stat`` calls)
+leaves the hot path.  A model removed from the registry after its key was
+admitted keeps being served from a warm cache; once no cache holds it, its
+batches fail with a named :class:`~repro.exceptions.ServeError`.
 
 Every guarantee the batch runtime gives carries through: the outputs a
 future resolves to are bitwise-equal to evaluating the same rows through a
@@ -162,12 +167,9 @@ class ModelServer:
         # are first submitted, up to policy.n_lanes; then keys share lanes.
         self._lanes: list[_Lane] = []
         self._lane_by_key: dict[str, _Lane] = {}
-        # Counters (guarded by _lock).
+        # Counters (guarded by _lock); the batch and outcome counts live in
+        # the per-model stats only, and stats() sums them.
         self._n_submitted = 0
-        self._n_completed = 0
-        self._n_failed = 0
-        self._n_batches = 0
-        self._n_rows_batched = 0
         #: Requests accepted but not yet resolved/failed — the real backlog
         #: the ``max_queue_depth`` limit guards (requests waiting in the
         #: batcher AND batches executing in a lane).
@@ -262,6 +264,13 @@ class ModelServer:
         ``samples`` is the 1-D waveform sampled on the model's ``dt`` grid.
         The future resolves to the model's 1-D output row (or raises
         :class:`~repro.exceptions.ServeError` on failure).
+
+        A key the server has not admitted yet must be in the registry, or
+        the submit is rejected (``RequestRejected(reason="unknown_key")``,
+        on every such submit).  An admitted key is not looked up again: its
+        model is served from the caches while they hold it, even after
+        ``registry.remove(key)``, and a batch that must load it from the
+        registry after that fails with a named ``ServeError``.
         """
         samples = np.asarray(samples, dtype=float)
         if samples.ndim != 1 or samples.size < 1:
@@ -279,7 +288,9 @@ class ModelServer:
                 f"request contains a non-finite sample at step {bad}; "
                 "rejected before batching (it would poison its lock-step "
                 "batch)"))
-        if key not in self.registry:
+        # Unlocked read of a dict only ever grown under the lock: a key
+        # admitted concurrently just costs one more registry lookup.
+        if key not in self._lane_by_key and key not in self.registry:
             raise self._reject(key, "unknown_key", ServeError(
                 f"unknown model key {key[:12]!r}... — not in "
                 f"{self.registry.describe()}"))
@@ -373,8 +384,6 @@ class ModelServer:
         # future.result() must find its own request already counted when it
         # immediately asks for stats().
         with self._lock:
-            self._n_batches += 1
-            self._n_rows_batched += len(batch)
             model = self._model_stats[batch.key]
             model.n_batches += 1
             model.n_rows += len(batch)
@@ -383,10 +392,8 @@ class ModelServer:
             model.e2e_latency = LatencySummary.merge((model.e2e_latency, e2e))
             self._n_inflight -= len(batch)
             if failure is None:
-                self._n_completed += len(batch)
                 model.n_completed += len(batch)
             else:
-                self._n_failed += len(batch)
                 model.n_failed += len(batch)
         # Span emission sits outside the lock (REP102/lockwatch clean) and
         # before the futures resolve, mirroring the BatchServed contract: a
@@ -461,15 +468,14 @@ class ModelServer:
         Everything is a lifetime value: counters, the mean batch size and
         the latency summaries, whose percentiles are accurate to within
         :data:`~repro.serve.stats.ALPHA` (1%) relative.  The server-wide
-        summaries are the exact merge of the per-model ones.  Safe to call
-        at any time, including before the first batch completes — empty
-        summaries report zeros.
+        batch and outcome counts are the sums of the per-model ones, and
+        the server-wide summaries their exact merge.  Safe to call at any
+        time, including before the first batch completes — empty summaries
+        report zeros.
         """
         t_snapshot = time.monotonic()
         with self._lock:
-            submitted, completed = self._n_submitted, self._n_completed
-            failed, pending = self._n_failed, self._n_inflight
-            n_batches, n_rows = self._n_batches, self._n_rows_batched
+            submitted, pending = self._n_submitted, self._n_inflight
             per_model = {
                 key: ModelLaneStats(
                     key=key, lane=model.lane, n_batches=model.n_batches,
@@ -481,14 +487,19 @@ class ModelServer:
                     max_batch=self.policy.max_batch)
                 for key, model in self._model_stats.items()}
             n_lanes = max(1, len(self._lanes))
+        models = per_model.values()
+        n_batches = sum(model.n_batches for model in models)
+        n_rows = sum(model.n_rows for model in models)
         return ServeStats(
-            n_submitted=submitted, n_completed=completed, n_failed=failed,
+            n_submitted=submitted,
+            n_completed=sum(model.n_completed for model in models),
+            n_failed=sum(model.n_failed for model in models),
             n_pending=pending, n_batches=n_batches,
             mean_batch_size=(n_rows / n_batches) if n_batches else 0.0,
             queue_latency=LatencySummary.merge(
-                model.queue_latency for model in per_model.values()),
+                model.queue_latency for model in models),
             e2e_latency=LatencySummary.merge(
-                model.e2e_latency for model in per_model.values()),
+                model.e2e_latency for model in models),
             cache=self._cache.stats.as_dict(),
             pool=self._pool.stats() if self._pool is not None else {},
             per_model=per_model,

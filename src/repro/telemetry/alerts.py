@@ -204,9 +204,8 @@ class AlertManager:
         with self._lock:
             events = self._evaluate_locked(window)
         broker = self._broker
-        if events and broker is not None and broker:
-            for event in events:
-                broker.publish(event)
+        if events and broker is not None:
+            broker.publish_many(events)
         return events
 
     def _evaluate_locked(self, window) -> list:

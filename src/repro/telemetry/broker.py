@@ -16,7 +16,11 @@ observer:
   construction on the un-observed fast path;
 * **subscribers cannot break the publisher** — the optional per-subscription
   ``wakeup`` callback (how an asyncio consumer gets poked across threads)
-  is invoked outside every lock and any exception it raises is swallowed.
+  is invoked outside every lock and any exception it raises is swallowed;
+* **one publish path** — :meth:`TopicBroker.publish` is
+  :meth:`~TopicBroker.publish_many` of one event, so the drop-oldest
+  enqueue, the empty → non-empty wakeup and the lockwatch hook each exist
+  once.
 
 Subscriptions filter by **topic** — the event's class name (see
 :mod:`repro.telemetry.events`); ``topics=None`` receives everything.
@@ -57,35 +61,9 @@ class Subscription:
         self._wakeup = wakeup
 
     # ------------------------------------------------------------ broker side
-    def _offer(self, event) -> None:
-        """Enqueue one event; never blocks (drop-oldest when full)."""
-        with self._cond:
-            if self._closed:
-                return
-            was_empty = not self._events
-            if len(self._events) >= self.maxsize:
-                self._events.popleft()
-                self.n_dropped += 1
-            self._events.append(event)
-            self.n_delivered += 1
-            if was_empty:
-                # A consumer only ever blocks on an *empty* queue, so the
-                # empty -> non-empty edge is the only one that needs a
-                # wakeup (``get`` passes the baton on for further waiters).
-                # Skipping the per-event notify keeps a hot publisher from
-                # being preempted once per event by the woken consumer —
-                # the difference between ~5% and ~40% serving overhead.
-                self._cond.notify()
-        if was_empty and self._wakeup is not None:
-            # Outside the lock, exceptions swallowed: a subscriber raising
-            # mid-delivery must never propagate into the publishing hot path.
-            try:
-                self._wakeup()
-            except Exception:   # repro: allow[REP104] a raising subscriber must never break the publishing hot path
-                pass
-
-    def _offer_many(self, events: list) -> None:
-        """Enqueue a pre-matched batch in one lock hop (drop-oldest)."""
+    def _offer_many(self, events) -> None:
+        """Enqueue pre-matched events in one lock hop; never blocks
+        (drop-oldest when full)."""
         with self._cond:
             if self._closed:
                 return
@@ -98,8 +76,16 @@ class Subscription:
                     self._events.popleft()
                 self.n_dropped += overflow
             if was_empty:
+                # A consumer only ever blocks on an *empty* queue, so the
+                # empty -> non-empty edge is the only one that needs a
+                # wakeup (``get`` passes the baton on for further waiters).
+                # Skipping the per-event notify keeps a hot publisher from
+                # being preempted once per event by the woken consumer —
+                # the difference between ~5% and ~40% serving overhead.
                 self._cond.notify()
         if was_empty and self._wakeup is not None:
+            # Outside the lock, exceptions swallowed: a subscriber raising
+            # mid-delivery must never propagate into the publishing hot path.
             try:
                 self._wakeup()
             except Exception:   # repro: allow[REP104] a raising subscriber must never break the publishing hot path
@@ -244,28 +230,17 @@ class TopicBroker:
         subscribers — though call sites should have skipped the call, and
         the event's construction, via the truthiness gate).
         """
-        subs = self._subs
-        if not subs:
-            return 0
-        lockwatch.note_publish()
-        topic = type(event).__name__
-        n = 0
-        for sub in subs:
-            if sub.topics is None or topic in sub.topics:
-                sub._offer(event)
-                n += 1
-        self.n_published += 1
-        return n
+        return self.publish_many((event,))
 
-    def publish_many(self, events: list) -> int:
-        """Offer a batch of events in one queue hop per subscription.
+    def publish_many(self, events) -> int:
+        """Offer a sequence of events in one queue hop per subscription.
 
-        Semantically ``for e in events: publish(e)``, but each matching
-        subscription's queue lock is taken once for the whole batch — the
-        difference that keeps span-heavy publishers (five spans close per
-        request at resolve time) off the per-event lock treadmill.
-        Returns the number of subscriptions that received at least one
-        event of the batch.
+        The one publish path (:meth:`publish` is its one-event form, and a
+        :class:`~repro.telemetry.spans.SpanBatch` flushes through it): each
+        matching subscription's queue lock is taken once for the whole
+        sequence, which keeps span-heavy publishers off the per-event lock
+        treadmill.  Returns the number of subscriptions that received at
+        least one of the events.
         """
         subs = self._subs
         if not subs or not events:

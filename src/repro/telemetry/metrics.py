@@ -11,11 +11,16 @@ p50/p95/p99 queue and end-to-end latency, batch-fill ratio against
 server folds into :class:`~repro.serve.stats.ServeStats` — so a window's
 queue latency *is* the server's (the batching policy's wait; the wait for a
 free lane is the ``serve_coalesce`` span stage) and the windows merged over
-a run reconcile with ``ServeStats`` bucket for bucket.  Latency is
-summarised per model with :class:`~repro.serve.stats.LatencySummary`; the
-window-wide summary and every rolling :class:`MetricsReport` are exact
-merges of those, so a rolled-up p99 is the p99 of all the rolled-up
-samples (within :data:`~repro.serve.stats.ALPHA`).
+a run reconcile with ``ServeStats`` bucket for bucket.  One of each
+builds the windows: every served batch becomes one
+:class:`ModelWindowMetrics` slice (its latencies summarised with
+:class:`~repro.serve.stats.LatencySummary`), and one
+:meth:`ModelWindowMetrics.merge` closes a window over its batches' slices
+and rolls windows up into a :class:`MetricsReport` — itself a
+:class:`WindowMetrics` spanning them.  The merges are exact, so a
+rolled-up p99 is the p99 of all the rolled-up samples (within
+:data:`~repro.serve.stats.ALPHA`).  One tuple, :data:`WINDOW_COUNTERS`,
+names the counters every window, roll-up and payload carries.
 
 Windowing is **event-time** on the publisher's monotonic clock (every event
 carries ``t`` stamped at construction), so the aggregator computes the same
@@ -60,9 +65,19 @@ __all__ = ["MetricsAggregator", "MetricsReport", "ModelWindowMetrics",
 _POLL_S = 0.1
 
 
+#: The counters of a metrics window, in :class:`WindowMetrics` field order:
+#: the open window accumulates them, a roll-up sums them, and every
+#: payload (:meth:`WindowMetrics.as_dict`, the ``MetricsWindowClosed``
+#: event) carries them.
+WINDOW_COUNTERS = ("n_submitted", "n_served", "n_failed", "n_batches",
+                   "n_rejected", "n_crashes", "n_respawns", "n_timeouts",
+                   "n_evictions", "n_subscriber_dropped", "n_late",
+                   "n_unmatched", "n_events")
+
+
 @dataclass(frozen=True)
 class ModelWindowMetrics:
-    """One model's slice of one closed metrics window."""
+    """One model's slice of one closed metrics window (or of a roll-up)."""
 
     key: str
     n_batches: int = 0
@@ -72,6 +87,25 @@ class ModelWindowMetrics:
     max_batch: int = 0
     queue_latency: LatencySummary = LatencySummary()
     e2e_latency: LatencySummary = LatencySummary()
+
+    @classmethod
+    def merge(cls, slices, max_batch: int = 0) -> "ModelWindowMetrics":
+        """One model's slices as one: counters add, summaries merge exactly.
+
+        A window closes by merging the slices of its batches, a roll-up by
+        merging the slices of its windows.  ``max_batch`` 0 keeps the
+        slices' own.
+        """
+        return cls(key=slices[0].key,
+                   n_batches=sum(m.n_batches for m in slices),
+                   n_rows=sum(m.n_rows for m in slices),
+                   n_served=sum(m.n_served for m in slices),
+                   n_failed=sum(m.n_failed for m in slices),
+                   max_batch=max_batch or max(m.max_batch for m in slices),
+                   queue_latency=LatencySummary.merge(
+                       m.queue_latency for m in slices),
+                   e2e_latency=LatencySummary.merge(
+                       m.e2e_latency for m in slices))
 
     @property
     def mean_batch_size(self) -> float:
@@ -98,10 +132,12 @@ class ModelWindowMetrics:
 class WindowMetrics:
     """One closed fixed-duration window of aggregated serving metrics.
 
-    The typed twin of the :class:`MetricsWindowClosed` event (built from it
-    via :meth:`as_event`): the ring buffer keeps these so rolling reports
-    can merge :class:`LatencySummary` values without round-tripping through
-    dicts.  A window nobody sent traffic through is all zeros — never NaN.
+    The typed form of the :class:`MetricsWindowClosed` event (which
+    :meth:`as_event` builds from it), and the one window type: the ring
+    buffer keeps these, and a :class:`MetricsReport` is one spanning several
+    of them, so roll-ups merge :class:`LatencySummary` values without
+    round-tripping through dicts.  A window nobody sent traffic through is
+    all zeros — never NaN.
     """
 
     index: int
@@ -150,60 +186,40 @@ class WindowMetrics:
             return 0.0
         return self.mean_batch_size / self.max_batch
 
+    def as_dict(self) -> dict:
+        """Plain (JSON-safe) values: the ``MetricsWindowClosed`` payload
+        fields other than the window index."""
+        return {"t_start": self.t_start, "t_end": self.t_end,
+                **{name: getattr(self, name) for name in WINDOW_COUNTERS},
+                "queue_depth": self.queue_depth,
+                "throughput_rps": self.throughput_rps,
+                "fill_ratio": self.fill_ratio,
+                "queue_latency": self.queue_latency.as_dict(),
+                "e2e_latency": self.e2e_latency.as_dict(),
+                "per_model": {key: m.as_dict()
+                              for key, m in self.per_model.items()},
+                "stages": {name: summary.as_dict()
+                           for name, summary in self.stages.items()}}
+
     def as_event(self) -> MetricsWindowClosed:
         """The wire/journal form republished on window close."""
-        return MetricsWindowClosed(
-            window_index=self.index, t_start=self.t_start, t_end=self.t_end,
-            n_submitted=self.n_submitted, n_served=self.n_served,
-            n_failed=self.n_failed, n_batches=self.n_batches,
-            throughput_rps=self.throughput_rps, fill_ratio=self.fill_ratio,
-            queue_latency=self.queue_latency.as_dict(),
-            e2e_latency=self.e2e_latency.as_dict(),
-            per_model={key: m.as_dict() for key, m in self.per_model.items()},
-            stages={name: summary.as_dict()
-                    for name, summary in self.stages.items()},
-            n_rejected=self.n_rejected, n_crashes=self.n_crashes,
-            n_respawns=self.n_respawns, n_timeouts=self.n_timeouts,
-            n_evictions=self.n_evictions,
-            n_subscriber_dropped=self.n_subscriber_dropped,
-            n_late=self.n_late, n_unmatched=self.n_unmatched,
-            queue_depth=self.queue_depth, n_events=self.n_events)
+        return MetricsWindowClosed(window_index=self.index, **self.as_dict())
 
 
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(WindowMetrics):
     """Rolling roll-up over the last N closed windows (typed snapshot).
 
-    Counters add up and latency summaries merge exactly, so the report's
-    percentiles are those of every sample in the rolled-up windows.
+    A :class:`WindowMetrics` spanning its windows: counters add up,
+    per-model slices and latency summaries merge exactly (so the report's
+    percentiles are those of every sample in the rolled-up windows), and
+    the rates are over the windows' summed duration.  ``index`` is that of
+    the newest window; ``queue_depth`` is the in-flight count when the
+    report was taken.
     """
 
-    window_s: float
-    n_windows: int
-    t_start: float = 0.0
-    t_end: float = 0.0
-    n_submitted: int = 0
-    n_served: int = 0
-    n_failed: int = 0
-    n_batches: int = 0
-    n_rejected: int = 0
-    n_crashes: int = 0
-    n_respawns: int = 0
-    n_timeouts: int = 0
-    n_evictions: int = 0
-    n_subscriber_dropped: int = 0
-    n_late: int = 0
-    n_unmatched: int = 0
-    queue_depth: int = 0
-    max_batch: int = 0
-    throughput_rps: float = 0.0
-    fill_ratio: float = 0.0
-    queue_latency: LatencySummary = LatencySummary()
-    e2e_latency: LatencySummary = LatencySummary()
-    #: Merged per-model slices keyed by model key.
-    per_model: dict = field(default_factory=dict)
-    #: Merged per-stage latency keyed by span stage name.
-    stages: dict = field(default_factory=dict)
+    window_s: float = 0.0
+    n_windows: int = 0
     #: The closed windows the report was merged from (oldest first).
     windows: tuple = ()
 
@@ -212,75 +228,37 @@ class MetricsReport:
            max_batch: int = 0) -> "MetricsReport":
         """Merge closed windows into one rolling report (zeros when none)."""
         windows = tuple(windows)
-        if not windows:
-            return cls(window_s=window_s, n_windows=0,
-                       queue_depth=queue_depth, max_batch=max_batch)
-        span_s = sum(w.duration_s for w in windows)
-        totals = {name: sum(getattr(w, name) for w in windows)
-                  for name in ("n_submitted", "n_served", "n_failed",
-                               "n_batches", "n_rejected", "n_crashes",
-                               "n_respawns", "n_timeouts", "n_evictions",
-                               "n_subscriber_dropped", "n_late",
-                               "n_unmatched")}
         per_model: dict = {}
+        per_stage: dict = {}
         for window in windows:
             for key, m in window.per_model.items():
                 per_model.setdefault(key, []).append(m)
-        merged_models = {}
-        for key, slices in per_model.items():
-            n_batches = sum(m.n_batches for m in slices)
-            merged_models[key] = ModelWindowMetrics(
-                key=key, n_batches=n_batches,
-                n_rows=sum(m.n_rows for m in slices),
-                n_served=sum(m.n_served for m in slices),
-                n_failed=sum(m.n_failed for m in slices),
-                max_batch=max_batch or max(m.max_batch for m in slices),
-                queue_latency=LatencySummary.merge(
-                    m.queue_latency for m in slices),
-                e2e_latency=LatencySummary.merge(
-                    m.e2e_latency for m in slices))
-        per_stage: dict = {}
-        for window in windows:
             for stage, summary in window.stages.items():
                 per_stage.setdefault(stage, []).append(summary)
-        merged_stages = {stage: LatencySummary.merge(summaries)
-                         for stage, summaries in per_stage.items()}
-        rows = sum(m.n_rows for m in merged_models.values())
-        mean_batch = (rows / totals["n_batches"]) if totals["n_batches"] else 0.0
-        fill = (mean_batch / max_batch) if max_batch else 0.0
         return cls(
-            window_s=window_s, n_windows=len(windows),
-            t_start=windows[0].t_start, t_end=windows[-1].t_end,
+            index=windows[-1].index if windows else 0,
+            t_start=windows[0].t_start if windows else 0.0,
+            t_end=windows[-1].t_end if windows else 0.0,
+            **{name: sum(getattr(w, name) for w in windows)
+               for name in WINDOW_COUNTERS},
             queue_depth=queue_depth, max_batch=max_batch,
-            throughput_rps=(totals["n_served"] / span_s) if span_s else 0.0,
-            fill_ratio=fill,
             queue_latency=LatencySummary.merge(
                 w.queue_latency for w in windows),
             e2e_latency=LatencySummary.merge(w.e2e_latency for w in windows),
-            per_model=merged_models, stages=merged_stages,
-            windows=windows, **totals)
+            per_model={key: ModelWindowMetrics.merge(slices, max_batch)
+                       for key, slices in per_model.items()},
+            stages={stage: LatencySummary.merge(summaries)
+                    for stage, summaries in per_stage.items()},
+            window_s=window_s, n_windows=len(windows), windows=windows)
+
+    @property
+    def duration_s(self) -> float:
+        """Summed duration of the rolled-up windows (the rates' base)."""
+        return sum(w.duration_s for w in self.windows)
 
     def as_dict(self) -> dict:
-        return {
-            "window_s": self.window_s, "n_windows": self.n_windows,
-            "t_start": self.t_start, "t_end": self.t_end,
-            "n_submitted": self.n_submitted, "n_served": self.n_served,
-            "n_failed": self.n_failed, "n_batches": self.n_batches,
-            "n_rejected": self.n_rejected, "n_crashes": self.n_crashes,
-            "n_respawns": self.n_respawns, "n_timeouts": self.n_timeouts,
-            "n_evictions": self.n_evictions,
-            "n_subscriber_dropped": self.n_subscriber_dropped,
-            "n_late": self.n_late, "n_unmatched": self.n_unmatched,
-            "queue_depth": self.queue_depth, "max_batch": self.max_batch,
-            "throughput_rps": self.throughput_rps,
-            "fill_ratio": self.fill_ratio,
-            "queue_latency": self.queue_latency.as_dict(),
-            "e2e_latency": self.e2e_latency.as_dict(),
-            "per_model": {key: m.as_dict()
-                          for key, m in self.per_model.items()},
-            "stages": {name: summary.as_dict()
-                       for name, summary in self.stages.items()},
-        }
+        return {"window_s": self.window_s, "n_windows": self.n_windows,
+                "max_batch": self.max_batch, **super().as_dict()}
 
     def describe(self) -> str:
         lines = [
@@ -309,43 +287,17 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-class _ModelAcc:
-    """Mutable per-model accumulator of the open window."""
-
-    __slots__ = ("n_batches", "n_rows", "n_served", "n_failed", "queue",
-                 "e2e")
-
-    def __init__(self) -> None:
-        self.n_batches = 0
-        self.n_rows = 0
-        self.n_served = 0
-        self.n_failed = 0
-        self.queue: list = []
-        self.e2e: list = []
-
-
 class _WindowAcc:
-    """Mutable accumulator of the currently open window."""
+    """Mutable accumulator of the currently open window: its counters, one
+    :class:`ModelWindowMetrics` slice per batch served, and span samples."""
 
-    __slots__ = ("n_submitted", "n_served", "n_failed", "n_batches",
-                 "n_rejected", "n_crashes", "n_respawns", "n_timeouts",
-                 "n_evictions", "n_subscriber_dropped", "n_late",
-                 "n_unmatched", "n_events", "models", "stages")
+    __slots__ = WINDOW_COUNTERS + ("models", "stages")
 
     def __init__(self) -> None:
-        for name in ("n_submitted", "n_served", "n_failed", "n_batches",
-                     "n_rejected", "n_crashes", "n_respawns", "n_timeouts",
-                     "n_evictions", "n_subscriber_dropped", "n_late",
-                     "n_unmatched", "n_events"):
+        for name in WINDOW_COUNTERS:
             setattr(self, name, 0)
         self.models: dict = {}
         self.stages: dict = {}
-
-    def model(self, key: str) -> _ModelAcc:
-        acc = self.models.get(key)
-        if acc is None:
-            acc = self.models[key] = _ModelAcc()
-        return acc
 
 
 class MetricsAggregator:
@@ -441,12 +393,6 @@ class MetricsAggregator:
             windows = self._advance_locked(t)
         return self._emit(windows)
 
-    def note_dropped(self, n: int = 1) -> None:
-        """Attribute ``n`` externally observed subscriber drops to the open
-        window (for consumers that pre-filter the stream themselves)."""
-        with self._lock:
-            self._open_acc().n_subscriber_dropped += int(n)
-
     # --------------------------------------------------------------- reporting
     def report(self, last: int | None = None) -> MetricsReport:
         """Rolling :class:`MetricsReport` over the last ``last`` closed
@@ -464,9 +410,8 @@ class MetricsAggregator:
     def _emit(self, windows) -> list:
         events = [w.as_event() for w in windows]
         broker = self._broker
-        if events and self._republish and broker is not None and broker:
-            for event in events:
-                broker.publish(event)
+        if events and self._republish and broker is not None:
+            broker.publish_many(events)
         return events
 
     def _open_acc(self) -> _WindowAcc:
@@ -503,26 +448,13 @@ class MetricsAggregator:
             acc.n_subscriber_dropped += total - self._drops_seen
             self._drops_seen = total
         t_start = self._t0 + self._index * self.window_s
-        per_model = {
-            key: ModelWindowMetrics(
-                key=key, n_batches=m.n_batches, n_rows=m.n_rows,
-                n_served=m.n_served, n_failed=m.n_failed,
-                max_batch=self.max_batch,
-                queue_latency=LatencySummary.of(m.queue),
-                e2e_latency=LatencySummary.of(m.e2e))
-            for key, m in acc.models.items()}
+        per_model = {key: ModelWindowMetrics.merge(slices)
+                     for key, slices in acc.models.items()}
         window = WindowMetrics(
             index=self._index, t_start=t_start,
             t_end=t_start + self.window_s,
-            n_submitted=acc.n_submitted, n_served=acc.n_served,
-            n_failed=acc.n_failed, n_batches=acc.n_batches,
-            n_rejected=acc.n_rejected, n_crashes=acc.n_crashes,
-            n_respawns=acc.n_respawns, n_timeouts=acc.n_timeouts,
-            n_evictions=acc.n_evictions,
-            n_subscriber_dropped=acc.n_subscriber_dropped,
-            n_late=acc.n_late, n_unmatched=acc.n_unmatched,
-            n_events=acc.n_events, queue_depth=self._in_flight,
-            max_batch=self.max_batch,
+            **{name: getattr(acc, name) for name in WINDOW_COUNTERS},
+            queue_depth=self._in_flight, max_batch=self.max_batch,
             queue_latency=LatencySummary.merge(
                 m.queue_latency for m in per_model.values()),
             e2e_latency=LatencySummary.merge(
@@ -551,21 +483,19 @@ class MetricsAggregator:
         elif name == "RequestRejected":
             acc.n_rejected += 1
         elif name == "BatchServed":
+            rows = event.n_rows
+            served = rows if event.ok else 0
             acc.n_batches += 1
-            model = acc.model(event.key)
-            model.n_batches += 1
-            model.n_rows += event.n_rows
-            if event.ok:
-                acc.n_served += event.n_rows
-                model.n_served += event.n_rows
-            else:
-                acc.n_failed += event.n_rows
-                model.n_failed += event.n_rows
-            matched = min(event.n_rows, self._in_flight)
-            acc.n_unmatched += event.n_rows - matched
+            acc.n_served += served
+            acc.n_failed += rows - served
+            matched = min(rows, self._in_flight)
+            acc.n_unmatched += rows - matched
             self._in_flight -= matched
-            model.queue.extend(event.queue_s)
-            model.e2e.extend(event.e2e_s)
+            acc.models.setdefault(event.key, []).append(ModelWindowMetrics(
+                key=event.key, n_batches=1, n_rows=rows, n_served=served,
+                n_failed=rows - served, max_batch=self.max_batch,
+                queue_latency=LatencySummary.of(event.queue_s),
+                e2e_latency=LatencySummary.of(event.e2e_s)))
         elif name == "SpanClosed":
             # One sample per member trace: a batch stage weighs as much as
             # the per-request spans it stands for.

@@ -28,14 +28,14 @@ Design points:
   seeded hash of the trace id (:meth:`Tracer.sampled`), made once per
   member when a :class:`SpanBatch` is opened, deterministically, so a
   sampled-out trace produces **zero** spans across every layer and tests
-  can pin the decision;
-* **three recording forms** — ``with tracer.span(name, trace_id):`` for
-  stages that wrap live code (REP107 enforces the ``with``),
-  :meth:`Tracer.emit` for one trace's stage whose boundaries were captured
-  as plain timestamps (the gateway's decode/encode/write), and
-  :meth:`Tracer.batch` for a batch's stages — shard workers never see the
-  tracer (REP106); the parent materialises their spans from the timings
-  stamped into the reply descriptors;
+  can pin the decision.  No other module calls :meth:`Tracer.sampled`;
+* **one recording form** — every span is added to a :class:`SpanBatch`
+  (:meth:`Tracer.batch`) from timestamps its recording site captured, and
+  published by :meth:`SpanBatch.flush`, outside any lock (REP107).  The
+  server opens one per batch; the gateway opens one per request at decode
+  and reuses it for the request's encode and write stages.  Shard workers
+  never see the tracer (REP106): the parent adds their spans from the
+  timings stamped into the reply descriptors;
 * **name-linked hierarchy** — a span names its ``parent`` stage instead of
   carrying a pointer, so spans can close in any order on any thread and
   :class:`TraceAssembler` still rebuilds the tree; retried shard attempts
@@ -49,7 +49,6 @@ latest-ending child at every level — the chain a latency fix must shorten.
 from __future__ import annotations
 
 import contextlib
-import time
 from dataclasses import dataclass, field
 
 from .broker import TopicBroker
@@ -92,48 +91,6 @@ class TracerConfig:
                 f"sample_rate must be within [0, 1], got {self.sample_rate}")
 
 
-class _NullSpan:
-    """The no-op span handed out for unsampled traces (shared singleton)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class _Span:
-    """A live span: times ``__enter__`` → ``__exit__``, publishes on close."""
-
-    __slots__ = ("_tracer", "name", "trace_id", "parent", "worker_index",
-                 "t_start")
-
-    def __init__(self, tracer: "Tracer", name: str, trace_id: int,
-                 parent: str, worker_index: int) -> None:
-        self._tracer = tracer
-        self.name = name
-        self.trace_id = trace_id
-        self.parent = parent
-        self.worker_index = worker_index
-        self.t_start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self.t_start = time.monotonic()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._tracer.emit(self.name, self.trace_id, self.t_start,
-                          time.monotonic() - self.t_start,
-                          parent=self.parent,
-                          worker_index=self.worker_index,
-                          sampled=True)
-
-
 class Tracer:
     """Low-overhead span recorder over a :class:`TopicBroker`.
 
@@ -168,40 +125,9 @@ class Tracer:
         mixed ^= mixed >> 16
         return mixed < rate * 4294967296.0
 
-    def span(self, name: str, trace_id: int, parent: str = ROOT_SPAN,
-             worker_index: int = -1):
-        """A context manager timing one stage of ``trace_id``.
-
-        Must be used as ``with tracer.span(...):`` — REP107 flags orphan
-        calls.  Returns a shared no-op for unsampled traces, so the drop
-        path allocates nothing.
-        """
-        if not (self and self.sampled(trace_id)):
-            return _NULL_SPAN
-        return _Span(self, name, trace_id, parent, worker_index)
-
-    def emit(self, name: str, trace_id: int, t_start: float,
-             duration_s: float, parent: str = ROOT_SPAN,
-             worker_index: int = -1, sampled: bool | None = None) -> None:
-        """Materialise a span whose boundaries were captured elsewhere.
-
-        This is how timestamp-derived stages (batcher queue times) and
-        worker-stamped stages (reply-descriptor timings) enter the trace
-        without the recording site holding an open context manager — and
-        without shard workers ever touching the tracer.
-        """
-        if sampled is None:
-            if not (self and self.sampled(trace_id)):
-                return
-        elif not sampled:
-            return
-        self._broker.publish(SpanClosed(
-            name=name, trace_ids=(int(trace_id),), t_start=float(t_start),
-            duration_s=max(0.0, float(duration_s)), parent=parent,
-            worker_index=int(worker_index)))
-
     def batch(self, trace_ids) -> "SpanBatch":
-        """The span collector of one batch whose members are ``trace_ids``.
+        """The span collector of one batch (or one gateway request) whose
+        members are ``trace_ids``.
 
         The sampling decision is made here, once per member; the batch's
         stages then publish in one broker hop on :meth:`SpanBatch.flush`
@@ -211,13 +137,16 @@ class Tracer:
 
 
 class SpanBatch:
-    """The spans of one batch, published in one broker hop.
+    """The spans of one batch (or one gateway request), published in one
+    broker hop.
 
     :meth:`add` closes one span for the sampled members it names — every
     sampled member by default (a batch stage), a shard job's rows, or one
-    request — and skips it when none of them is sampled.  :meth:`flush`
-    publishes what was added; call it **outside any lock** (REP107 applies
-    to span traffic exactly as to single emits).
+    request — and skips it when none of them is sampled; it clamps a
+    negative duration to zero.  :meth:`flush` publishes what was added
+    since the last flush; call it **outside any lock** (REP107, and
+    lockwatch attributes the publish to the ``flush()`` line).  Falsy when
+    no member is sampled, so a caller can skip its timestamps.
     """
 
     __slots__ = ("_tracer", "_members", "_kept", "_events")
@@ -229,6 +158,9 @@ class SpanBatch:
                          tuple(t for t in trace_ids if tracer.sampled(t)))
         self._kept = None if every else frozenset(self._members)
         self._events: list[SpanClosed] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._members)
 
     def add(self, name: str, t_start: float, duration_s: float,
             parent: str = ROOT_SPAN, worker_index: int = -1,

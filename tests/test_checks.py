@@ -6,6 +6,7 @@ the checker's false-positive rate is as much a contract as its recall.
 """
 
 import json
+import sys
 import textwrap
 import threading
 from pathlib import Path
@@ -65,6 +66,17 @@ def test_rep102_flags_publish_under_lock():
                     self.broker.publish("event")
     """)
     assert len(hits) == 1 and hits[0].line == 5
+
+
+def test_rep102_flags_publish_many_under_lock():
+    hits = rule_hits("REP102", """
+        class Server:
+            def close_window(self, events):
+                with self._lock:
+                    self.broker.publish_many(events)
+    """)
+    assert len(hits) == 1 and hits[0].line == 5
+    assert "publish_many()" in hits[0].message
 
 
 def test_rep102_good_fixture_clean():
@@ -285,55 +297,50 @@ def test_rep106_good_fixture_clean():
 # ----------------------------------------------------------------- REP107
 
 
-def test_rep107_flags_orphan_span_call():
-    hits = rule_hits("REP107", """
-        def handler(tracer, trace_id):
-            span = tracer.span("serve_queue", trace_id)
-            do_work()
-    """)
-    assert len(hits) == 1 and "context" in hits[0].message
-
-
 def test_rep107_flags_span_traffic_under_lock():
     hits = rule_hits("REP107", """
-        def serve(self, trace_id):
+        def serve(self, spans):
             with self._lock:
-                self.tracer.emit("serve_queue", trace_id, 0.0, 1.0)
-            with self._lock:
-                with self.tracer.span("serve_execute", trace_id):
-                    step()
+                spans.flush()
+            with self._cond:
+                self._spans.flush()
     """)
-    assert len(hits) == 2
-    assert "emit" in hits[0].message and "span" in hits[1].message
+    assert [hit.line for hit in hits] == [4, 6]
+    assert all("spans.flush()" in hit.message for hit in hits)
 
 
 def test_rep107_good_fixture_clean():
     assert rule_hits("REP107", """
-        def serve(self, trace_id):
+        def serve(self, spans, t_start):
             with self._lock:
                 t_closed = self.now()
-            with self.tracer.span("serve_execute", trace_id):
-                step()
-            self.tracer.emit("serve_queue", trace_id, 0.0, t_closed)
+                spans.add("serve_queue", t_start, t_closed - t_start)
+            spans.flush()
+
+            def later():          # runs after the lock is released
+                spans.flush()
+            with self._lock:
+                self.deferred = later
     """) == []
 
 
 def test_rep107_ignores_non_tracer_receivers():
-    # `span` on something that is not a tracer (an assembler, a layout
-    # object) is somebody else's API, not an orphan trace span.
+    # `flush` on something that is not a span batch (a file, a server) is
+    # somebody else's API, not span traffic.
     assert rule_hits("REP107", """
-        def layout(grid):
-            cell = grid.span(2, 3)
-            return cell
+        def persist(self, file):
+            with self._lock:
+                file.flush()
+                self.server.flush()
     """) == []
 
 
 def test_rep107_pragma_suppresses_with_reason():
     assert rule_hits("REP107", """
-        def handler(tracer, trace_id):
-            # repro: allow[REP107] span handle passed to a test harness
-            span = tracer.span("serve_queue", trace_id)
-            return span
+        def handler(self, spans):
+            with self._lock:
+                # repro: allow[REP107] the ordering contract needs the lock
+                spans.flush()
     """) == []
 
 
@@ -511,6 +518,58 @@ def test_publish_under_lock_honors_allow_pragma():
                 # repro: allow[REP102] exercising the runtime pragma lookup
                 broker.publish("event")
             assert lockwatch.violations() == []
+
+
+def test_publish_many_under_lock_is_attributed_to_its_call_site():
+    from repro.telemetry.broker import TopicBroker
+
+    with lockwatch.isolated():
+        broker = TopicBroker()
+        with broker.subscribe() as sub:
+            guard = lockwatch.monitored_lock("watch.many")
+            with guard:
+                line = sys._getframe().f_lineno + 1
+                broker.publish_many(["a", "b"])
+            got = lockwatch.violations()
+            assert [v.kind for v in got] == ["publish-under-lock"]
+            assert f"{__file__}:{line} " in got[0].detail
+            assert sub.drain() == ["a", "b"]
+
+
+def test_span_flush_under_lock_is_attributed_to_the_flush_line():
+    from repro.telemetry.broker import TopicBroker
+    from repro.telemetry.spans import Tracer
+
+    with lockwatch.isolated():
+        broker = TopicBroker()
+        with broker.subscribe():
+            spans = Tracer(broker).batch((1,))
+            guard = lockwatch.monitored_lock("watch.spans")
+            with guard:
+                spans.add("serve_queue", 0.0, 1.0)
+                line = sys._getframe().f_lineno + 1
+                spans.flush()
+            got = lockwatch.violations()
+            assert [v.kind for v in got] == ["publish-under-lock"]
+            assert f"{__file__}:{line} " in got[0].detail
+            assert "allow[REP107]" in got[0].detail
+
+
+def test_span_flush_under_lock_honors_rep107_pragma():
+    from repro.telemetry.broker import TopicBroker
+    from repro.telemetry.spans import Tracer
+
+    with lockwatch.isolated():
+        broker = TopicBroker()
+        with broker.subscribe() as sub:
+            spans = Tracer(broker).batch((1,))
+            guard = lockwatch.monitored_lock("watch.spans_pragma")
+            with guard:
+                spans.add("serve_queue", 0.0, 1.0)
+                # repro: allow[REP107] exercising the runtime pragma lookup
+                spans.flush()
+            assert lockwatch.violations() == []
+            assert len(sub.drain()) == 1
 
 
 def test_publish_outside_locks_is_clean():

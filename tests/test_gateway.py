@@ -158,9 +158,20 @@ class TestProtocol:
 
 class TestChunkedFrames:
     def test_small_request_stays_a_single_frame(self):
-        frames = protocol.encode_request_frames(5, "ab", np.zeros(16),
-                                                max_frame_bytes=1 << 20)
-        assert frames == [protocol.encode_request(5, "ab", np.zeros(16))]
+        """The single-frame forms are byte-identical to the one-frame
+        encoders, for requests and results, on either wire dtype and from
+        either input dtype."""
+        values = np.linspace(-1.0, 1.0, 16) / 3.0
+        for samples in (values, values.astype(np.float32)):
+            for dtype in (protocol.DTYPE_FLOAT64, protocol.DTYPE_FLOAT32):
+                frames = protocol.encode_request_frames(
+                    5, "ab", samples, dtype=dtype, max_frame_bytes=1 << 20)
+                assert frames == [protocol.encode_request(5, "ab", samples,
+                                                          dtype=dtype)]
+                frames = protocol.encode_result_frames(
+                    5, samples, dtype=dtype, max_frame_bytes=1 << 20)
+                assert frames == [protocol.encode_result(5, samples,
+                                                         dtype=dtype)]
 
     def test_request_chunk_series_reassembles_bitwise(self):
         rng = np.random.default_rng(7)

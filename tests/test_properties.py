@@ -223,3 +223,94 @@ class TestMicroBatcherScheduleProperties:
         assert batcher.pending() == 0
         assert not any(pending.values())
         assert sorted(map(id, taken)) == sorted(map(id, submitted))
+
+
+class Alpha:
+    """Broker test events: the topic of an event is its class name."""
+
+
+class Beta:
+    pass
+
+
+class Gamma:
+    pass
+
+
+class TestBrokerProperties:
+    TOPICS = ("Alpha", "Beta", "Gamma")
+    subscriptions = st.lists(
+        st.tuples(st.integers(1, 6),                   # maxsize
+                  st.one_of(st.none(),                 # topic filter
+                            st.sets(st.sampled_from(TOPICS), min_size=1))),
+        min_size=1, max_size=4)
+    operations = st.lists(
+        st.one_of(
+            st.tuples(st.just("publish"),
+                      st.lists(st.sampled_from((Alpha, Beta, Gamma)),
+                               min_size=1, max_size=1)),
+            st.tuples(st.just("publish_many"),
+                      st.lists(st.sampled_from((Alpha, Beta, Gamma)),
+                               max_size=8)),
+            st.tuples(st.just("drain"), st.integers(0, 3))),
+        max_size=40)
+
+    @given(subscriptions, operations)
+    def test_interleaved_publishes_match_a_reference_queue(
+            self, subscriptions, operations):
+        """Each queue holds the last ``maxsize`` matching events since it
+        was last drained, in order; ``n_delivered`` counts every matching
+        event, ``n_dropped`` every one pushed out, and ``wakeup`` fires once
+        per empty → non-empty edge."""
+        from repro.telemetry.broker import TopicBroker
+
+        broker = TopicBroker()
+        wakeups = [0] * len(subscriptions)
+
+        def wakeup(index):
+            def fire():
+                wakeups[index] += 1
+            return fire
+
+        subs = [broker.subscribe(topics=topics, maxsize=maxsize,
+                                 wakeup=wakeup(index))
+                for index, (maxsize, topics) in enumerate(subscriptions)]
+        pending = [[] for _ in subs]          # matching events since drain
+        delivered = [0] * len(subs)
+        dropped = [0] * len(subs)
+        edges = [0] * len(subs)
+        n_published = 0
+
+        def matches(sub, event):
+            return sub.topics is None or type(event).__name__ in sub.topics
+
+        for kind, arg in operations:
+            if kind == "drain":
+                index = arg % len(subs)
+                sub = subs[index]
+                assert sub.drain() == pending[index][-sub.maxsize:]
+                dropped[index] += max(0, len(pending[index]) - sub.maxsize)
+                pending[index] = []
+                continue
+            events = [cls() for cls in arg]
+            receivers = 0
+            for index, sub in enumerate(subs):
+                matched = [event for event in events if matches(sub, event)]
+                if matched and not pending[index]:
+                    edges[index] += 1
+                receivers += bool(matched)
+                pending[index].extend(matched)
+                delivered[index] += len(matched)
+            if kind == "publish":
+                assert broker.publish(events[0]) == receivers
+            else:
+                assert broker.publish_many(events) == receivers
+            n_published += len(events)
+        assert broker.n_published == n_published
+        for index, sub in enumerate(subs):
+            assert len(sub) == min(len(pending[index]), sub.maxsize)
+            assert sub.n_delivered == delivered[index]
+            assert sub.n_dropped == dropped[index] + max(
+                0, len(pending[index]) - sub.maxsize)
+            assert wakeups[index] == edges[index]
+            assert sub.drain() == pending[index][-sub.maxsize:]

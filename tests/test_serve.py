@@ -551,6 +551,40 @@ class TestServerValidation:
         with pytest.raises(ServeError, match="unknown model key"):
             server.submit("f" * 64, np.full(8, 0.5))
 
+    def test_unknown_key_rejected_on_every_submit(self, server):
+        with server.telemetry.subscribe(topics=("RequestRejected",)) as sub:
+            for _ in range(3):
+                with pytest.raises(ServeError, match="unknown model key"):
+                    server.submit("f" * 64, np.full(8, 0.5))
+            reasons = [event.reason for event in sub.drain()]
+        assert reasons == ["unknown_key"] * 3
+
+    def test_admitted_key_removed_from_registry_serves_from_warm_cache(
+            self, registry, compiled, key):
+        """An admitted key is not looked up again: keys are content
+        hashes, so the dispatcher cache still holds the very model."""
+        row = np.full(16, 0.5)
+        policy = ServePolicy(max_batch=4, max_wait=1e-3, n_workers=0)
+        with ModelServer(registry, policy) as server:
+            server.submit(key, row).result(FUTURE_TIMEOUT)
+            registry.remove(key)
+            assert key not in registry
+            served = server.submit(key, row).result(FUTURE_TIMEOUT)
+        np.testing.assert_array_equal(served, compiled.evaluate(row))
+
+    def test_admitted_key_removed_without_cache_fails_its_batch_named(
+            self, registry, key):
+        row = np.full(16, 0.5)
+        policy = ServePolicy(max_batch=4, max_wait=1e-3, n_workers=0,
+                             cache_bytes=0)
+        with ModelServer(registry, policy) as server:
+            server.submit(key, row).result(FUTURE_TIMEOUT)
+            registry.remove(key)
+            future = server.submit(key, row)     # admitted: not looked up
+            with pytest.raises(ServeError, match="batch evaluation failed"):
+                future.result(FUTURE_TIMEOUT)
+            assert server.stats().n_failed == 1
+
     def test_queue_depth_limit_named(self, registry, key):
         policy = ServePolicy(max_batch=1000, max_wait=60.0, max_queue_depth=2)
         with ModelServer(registry, policy) as server:

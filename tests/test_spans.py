@@ -121,9 +121,13 @@ class TestTracer:
     def test_with_span_publishes_span_closed(self):
         broker = TopicBroker()
         with broker.subscribe(topics=("SpanClosed",)) as sub:
-            tracer = Tracer(broker)
-            with tracer.span("serve_execute", 5, worker_index=2):
-                time.sleep(0.001)
+            spans = Tracer(broker).batch((5,))
+            t_start = time.monotonic()
+            time.sleep(0.001)
+            spans.add("serve_execute", t_start, time.monotonic() - t_start,
+                      worker_index=2)
+            assert sub.get(timeout=0.05) is None      # nothing before flush
+            spans.flush()
             event = sub.get(timeout=5.0)
         assert isinstance(event, SpanClosed)
         assert event.name == "serve_execute"
@@ -138,15 +142,19 @@ class TestTracer:
             tracer = Tracer(broker, TracerConfig(sample_rate=0.5, seed=3))
             dropped = next(i for i in range(1, 1000)
                            if not tracer.sampled(i))
-            with tracer.span("serve_execute", dropped):
-                pass
-            tracer.emit("serve_queue", dropped, 0.0, 1.0)
+            spans = tracer.batch((dropped,))
+            assert not spans
+            spans.add("serve_execute", 0.0, 1.0)
+            spans.add("serve_queue", 0.0, 1.0, trace_ids=(dropped,))
+            spans.flush()
             assert sub.get(timeout=0.2) is None
 
     def test_emit_clamps_negative_durations(self):
         broker = TopicBroker()
         with broker.subscribe(topics=("SpanClosed",)) as sub:
-            Tracer(broker).emit("serve_queue", 1, 10.0, -0.5)
+            spans = Tracer(broker).batch((1,))
+            spans.add("serve_queue", 10.0, -0.5)
+            spans.flush()
             event = sub.get(timeout=5.0)
         assert event.duration_s == 0.0
 
@@ -406,6 +414,39 @@ class TestGatewaySpans:
             # Gateway stages hang off the root request span.
             assert {c.name for c in root.children} >= {"gateway_decode",
                                                        "gateway_write"}
+
+    def test_sampled_gateway_traces_are_all_or_nothing(self, registry, key):
+        """Sampling is decided once per trace (by the span batches): a
+        dropped trace gets no span from any layer, a kept one every span
+        of the serve path and its three gateway stages under its root."""
+        config = TracerConfig(sample_rate=0.5, seed=11)
+        decision = Tracer(TopicBroker(), config).sampled
+        # The client submits one request at a time, so trace ids run 1..8.
+        expected_kept = {i for i in range(1, 9) if decision(i)}
+        assert expected_kept and expected_kept != set(range(1, 9))
+        gateway_stages = {"gateway_decode", "gateway_encode",
+                          "gateway_write"}
+        policy = ServePolicy(max_batch=8, max_wait=2e-3, n_workers=0)
+        with ModelServer(registry, policy, tracing=config) as server:
+            with subscribe_spans(server.telemetry) as (assembler, sub):
+                with Gateway(server).start() as gateway:
+                    with GatewayClient(*gateway.address) as client:
+                        for row in request_batch(8, 32):
+                            client.submit(key, row)
+                    drain_spans(
+                        assembler, sub,
+                        lambda asm: set(asm.trace_ids()) == expected_kept
+                        and all(gateway_stages
+                                <= {s.name for s in asm.spans(t)}
+                                for t in asm.trace_ids()))
+                    # Settle: nothing trickles in for the dropped ids.
+                    assert sub.get(timeout=0.2) is None
+        assert set(assembler.trace_ids()) == expected_kept
+        for trace_id in expected_kept:
+            # In-process serve stages (6) plus the three gateway stages.
+            assert len(assembler.spans(trace_id)) == 9
+            root = assembler.tree(trace_id)
+            assert {c.name for c in root.children} >= gateway_stages
 
 
 # ----------------------------------------------------------------- runstore

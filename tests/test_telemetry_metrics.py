@@ -233,13 +233,25 @@ class TestAggregatorWindows:
         assert rebuilt == event
         watcher.close()
 
-    def test_counter_events_and_note_dropped_fold_in(self):
+    def test_counter_events_fold_in(self):
         agg = MetricsAggregator(window_s=1.0, max_batch=8, t0=0.0)
         agg.ingest(WorkerCrashed(worker_index=0, key="m", t=0.1))
-        agg.note_dropped(3)
         (event,) = agg.close_window()
         assert event.n_crashes == 1
-        assert event.n_subscriber_dropped == 3
+        assert event.n_subscriber_dropped == 0
+
+    def test_subscription_drops_fold_into_the_window(self):
+        """Events the aggregator's own subscription dropped while its
+        consumer fell behind are counted on the window that closes next."""
+        broker = TopicBroker()
+        agg = MetricsAggregator(broker, window_s=60.0, maxsize=4)
+        with agg._lock:        # the consumer thread stalls on its fold
+            for _ in range(50):
+                # repro: allow[REP102] stalls the consumer so its subscription overflows
+                broker.publish(WorkerCrashed(worker_index=0, key="m"))
+        (event,) = agg.close()
+        assert event.n_subscriber_dropped == agg.n_dropped > 0
+        assert event.n_crashes + event.n_subscriber_dropped == 50
 
 
 # -------------------------------------------------- LatencySummary satellites
