@@ -8,8 +8,8 @@ that bargain.  It turns extraction results into deployable artifacts:
   complex first-order recurrence at a fixed sample rate and tabulate its
   static nonlinear maps (:func:`compile_model` / :class:`CompiledModel`);
 * :mod:`~repro.runtime.batch` — evaluate thousands of stimuli in lock-step
-  as one ``(n_stimuli, n_steps)`` array, memory-chunked along the batch axis
-  (:func:`evaluate_batch`, :func:`stack_stimuli`);
+  as one ``(n_stimuli, n_steps)`` array, in cache-sized tiles of rows by
+  steps (:func:`evaluate_batch`, :func:`stack_stimuli`);
 * :mod:`~repro.runtime.registry` — content-hash-keyed persistence of
   compiled models with provenance metadata, so a sweep run in one process is
   served from any other (:class:`ModelRegistry`);

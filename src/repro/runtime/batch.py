@@ -4,19 +4,22 @@ This is the serving hot path: thousands of stimuli stacked into one
 ``(n_stimuli, n_steps)`` array, all model states advanced together.  One
 complex table lookup yields every branch drive for every step; the input
 terms of the recurrence are then formed for all steps at once, and each time
-step costs one complex multiply-add on an ``(n_branches, chunk)`` block —
+step costs one complex multiply-add on an ``(n_branches, rows)`` block —
 there is no per-stimulus Python whatsoever, which is what buys the
 orders-of-magnitude margin over re-simulating each stimulus through the full
 transient engine (the paper's reported speed-up, multiplied across the batch
 axis).
 
-The batch axis is memory-chunked the same way
-:func:`repro.circuit.linalg.batched_transfer` chunks its frequency axis: the
-transient per-chunk workspace (interpolated branch drives plus the complex
-branch states) is kept below ``max_chunk_bytes``.  Chunking never changes
-results — stimuli are independent and every operation is element-wise along
-the batch axis — so the same batch evaluated with any chunk size is bitwise
-identical.
+A batch is evaluated in cache-sized tiles: a chunk of rows by a run of steps
+whose workspace stays within :data:`TILE_BYTES`, so every phase works on
+temporaries that stay in the core's cache instead of streaming a whole
+``(n_steps, n_branches, n_stimuli)`` block through memory (loop blocking as
+in Lam, Rothberg & Wolf, "The cache performance and optimizations of blocked
+algorithms", ASPLOS 1991).  Tiling never changes results: stimuli are
+independent, every operation is element-wise, and each branch's last drive
+and state carry across a step edge, so a tile runs the same operations in
+the same order as one pass over the whole batch, and any tiling of a batch
+is bitwise identical.
 """
 
 from __future__ import annotations
@@ -28,6 +31,16 @@ import numpy as np
 from ..exceptions import ModelError
 
 __all__ = ["evaluate_batch", "shard_slices", "stack_stimuli"]
+
+#: Workspace budget of one tile, in bytes: half the 2 MiB per-core L2 of the
+#: 2-core reference box, chosen from ``bulk`` benchmark pairs (CHANGES.md).
+TILE_BYTES = 1 << 20
+#: Fewest steps a tile spans when a batch is split, so each tile's fixed
+#: number of NumPy calls is spread over many steps.
+TILE_MIN_STEPS = 64
+#: The ``timings`` keys of :func:`evaluate_batch`, the kernel's phases last.
+_TIMING_KEYS = ("eval_s", "stage_out_s", "knots_s", "lookup_s", "drive_s",
+                "recurrence_s")
 
 
 def shard_slices(n_rows: int, n_shards: int) -> list[slice]:
@@ -76,10 +89,20 @@ def stack_stimuli(waveforms, times: np.ndarray) -> np.ndarray:
 
 
 def evaluate_batch(model, inputs: np.ndarray,
-                   max_chunk_bytes: int = 256 << 20,
                    out: np.ndarray | None = None,
                    timings: dict | None = None) -> np.ndarray:
     """Evaluate a :class:`~repro.runtime.compiled.CompiledModel` on a batch.
+
+    The batch runs in tiles of a chunk of rows by a run of steps, sized so a
+    tile's workspace stays within :data:`TILE_BYTES` (about 1 MiB, under a
+    core's L2): as many rows as fit at :data:`TILE_MIN_STEPS` steps, then as
+    many steps as fit beside those rows.  A batch whose whole workspace fits
+    is one tile.  Each row chunk runs its tiles in step order, and each
+    branch's last drive ``v`` and state ``z`` carry into the next tile, whose
+    first step adds the ``w0·v`` and ``E·z`` terms the untiled kernel would
+    have taken from the step before.  Every operation is element-wise and
+    runs in the same order, so the outputs are bitwise identical to one pass
+    over the whole batch, whatever the tiling.
 
     Parameters
     ----------
@@ -90,9 +113,6 @@ def evaluate_batch(model, inputs: np.ndarray,
         of ``B`` stimuli, or 1-D ``(K,)`` for a single stimulus (returned
         shape matches the input shape).  Values outside the compiled
         ``[u_min, u_max]`` table span are clamped to the edges.
-    max_chunk_bytes:
-        Bound on the transient per-chunk workspace; the batch axis is split
-        accordingly.
     out:
         Optional pre-allocated float64 output array of the same shape as
         ``inputs``; results are written into it and it is returned.  This is
@@ -100,14 +120,17 @@ def evaluate_batch(model, inputs: np.ndarray,
         (:mod:`repro.serve.shards`): workers evaluate straight into their
         shared segment instead of materialising a result to pickle.
     timings:
-        Optional dict the call **adds** its per-phase wall time into:
-        ``eval_s`` (recurrence kernel) and ``stage_out_s`` (copying chunk
-        results into ``outputs`` — for the shm dataplane, the write into
-        the shared segment).  This is how shard workers attribute their
-        stage timings without touching the tracer: the stamps ride the
-        reply descriptor and the parent materialises the spans.  The clock
-        is read once per chunk, never per time step, so the phases are
-        timed whether or not a dict is passed.
+        Optional dict the call **adds** its wall time into: ``eval_s`` (the
+        kernel) and ``stage_out_s`` (copying tile results into ``outputs`` —
+        for the shm dataplane, the write into the shared segment), and the
+        kernel's phases inside ``eval_s``: ``knots_s`` (interpolation
+        knots), ``lookup_s`` (static and branch tables), ``drive_s`` (the
+        recurrence's input terms) and ``recurrence_s`` (the step loop and
+        the output sum).  This is how shard workers attribute their stage
+        timings without touching the tracer: the stamps ride the reply
+        descriptor and the parent materialises the spans.  The clock is
+        read once per tile and phase, never per time step, so the phases
+        are timed whether or not a dict is passed.
     """
     inputs = np.asarray(inputs, dtype=float)
     single = inputs.ndim == 1
@@ -139,30 +162,39 @@ def evaluate_batch(model, inputs: np.ndarray,
             f"{first_row}), step {first_step} "
             f"(value {inputs[first_row, first_step]!r})")
 
-    # Peak per-stimulus workspace of _evaluate_block, in rows of K floats:
-    # per branch, the complex drives and states (2 rows each) plus the lookup
-    # and product temporaries beside them (~7 rows per branch measured), and
-    # a handful of per-step rows (u, knots, static, outputs).
-    rows = 10 * model.n_branches + 6
-    per_stim = 8 * n_steps * rows
-    chunk = max(1, int(max_chunk_bytes // max(per_stim, 1)))
-
     if out is None:
         outputs = np.empty_like(inputs)
     else:
         outputs = out[None, :] if out.ndim == 1 else out
-    eval_s = stage_out_s = 0.0
-    for start in range(0, n_batch, chunk):
-        t0 = time.monotonic()
-        result = _evaluate_block(model, inputs[start:start + chunk])
-        t1 = time.monotonic()
-        outputs[start:start + chunk] = result
-        eval_s += t1 - t0
-        stage_out_s += time.monotonic() - t1
+    rows, steps = _tile_shape(model.n_branches, n_batch, n_steps)
+    spent = [0.0] * len(_TIMING_KEYS)
+    for row0 in range(0, n_batch, rows):
+        carry = None
+        for step0 in range(0, n_steps, steps):
+            tile = slice(row0, row0 + rows), slice(step0, step0 + steps)
+            t0 = time.monotonic()
+            result, carry = _evaluate_tile(model, inputs[tile], carry, spent)
+            t1 = time.monotonic()
+            outputs[tile] = result.T
+            spent[0] += t1 - t0
+            spent[1] += time.monotonic() - t1
     if timings is not None:
-        timings["eval_s"] = timings.get("eval_s", 0.0) + eval_s
-        timings["stage_out_s"] = timings.get("stage_out_s", 0.0) + stage_out_s
+        for key, seconds in zip(_TIMING_KEYS, spent):
+            timings[key] = timings.get(key, 0.0) + seconds
     return outputs[0] if single else outputs
+
+
+def _tile_shape(n_branches: int, n_batch: int, n_steps: int) -> tuple[int, int]:
+    """Rows and steps of the tiles :func:`evaluate_batch` splits a batch into."""
+    # Peak workspace of _evaluate_tile per stimulus step, in 8-byte floats:
+    # per branch, the complex drives and states (2 floats each) plus the
+    # lookup and product temporaries beside them, and a handful of per-step
+    # floats (u, knots, static, outputs).  tracemalloc puts a 2-branch tile's
+    # peak at 0.86 of this estimate (870 KiB of the 1 MiB budget); the
+    # untiled 26 x 4096 block's was 15.6 MiB, 0.74 of it.
+    cells = max(1, TILE_BYTES // (8 * (10 * n_branches + 6)))
+    rows = max(1, min(n_batch, cells // min(n_steps, TILE_MIN_STEPS)))
+    return rows, max(TILE_MIN_STEPS, cells // rows)
 
 
 def _table_lookup(table: np.ndarray, idx: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -173,8 +205,17 @@ def _table_lookup(table: np.ndarray, idx: np.ndarray, frac: np.ndarray) -> np.nd
     return table.take(idx) * (1.0 - frac) + table.take(idx + 1) * frac
 
 
-def _evaluate_block(model, u: np.ndarray) -> np.ndarray:
-    """Advance one (chunk, n_steps) block through the compiled recurrence."""
+def _evaluate_tile(model, u: np.ndarray, carry, spent: list):
+    """Advance one ``(rows, steps)`` tile through the compiled recurrence.
+
+    ``carry`` is ``None`` for a tile that starts at step 0, where every
+    branch starts at equilibrium, and otherwise the ``(v, z)`` drives and
+    states the previous tile of these rows ended on.  Returns the tile's
+    step-major ``(steps, rows)`` outputs and the carry for the next tile;
+    the knots, lookup, drive and recurrence seconds are added into
+    ``spent[2:]``.
+    """
+    t0 = time.monotonic()
     # Uniform-grid interpolation knots, step-major (K, B), shared by every table.
     u = np.ascontiguousarray(u.T)
     n_steps, n_block = u.shape
@@ -182,33 +223,53 @@ def _evaluate_block(model, u: np.ndarray) -> np.ndarray:
     pos = (np.clip(u, model.u_min, model.u_max) - model.u_min) / du
     idx = np.minimum(pos.astype(np.intp), model.n_table - 2)
     frac = pos - idx
+    t1 = time.monotonic()
 
     outputs = _table_lookup(model.static_table, idx, frac)         # (K, B)
     if model.n_branches == 0:
-        return outputs.T
+        spent[2] += t1 - t0
+        spent[3] += time.monotonic() - t1
+        return outputs, None
 
     # Every branch drive in one lookup of the flattened complex tables.
     offsets = model.n_table * np.arange(model.n_branches)[:, None]
     v = _table_lookup(model.branch_table.ravel(), idx[:, None, :] + offsets,
                       frac[:, None, :])                             # (K, P, B)
+    t2 = time.monotonic()
 
-    # Input terms of every step; z[0] starts each branch at equilibrium.
+    # Input terms of every step.  The first step of the first tile starts
+    # each branch at equilibrium; a later tile's first step takes its w0
+    # term from the drive the previous tile ended on.
     z = np.empty_like(v)
-    np.multiply(model.init[:, None], v[0], out=z[0])
     np.multiply(model.w0[:, None], v[:-1], out=z[1:])
-    z[1:] += model.w1[:, None] * v[1:]
+    if carry is None:
+        np.multiply(model.init[:, None], v[0], out=z[0])
+        first = 1
+    else:
+        v_last, prev = carry
+        np.multiply(model.w0[:, None], v_last, out=z[0])
+        first = 0
+    z[first:] += model.w1[:, None] * v[first:]
+    t3 = time.monotonic()
 
     # z[n] += E z[n-1]: one complex multiply-add per step over all P * B
-    # states, with E repeated per row so the loop never broadcasts.
+    # states, with E repeated per row so the loop never broadcasts; a later
+    # tile's first step continues from the state the previous tile ended on.
     expz = np.repeat(model.expz, n_block)
-    carry = np.empty_like(expz)
+    decayed = np.empty_like(expz)
     states = z.reshape(n_steps, -1)
-    prev = states[0]
-    for state in states[1:]:
-        np.multiply(expz, prev, out=carry)
-        state += carry
+    if carry is None:
+        prev = states[0]
+    for state in states[first:]:
+        np.multiply(expz, prev, out=decayed)
+        state += decayed
         prev = state
 
     for p, weight in enumerate(model.c_out):
         outputs += weight * z[:, p].real
-    return outputs.T
+    t4 = time.monotonic()
+    spent[2] += t1 - t0
+    spent[3] += t2 - t1
+    spent[4] += t3 - t2
+    spent[5] += t4 - t3
+    return outputs, (v[-1].copy(), prev.copy())

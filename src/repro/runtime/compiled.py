@@ -119,20 +119,21 @@ class CompiledModel:
         return None if bound is None else float(bound)
 
     # ------------------------------------------------------------- evaluation
-    def evaluate(self, inputs: np.ndarray, max_chunk_bytes: int = 256 << 20,
+    def evaluate(self, inputs: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
         """Batched evaluation; delegates to :func:`repro.runtime.batch.evaluate_batch`.
 
         ``inputs`` is ``(n_stimuli, n_steps)`` (or 1-D for a single stimulus)
         sampled at this model's ``dt``; returns outputs of the same shape.
-        ``out`` optionally receives the results in place (the shard
-        dataplane's zero-copy path — see :func:`~repro.runtime.batch.
-        evaluate_batch`).
+        The batch runs in cache-sized tiles whose workspace stays within
+        :data:`repro.runtime.batch.TILE_BYTES`, with bitwise the same
+        outputs as one pass over the whole batch.  ``out`` optionally
+        receives the results in place (the shard dataplane's zero-copy
+        path — see :func:`~repro.runtime.batch.evaluate_batch`).
         """
         from .batch import evaluate_batch
 
-        return evaluate_batch(self, inputs, max_chunk_bytes=max_chunk_bytes,
-                              out=out)
+        return evaluate_batch(self, inputs, out=out)
 
     def time_axis(self, n_steps: int, t_start: float = 0.0) -> np.ndarray:
         """The uniform time grid of an ``n_steps``-sample evaluation."""

@@ -1,11 +1,15 @@
 """Hypothesis property-based tests for the core numerical building blocks."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.waveforms import BitPattern, Sine, prbs_bits
+from repro.runtime import batch as batch_module
+from repro.runtime import compile_model
 from repro.rvf import PartialFractionFunction, basis_primitive
 from repro.rvf.timedomain import phi1, phi2
 from repro.serve import MicroBatcher, ServeRequest
@@ -13,6 +17,7 @@ from repro.serve.stats import ALPHA, LatencySummary
 from repro.units import format_si, parse_value
 from repro.vectfit import flip_unstable, sort_poles, split_real_complex
 from repro.vectfit.poles import enforce_conjugate_closure
+from test_runtime import assert_same_bits, synthetic_model, untiled_reference
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                           allow_infinity=False)
@@ -132,6 +137,28 @@ class TestWaveformProperties:
         values = pattern.sample(times)
         assert values.min() >= low - 1e-9
         assert values.max() <= high + 1e-9
+
+
+class TestTiledKernelProperties:
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        return compile_model(synthetic_model(), dt=1e-9, input_range=(0.0, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=24),
+           st.integers(min_value=1, max_value=120),
+           st.integers(min_value=1, max_value=1 << 16),
+           st.integers(min_value=1, max_value=32),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_any_tile_budget_matches_untiled_kernel(self, compiled, n_rows,
+                                                    n_steps, budget, floor,
+                                                    seed):
+        batch = np.random.default_rng(seed).uniform(-0.1, 1.1,
+                                                    (n_rows, n_steps))
+        with mock.patch.object(batch_module, "TILE_BYTES", budget), \
+                mock.patch.object(batch_module, "TILE_MIN_STEPS", floor):
+            tiled = compiled.evaluate(batch)
+        assert_same_bits(tiled, untiled_reference(compiled, batch))
 
 
 class TestLatencySummaryProperties:

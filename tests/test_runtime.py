@@ -28,6 +28,7 @@ from repro.runtime import (
     stack_stimuli,
     validate_model,
 )
+from repro.runtime import batch as batch_module
 from repro.runtime.registry import INDEX_NAME
 from repro.sweep import SweepOptions, run_sweep, waveform_sweep
 from repro.tft.state_estimator import StateEstimator
@@ -77,6 +78,58 @@ def make_stimulus(n_steps=300, dt=1e-9):
         + 0.05 * np.sin(4e7 * 2 * np.pi * times)
 
 
+def untiled_reference(model, inputs: np.ndarray) -> np.ndarray:
+    """The batch kernel before tiling: one pass over the whole batch.
+
+    The untiled ``_evaluate_block`` kept as the reference the tiled kernel
+    must match bit for bit; ``inputs`` is ``(B, K)``.
+    """
+    def lookup(table, idx, frac):
+        return table.take(idx) * (1.0 - frac) + table.take(idx + 1) * frac
+
+    u = np.ascontiguousarray(np.asarray(inputs, dtype=float).T)
+    n_steps, n_block = u.shape
+    du = (model.u_max - model.u_min) / (model.n_table - 1)
+    pos = (np.clip(u, model.u_min, model.u_max) - model.u_min) / du
+    idx = np.minimum(pos.astype(np.intp), model.n_table - 2)
+    frac = pos - idx
+    outputs = lookup(model.static_table, idx, frac)
+    if model.n_branches == 0:
+        return outputs.T
+    offsets = model.n_table * np.arange(model.n_branches)[:, None]
+    v = lookup(model.branch_table.ravel(), idx[:, None, :] + offsets,
+               frac[:, None, :])
+    z = np.empty_like(v)
+    np.multiply(model.init[:, None], v[0], out=z[0])
+    np.multiply(model.w0[:, None], v[:-1], out=z[1:])
+    z[1:] += model.w1[:, None] * v[1:]
+    expz = np.repeat(model.expz, n_block)
+    carry = np.empty_like(expz)
+    states = z.reshape(n_steps, -1)
+    prev = states[0]
+    for state in states[1:]:
+        np.multiply(expz, prev, out=carry)
+        state += carry
+        prev = state
+    for p, weight in enumerate(model.c_out):
+        outputs += weight * z[:, p].real
+    return outputs.T
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Byte equality: unlike ``assert_array_equal``, tells -0.0 from 0.0."""
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def patch_tile(patcher, model, rows: int, steps: int) -> None:
+    """Size tiles of ``model`` to ``rows`` x ``steps`` (when the batch is
+    at least ``rows`` by ``steps``) by shrinking the tile budget."""
+    per_step = 8 * (10 * model.n_branches + 6)
+    patcher.setattr(batch_module, "TILE_BYTES", rows * steps * per_step)
+    patcher.setattr(batch_module, "TILE_MIN_STEPS", steps)
+
+
 class TestCompile:
     def test_matches_analytical_simulation(self, compiled):
         model = synthetic_model()
@@ -108,22 +161,36 @@ class TestCompile:
                 np.testing.assert_array_equal(
                     outputs, reference[:batch.shape[0], :batch.shape[1]])
 
-    def test_chunking_is_bitwise_stable(self, compiled, static_only):
+    def test_chunking_is_bitwise_stable(self, compiled, static_only,
+                                        monkeypatch):
         rng = np.random.default_rng(7)
         for model in (compiled, static_only):
             for shape in ((17, 64), (17, 2), (17, 1), (1, 64), (1, 1)):
                 batch = 0.5 + 0.3 * rng.standard_normal(shape)
                 full = model.evaluate(batch)
-                tiny_chunks = model.evaluate(batch, max_chunk_bytes=1)
-                np.testing.assert_array_equal(full, tiny_chunks)
-                timings = {}
-                timed = evaluate_batch(model, batch, max_chunk_bytes=1,
-                                       timings=timings)
+                with monkeypatch.context() as tiny:
+                    # One row by one step per tile.
+                    tiny.setattr(batch_module, "TILE_BYTES", 1)
+                    tiny.setattr(batch_module, "TILE_MIN_STEPS", 1)
+                    tiny_tiles = model.evaluate(batch)
+                    timings = {}
+                    timed = evaluate_batch(model, batch, timings=timings)
+                np.testing.assert_array_equal(full, tiny_tiles)
                 np.testing.assert_array_equal(full, timed)
-                assert set(timings) == {"eval_s", "stage_out_s"}
+                assert set(timings) == {"eval_s", "stage_out_s", "knots_s",
+                                        "lookup_s", "drive_s", "recurrence_s"}
                 split = np.vstack([model.evaluate(batch[rows]) for rows
                                    in shard_slices(shape[0], 3)])
                 np.testing.assert_array_equal(full, split)
+
+    def test_phase_timers_split_the_kernel_time(self, compiled):
+        batch = 0.5 + 0.3 * np.random.default_rng(3).standard_normal((17, 64))
+        timings = {}
+        evaluate_batch(compiled, batch, timings=timings)
+        phases = [timings[key] for key in
+                  ("knots_s", "lookup_s", "drive_s", "recurrence_s")]
+        assert all(seconds > 0.0 for seconds in phases)
+        assert sum(phases) <= timings["eval_s"]
 
     def test_out_of_range_inputs_clamp_to_table_edges(self, compiled):
         inside = compiled.evaluate(np.full(32, compiled.u_max))
@@ -174,6 +241,70 @@ class TestCompile:
         single[3] = -np.inf
         with pytest.raises(ModelError, match="row 0"):
             compiled.evaluate(single)
+
+
+class TestTiles:
+    """Tiled evaluation against the untiled kernel, bit for bit, across
+    every kind of tile edge: R rows by T steps per tile."""
+
+    R, T = 4, 8
+    STEPS = (1, 2, T - 1, T, T + 1, 3 * T + 7)
+    ROWS = (1, 2, R - 1, R, R + 1, 3 * R + 2)
+
+    @pytest.fixture(scope="class")
+    def nonlinear(self, nonlinear_rvf):
+        states = nonlinear_rvf.tft.state_axis()
+        return compile_model(nonlinear_rvf.model, dt=5e-6,
+                             input_range=(states.min(), states.max()))
+
+    @pytest.fixture
+    def models(self, compiled, static_only, nonlinear):
+        return (compiled, static_only, nonlinear)
+
+    @staticmethod
+    def stimuli(model, shape, seed=0):
+        """Rows spanning the table, a little past both edges."""
+        span = model.u_max - model.u_min
+        rng = np.random.default_rng(seed)
+        return model.u_min + span * rng.uniform(-0.1, 1.1, shape)
+
+    def test_tiles_match_untiled_kernel_bitwise(self, models, monkeypatch):
+        for model in models:
+            patch_tile(monkeypatch, model, self.R, self.T)
+            assert batch_module._tile_shape(
+                model.n_branches, 3 * self.R + 2, 3 * self.T + 7) == (
+                    self.R, self.T)
+            for n_rows in self.ROWS:
+                for n_steps in self.STEPS:
+                    batch = self.stimuli(model, (n_rows, n_steps))
+                    assert_same_bits(model.evaluate(batch),
+                                     untiled_reference(model, batch))
+
+    def test_single_row_and_out_array(self, models, monkeypatch):
+        for model in models:
+            patch_tile(monkeypatch, model, 1, self.T)
+            for n_steps in self.STEPS:
+                row = self.stimuli(model, n_steps, seed=n_steps)
+                want = untiled_reference(model, row[None, :])[0]
+                assert_same_bits(model.evaluate(row), want)
+                out = np.full(n_steps, np.nan)
+                assert np.shares_memory(model.evaluate(row, out=out), out)
+                assert_same_bits(out, want)
+            patch_tile(monkeypatch, model, self.R, self.T)
+            batch = self.stimuli(model, (3 * self.R + 2, 3 * self.T + 7))
+            out = np.full(batch.shape, np.nan)
+            assert evaluate_batch(model, batch, out=out) is out
+            assert_same_bits(out, untiled_reference(model, batch))
+
+    def test_every_shard_split_matches(self, models, monkeypatch):
+        for model in models:
+            patch_tile(monkeypatch, model, self.R, self.T)
+            batch = self.stimuli(model, (3 * self.R + 2, 3 * self.T + 7))
+            want = untiled_reference(model, batch)
+            for n_shards in range(1, batch.shape[0] + 1):
+                split = np.vstack([model.evaluate(batch[rows]) for rows
+                                   in shard_slices(batch.shape[0], n_shards)])
+                assert_same_bits(split, want)
 
 
 class TestModelSerialization:
