@@ -73,6 +73,62 @@ class TestBufferTransientSpeedup:
             f"compiled engine only {speedup:.2f}x faster than legacy")
 
 
+class TestValidationFamily:
+    #: The held-out validation sines of the repo benchmark's ``extract``
+    #: workload at their design points: (amplitude V, frequency Hz).
+    HELDOUT_DESIGN = ((0.45, 3.0e6), (0.30, 1.5e6), (0.15, 2.5e6))
+
+    def test_buffer_validation_family_at_least_1_3x_faster(self, capsys):
+        """Three held-out transients as one family vs three sequential runs.
+
+        The family evaluates the stacked ``(3, 27)`` state once per Newton
+        iteration where the sequential runs evaluate three times; each row
+        still factors its own Jacobian.  Rows must be byte-equal to their own
+        runs.  Alternated trials, best of each side.
+        """
+        training = buffer_training_waveform()
+        period = 1.0 / training.frequency
+        options = TransientOptions(t_stop=period, dt=period / 150)
+        systems = [build_output_buffer(input_waveform=Sine(
+            training.offset, amplitude, frequency)).build()
+            for amplitude, frequency in self.HELDOUT_DESIGN]
+        for system in systems:
+            system.compile("auto")  # exclude one-time compilation from timing
+
+        family_s, sequential_s = [], []
+        for _ in range(5):
+            start = time.perf_counter()
+            family = transient_analysis(systems, options)
+            family_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            sequential = [transient_analysis(system, options) for system in systems]
+            sequential_s.append(time.perf_counter() - start)
+        speedup = min(sequential_s) / min(family_s)
+        with capsys.disabled():
+            print(f"[buffer validation family] sequential "
+                  f"{min(sequential_s) * 1e3:.1f} ms, family "
+                  f"{min(family_s) * 1e3:.1f} ms -> {speedup:.2f}x "
+                  f"({[r.newton_iterations for r in family]} Newton iterations)")
+
+        record_benchmark("BENCH_engine.json", "buffer_validation_family", {
+            "sequential_ms": min(sequential_s) * 1e3,
+            "family_ms": min(family_s) * 1e3,
+            "sequential_median_ms": float(np.median(sequential_s)) * 1e3,
+            "family_median_ms": float(np.median(family_s)) * 1e3,
+            "speedup": speedup,
+            "newton_iterations": [r.newton_iterations for r in family],
+        })
+
+        for row, solo in zip(family, sequential):
+            for field in ("times", "states", "outputs", "inputs"):
+                np.testing.assert_array_equal(getattr(row, field).view(np.uint64),
+                                              getattr(solo, field).view(np.uint64))
+            assert row.newton_iterations == solo.newton_iterations
+            assert row.cache_factorizations == solo.cache_factorizations
+        assert speedup >= 1.3, (
+            f"validation family only {speedup:.2f}x faster than sequential runs")
+
+
 class TestSparseLadderSpeedup:
     def test_large_linear_network_at_least_2_5x_faster(self, capsys):
         """Factor caching alone: a linear circuit refactors (almost) never."""

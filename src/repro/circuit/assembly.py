@@ -109,6 +109,33 @@ def _record_stamps(devices: Sequence[Device], v: np.ndarray, n: int,
     return vec, rows, cols, vals
 
 
+def _scatter_add(target: np.ndarray, positions: np.ndarray, values: np.ndarray,
+                 per_shape: dict) -> None:
+    """``np.add.at`` into the last axis of ``target``, one row at a time.
+
+    ``target`` is ``(width,)`` or a C-contiguous ``(S, width)`` stack and
+    ``values`` has ``positions.size`` entries per row.  A stack is scattered
+    through its flat view with per-row offsets, so every row accumulates its
+    entries in the same order as a 1-D call on that row (same bits).  The
+    offset indices are kept in ``per_shape``, a dict owned by the object
+    that owns ``positions``.
+    """
+    if target.ndim == 1:
+        np.add.at(target, positions, values)
+        return
+    key = (id(positions), target.shape)
+    index = per_shape.get(key)
+    if index is None:
+        width = target.shape[-1]
+        index = per_shape[key] = (np.arange(0, target.size, width)[:, None]
+                                  + positions).reshape(-1)
+    np.add.at(target.reshape(-1), index, values.reshape(-1))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _vectorizable_mosfet(device: Device) -> bool:
     """Standard square-law MOSFETs whose static stamps we can batch."""
     return (isinstance(device, MOSFET)
@@ -127,7 +154,7 @@ class _MOSFETGroup:
     """
 
     #: Jacobian stamp table of ``MOSFET.stamp_static``: (row key, col key,
-    #: value row in the stacked ``(6, m)`` value matrix).
+    #: block of the ``(..., 6 * m)`` value array).
     _STAMPS = (("d", "g", 0), ("d", "d", 1), ("d", "s", 2),
                ("s", "g", 3), ("s", "d", 4), ("s", "s", 5))
 
@@ -144,10 +171,14 @@ class _MOSFETGroup:
         self._g = np.asarray(idx["g"], dtype=np.intp)
         self._s = np.asarray(idx["s"], dtype=np.intp)
         self._sign = np.asarray([float(dev.polarity) for dev in devices])
+        self._gd_ss = np.concatenate((self._g, self._d, self._s, self._s))
+        self._sign2 = np.concatenate((self._sign, self._sign))
         self._beta = np.asarray([dev.params.beta for dev in devices])
         self._vto = np.asarray([dev.params.vto for dev in devices])
         self._lam = np.asarray([dev.params.lam for dev in devices])
         self._delta = np.asarray([dev.params.smoothing for dev in devices])
+        self._four_delta2 = 4.0 * self._delta * self._delta
+        self._per_shape: dict = {}
 
     # ------------------------------------------------------------- structure
     def jacobian_entries(self) -> list[tuple[int, int, int, int]]:
@@ -164,23 +195,26 @@ class _MOSFETGroup:
 
     # ------------------------------------------------------------ evaluation
     def currents_and_conductances(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Terminal currents and the stacked ``(6, m)`` Jacobian values.
+        """Terminal currents and the ``(..., 6 * m)`` Jacobian values.
 
-        ``v_ext`` is the solution vector extended with a trailing zero for the
-        ghost (ground) slot.  The returned current array is the per-device
-        physical drain current with the polarity sign applied.
+        ``v_ext`` is the solution vector (or a stack of them) extended with a
+        trailing zero for the ghost (ground) slot.  The returned current array
+        is the per-device physical drain current with the polarity sign
+        applied; the values hold one block of ``m`` per stamp kind.
         """
-        vd, vg, vs = v_ext[self._d], v_ext[self._g], v_ext[self._s]
+        m = self._sign.size
+        # Gate and drain voltages minus the source voltage, in one pass.
+        terminals = v_ext.take(self._gd_ss, axis=-1)
+        controls = (terminals[..., :2 * m] - terminals[..., 2 * m:]) * self._sign2
+        vgs, vds = controls[..., :m], controls[..., m:]
         sign = self._sign
-        vgs = sign * (vg - vs)
-        vds = sign * (vd - vs)
         reverse = vds < 0.0
         vgs_f = np.where(reverse, vgs - vds, vgs)
         vds_f = np.abs(vds)
 
         delta = self._delta
         x = vgs_f - self._vto
-        root = np.sqrt(x * x + 4.0 * delta * delta)
+        root = np.sqrt(x * x + self._four_delta2)
         vov = 0.5 * (x + root)
         dvov = 0.5 * (1.0 + x / root)
         vdsat = np.maximum(vov, delta)
@@ -208,12 +242,12 @@ class _MOSFETGroup:
 
         current = sign * i_d
         gm_gds = gm + gds
-        values = np.stack((gm, gds, -gm_gds, -gm, -gds, gm_gds))
+        values = np.concatenate((gm, gds, -gm_gds, -gm, -gds, gm_gds), axis=-1)
         return current, values
 
     def scatter_currents(self, i_ext: np.ndarray, current: np.ndarray) -> None:
-        np.add.at(i_ext, self._d, current)
-        np.add.at(i_ext, self._s, -current)
+        _scatter_add(i_ext, self._d, current, self._per_shape)
+        _scatter_add(i_ext, self._s, -current, self._per_shape)
 
 
 def _vectorizable_diode(device: Device) -> bool:
@@ -234,8 +268,8 @@ class _DiodeGroup:
     for many diodes and far off the static Newton hot path.
     """
 
-    #: Jacobian stamp table: (row key, col key, value row in the stacked
-    #: ``(2, m)`` value matrix) — +g on the diagonal slots, -g off-diagonal.
+    #: Jacobian stamp table: (row key, col key, block of the ``(..., 2 * m)``
+    #: value array) — +g on the diagonal slots, -g off-diagonal.
     _STAMPS = (("p", "p", 0), ("n", "n", 0), ("p", "n", 1), ("n", "p", 1))
 
     def __init__(self, devices: Sequence[Diode], n: int) -> None:
@@ -251,6 +285,7 @@ class _DiodeGroup:
         exp_crit = np.exp(self._v_crit / self._vt) if devices else np.zeros(0)
         self._g_crit = self._i_s * exp_crit / self._vt
         self._i_crit = self._i_s * (exp_crit - 1.0)
+        self._per_shape: dict = {}
 
     # ------------------------------------------------------------- structure
     def jacobian_entries(self) -> list[tuple[int, int, int, int]]:
@@ -266,8 +301,8 @@ class _DiodeGroup:
 
     # ------------------------------------------------------------ evaluation
     def currents_and_conductances(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diode currents and the stacked ``(2, m)`` Jacobian values."""
-        vd = v_ext[self._pos] - v_ext[self._neg]
+        """Diode currents and the ``(..., 2 * m)`` Jacobian values."""
+        vd = v_ext.take(self._pos, axis=-1) - v_ext.take(self._neg, axis=-1)
         expv = np.exp(np.minimum(vd / self._vt, 700.0))
         below = vd <= self._v_crit
         current = np.where(below, self._i_s * (expv - 1.0),
@@ -277,12 +312,12 @@ class _DiodeGroup:
         # keeps strongly reverse-biased diodes off an exactly singular Jacobian.
         conductance = conductance + 1e-12
         current = current + 1e-12 * vd
-        values = np.stack((conductance, -conductance))
+        values = np.concatenate((conductance, -conductance), axis=-1)
         return current, values
 
     def scatter_currents(self, i_ext: np.ndarray, current: np.ndarray) -> None:
-        np.add.at(i_ext, self._pos, current)
-        np.add.at(i_ext, self._neg, -current)
+        _scatter_add(i_ext, self._pos, current, self._per_shape)
+        _scatter_add(i_ext, self._neg, -current, self._per_shape)
 
 
 class CompiledMNA:
@@ -294,6 +329,11 @@ class CompiledMNA:
     with :meth:`combine`, regularise with :meth:`add_diag` and turn them into
     a solvable/storable matrix with :meth:`materialize`.  Operands returned
     by the evaluation methods must be treated as read-only.
+
+    The evaluation methods also take a stack ``(S, n)`` of states of this
+    circuit and return operands with the same leading axis; every row is
+    bitwise what a 1-D call on that row returns, which is what lets the
+    transient analysis integrate a family of stimuli in one Newton loop.
     """
 
     def __init__(self, system: "MNASystem", sparse: bool | None = None,
@@ -341,17 +381,21 @@ class CompiledMNA:
         self._ns_pattern = (ns_rows, ns_cols)
         self._nd_pattern = (nd_rows, nd_cols)
 
+        # Each stamp slot takes entry ``kind * m + device`` of its group's
+        # ``(..., kinds * m)`` value array.
         mosfet_entries = self._mosfets.jacobian_entries()
         mos_rows = np.asarray([e[0] for e in mosfet_entries], dtype=np.intp)
         mos_cols = np.asarray([e[1] for e in mosfet_entries], dtype=np.intp)
-        self._mos_dev = np.asarray([e[2] for e in mosfet_entries], dtype=np.intp)
-        self._mos_kind = np.asarray([e[3] for e in mosfet_entries], dtype=np.intp)
+        self._mos_take = np.asarray(
+            [e[3] * len(self._mosfets.devices) + e[2] for e in mosfet_entries],
+            dtype=np.intp)
 
         diode_entries = self._diodes.jacobian_entries()
         dio_rows = np.asarray([e[0] for e in diode_entries], dtype=np.intp)
         dio_cols = np.asarray([e[1] for e in diode_entries], dtype=np.intp)
-        self._dio_dev = np.asarray([e[2] for e in diode_entries], dtype=np.intp)
-        self._dio_kind = np.asarray([e[3] for e in diode_entries], dtype=np.intp)
+        self._dio_take = np.asarray(
+            [e[3] * len(self._diodes.devices) + e[2] for e in diode_entries],
+            dtype=np.intp)
 
         if self.is_sparse:
             diag = np.arange(n, dtype=np.intp)
@@ -417,6 +461,9 @@ class CompiledMNA:
         self._static_has_nl = (bool(self._nl_static) or bool(self._mosfets.devices)
                                or bool(self._diodes.devices))
         self._dynamic_has_nl = bool(self._nl_dynamic)
+        self._diag_idx = np.arange(n)
+        #: Scatter indices and broadcast operands per stack shape.
+        self._per_shape: dict = {}
 
     def _verify(self) -> None:
         """Compare one compiled evaluation against the legacy dense path."""
@@ -440,58 +487,121 @@ class CompiledMNA:
 
     # ------------------------------------------------------------- evaluation
     def eval_static(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Static currents ``i(v)`` and the conductance operand ``G(v)``."""
+        """Static currents ``i(v)`` and the conductance operand ``G(v)``.
+
+        ``v`` is one state ``(n,)`` or a stack ``(S, n)``; the results carry
+        the same leading axis.
+        """
         n = self.n_unknowns
-        i_ext = np.empty(n + 1)
-        i_ext[:n] = self._i0
-        i_ext[:n] += self._g_lin @ v
-        i_ext[n] = 0.0
-        i_vec = i_ext[:n]
+        lead = v.shape[:-1]
+        i_ext = np.empty(lead + (n + 1,))
+        i_ext[..., :n] = self._i0
+        i_ext[..., :n] += self._matvec(self._g_lin, v)
+        i_ext[..., n] = 0.0
+        i_vec = i_ext[..., :n]
 
         if not self._static_has_nl:
-            return i_vec.copy(), self._g_base
+            return i_vec.copy(), self._stacked(self._g_base, lead)
 
-        g_op = self._g_base.copy()
-        flat = g_op if self.is_sparse else g_op.ravel()
+        g_op = np.empty(lead + self._g_base.shape)
+        g_op[...] = self._g_base
+        flat = g_op.reshape(lead + (-1,))
 
+        if self._mosfets.devices or self._diodes.devices:
+            v_ext = np.zeros(lead + (n + 1,))
+            v_ext[..., :n] = v
         if self._mosfets.devices:
-            v_ext = np.append(v, 0.0)
             current, values = self._mosfets.currents_and_conductances(v_ext)
             self._mosfets.scatter_currents(i_ext, current)
-            np.add.at(flat, self._mos_pos, values[self._mos_kind, self._mos_dev])
+            _scatter_add(flat, self._mos_pos, values.take(self._mos_take, axis=-1),
+                         self._per_shape)
 
         if self._diodes.devices:
-            v_ext = np.append(v, 0.0)
             current, values = self._diodes.currents_and_conductances(v_ext)
             self._diodes.scatter_currents(i_ext, current)
-            np.add.at(flat, self._dio_pos, values[self._dio_kind, self._dio_dev])
+            _scatter_add(flat, self._dio_pos, values.take(self._dio_take, axis=-1),
+                         self._per_shape)
 
-        if self._nl_static:
+        for row in np.ndindex(lead) if self._nl_static else ():
             if self.is_sparse:
-                vals = self._stamp_generic(self._nl_static, v, i_vec, False,
+                vals = self._stamp_generic(self._nl_static, v[row], i_vec[row], False,
                                            self._ns_pattern)
-                np.add.at(flat, self._ns_pos, vals)
+                np.add.at(flat[row], self._ns_pos, vals)
             else:
                 for device in self._nl_static:
-                    device.stamp_static(v, i_vec, g_op)
+                    device.stamp_static(v[row], i_vec[row], g_op[row])
 
         return i_vec.copy(), g_op
 
     def eval_dynamic(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Charges ``q(v)`` and the capacitance operand ``C(v)``."""
-        q_vec = self._q0 + self._c_lin @ v
+        """Charges ``q(v)`` and the capacitance operand ``C(v)`` (1-D or stacked)."""
+        lead = v.shape[:-1]
+        q_vec = self._q0 + self._matvec(self._c_lin, v)
         if not self._dynamic_has_nl:
-            return q_vec, self._c_base
+            return q_vec, self._stacked(self._c_base, lead)
 
-        c_op = self._c_base.copy()
-        if self.is_sparse:
-            vals = self._stamp_generic(self._nl_dynamic, v, q_vec, True,
-                                       self._nd_pattern)
-            np.add.at(c_op, self._nd_pos, vals)
-        else:
-            for device in self._nl_dynamic:
-                device.stamp_dynamic(v, q_vec, c_op)
+        c_op = np.empty(lead + self._c_base.shape)
+        c_op[...] = self._c_base
+        for row in np.ndindex(lead):
+            if self.is_sparse:
+                vals = self._stamp_generic(self._nl_dynamic, v[row], q_vec[row], True,
+                                           self._nd_pattern)
+                np.add.at(c_op[row], self._nd_pos, vals)
+            else:
+                for device in self._nl_dynamic:
+                    device.stamp_dynamic(v[row], q_vec[row], c_op[row])
         return q_vec, c_op
+
+    def _matvec(self, matrix, v: np.ndarray) -> np.ndarray:
+        """``matrix @ v`` per row, each row through the 1-D product's kernel.
+
+        A stacked dense product runs as ``(S, n, 1)`` matrix-vector products
+        (one BLAS ``gemv`` each, like the 1-D call; a ``gemm`` over the stack
+        would round differently).  Sparse rows loop.
+        """
+        if v.ndim == 1:
+            return matrix @ v
+        if self.is_sparse:
+            return np.stack([matrix @ row for row in v])
+        return (matrix @ v[..., None])[..., 0]
+
+    def _stacked(self, base: np.ndarray, lead: tuple) -> np.ndarray:
+        """A constant operand, broadcast read-only over a stack's rows."""
+        if not lead:
+            return base
+        key = (id(base), lead)
+        view = self._per_shape.get(key)
+        if view is None:
+            view = self._per_shape[key] = np.broadcast_to(base, lead + base.shape)
+        return view
+
+    def matches(self, other) -> bool:
+        """Whether ``other`` evaluates every state to the same bits as this engine.
+
+        Compares the compiled linear stamps, the stamp positions and the
+        device-group parameters byte for byte.  An engine with generic
+        (per-device Python) nonlinear stamps matches only itself: those
+        values live in device objects, not in arrays that can be compared.
+        """
+        if other is self:
+            return True
+        if not isinstance(other, CompiledMNA) or any(
+                e._nl_static or e._nl_dynamic for e in (self, other)):
+            return False
+        return all(_same_bits(a, b) for a, b in zip(self._fingerprint(),
+                                                    other._fingerprint()))
+
+    def _fingerprint(self) -> list[np.ndarray]:
+        mos, dio = self._mosfets, self._diodes
+        arrays = [np.array([self.n_unknowns, self.n_nodes, self.is_sparse]),
+                  self._i0, self._q0, self._g_base, self._c_base,
+                  self._mos_pos, self._mos_take, self._dio_pos, self._dio_take,
+                  mos._d, mos._g, mos._s, mos._sign, mos._beta, mos._vto,
+                  mos._lam, mos._delta, dio._pos, dio._neg, dio._i_s, dio._vt,
+                  dio._v_crit, dio._g_crit, dio._i_crit]
+        if self.is_sparse:
+            arrays += [self._indices, self._indptr]
+        return arrays
 
     def _stamp_generic(self, devices: Sequence[Device], v: np.ndarray,
                        vec: np.ndarray, dynamic: bool,
@@ -519,14 +629,20 @@ class CompiledMNA:
     def add_diag(self, op: np.ndarray, value: float, n_rows: int) -> None:
         """Add ``value`` to the first ``n_rows`` diagonal entries, in place."""
         if self.is_sparse:
-            op[self._diag_pos[:n_rows]] += value
+            op[..., self._diag_pos[:n_rows]] += value
         else:
-            idx = np.arange(n_rows)
-            op[idx, idx] += value
+            idx = self._diag_idx[:n_rows]
+            op[..., idx, idx] += value
 
     def materialize(self, op: np.ndarray):
-        """Turn an operand into a matrix usable by the linear solvers."""
+        """Turn an operand into a matrix usable by the linear solvers.
+
+        A stacked operand gives one matrix per row: the ``(S, n, n)`` array
+        itself in dense mode, a list of CSC matrices in sparse mode.
+        """
         if self.is_sparse:
+            if op.ndim > 1:
+                return [self.materialize(row) for row in op]
             return _sp.csc_matrix((op, self._indices, self._indptr),
                                   shape=(self.n_unknowns, self.n_unknowns))
         return op

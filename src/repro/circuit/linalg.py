@@ -27,6 +27,19 @@ from ..exceptions import SingularMatrixError
 
 __all__ = ["FactorizationCache", "batched_transfer", "solve_linear"]
 
+#: LAPACK routines by name and operand dtypes, as ``get_lapack_funcs``
+#: picks them (looked up once, not per Newton step).
+_LAPACK: dict = {}
+
+
+def _lapack(name: str, *arrays: np.ndarray):
+    key = (name,) + tuple(a.dtype.char for a in arrays)
+    func = _LAPACK.get(key)
+    if func is None:
+        func, = _sla.get_lapack_funcs((name,), arrays)
+        _LAPACK[key] = func
+    return func
+
 
 class FactorizationCache:
     """Caches LU factors and re-uses them while the matrix barely changes.
@@ -86,6 +99,9 @@ class FactorizationCache:
         self._force_refactor = False
         self._sparse: bool | None = None
         self._data: np.ndarray | None = None
+        #: The cached matrix's drift-block entries and their largest magnitude.
+        self._block: np.ndarray | None = None
+        self._block_scale = 0.0
         self._lu = None          # splu object (sparse) or (lu, piv) (dense)
 
     # ----------------------------------------------------------------- control
@@ -134,9 +150,8 @@ class FactorizationCache:
             flat = data.reshape(-1)
             if idx[-1] >= flat.size:          # mask built for another pattern
                 return False
-            cflat = cached.reshape(-1)
-            drift = float(np.max(np.abs(flat[idx] - cflat[idx])))
-            scale = float(np.max(np.abs(cflat[idx])))
+            drift = float(np.abs(flat[idx] - self._block).max())
+            scale = self._block_scale
         else:
             drift = float(np.max(np.abs(data - cached))) if data.size else 0.0
             scale = float(np.max(np.abs(cached))) if cached.size else 0.0
@@ -146,6 +161,10 @@ class FactorizationCache:
         self.factorizations += 1
         self._sparse = sparse
         self._data = np.array(data, copy=True)
+        idx = self.drift_indices
+        if idx is not None and idx.size and idx[-1] < data.size:
+            self._block = self._data.reshape(-1)[idx]
+            self._block_scale = float(np.abs(self._block).max())
         if sparse:
             try:
                 self._lu = _spla.splu(_sp.csc_matrix(matrix))
@@ -153,9 +172,8 @@ class FactorizationCache:
                 self._lu = None
                 raise SingularMatrixError(f"sparse LU factorisation failed: {exc}") from exc
         else:
-            getrf, = _sla.get_lapack_funcs(("getrf",), (data,))
-            lu, piv, info = getrf(data)
-            pivots = np.abs(np.diagonal(lu))
+            lu, piv, info = _lapack("getrf", data)(data)
+            pivots = np.abs(lu.diagonal())
             # Singular probes are routine during gmin/source stepping; a zero
             # pivot (info > 0), one at or below the threshold, or a NaN or
             # infinite one (a non-finite Jacobian) all raise the typed error.
@@ -170,8 +188,7 @@ class FactorizationCache:
         if self._sparse:
             return self._lu.solve(rhs)
         lu, piv = self._lu
-        getrs, = _sla.get_lapack_funcs(("getrs",), (lu, rhs))
-        return getrs(lu, piv, rhs)[0]
+        return _lapack("getrs", lu, rhs)(lu, piv, rhs)[0]
 
 
 def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,

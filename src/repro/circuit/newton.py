@@ -7,6 +7,12 @@ the modified-Newton bypass: LU factors are re-used across iterations (and, in
 the transient analysis, across time steps) while the Jacobian drifts less
 than the cache's tolerance, with an automatic refactor when the residual
 stops contracting.
+
+The same loop solves a stack of independent systems (one row each, e.g. the
+time steps of several stimuli of one circuit): every decision is taken per
+row and each row keeps its own cache, so a row's iterates are bitwise those
+of its own 1-D solve while the residual callback evaluates all active rows
+at once.
 """
 
 from __future__ import annotations
@@ -55,6 +61,9 @@ class NewtonResult:
     converged: bool
     iterations: int
     residual_norm: float
+    #: The :class:`SingularMatrixError` that stopped a row of a stacked
+    #: solve (a 1-D solve raises it instead).
+    error: SingularMatrixError | None = None
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.converged
@@ -65,22 +74,32 @@ def _solve_step(jacobian, rhs: np.ndarray, iteration: int,
                 singular_threshold: float) -> np.ndarray:
     try:
         if linear_solver is not None:
-            return linear_solver.solve(jacobian, rhs)
-        if _sp.issparse(jacobian):
-            return solve_linear(jacobian, rhs)
-        if singular_threshold > 0.0:
+            delta = linear_solver.solve(jacobian, rhs)
+        elif _sp.issparse(jacobian):
+            delta = solve_linear(jacobian, rhs)
+        elif singular_threshold > 0.0:
             cache = FactorizationCache(singular_threshold=singular_threshold)
-            return cache.solve(jacobian, rhs)
-        return np.linalg.solve(jacobian, rhs)
+            delta = cache.solve(jacobian, rhs)
+        else:
+            delta = np.linalg.solve(jacobian, rhs)
     except (np.linalg.LinAlgError, SingularMatrixError) as exc:
         raise SingularMatrixError(
             f"singular Jacobian during Newton iteration {iteration}") from exc
+    if not np.isfinite(delta).all():
+        raise SingularMatrixError(
+            f"non-finite Newton update at iteration {iteration}")
+    return delta
 
 
-def newton_solve(residual_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+def _max_abs(x: np.ndarray) -> list[float]:
+    """Per-row infinity norms (0 for an empty row) as Python floats."""
+    return np.maximum.reduce(np.abs(x), axis=-1, initial=0.0).tolist()
+
+
+def newton_solve(residual_and_jacobian: Callable[..., tuple[np.ndarray, object]],
                  initial_guess: np.ndarray,
                  options: NewtonOptions | None = None,
-                 linear_solver: FactorizationCache | None = None) -> NewtonResult:
+                 linear_solver=None):
     """Solve ``f(v) = 0`` with a damped Newton iteration.
 
     Parameters
@@ -89,7 +108,8 @@ def newton_solve(residual_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray,
         Callable returning ``(f(v), J(v))`` for a trial solution ``v``.  The
         Jacobian may be dense or ``scipy.sparse``.
     initial_guess:
-        Starting point; not modified.
+        Starting point; not modified.  A 2-D ``(S, n)`` guess solves S
+        independent systems in one loop (see below).
     options:
         :class:`NewtonOptions`; defaults are suitable for the circuits in this
         repository.
@@ -98,54 +118,122 @@ def newton_solve(residual_and_jacobian: Callable[[np.ndarray], tuple[np.ndarray,
         A cache with a non-zero reuse tolerance turns the iteration into a
         modified Newton method that skips refactorisation while the Jacobian
         barely changes; convergence is still judged on the exact residual.
+
+    A stacked guess runs the same iteration on every row: damping, the
+    backtracking line search and the convergence test are decided per row,
+    converged rows leave the active set, and each row solves its updates
+    with its own cache (``linear_solver`` is then a sequence of S caches or
+    ``None``), so every row makes the arithmetic and LAPACK calls of its
+    1-D solve.  The callable is then called as ``f(v, rows)`` with the
+    ``(A, n)`` active states and the list of their row indices, and returns
+    the ``(A, n)`` residuals and a sequence of A Jacobians.  The result is a
+    list of S :class:`NewtonResult`; a row whose linear solve fails stops
+    there with the error on its result, where a 1-D solve raises it.
     """
     opts = options or NewtonOptions()
-    v = np.array(initial_guess, dtype=float, copy=True)
-    residual, jacobian = residual_and_jacobian(v)
-    residual_norm = float(np.linalg.norm(residual, ord=np.inf))
+    guess = np.array(initial_guess, dtype=float, copy=True)
+    if guess.ndim != 1:
+        solvers = (list(linear_solver) if linear_solver is not None
+                   else [None] * guess.shape[0])
+        return _iterate(residual_and_jacobian, guess, opts, solvers)
+
+    def one_row(v: np.ndarray, rows: list[int]):
+        residual, jacobian = residual_and_jacobian(v[0])
+        return residual[None], (jacobian,)
+
+    result, = _iterate(one_row, guess[None], opts, [linear_solver])
+    if result.error is not None:
+        raise result.error
+    return result
+
+
+def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
+             solvers: list) -> list[NewtonResult]:
+    """The Newton loop over the rows of ``v`` (see :func:`newton_solve`).
+
+    Per-row scalars are Python floats, so each row's damping, line-search
+    and convergence decisions are the 1-D solve's float arithmetic.
+    """
+    results: list = [None] * v.shape[0]
+    rows = list(range(v.shape[0]))
+    residual, jacobian = evaluate(v, rows)
+    residual_norm = _max_abs(residual)
 
     for iteration in range(1, opts.max_iterations + 1):
-        delta = _solve_step(jacobian, -residual, iteration, linear_solver,
-                            opts.singular_threshold)
-        if not np.all(np.isfinite(delta)):
-            raise SingularMatrixError(
-                f"non-finite Newton update at iteration {iteration}")
+        delta = np.empty_like(v)
+        keep = []
+        for k, row in enumerate(rows):
+            try:
+                delta[k] = _solve_step(jacobian[k], -residual[k], iteration,
+                                       solvers[row], opts.singular_threshold)
+                keep.append(k)
+            except SingularMatrixError as exc:
+                results[row] = NewtonResult(v[k], False, iteration,
+                                            residual_norm[k], error=exc)
+        if len(keep) < len(rows):
+            if not keep:
+                return results
+            rows = [rows[k] for k in keep]
+            v, delta, residual = v[keep], delta[keep], residual[keep]
+            residual_norm = [residual_norm[k] for k in keep]
+            jacobian = [jacobian[k] for k in keep]
 
-        # Damping: limit the largest per-unknown update.
-        max_delta = float(np.max(np.abs(delta))) if delta.size else 0.0
-        if max_delta > opts.max_step:
-            delta *= opts.max_step / max_delta
+        # Damping: limit the largest per-unknown update of each row.
+        for k, max_delta in enumerate(_max_abs(delta)):
+            if max_delta > opts.max_step:
+                delta[k] *= opts.max_step / max_delta
         v_new = v + delta
+        residual_new, jacobian_new = evaluate(v_new, rows)
+        norm_new = _max_abs(residual_new)
 
-        residual_new, jacobian_new = residual_and_jacobian(v_new)
-        residual_norm_new = float(np.linalg.norm(residual_new, ord=np.inf))
-
-        # Simple line search: if the residual grew a lot, halve the step a few
-        # times before accepting.
-        backtrack = 0
-        while (residual_norm_new > 10.0 * residual_norm + opts.abs_tol
-               and backtrack < 4):
-            delta *= 0.5
-            v_new = v + delta
-            residual_new, jacobian_new = residual_and_jacobian(v_new)
-            residual_norm_new = float(np.linalg.norm(residual_new, ord=np.inf))
-            backtrack += 1
+        # Simple line search: halve the step of every row whose residual grew
+        # a lot, up to four times, before accepting.
+        for _ in range(4):
+            grew = [k for k, norm in enumerate(norm_new)
+                    if norm > 10.0 * residual_norm[k] + opts.abs_tol]
+            if not grew:
+                break
+            delta[grew] *= 0.5
+            trial = v[grew] + delta[grew]
+            trial_residual, trial_jacobian = evaluate(trial, [rows[k] for k in grew])
+            v_new, residual_new = v_new.copy(), residual_new.copy()
+            v_new[grew] = trial
+            residual_new[grew] = trial_residual
+            jacobian_new = list(jacobian_new)
+            for j, (k, norm) in enumerate(zip(grew, _max_abs(trial_residual))):
+                norm_new[k] = norm
+                jacobian_new[k] = trial_jacobian[j]
 
         # Stale factors that no longer contract the residual are evicted so
         # the next solve refactors the up-to-date Jacobian.
-        if (linear_solver is not None and linear_solver.reused_last
-                and residual_norm_new > opts.stale_contraction_limit * residual_norm
-                and residual_norm_new > opts.abs_tol):
-            linear_solver.invalidate()
+        for k, norm in enumerate(norm_new):
+            cache = solvers[rows[k]]
+            if (cache is not None and cache.reused_last
+                    and norm > opts.stale_contraction_limit * residual_norm[k]
+                    and norm > opts.abs_tol):
+                cache.invalidate()
 
-        update_norm = float(np.max(np.abs(v_new - v))) if v.size else 0.0
+        update_norm = _max_abs(v_new - v)
         v, residual, jacobian = v_new, residual_new, jacobian_new
-        residual_norm = residual_norm_new
+        residual_norm = norm_new
 
-        solution_scale = float(np.max(np.abs(v))) if v.size else 0.0
-        update_ok = update_norm <= opts.rel_tol * solution_scale + opts.abs_tol
-        residual_ok = residual_norm <= opts.abs_tol
-        if update_ok and residual_ok:
-            return NewtonResult(v, True, iteration, residual_norm)
+        converged = [
+            k for k, scale in enumerate(_max_abs(v))
+            if (update_norm[k] <= opts.rel_tol * scale + opts.abs_tol
+                and residual_norm[k] <= opts.abs_tol)]
+        if converged:
+            for k in converged:
+                results[rows[k]] = NewtonResult(v[k], True, iteration,
+                                                residual_norm[k])
+            keep = [k for k in range(len(rows)) if k not in converged]
+            if not keep:
+                return results
+            rows = [rows[k] for k in keep]
+            v, residual = v[keep], residual[keep]
+            residual_norm = [residual_norm[k] for k in keep]
+            jacobian = [jacobian[k] for k in keep]
 
-    return NewtonResult(v, False, opts.max_iterations, residual_norm)
+    for k, row in enumerate(rows):
+        results[row] = NewtonResult(v[k], False, opts.max_iterations,
+                                    residual_norm[k])
+    return results

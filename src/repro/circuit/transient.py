@@ -10,13 +10,18 @@ already-evaluated Jacobians ``G(t_k)`` and ``C(t_k)`` to a *snapshot callback*
 — this is the reproduction of the paper's "subsequent snapshots of the
 internal circuit Jacobian are sampled during time-domain analysis" and is what
 feeds the Transfer Function Trajectory extraction.
+
+A *family* — several systems of one circuit that differ only in their
+stimuli — integrates on one shared fixed grid: the devices of every row are
+evaluated in one stacked call per Newton iteration, and each row stays
+byte-equal to its own run (see :func:`transient_analysis`).
 """
 
 from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Protocol
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .assembly import select_engine
 from .dc import DCOptions, dc_operating_point
 from .linalg import FactorizationCache
 from .mna import MNASystem
-from .newton import NewtonOptions, newton_solve
+from .newton import NewtonOptions, NewtonResult, newton_solve
 
 __all__ = ["TransientOptions", "TransientResult", "SnapshotCallback", "transient_analysis"]
 
@@ -135,6 +140,8 @@ class TransientResult:
     inputs: np.ndarray                   # shape (K, n_inputs)
     newton_iterations: int
     rejected_steps: int
+    #: Seconds the run took; a family's time is split equally over its
+    #: rows, so the rows' times sum to the time actually spent.
     wall_time: float
     method: str
     #: Steps rejected by the LTE controller (subset of ``rejected_steps``;
@@ -194,105 +201,250 @@ class TransientResult:
         return np.interp(times, self.times, self.outputs[:, 0])
 
 
-def transient_analysis(system: MNASystem, options: TransientOptions,
-                       snapshot_callback: SnapshotCallback | None = None,
-                       initial_state: np.ndarray | None = None,
-                       progress: Callable[[float], None] | None = None) -> TransientResult:
+class _Row:
+    """One system of a transient run: its solver cache, counters and records."""
+
+    __slots__ = ("system", "callback", "cache", "times", "states", "inputs",
+                 "outputs", "newton", "rejected", "lte_rejected", "error")
+
+    def __init__(self, system: MNASystem, callback: SnapshotCallback | None,
+                 cache: FactorizationCache | None) -> None:
+        self.system = system
+        self.callback = callback
+        self.cache = cache
+        self.times: list[float] = []
+        self.states: list[np.ndarray] = []
+        self.inputs: list[np.ndarray] = []
+        self.outputs: list[np.ndarray] = []
+        self.newton = 0
+        self.rejected = 0
+        self.lte_rejected = 0
+        #: The exception that ended this row's run, if any.
+        self.error: Exception | None = None
+
+    def result(self, wall_time: float, method: str) -> TransientResult:
+        cache = self.cache
+        return TransientResult(
+            times=np.array(self.times),
+            states=np.array(self.states),
+            outputs=np.array(self.outputs),
+            inputs=np.array(self.inputs),
+            newton_iterations=self.newton,
+            rejected_steps=self.rejected,
+            wall_time=wall_time,
+            method=method,
+            lte_rejections=self.lte_rejected,
+            cache_factorizations=cache.factorizations if cache else 0,
+            cache_reuses=cache.reuses if cache else 0,
+            cache_invalidations=cache.invalidations if cache else 0,
+            cache_solves=cache.solves if cache else 0,
+        )
+
+
+@dataclass
+class _Group:
+    """Rows that step together: one time, step size and integration method.
+
+    ``v``, ``q`` and ``qdot`` stack the rows' accepted solutions, charges and
+    charge derivatives; ``v_prev`` the solutions one step earlier (``None``
+    before the first step).
+    """
+
+    rows: list
+    v: np.ndarray
+    q: np.ndarray
+    qdot: np.ndarray
+    v_prev: np.ndarray | None
+    t: float
+    dt: float
+    dt_prev: float
+    trap_next: bool
+    step_index: int
+
+    def take(self, keep: list[int]) -> None:
+        """Keep only the rows at positions ``keep``."""
+        self.rows = [self.rows[k] for k in keep]
+        self.v, self.q, self.qdot = self.v[keep], self.q[keep], self.qdot[keep]
+        if self.v_prev is not None:
+            self.v_prev = self.v_prev[keep]
+
+
+def transient_analysis(system: MNASystem | Sequence[MNASystem],
+                       options: TransientOptions,
+                       snapshot_callback=None, initial_state=None,
+                       progress: Callable[[float], None] | None = None,
+                       ) -> TransientResult | list[TransientResult | Exception]:
     """Run a nonlinear transient simulation.
 
     Parameters
     ----------
     system:
-        Built MNA system.
+        Built MNA system, or a sequence of S systems of one circuit that
+        differ only in their stimuli (a *family*, see below).
     options:
         Time span, step, integration method and solver tolerances.
     snapshot_callback:
-        Optional recorder receiving ``(t, v, u, y, G, C)`` at accepted steps.
+        Optional recorder receiving ``(t, v, u, y, G, C)`` at accepted steps
+        (for a family, a sequence of one recorder or ``None`` per system).
     initial_state:
         Optional starting solution; when omitted the DC operating point at
-        ``t_start`` is used (the standard SPICE behaviour).
+        ``t_start`` is used (the standard SPICE behaviour).  For a family, a
+        sequence of one state or ``None`` per system.
     progress:
-        Optional callable receiving the fraction of simulated time.
+        Optional callable receiving the fraction of simulated time (for a
+        family, once per step of each group of rows that step together).
+
+    A family runs on a shared fixed time grid through one Newton loop over
+    the stacked states (:func:`~repro.circuit.newton.newton_solve`), with
+    one :class:`FactorizationCache` per system.  Its systems must compile to
+    equal engines (:meth:`CompiledMNA.matches
+    <repro.circuit.assembly.CompiledMNA.matches>`, checked, not assumed);
+    adaptive stepping and the legacy assembly take one system at a time
+    (``ValueError``).  Every system keeps its own arithmetic, so each row is
+    byte-equal to its own run: a row that does not converge at the shared
+    step leaves the family and carries on alone with the halved step its
+    own run would take.  The call returns a list with one entry per system,
+    its :class:`TransientResult` or the exception that ended its run (the
+    one its own run raises); the wall time is split equally over the rows.
     """
     options.validate()
     wall_start = _time.perf_counter()
+    family = not isinstance(system, MNASystem)
+    systems = list(system) if family else [system]
+    if family:
+        callbacks = ([None] * len(systems) if snapshot_callback is None
+                     else list(snapshot_callback))
+        starts = ([None] * len(systems) if initial_state is None
+                  else list(initial_state))
+    else:
+        callbacks, starts = [snapshot_callback], [initial_state]
+    if not systems or len(callbacks) != len(systems) or len(starts) != len(systems):
+        raise ValueError("a transient family needs one snapshot callback and "
+                         "one initial state (or None) per system")
 
-    engine = select_engine(system, options.assembly)
     legacy = options.assembly == "legacy"
-    cache = None if legacy else FactorizationCache(
-        reuse_tolerance=options.jacobian_reuse_tol,
-        singular_threshold=options.newton.singular_threshold,
-        drift_indices=getattr(engine, "nonlinear_positions", None))
-    use_predictor = options.predictor and not legacy
+    if len(systems) > 1 and (options.adaptive or legacy):
+        raise ValueError("a family of systems runs fixed-step on a compiled "
+                         "assembly; adaptive and legacy runs take one system "
+                         "at a time")
+    engine = select_engine(systems[0], options.assembly)
+    for other in systems[1:]:
+        if not engine.matches(select_engine(other, options.assembly)):
+            raise ValueError(
+                f"{other.circuit.name!r} does not compile to the same engine as "
+                f"{systems[0].circuit.name!r}; a family is one circuit")
 
+    dc_options = options.dc
+    if legacy and dc_options.assembly != "legacy":
+        dc_options = replace(dc_options, assembly="legacy")
+    rows, starting = [], []
+    for row_system, callback, start in zip(systems, callbacks, starts):
+        row = _Row(row_system, callback, None if legacy else FactorizationCache(
+            reuse_tolerance=options.jacobian_reuse_tol,
+            singular_threshold=options.newton.singular_threshold,
+            drift_indices=getattr(engine, "nonlinear_positions", None)))
+        rows.append(row)
+        try:
+            starting.append((row, _start_row(row, engine, options, start,
+                                              dc_options)))
+        except Exception as exc:  # noqa: BLE001 - the row's own run raises it
+            row.error = exc
+
+    pending = []
+    if starting:
+        v, q, qdot = (np.stack(parts) for parts in zip(*(s for _, s in starting)))
+        pending.append(_Group([row for row, _ in starting], v, q, qdot, None,
+                              options.t_start, options.dt, options.dt,
+                              options.method == "trapezoidal", 0))
+    while pending:
+        pending.extend(_integrate(pending.pop(0), engine, options, progress))
+
+    wall_time = (_time.perf_counter() - wall_start) / len(rows)
+    outcomes = [row.error if row.error is not None
+                else row.result(wall_time, options.method) for row in rows]
+    if family:
+        return outcomes
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def _start_row(row: _Row, engine, options: TransientOptions, initial_state,
+               dc_options: DCOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial point of one row: records it and returns ``(v, q, qdot)``."""
+    system = row.system
     if initial_state is None:
-        dc_options = options.dc
-        if legacy and dc_options.assembly != "legacy":
-            dc_options = replace(dc_options, assembly="legacy")
         dc_result = dc_operating_point(system, t=options.t_start, options=dc_options)
         v = dc_result.solution.copy()
     else:
         v = np.array(initial_state, dtype=float, copy=True)
-
-    n_nodes = system.n_nodes
-    gmin = options.gmin
-    use_trap = options.method == "trapezoidal"
-
-    times = [options.t_start]
-    states = [v.copy()]
+    row.times.append(options.t_start)
+    row.states.append(v.copy())
     u0 = system.input_vector(options.t_start)
-    inputs = [u0]
-    outputs = [system.output(v)]
+    row.inputs.append(u0)
+    row.outputs.append(system.output(v))
 
     i_vec, g_op = engine.eval_static(v)
     q_vec, c_op = engine.eval_dynamic(v)
     # dq/dt at the initial point; at a true DC point this is ~0.
     qdot = system.excitation(options.t_start) - i_vec
+    if row.callback is not None and options.snapshot_stride > 0:
+        row.callback.record(options.t_start, v.copy(), u0, system.output(v),
+                            engine.materialize(g_op.copy()),
+                            engine.materialize(c_op.copy()))
+    return v, q_vec, qdot
 
-    total_newton = 0
-    rejected = 0
-    lte_rejected = 0
 
-    if snapshot_callback is not None and options.snapshot_stride > 0:
-        snapshot_callback.record(options.t_start, v.copy(), u0,
-                                 system.output(v),
-                                 engine.materialize(g_op.copy()),
-                                 engine.materialize(c_op.copy()))
+def _integrate(group: _Group, engine, options: TransientOptions,
+               progress: Callable[[float], None] | None) -> list[_Group]:
+    """Step ``group`` to ``t_stop``; returns the groups split off on the way.
 
-    t = options.t_start
+    Rows leave the group when their run ends in an error (kept on the row)
+    or when they fail to converge at the shared step: those continue as a
+    new group at the halved step, exactly as their own runs would.
+    """
+    split: list[_Group] = []
+    rows = group.rows
+    n_nodes = engine.n_nodes
+    gmin = options.gmin
+    use_trap = options.method == "trapezoidal"
+    use_predictor = options.predictor and options.assembly != "legacy"
+
+    t, dt, dt_prev = group.t, group.dt, group.dt_prev
+    # dt whose G + (alpha/dt) C the caches last saw; a group split off a
+    # family starts at a halved step, which refactors either way.
+    dt_factored: float | None = None
+    trap_next, step_index = group.trap_next, group.step_index
     t_stop = options.t_stop
     span = t_stop - options.t_start
     # Relative end-of-interval guard: an absolute epsilon is meaningless at
     # large t_stop, and float accumulation of t can otherwise leave a sliver
     # that becomes a near-zero step with a catastrophically scaled 2/dt.
     end_eps = 1e-12 * span
-    dt = options.dt
     min_dt = options.dt * options.min_dt_factor
     adaptive = options.adaptive
     max_dt = options.dt * options.max_dt_factor if adaptive else options.dt
     stimulus_corners: np.ndarray | None = None
     if adaptive and options.breakpoints:
-        corner_times = system.waveform_breakpoints(options.t_start, t_stop)
+        # Adaptive runs are single-row groups (families are refused).
+        corner_times = rows[0].system.waveform_breakpoints(options.t_start, t_stop)
         # Corners within min_dt of t_stop belong to the final snap: landing
         # on one would leave a sub-min_dt sliver to t_stop whose 2/dt scaling
         # the snap exists to prevent.
         corner_times = corner_times[corner_times < t_stop - max(end_eps, min_dt)]
         if corner_times.size:
             stimulus_corners = corner_times
-    #: Integration method of the *next* step.  The adaptive controller retries
-    #: rejected steps with backward Euler: the trapezoidal qdot recursion
-    #: ``(2/dt)(q - q_prev) - qdot_prev`` propagates perturbations with
-    #: alternating sign and no decay (the classic trap "ringing"), so once an
-    #: edge seeds an oscillation, shrinking dt can never bring the LTE down.
-    #: One L-stable BE step does not consume ``qdot_prev`` at all and resets
-    #: the recursion; the nominal method resumes on the following step.
-    trap_next = use_trap
-    step_index = 0
-    v_prev: np.ndarray | None = None
-    dt_prev = dt
-    dt_factored = None       # dt whose G + (alpha/dt) C the cache last saw
+    #: ``trap_next`` is the integration method of the *next* step.  The
+    #: adaptive controller retries rejected steps with backward Euler: the
+    #: trapezoidal qdot recursion ``(2/dt)(q - q_prev) - qdot_prev``
+    #: propagates perturbations with alternating sign and no decay (the
+    #: classic trap "ringing"), so once an edge seeds an oscillation,
+    #: shrinking dt can never bring the LTE down.  One L-stable BE step does
+    #: not consume ``qdot_prev`` at all and resets the recursion; the nominal
+    #: method resumes on the following step.
 
-    while t < t_stop - end_eps:
+    while group.rows and t < t_stop - end_eps:
+        rows = group.rows
         dt = min(dt, max_dt)
         dt_preferred = dt
         remaining = t_stop - t
@@ -319,11 +471,13 @@ def transient_analysis(system: MNASystem, options: TransientOptions,
                     dt = corner - t
                     corner_target = corner
                     snap_to_stop = False
-        if cache is not None and dt != dt_factored:
+        if dt != dt_factored:
             # The linear Jacobian entries move only through the 1/dt factor
             # of the G + alpha C combination; with the per-block drift metric
-            # the cache cannot see that, so signal it explicitly.
-            cache.invalidate()
+            # the caches cannot see that, so signal it explicitly.
+            for row in rows:
+                if row.cache is not None:
+                    row.cache.invalidate()
             dt_factored = dt
         # t + (t_stop - t) is not guaranteed to round to t_stop exactly.
         if snap_to_stop:
@@ -333,82 +487,152 @@ def transient_analysis(system: MNASystem, options: TransientOptions,
         else:
             t_new = t + dt
         trap_step = trap_next
-        excitation = system.excitation(t_new)
-        q_prev = q_vec
-        qdot_prev = qdot
 
-        captured: dict[str, np.ndarray] = {}
-
-        def residual_and_jacobian(v_trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            i_trial, g_trial = engine.eval_static(v_trial)
-            q_trial, c_trial = engine.eval_dynamic(v_trial)
-            if trap_step:
-                residual = (2.0 / dt) * (q_trial - q_prev) - qdot_prev + i_trial - excitation
-                jac = engine.combine(g_trial, c_trial, 2.0 / dt)
-            else:
-                residual = (q_trial - q_prev) / dt + i_trial - excitation
-                jac = engine.combine(g_trial, c_trial, 1.0 / dt)
-            if gmin:
-                residual[:n_nodes] += gmin * v_trial[:n_nodes]
-                engine.add_diag(jac, gmin, n_nodes)
-            captured["i"], captured["G"] = i_trial, g_trial
-            captured["q"], captured["C"] = q_trial, c_trial
-            return residual, engine.materialize(jac)
+        excitation = np.empty_like(group.v)
+        for k, row in enumerate(rows):
+            try:
+                excitation[k] = row.system.excitation(t_new)
+            except Exception as exc:  # noqa: BLE001 - the row's own run raises it
+                row.error = exc
+        keep = [k for k, row in enumerate(rows) if row.error is None]
+        if len(keep) < len(rows):
+            group.take(keep)
+            excitation = excitation[keep]
+            rows = group.rows
+            if not rows:
+                break
+        v, q_prev, qdot_prev = group.v, group.q, group.qdot
 
         # Polynomial predictor: extrapolate the last two accepted solutions.
         # Computed even when not used as the Newton guess — the LTE estimate
         # of the adaptive controller is the predictor-corrector difference.
         predicted: np.ndarray | None = None
-        if v_prev is not None and dt_prev > 0.0:
-            extrapolated = v + (v - v_prev) * (dt / dt_prev)
-            if np.all(np.isfinite(extrapolated)):
-                predicted = extrapolated
-        guess = predicted if (use_predictor and predicted is not None) else v
+        predicts = [False] * len(rows)
+        if group.v_prev is not None and dt_prev > 0.0:
+            predicted = v + (v - group.v_prev) * (dt / dt_prev)
+            predicts = np.isfinite(predicted).all(axis=-1).tolist()
+        from_v = [not (use_predictor and p) for p in predicts]
+        if all(from_v):
+            guess = v
+        elif not any(from_v):
+            guess = predicted
+        else:
+            guess = np.where(np.array(from_v)[:, None], v, predicted)
 
-        try:
-            result = newton_solve(residual_and_jacobian, guess, options.newton,
-                                  linear_solver=cache)
-            total_newton += result.iterations
-            predictor_failed = not result.converged and guess is not v
-        except SingularMatrixError:
-            # Overshooting into a pathological region can make the Jacobian
-            # singular/non-finite; only the extrapolated guess may recover by
-            # restarting — from the accepted solution this is fatal, as before.
-            if guess is v:
-                raise
-            predictor_failed = True
-        if predictor_failed:
-            # The extrapolated guess can overshoot strong nonlinearities;
-            # retry once from the last accepted solution before shrinking dt.
-            if cache is not None:
-                cache.invalidate()
-            result = newton_solve(residual_and_jacobian, v, options.newton,
-                                  linear_solver=cache)
-            total_newton += result.iterations
+        # Each row's latest evaluation: ((q, G, C), index into the stack).
+        last: list = [None] * len(rows)
 
-        if not result.converged:
-            rejected += 1
-            dt *= 0.5
+        def residual_and_jacobian(v_trial: np.ndarray, at):
+            """Residual and Jacobian of the rows at ``at`` (an int for 1-D)."""
+            i_trial, g_trial = engine.eval_static(v_trial)
+            q_trial, c_trial = engine.eval_dynamic(v_trial)
+            # Every row, in order, needs no gather.
+            sel = at if v_trial.ndim == 1 or len(at) < len(rows) else slice(None)
+            if trap_step:
+                residual = ((2.0 / dt) * (q_trial - q_prev[sel]) - qdot_prev[sel]
+                            + i_trial - excitation[sel])
+                jac = engine.combine(g_trial, c_trial, 2.0 / dt)
+            else:
+                residual = (q_trial - q_prev[sel]) / dt + i_trial - excitation[sel]
+                jac = engine.combine(g_trial, c_trial, 1.0 / dt)
+            if gmin:
+                residual[..., :n_nodes] += gmin * v_trial[..., :n_nodes]
+                engine.add_diag(jac, gmin, n_nodes)
+            evaluated = (q_trial, g_trial, c_trial)
+            if v_trial.ndim == 1:
+                last[at] = (evaluated, ())
+            else:
+                for j, k in enumerate(at.tolist()):
+                    last[k] = (evaluated, j)
+            return residual, engine.materialize(jac)
+
+        def solve(positions: list[int], start: np.ndarray) -> list[NewtonResult]:
+            """Newton on the rows at ``positions``; errors land on the results."""
+            if len(positions) == 1:
+                k = positions[0]
+                try:
+                    return [newton_solve(lambda x: residual_and_jacobian(x, k),
+                                         start[0], options.newton,
+                                         linear_solver=rows[k].cache)]
+                except SingularMatrixError as exc:
+                    return [NewtonResult(start[0], False, 0, np.inf, error=exc)]
+            at = np.asarray(positions)
+            return newton_solve(lambda x, sub: residual_and_jacobian(x, at[sub]),
+                                start, options.newton,
+                                linear_solver=[rows[k].cache for k in positions])
+
+        results = solve(list(range(len(rows))), guess)
+        retry = []
+        for k, result in enumerate(results):
+            if result.error is None:
+                rows[k].newton += result.iterations
+            if (result.error is not None or not result.converged) and not from_v[k]:
+                # The extrapolated guess can overshoot strong nonlinearities
+                # (or into a singular region); retry once from the last
+                # accepted solution before shrinking dt.
+                retry.append(k)
+            elif result.error is not None:
+                # From the accepted solution a singular Jacobian is fatal.
+                rows[k].error = result.error
+        if retry:
+            for k in retry:
+                if rows[k].cache is not None:
+                    rows[k].cache.invalidate()
+            for k, result in zip(retry, solve(retry, v[retry])):
+                results[k] = result
+                if result.error is not None:
+                    rows[k].error = result.error
+                else:
+                    rows[k].newton += result.iterations
+
+        failed = [k for k, row in enumerate(rows)
+                  if row.error is None and not results[k].converged]
+        dt_retry = dt * 0.5
+        for k in failed:
+            row = rows[k]
+            row.rejected += 1
+            if row.cache is not None:
+                row.cache.invalidate()
+            if dt_retry < min_dt:
+                row.error = ConvergenceError(
+                    f"transient analysis of {row.system.circuit.name!r} failed at "
+                    f"t={t_new:.3e}s even with dt={dt_retry:.3e}s",
+                    iterations=row.newton, residual=results[k].residual_norm)
+        failed = [k for k in failed if rows[k].error is None]
+        accepted = [k for k, row in enumerate(rows)
+                    if row.error is None and results[k].converged]
+        if failed and accepted:
+            # These rows leave the family and retry the step alone, as in
+            # their own runs.
+            split.append(_Group(
+                [rows[k] for k in failed], v[failed], q_prev[failed],
+                qdot_prev[failed],
+                None if group.v_prev is None else group.v_prev[failed],
+                t, dt_retry, dt_prev, False if adaptive else trap_next,
+                step_index))
+        if not accepted:
+            group.take(failed)
+            dt = dt_retry
             if adaptive:
                 trap_next = False      # L-stable retry, see trap_next above
-            if cache is not None:
-                cache.invalidate()
-            if dt < min_dt:
-                raise ConvergenceError(
-                    f"transient analysis of {system.circuit.name!r} failed at "
-                    f"t={t_new:.3e}s even with dt={dt:.3e}s",
-                    iterations=total_newton, residual=result.residual_norm)
             continue
+        if len(accepted) < len(rows):
+            group.take(accepted)
+            rows = group.rows
+            results = [results[k] for k in accepted]
+            last = [last[k] for k in accepted]
+            q_prev, qdot_prev = q_prev[accepted], qdot_prev[accepted]
 
         # LTE estimate from the predictor-corrector difference: the linear
         # extrapolation and the implicit corrector bracket the true solution,
         # so their (scaled) difference tracks the step's truncation error.
         # Optimal-step exponent 1/(p+1) of this step's integration order p.
+        # Adaptive runs are single-row groups.
         lte_exponent = 1.0 / 3.0 if trap_step else 0.5
         lte_err: float | None = None
-        if adaptive and predicted is not None:
-            v_new = result.solution
-            diff = v_new - predicted
+        if adaptive and predicts[0]:
+            v_new = results[0].solution
+            diff = v_new - predicted[0]
             if trap_step:
                 # Second-order corrector vs first-order predictor: the
                 # classical Milne-type estimate with non-uniform step weights.
@@ -416,56 +640,67 @@ def transient_analysis(system: MNASystem, options: TransientOptions,
             else:
                 est = diff * (dt / (dt + dt_prev))
             weight = options.lte_abs_tol + options.lte_rel_tol * np.maximum(
-                np.abs(v_new), np.abs(v))
+                np.abs(v_new), np.abs(v[0]))
             with np.errstate(divide="ignore", invalid="ignore"):
                 lte_err = float(np.sqrt(np.mean(np.square(est / weight))))
             if not np.isfinite(lte_err):
                 lte_err = None
             elif lte_err > 1.0:
                 # Reject: shrink towards the optimal step and retry with BE.
-                rejected += 1
-                lte_rejected += 1
+                row = rows[0]
+                row.rejected += 1
+                row.lte_rejected += 1
                 trap_next = False
                 shrink = max(options.min_shrink,
                              options.lte_safety * lte_err ** -lte_exponent)
                 dt *= shrink
-                if cache is not None:
-                    cache.invalidate()
+                if row.cache is not None:
+                    row.cache.invalidate()
                 if dt < min_dt:
-                    raise ConvergenceError(
-                        f"transient analysis of {system.circuit.name!r} cannot "
+                    row.error = ConvergenceError(
+                        f"transient analysis of {row.system.circuit.name!r} cannot "
                         f"meet the LTE tolerance at t={t_new:.3e}s even with "
                         f"dt={dt:.3e}s (error norm {lte_err:.2e})",
-                        iterations=total_newton, residual=result.residual_norm)
+                        iterations=row.newton, residual=results[0].residual_norm)
+                    group.take([])
                 continue
 
         # Accept the step.
-        v_prev = v
+        group.v_prev = group.v
         dt_prev = dt
-        v = result.solution
-        q_vec = captured["q"]
-        g_op, c_op = captured["G"], captured["C"]
-        i_vec = captured["i"]
+        group.v = v = _stack([result.solution for result in results])
+        q_vec = _stack([evaluated[0][j] for evaluated, j in last])
         if trap_step:
-            qdot = (2.0 / dt) * (q_vec - q_prev) - qdot_prev
+            group.qdot = (2.0 / dt) * (q_vec - q_prev) - qdot_prev
         else:
-            qdot = (q_vec - q_prev) / dt
+            group.qdot = (q_vec - q_prev) / dt
+        group.q = q_vec
         trap_next = use_trap           # resume the nominal method
 
         t = t_new
         step_index += 1
-        u_new = system.input_vector(t)
-        y_new = system.output(v)
-        times.append(t)
-        states.append(v.copy())
-        inputs.append(u_new)
-        outputs.append(y_new)
-
-        if (snapshot_callback is not None and options.snapshot_stride > 0
-                and step_index % options.snapshot_stride == 0):
-            snapshot_callback.record(t, v.copy(), u_new, y_new,
-                                     engine.materialize(g_op.copy()),
-                                     engine.materialize(c_op.copy()))
+        snapshot = options.snapshot_stride > 0 and step_index % options.snapshot_stride == 0
+        for k, row in enumerate(rows):
+            try:
+                u_new = row.system.input_vector(t)
+                y_new = row.system.output(v[k])
+                row.times.append(t)
+                row.states.append(v[k].copy())
+                row.inputs.append(u_new)
+                row.outputs.append(y_new)
+                if row.callback is not None and snapshot:
+                    (_, g_op, c_op), j = last[k]
+                    row.callback.record(t, v[k].copy(), u_new, y_new,
+                                        engine.materialize(g_op[j].copy()),
+                                        engine.materialize(c_op[j].copy()))
+            except Exception as exc:  # noqa: BLE001 - the row's own run raises it
+                row.error = exc
+        keep = [k for k, row in enumerate(rows) if row.error is None]
+        if len(keep) < len(rows):
+            group.take(keep)
+            rows = group.rows
+            if not rows:
+                break
 
         if progress is not None:
             progress((t - options.t_start) / (options.t_stop - options.t_start))
@@ -490,22 +725,14 @@ def transient_analysis(system: MNASystem, options: TransientOptions,
             # Fixed-step mode: recover the nominal step after halvings.
             dt = min(options.dt, dt * 2.0)
 
-        if len(times) > options.max_points:
-            raise ConvergenceError(
-                f"transient analysis exceeded max_points={options.max_points}")
+        # Rows of a group share their history length.
+        if len(rows[0].times) > options.max_points:
+            for row in rows:
+                row.error = ConvergenceError(
+                    f"transient analysis exceeded max_points={options.max_points}")
+            group.take([])
+    return split
 
-    return TransientResult(
-        times=np.array(times),
-        states=np.array(states),
-        outputs=np.array(outputs),
-        inputs=np.array(inputs),
-        newton_iterations=total_newton,
-        rejected_steps=rejected,
-        wall_time=_time.perf_counter() - wall_start,
-        method=options.method,
-        lte_rejections=lte_rejected,
-        cache_factorizations=cache.factorizations if cache else 0,
-        cache_reuses=cache.reuses if cache else 0,
-        cache_invalidations=cache.invalidations if cache else 0,
-        cache_solves=cache.solves if cache else 0,
-    )
+
+def _stack(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0][None] if len(parts) == 1 else np.stack(parts)

@@ -181,7 +181,9 @@ def evaluate_batch(model, inputs: np.ndarray,
     if timings is not None:
         for key, seconds in zip(_TIMING_KEYS, spent):
             timings[key] = timings.get(key, 0.0) + seconds
-    return outputs[0] if single else outputs
+    if single:
+        return out if out is not None and out.ndim == 1 else outputs[0]
+    return outputs
 
 
 def _tile_shape(n_branches: int, n_batch: int, n_steps: int) -> tuple[int, int]:

@@ -55,6 +55,8 @@ class ValidationReport:
 
     rows: list[ValidationRow]
     error_bound: float | None
+    #: Engine seconds of the reference sweep: the sum of its scenarios' wall
+    #: times, in which a transient family's time is split equally.
     sim_wall_time: float
     model_wall_time: float
     errors: BatchErrorReport | None = field(repr=False, default=None)
@@ -119,7 +121,8 @@ def validate_model(model: CompiledModel, scenarios,
         extraction's bound recorded in the compiled model's metadata.
     sweep_options:
         Forwarded to :func:`repro.sweep.run_sweep` (snapshots are disabled —
-        validation only needs waveforms).
+        validation only needs waveforms).  Serially, scenarios of one
+        circuit and time grid simulate as one transient family.
     sweep_result:
         Pre-computed sweep of exactly these scenarios, to avoid re-simulating
         (e.g. when the training sweep doubles as the validation reference).

@@ -8,6 +8,13 @@ transient analysis on the compiled assembly engine and captures a private
 snapshot set that the TFT extraction consumes.  Results come back in scenario
 order inside a :class:`SweepResult`, which offers both per-scenario TFT
 datasets and a combined trajectory covering the union of all runs.
+
+The serial path runs scenarios of one circuit as *families*: scenarios with
+equal builder, builder keyword arguments and fixed-step transient options on
+a compiled assembly integrate together in one transient call (one Newton
+loop over the stacked states), which checks that their compiled engines
+match.  Each scenario's result is byte-equal to its own run, failures
+included.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..circuit.mna import MNASystem
 from ..circuit.transient import TransientResult, transient_analysis
 from ..exceptions import ReproError
 from ..telemetry.broker import TopicBroker
@@ -46,9 +54,10 @@ class SweepOptions:
     #: Optional :class:`~repro.telemetry.TopicBroker`.  When set (and it has
     #: subscribers), the sweep publishes :class:`SweepStarted`, one
     #: :class:`ScenarioCompleted` plus one :class:`EngineProfile` (Newton /
-    #: LTE / factorisation-cache counters) per finished scenario as results
-    #: stream in from the pool, and a closing :class:`SweepCompleted`.  The
-    #: broker stays in the driving process — it is never shipped to workers.
+    #: LTE / factorisation-cache counters) per finished scenario, in scenario
+    #: order as results stream in from the pool or the serial families, and
+    #: a closing :class:`SweepCompleted`.  The broker stays in the driving
+    #: process — it is never shipped to workers.
     broker: TopicBroker | None = None
 
 
@@ -59,6 +68,9 @@ class ScenarioResult:
     scenario: Scenario
     transient: TransientResult | None = None
     trajectory: SnapshotTrajectory | None = None
+    #: Seconds spent building, simulating and snapshotting the scenario; a
+    #: family's time is split equally over its scenarios, so the times of a
+    #: sweep's results sum to the time actually spent.
     wall_time: float = 0.0
     error: str | None = None
 
@@ -71,26 +83,106 @@ class ScenarioResult:
         return self.error is None
 
 
-def _run_scenario(scenario: Scenario, capture_snapshots: bool) -> ScenarioResult:
-    """Build, simulate and snapshot one scenario (runs inside workers)."""
+def _run_scenario(scenario: Scenario, capture_snapshots: bool,
+                  system: MNASystem | None = None) -> ScenarioResult:
+    """Build (unless ``system`` is given), simulate and snapshot one scenario."""
     start = _time.perf_counter()
     try:
-        system = scenario.build_circuit().build()
+        if system is None:
+            system = scenario.build_circuit().build()
         trajectory = SnapshotTrajectory(system) if capture_snapshots else None
         result = transient_analysis(system, scenario.transient,
                                     snapshot_callback=trajectory)
-        if trajectory is not None and scenario.max_snapshots is not None:
-            # Adaptive runs cluster accepted steps on fast transitions; thin
-            # uniformly in time so the snapshot family still covers the
-            # whole trajectory instead of oversampling the edges.
-            by = "time" if scenario.transient.adaptive else "index"
-            trajectory = trajectory.subsample(scenario.max_snapshots, by=by)
         return ScenarioResult(scenario=scenario, transient=result,
-                              trajectory=trajectory,
+                              trajectory=_thinned(trajectory, scenario),
                               wall_time=_time.perf_counter() - start)
     except Exception:  # noqa: BLE001 - workers must report, not crash the pool
         return ScenarioResult(scenario=scenario, error=traceback.format_exc(),
                               wall_time=_time.perf_counter() - start)
+
+
+def _thinned(trajectory: SnapshotTrajectory | None,
+             scenario: Scenario) -> SnapshotTrajectory | None:
+    if trajectory is None or scenario.max_snapshots is None:
+        return trajectory
+    # Adaptive runs cluster accepted steps on fast transitions; thin
+    # uniformly in time so the snapshot family still covers the whole
+    # trajectory instead of oversampling the edges.
+    by = "time" if scenario.transient.adaptive else "index"
+    return trajectory.subsample(scenario.max_snapshots, by=by)
+
+
+def _stackable(scenario: Scenario) -> bool:
+    return not scenario.transient.adaptive and scenario.transient.assembly != "legacy"
+
+
+def _same_circuit(a: Scenario, b: Scenario) -> bool:
+    """Equal builder, builder keyword arguments and transient options."""
+    try:
+        return bool(a.builder == b.builder and a.builder_kwargs == b.builder_kwargs
+                    and a.transient == b.transient)
+    except (TypeError, ValueError):   # e.g. array-valued keyword arguments
+        return False
+
+
+def _families(scenarios: Sequence[Scenario]) -> list[list[int]]:
+    """Scenario indices grouped into transient families, by first member."""
+    families: list[list[int]] = []
+    for index, scenario in enumerate(scenarios):
+        for family in families:
+            first = scenarios[family[0]]
+            if _stackable(first) and _same_circuit(first, scenario):
+                family.append(index)
+                break
+        else:
+            families.append([index])
+    return families
+
+
+def _run_family(family: Sequence[Scenario],
+                capture_snapshots: bool) -> list[ScenarioResult]:
+    """Run scenarios of one circuit through one transient family call.
+
+    Every scenario builds its own circuit, and each result (a failure
+    included) is what the scenario's own run gives.  If the family call
+    fails as a whole — circuits that do not compile to equal engines do,
+    among them every circuit with per-device (non-vectorised) nonlinear
+    stamps — every scenario runs alone on the circuit it built.  The
+    family's time is split equally over its scenarios.
+    """
+    start = _time.perf_counter()
+    results: list[ScenarioResult | None] = [None] * len(family)
+    systems: dict[int, MNASystem] = {}
+    for index, scenario in enumerate(family):
+        try:
+            systems[index] = scenario.build_circuit().build()
+        except Exception:  # noqa: BLE001 - reported on the scenario, as its own run does
+            results[index] = ScenarioResult(scenario=scenario,
+                                            error=traceback.format_exc())
+    trajectories = [SnapshotTrajectory(system) if capture_snapshots else None
+                    for system in systems.values()]
+    try:
+        outcomes = transient_analysis(list(systems.values()), family[0].transient,
+                                      snapshot_callback=trajectories) if systems else []
+    # repro: allow[REP104] no row owns this failure; every member runs alone below and reports its own
+    except Exception:  # noqa: BLE001
+        outcomes = [None] * len(systems)
+    for (index, system), trajectory, outcome in zip(systems.items(), trajectories,
+                                                    outcomes):
+        scenario = family[index]
+        if outcome is None:
+            results[index] = _run_scenario(scenario, capture_snapshots, system)
+        elif isinstance(outcome, Exception):
+            results[index] = ScenarioResult(scenario=scenario, error="".join(
+                traceback.format_exception(outcome)))
+        else:
+            results[index] = ScenarioResult(
+                scenario=scenario, transient=outcome,
+                trajectory=_thinned(trajectory, scenario))
+    share = (_time.perf_counter() - start) / len(family)
+    for result in results:
+        result.wall_time = share
+    return results
 
 
 def _run_pickled_scenario(payload: bytes, capture_snapshots: bool) -> ScenarioResult:
@@ -211,7 +303,9 @@ def run_sweep(scenarios: Iterable[Scenario],
 
     With ``options.n_workers > 1`` the scenarios run on a process pool; each
     worker rebuilds its circuit from the scenario recipe (circuits, waveforms
-    and results are plain picklable objects).  Results are returned in
+    and results are plain picklable objects).  Serially, scenarios of one
+    circuit run as transient families (see the module docstring), byte-equal
+    to the per-scenario runs the pool makes.  Results are returned in
     scenario order regardless of completion order.
     """
     opts = options or SweepOptions()
@@ -254,8 +348,19 @@ def run_sweep(scenarios: Iterable[Scenario],
         return result
 
     if n_workers == 1:
-        results = [_completed(_run_scenario(s, opts.capture_snapshots))
-                   for s in scenario_list]
+        results: list[ScenarioResult | None] = [None] * len(scenario_list)
+        published = 0
+        for family in _families(scenario_list):
+            scenarios = [scenario_list[index] for index in family]
+            if len(family) > 1:
+                finished = _run_family(scenarios, opts.capture_snapshots)
+            else:
+                finished = [_run_scenario(scenarios[0], opts.capture_snapshots)]
+            for index, result in zip(family, finished):
+                results[index] = result
+            while published < len(results) and results[published] is not None:
+                _completed(results[published])
+                published += 1
     else:
         # Fail fast with a named scenario instead of the executor's opaque
         # PicklingError mid-map (lambdas/closures as builders are the usual

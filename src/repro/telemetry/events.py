@@ -376,7 +376,10 @@ class EngineProfile(TelemetryEvent):
     Newton iterations, LTE accept/reject traffic, and the
     :class:`~repro.circuit.linalg.FactorizationCache` hit/miss/invalidation
     balance (``cache_hit_rate`` = reuses / solves, 0.0 when the cache was
-    disabled or never consulted).
+    disabled or never consulted).  ``wall_time_s`` is the transient's
+    :attr:`~repro.circuit.transient.TransientResult.wall_time`: a transient
+    family's time split equally over its scenarios, so the profiles of a
+    sweep sum to the engine time actually spent.
     """
 
     name: str

@@ -108,14 +108,21 @@ class TestRunSweep:
             result["missing"]
 
     def test_parallel_matches_serial(self):
+        """Serial families and per-scenario workers give the same bits."""
         scenarios = eight_scenarios()[:4]
         serial = run_sweep(scenarios, SweepOptions(n_workers=1))
         parallel = run_sweep(scenarios, SweepOptions(n_workers=2))
         assert parallel.n_workers == 2
         for name in serial.names:
-            np.testing.assert_allclose(parallel[name].transient.outputs,
-                                       serial[name].transient.outputs)
+            np.testing.assert_array_equal(
+                parallel[name].transient.outputs.view(np.uint64),
+                serial[name].transient.outputs.view(np.uint64))
             assert len(parallel[name].trajectory) == len(serial[name].trajectory)
+            for snap, ref in zip(parallel[name].trajectory, serial[name].trajectory):
+                for field in ("conductance", "capacitance"):
+                    np.testing.assert_array_equal(
+                        getattr(snap, field).view(np.uint64),
+                        getattr(ref, field).view(np.uint64))
 
     def test_snapshot_capture_can_be_disabled(self):
         result = run_sweep(eight_scenarios()[:2],

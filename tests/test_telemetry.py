@@ -29,6 +29,7 @@ from repro.telemetry import (
     BatchServed,
     ChunkStreamError,
     ConnectionOpened,
+    EngineProfile,
     RequestRejected,
     RequestSubmitted,
     RunRecorder,
@@ -579,6 +580,26 @@ class TestSweepTelemetry:
         assert all(e.ok and e.wall_time_s > 0.0 for e in per_scenario)
         assert len(completed) == 1
         assert completed[0].n_ok == 2 and completed[0].n_failed == 0
+
+        # s0 and s1 share one circuit, so they ran as one transient family:
+        # one EngineProfile per scenario, in order, with its own run's counters
+        # and the family's engine time split equally.
+        from repro.circuit import transient_analysis
+        profiles = [e for e in events if isinstance(e, EngineProfile)]
+        assert [e.name for e in profiles] == ["s0", "s1"]
+        for scenario, profile in zip(scenarios, profiles):
+            solo = transient_analysis(scenario.build_circuit().build(),
+                                      scenario.transient)
+            assert (profile.newton_iterations, profile.accepted_steps,
+                    profile.rejected_steps, profile.lte_rejections,
+                    profile.cache_factorizations, profile.cache_reuses,
+                    profile.cache_invalidations, profile.cache_hit_rate) == (
+                solo.newton_iterations, solo.accepted_steps, solo.rejected_steps,
+                solo.lte_rejections, solo.cache_factorizations, solo.cache_reuses,
+                solo.cache_invalidations, solo.cache_hit_rate)
+            assert profile.wall_time_s == result[scenario.name].transient.wall_time
+        assert profiles[0].wall_time_s == profiles[1].wall_time_s > 0.0
+        assert per_scenario[0].wall_time_s == per_scenario[1].wall_time_s
 
     def test_sweep_without_broker_is_unchanged(self):
         from repro.circuit import Sine, TransientOptions
