@@ -18,6 +18,10 @@ data arrays.
 
 from __future__ import annotations
 
+import os as _os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
+
 import numpy as np
 import scipy.linalg as _sla
 import scipy.sparse as _sp
@@ -25,7 +29,13 @@ import scipy.sparse.linalg as _spla
 
 from ..exceptions import SingularMatrixError
 
-__all__ = ["FactorizationCache", "batched_transfer", "solve_linear"]
+__all__ = ["FactorizationCache", "batched_transfer", "fan_out", "solve_linear",
+           "usable_cores"]
+
+#: Thread cap of :func:`fan_out`: the transfer-function solves it spreads are
+#: independent, but beyond a handful of threads the shared-memory bandwidth
+#: of the triangular solves saturates.
+_MAX_TRANSFER_THREADS = 8
 
 #: LAPACK routines by name and operand dtypes, as ``get_lapack_funcs``
 #: picks them (looked up once, not per Newton step).
@@ -221,6 +231,37 @@ def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,
         solved = np.linalg.solve(systems, rhs)
         result[start:start + chunk] = np.einsum("no,fni->foi", output_matrix, solved)
     return result
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, else ``os.cpu_count()``."""
+    try:
+        return len(_os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return _os.cpu_count() or 1
+
+
+def fan_out(task: Callable[[int, int], None], n_items: int) -> None:
+    """Run ``task(start, stop)`` over contiguous ranges covering ``range(n_items)``.
+
+    Each range goes to one thread of a pool of ``min(n_items,
+    usable_cores(), 8)`` threads that lives only inside this call, so no
+    thread survives it (a later ``fork`` inherits no pool); with fewer than
+    two threads the one range ``(0, n_items)`` runs inline.  ``task``
+    must write only its own range's results.  The ranges' outcomes are read
+    in order, so the raised exception is the one of the lowest failing
+    range — the exception a serial loop over the items raises first, if
+    ``task`` stops at its first failing item.  NumPy's LAPACK calls and
+    SciPy's SuperLU factorisations release the GIL, which is what the
+    threads overlap.
+    """
+    workers = min(n_items, usable_cores(), _MAX_TRANSFER_THREADS)
+    if workers < 2:
+        task(0, n_items)
+        return
+    bounds = [n_items * k // workers for k in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(task, bounds[:-1], bounds[1:]))
 
 
 def solve_linear(matrix, rhs: np.ndarray) -> np.ndarray:

@@ -15,8 +15,6 @@ Transfer Function Trajectory extraction consumes.
 
 from __future__ import annotations
 
-import os as _os
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -29,11 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers onl
     from .netlist import Circuit
 
 __all__ = ["MNASystem"]
-
-#: Thread cap of the sparse transfer-function sweep: per-frequency SuperLU
-#: factorisations are independent, but beyond a handful of threads the
-#: shared-memory bandwidth of the triangular solves saturates.
-_MAX_TRANSFER_THREADS = 8
 
 
 class MNASystem:
@@ -70,6 +63,10 @@ class MNASystem:
 
         self._devices: tuple[Device, ...] = circuit.devices
         self._nonlinear = tuple(d for d in self._devices if d.is_nonlinear())
+        #: Devices whose type stamps an excitation, in device order (the
+        #: others inherit the no-op ``Device.stamp_rhs``).
+        self._rhs_devices = tuple(d for d in self._devices
+                                  if type(d).stamp_rhs is not Device.stamp_rhs)
         self._input_sources = circuit.inputs
         if not self._input_sources:
             raise CircuitError(
@@ -139,7 +136,7 @@ class MNASystem:
     def source_vector(self, t: float) -> np.ndarray:
         """Excitation of the *non-input* sources at time ``t``."""
         b_vec = np.zeros(self.n_unknowns)
-        for device in self._devices:
+        for device in self._rhs_devices:
             device.stamp_rhs(t, b_vec)
         return b_vec
 
@@ -232,8 +229,9 @@ class MNASystem:
         batched LAPACK call; in sparse mode each frequency factorises
         ``G + s C`` once and solves all input columns together, and the
         per-frequency factorisations — which are independent of each other —
-        are fanned across a thread pool (SuperLU releases the GIL inside the
-        numerical factorisation).  Pass ``assembly="legacy"`` for the
+        run in contiguous frequency ranges on the process's usable cores
+        (:func:`~repro.circuit.linalg.fan_out`; SuperLU releases the GIL
+        inside the numerical factorisation).  Pass ``assembly="legacy"`` for the
         original per-frequency dense loop.
 
         A singular ``G + s C`` raises :class:`~repro.exceptions.
@@ -259,28 +257,19 @@ class MNASystem:
         _, g_op = engine.eval_static(v)
         _, c_op = engine.eval_dynamic(v)
         if engine.is_sparse:
-            from .linalg import solve_linear
+            from .linalg import fan_out, solve_linear
             g_data = g_op.astype(complex, copy=True)
             if gmin:
                 engine.add_diag(g_data, gmin, self.n_unknowns)
             b_cols = self.input_matrix.astype(complex)
             d_mat = self.output_matrix.T
 
-            def solve_one(idx: int) -> None:
-                matrix = engine.materialize(g_data + s_values[idx] * c_op)
-                result[idx] = d_mat @ solve_linear(matrix, b_cols)
+            def solve_range(start: int, stop: int) -> None:
+                for idx in range(start, stop):
+                    matrix = engine.materialize(g_data + s_values[idx] * c_op)
+                    result[idx] = d_mat @ solve_linear(matrix, b_cols)
 
-            n_freq = s_values.size
-            workers = min(n_freq, _os.cpu_count() or 1, _MAX_TRANSFER_THREADS)
-            if workers < 2 or n_freq < 4:
-                for idx in range(n_freq):
-                    solve_one(idx)
-            else:
-                # Each thread writes a disjoint result slice, so the output
-                # is deterministic regardless of completion order; list()
-                # drains the map and re-raises the first worker exception.
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(solve_one, range(n_freq)))
+            fan_out(solve_range, s_values.size)
             return result
 
         from ..exceptions import SingularMatrixError

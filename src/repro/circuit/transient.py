@@ -26,7 +26,7 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from ..exceptions import ConvergenceError, SingularMatrixError
-from .assembly import select_engine
+from .assembly import CompiledMNA, select_engine
 from .dc import DCOptions, dc_operating_point
 from .linalg import FactorizationCache
 from .mna import MNASystem
@@ -289,7 +289,9 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
     initial_state:
         Optional starting solution; when omitted the DC operating point at
         ``t_start`` is used (the standard SPICE behaviour).  For a family, a
-        sequence of one state or ``None`` per system.
+        sequence of one state or ``None`` per system; rows whose excitations
+        at ``t_start`` are byte-equal solve their DC point once (unless
+        ``options.dc`` selects the legacy assembly).
     progress:
         Optional callable receiving the fraction of simulated time (for a
         family, once per step of each group of rows that step together).
@@ -329,7 +331,13 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
                          "at a time")
     engine = select_engine(systems[0], options.assembly)
     for other in systems[1:]:
-        if not engine.matches(select_engine(other, options.assembly)):
+        # A later row's engine only has to match the checked first engine
+        # byte for byte, so it skips the check against the legacy path and
+        # is not cached on its system.
+        twin = other._compiled.get(engine.is_sparse)
+        if twin is None:
+            twin = CompiledMNA(other, sparse=engine.is_sparse, verify=False)
+        if not engine.matches(twin):
             raise ValueError(
                 f"{other.circuit.name!r} does not compile to the same engine as "
                 f"{systems[0].circuit.name!r}; a family is one circuit")
@@ -337,6 +345,12 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
     dc_options = options.dc
     if legacy and dc_options.assembly != "legacy":
         dc_options = replace(dc_options, assembly="legacy")
+    # DC solutions by the bytes of their t_start excitation: rows of matching
+    # compiled engines solve equal excitations to equal bits, so a later row
+    # reuses an earlier row's DC point.  The legacy path evaluates each row's
+    # own devices, which no engine comparison covers.
+    dc_points: dict[bytes, np.ndarray] | None = (
+        None if dc_options.assembly == "legacy" else {})
     rows, starting = [], []
     for row_system, callback, start in zip(systems, callbacks, starts):
         row = _Row(row_system, callback, None if legacy else FactorizationCache(
@@ -346,7 +360,7 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
         rows.append(row)
         try:
             starting.append((row, _start_row(row, engine, options, start,
-                                              dc_options)))
+                                              dc_options, dc_points)))
         except Exception as exc:  # noqa: BLE001 - the row's own run raises it
             row.error = exc
 
@@ -370,12 +384,26 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
 
 
 def _start_row(row: _Row, engine, options: TransientOptions, initial_state,
-               dc_options: DCOptions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Initial point of one row: records it and returns ``(v, q, qdot)``."""
+               dc_options: DCOptions, dc_points: dict[bytes, np.ndarray] | None,
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial point of one row: records it and returns ``(v, q, qdot)``.
+
+    Without an ``initial_state`` the row starts at its DC operating point,
+    taken from ``dc_points`` (keyed by the bytes of the excitation at
+    ``t_start``) when an earlier row solved the same excitation; a solved
+    point is added to it.  ``None`` solves every row's own point.
+    """
     system = row.system
+    excitation = system.excitation(options.t_start)
     if initial_state is None:
-        dc_result = dc_operating_point(system, t=options.t_start, options=dc_options)
-        v = dc_result.solution.copy()
+        key = excitation.tobytes()
+        v = None if dc_points is None else dc_points.get(key)
+        if v is None:
+            v = dc_operating_point(system, t=options.t_start,
+                                   options=dc_options).solution
+            if dc_points is not None:
+                dc_points[key] = v
+        v = v.copy()
     else:
         v = np.array(initial_state, dtype=float, copy=True)
     row.times.append(options.t_start)
@@ -387,7 +415,7 @@ def _start_row(row: _Row, engine, options: TransientOptions, initial_state,
     i_vec, g_op = engine.eval_static(v)
     q_vec, c_op = engine.eval_dynamic(v)
     # dq/dt at the initial point; at a true DC point this is ~0.
-    qdot = system.excitation(options.t_start) - i_vec
+    qdot = excitation - i_vec
     if row.callback is not None and options.snapshot_stride > 0:
         row.callback.record(options.t_start, v.copy(), u0, system.output(v),
                             engine.materialize(g_op.copy()),

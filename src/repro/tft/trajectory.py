@@ -8,6 +8,15 @@ state ``k`` the state-dependent transfer function
 is evaluated on a discrete frequency grid ``{s_l}``, and the instantaneous
 small-signal conductance ``H^{(k)}(0)`` is evaluated separately so the static
 and dynamic parts of the response can be split downstream.
+
+Snapshots are independent of each other, so :func:`extract_tft` solves them
+in contiguous ranges on the process's usable cores
+(:func:`repro.circuit.linalg.fan_out`: the CPUs of its affinity mask, at
+most 8 threads, inline on one core).  Every snapshot still goes through the
+same batched LAPACK call and writes only its own slice of the dataset, so
+the result is byte-identical to a serial loop, and a failing snapshot
+raises what the serial loop raises: the error of the lowest failing
+snapshot.  The threads end with the call.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..circuit.ac import frequency_grid
+from ..circuit.linalg import batched_transfer, fan_out
 from ..exceptions import ReproError, SingularMatrixError
 from .hyperplane import TFTDataset
 from .snapshots import JacobianSnapshot, SnapshotTrajectory
@@ -64,7 +74,6 @@ def snapshot_transfer_function(snapshot: JacobianSnapshot, input_matrix: np.ndar
     try:
         # Batched LAPACK solves, chunked along the frequency axis to bound
         # the peak memory of the (chunk, n, n) system stack.
-        from ..circuit.linalg import batched_transfer
         return batched_transfer(g_mat, c_mat, s_values,
                                 input_matrix, output_matrix), dc_response
     except np.linalg.LinAlgError:
@@ -102,6 +111,9 @@ def extract_tft(trajectory: SnapshotTrajectory, frequencies: np.ndarray | None =
         uses about 100 samples).
     gmin:
         Optional diagonal regularisation of ``G(k)``.
+
+    The snapshots are solved in contiguous ranges on the usable cores (see
+    the module docstring); the dataset does not depend on the core count.
     """
     if len(trajectory) == 0:
         raise ReproError("cannot extract a TFT from an empty trajectory")
@@ -121,10 +133,13 @@ def extract_tft(trajectory: SnapshotTrajectory, frequencies: np.ndarray | None =
     response = np.empty((k_count, frequencies.size, n_outputs, n_inputs), dtype=complex)
     dc_response = np.empty((k_count, n_outputs, n_inputs), dtype=complex)
 
-    for k, snapshot in enumerate(trajectory):
-        response[k], dc_response[k] = snapshot_transfer_function(
-            snapshot, trajectory.input_matrix, trajectory.output_matrix,
-            frequencies, gmin=gmin)
+    def solve_range(start: int, stop: int) -> None:
+        for k in range(start, stop):
+            response[k], dc_response[k] = snapshot_transfer_function(
+                trajectory[k], trajectory.input_matrix, trajectory.output_matrix,
+                frequencies, gmin=gmin)
+
+    fan_out(solve_range, k_count)
 
     return TFTDataset(
         frequencies=frequencies,

@@ -23,6 +23,7 @@ from repro.circuit import (
     frequency_grid,
     transient_analysis,
 )
+import repro.circuit.linalg as linalg
 from repro.circuit.assembly import CompiledMNA
 from repro.circuits import build_rc_ladder
 
@@ -255,13 +256,37 @@ class TestThreadedSparseTransfer:
         legacy = system.transfer_function(v, freqs, assembly="legacy")
         np.testing.assert_allclose(threaded, legacy, rtol=1e-8, atol=1e-14)
 
-    def test_few_frequencies_stay_serial_and_match(self):
+    def test_few_frequencies_match(self):
         system = build_rc_ladder(80, input_waveform=Sine(0.5, 0.1, 1e6)).build()
         v = np.zeros(system.n_unknowns)
         freqs = np.array([1e5, 1e7])
         threaded = system.transfer_function(v, freqs, assembly="sparse")
         legacy = system.transfer_function(v, freqs, assembly="legacy")
         np.testing.assert_allclose(threaded, legacy, rtol=1e-8, atol=1e-14)
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(linalg._os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(linalg._os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert linalg.usable_cores() == 1
+        monkeypatch.delattr(linalg._os, "sched_getaffinity", raising=False)
+        assert linalg.usable_cores() == 64
+
+    @pytest.mark.parametrize("n_freq", [2, 9])
+    def test_one_usable_core_runs_inline_with_the_same_bytes(self, monkeypatch, n_freq):
+        system = build_rc_ladder(80, input_waveform=Sine(0.5, 0.1, 1e6)).build()
+        v = np.linspace(0.0, 0.5, system.n_unknowns)
+        freqs = frequency_grid(1e3, 1e9, 8)[:n_freq]
+        monkeypatch.setattr(linalg, "usable_cores", lambda: 3)
+        threaded = system.transfer_function(v, freqs, assembly="sparse")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one usable core must run inline, without a pool")
+
+        monkeypatch.setattr(linalg, "usable_cores", lambda: 1)
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", no_pool)
+        inline = system.transfer_function(v, freqs, assembly="sparse")
+        np.testing.assert_array_equal(inline.view(np.uint64), threaded.view(np.uint64))
 
 
 class TestBufferEquivalence:

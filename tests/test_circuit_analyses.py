@@ -15,7 +15,9 @@ from repro.circuit import (
     newton_solve,
     transient_analysis,
 )
-from repro.circuits import build_diode_limiter, build_rc_ladder
+from repro.circuit.waveforms import Pulse
+from repro.circuits import (build_common_source_amplifier, build_differential_amplifier,
+                            build_diode_limiter, build_output_buffer, build_rc_ladder)
 from repro.exceptions import CircuitError, ConvergenceError
 
 
@@ -25,6 +27,20 @@ def voltage_divider(ratio_top=1e3, ratio_bottom=1e3):
     circuit.resistor("R1", "in", "out", ratio_top)
     circuit.resistor("R2", "out", "0", ratio_bottom)
     circuit.add_output("vout", "out")
+    return circuit
+
+
+def mixed_sources(input_waveform):
+    """Time-varying fixed sources, two of them stamping the same node."""
+    circuit = Circuit("mixed_sources")
+    circuit.voltage_source("Vin", "in", "0", input_waveform, is_input=True)
+    circuit.voltage_source("VDD", "vdd", "0", Sine(1.2, 0.1, 5e6))
+    circuit.resistor("R1", "in", "mid", 1e3)
+    circuit.resistor("R2", "vdd", "mid", 2e3)
+    circuit.current_source("I1", "mid", "0", Pulse(0.0, 1e-4, 1e-7, 1e-8, 1e-8, 2e-7, 5e-7))
+    circuit.current_source("I2", "0", "mid", Sine(3e-5, 2e-5, 7e6))
+    circuit.capacitor("C1", "mid", "0", 1e-12)
+    circuit.add_output("vmid", "mid")
     return circuit
 
 
@@ -88,6 +104,20 @@ class TestMNASystem:
         system = circuit.build()
         excitation = system.excitation(0.0)
         assert excitation.sum() == pytest.approx(1.2 + 0.4)
+
+    @pytest.mark.parametrize("build", [
+        build_rc_ladder, build_diode_limiter, build_common_source_amplifier,
+        build_differential_amplifier, build_output_buffer,
+        lambda input_waveform: mixed_sources(input_waveform)])
+    def test_source_vector_equals_the_all_device_loop(self, build):
+        """Only excitation-stamping devices are visited, in device order."""
+        system = build(input_waveform=Sine(0.6, 0.2, 3e6)).build()
+        for t in np.random.default_rng(5).uniform(0.0, 1e-6, 6):
+            reference = np.zeros(system.n_unknowns)
+            for device in system.circuit.devices:
+                device.stamp_rhs(t, reference)
+            np.testing.assert_array_equal(system.source_vector(t).view(np.uint64),
+                                          reference.view(np.uint64))
 
     def test_component_count_summary(self):
         counts = voltage_divider().component_count()

@@ -1,17 +1,21 @@
 """Tests for Jacobian snapshots, state estimators and the TFT transform."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro.circuit.linalg as linalg
 from repro.circuit import Circuit, Sine, TransientOptions, ac_analysis, frequency_grid, transient_analysis
 from repro.circuits import build_common_source_amplifier, build_rc_ladder
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SingularMatrixError
 from repro.tft import (
     SnapshotTrajectory,
     StateEstimator,
     TFTDataset,
     default_frequency_grid,
     extract_tft,
+    snapshot_transfer_function,
 )
 
 
@@ -242,3 +246,114 @@ class TestTFTDataset:
         _, tft = cs_tft
         text = tft.describe()
         assert str(tft.n_states) in text
+
+
+def serial_reference(trajectory, frequencies, max_snapshots=None, gmin=0.0):
+    """``extract_tft``'s response arrays from one serial loop over the snapshots.
+
+    The loop ``extract_tft`` ran before its snapshots were spread over the
+    usable cores, kept as the reference the threaded transform must match
+    bit for bit (and raise like).
+    """
+    if max_snapshots is not None:
+        trajectory = trajectory.subsample(max_snapshots)
+    frequencies = np.asarray(frequencies, dtype=float).ravel()
+    shape = (len(trajectory), frequencies.size, trajectory.n_outputs,
+             trajectory.n_inputs)
+    response = np.empty(shape, dtype=complex)
+    dc_response = np.empty((shape[0],) + shape[2:], dtype=complex)
+    for k, snapshot in enumerate(trajectory):
+        response[k], dc_response[k] = snapshot_transfer_function(
+            snapshot, trajectory.input_matrix, trajectory.output_matrix,
+            frequencies, gmin=gmin)
+    return response, dc_response
+
+
+def assert_same_bits(tft, reference):
+    response, dc_response = reference
+    np.testing.assert_array_equal(tft.response.view(np.uint64), response.view(np.uint64))
+    np.testing.assert_array_equal(tft.dc_response.view(np.uint64),
+                                  dc_response.view(np.uint64))
+
+
+@pytest.fixture(params=[1, 2, 4], ids=lambda n: f"{n}core")
+def cores(request, monkeypatch):
+    """Pretend the process may run on ``n`` CPUs (4 is more than this box has)."""
+    monkeypatch.setattr(linalg, "usable_cores", lambda: request.param)
+    if request.param == 1:
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one usable core must run inline, without a pool")
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", no_pool)
+    return request.param
+
+
+def tiny_trajectory(snapshots):
+    """A 3-unknown trajectory whose snapshots carry the given ``(G, C)`` pairs."""
+    circuit = Circuit("tiny")
+    circuit.voltage_source("Vin", "in", "0", Sine(0.0, 1.0, 1e3), is_input=True)
+    circuit.resistor("R1", "in", "out", 1e3)
+    circuit.resistor("R2", "out", "0", 1e3)
+    circuit.add_output("vout", "out")
+    trajectory = SnapshotTrajectory(circuit.build())
+    for k, (g_mat, c_mat) in enumerate(snapshots):
+        trajectory.record(1e-6 * k, np.zeros(3), np.array([0.1 * k]), np.zeros(1),
+                          g_mat, c_mat)
+    return trajectory
+
+
+class TestThreadedTFT:
+    """Snapshots solved in contiguous ranges on the usable cores."""
+
+    GRID = default_frequency_grid(1.0, 10e9, 4)
+
+    def test_buffer_trajectory_matches_serial_loop(self, buffer_trajectory, cores):
+        before = threading.enumerate()
+        tft = extract_tft(buffer_trajectory, self.GRID, max_snapshots=110)
+        assert threading.enumerate() == before
+        assert tft.response.shape == (110, 41, 1, 1)
+        assert_same_bits(tft, serial_reference(buffer_trajectory, self.GRID, 110))
+
+    def test_sparse_assembly_trajectory(self, cores):
+        system = build_rc_ladder(70, input_waveform=Sine(0.5, 0.3, 1e6)).build()
+        assert system.compile("auto").is_sparse
+        trajectory = SnapshotTrajectory(system)
+        transient_analysis(system, TransientOptions(t_stop=1e-7, dt=1e-8),
+                           snapshot_callback=trajectory)
+        assert trajectory[0].order >= 64
+        tft = extract_tft(trajectory, frequency_grid(1e4, 1e10, 2))
+        assert_same_bits(tft, serial_reference(trajectory, frequency_grid(1e4, 1e10, 2)))
+
+    def test_gmin_regularised_snapshots(self, buffer_trajectory, cores):
+        tft = extract_tft(buffer_trajectory, self.GRID, max_snapshots=24, gmin=1e-9)
+        assert_same_bits(tft, serial_reference(buffer_trajectory, self.GRID, 24,
+                                               gmin=1e-9))
+
+    def test_single_snapshot(self, buffer_trajectory, cores):
+        single = SnapshotTrajectory(buffer_trajectory.system)
+        single.snapshots = [buffer_trajectory[40]]
+        tft = extract_tft(single, self.GRID)
+        assert tft.response.shape[0] == 1
+        assert_same_bits(tft, serial_reference(single, self.GRID))
+
+    def test_lowest_singular_snapshot_raises_the_serial_loops_error(self, cores):
+        """Snapshot 2 is singular at one frequency, snapshot 7 at s = 0."""
+        frequencies = np.array([1e3, 1e5, 1e7])
+        omega = (2j * np.pi * frequencies)[1].imag
+        coupling = 1.0 / omega
+        assert omega * coupling == 1.0        # G + j*omega*C is exactly singular
+        regular = (np.diag([1.0, 2.0, 3.0]), 1e-9 * np.eye(3))
+        resonant = (np.diag([1.0, -1.0, 1.0]),
+                    np.array([[0.0, coupling, 0.0], [coupling, 0.0, 0.0],
+                              [0.0, 0.0, 0.0]]))
+        floating = (np.zeros((3, 3)), np.eye(3))
+        trajectory = tiny_trajectory([regular] * 2 + [resonant] + [regular] * 4
+                                     + [floating] + [regular] * 2)
+        with pytest.raises(SingularMatrixError) as serial:
+            serial_reference(trajectory, frequencies)
+        assert "f=1e+05 Hz" in str(serial.value)
+        before = threading.enumerate()
+        with pytest.raises(SingularMatrixError) as threaded:
+            extract_tft(trajectory, frequencies)
+        assert threading.enumerate() == before
+        assert str(threaded.value) == str(serial.value)
+        assert type(threaded.value.__cause__) is type(serial.value.__cause__)

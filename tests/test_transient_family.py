@@ -10,7 +10,9 @@ import traceback
 import numpy as np
 import pytest
 
-from repro.circuit import NewtonOptions, Sine, TransientOptions, transient_analysis
+import repro.circuit.transient as transient_module
+from repro.circuit import (DCOptions, NewtonOptions, Sine, TransientOptions,
+                           transient_analysis)
 from repro.circuits import (build_diode_limiter, build_output_buffer,
                             buffer_training_waveform, build_rc_ladder)
 from repro.circuits.buffer import BufferParams
@@ -154,6 +156,62 @@ class TestStackedEvaluation:
             build_diode_limiter(input_waveform=Sine(0.0, 0.5, 1e6)).build().compile("auto"))
 
 
+class TestFamilyPreparation:
+    """Later rows compile unverified for the engine check and share DC points."""
+
+    @pytest.fixture
+    def dc_calls(self, monkeypatch):
+        calls = []
+        solve = transient_module.dc_operating_point
+
+        def counting(system, *args, **kwargs):
+            calls.append(system)
+            return solve(system, *args, **kwargs)
+
+        monkeypatch.setattr(transient_module, "dc_operating_point", counting)
+        return calls
+
+    def test_equal_offset_sines_solve_one_dc_point(self, dc_calls):
+        sines = heldout_sines(5)
+        options = buffer_options(periods=0.2)
+        systems = [build_output_buffer(input_waveform=w).build() for w in sines]
+        family = transient_analysis(systems, options)
+        assert dc_calls == [systems[0]]
+        # No unverified engine is left behind on the later rows' systems.
+        assert all(not system._compiled for system in systems[1:])
+        dc_calls.clear()
+        for wave, row in zip(sines, family):
+            assert_same_run(row, solo_run(wave, options)[0])
+
+    def test_other_excitations_and_initial_states_get_their_own_start(self, dc_calls):
+        options = buffer_options(periods=0.2)
+        sines = [Sine(0.9, 0.3, 2e6), Sine(0.9, 0.1, 3e6), Sine(0.85, 0.2, 2e6),
+                 Sine(0.9, 0.2, 1e6), Sine(0.9, 0.2, 2e6, phase=0.3)]
+        solo_start = solo_run(sines[3], options)[0].states[0] * (1.0 + 1e-3)
+        starts = [None, None, None, solo_start, None]
+        systems = [build_output_buffer(input_waveform=w).build() for w in sines]
+        dc_calls.clear()
+        family = transient_analysis(systems, options, initial_state=starts)
+        assert dc_calls == [systems[0], systems[2], systems[4]]
+        for wave, start, row in zip(sines, starts, family):
+            solo = transient_analysis(build_output_buffer(input_waveform=wave).build(),
+                                      options, initial_state=start)
+            assert_same_run(row, solo)
+
+    def test_failing_dc_point_fails_every_row_by_its_own_name(self, dc_calls):
+        options = buffer_options(periods=0.1, dc=DCOptions(
+            newton=NewtonOptions(max_iterations=1)))
+        systems = [build_output_buffer(input_waveform=Sine(0.9, a, 2e6),
+                                       name=name).build()
+                   for a, name in ((0.1, "first"), (0.2, "second"))]
+        first, second = transient_analysis(systems, options)
+        assert dc_calls == systems
+        assert "'first'" in str(first) and "'second'" in str(second)
+        assert type(first) is type(second)
+        with pytest.raises(type(second), match="'second'"):
+            transient_analysis(systems[1], options)
+
+
 _BUILDS = {"count": 0}
 
 
@@ -233,6 +291,10 @@ class TestFamilyFailures:
                    for n in (2, 3)]
         with pytest.raises(ValueError, match="same engine"):
             transient_analysis(systems, TransientOptions(t_stop=1e-6, dt=1e-8))
+        buffers = [build_output_buffer(params=params, input_waveform=Sine(0.9, 0.1, 1e6))
+                   .build() for params in (None, BufferParams(follower_width=20e-6))]
+        with pytest.raises(ValueError, match="same engine"):
+            transient_analysis(buffers, buffer_options(periods=0.1))
 
     def test_sweep_family_of_unequal_circuits_runs_alone(self):
         options = TransientOptions(t_stop=5e-7, dt=1e-8)
