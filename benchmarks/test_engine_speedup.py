@@ -80,6 +80,12 @@ class TestValidationFamily:
     #: The held-out validation sines of the repo benchmark's ``extract``
     #: workload at their design points: (amplitude V, frequency Hz).
     HELDOUT_DESIGN = ((0.45, 3.0e6), (0.30, 1.5e6), (0.15, 2.5e6))
+    #: Bound on the median sequential / family ratio.  On the 2-core
+    #: reference box the median of 9 pairs read 1.48-1.55x over 6 runs, and
+    #: 0.99-1.06x in 6 A/A runs (sequential against sequential); best-of-5
+    #: ratios read 1.38-1.68x and 0.90-1.22x A/A: too noisy to gate on.
+    MIN_SPEEDUP = 1.3
+    PAIRS = 9
 
     def test_buffer_validation_family_at_least_1_3x_faster(self, capsys):
         """Three held-out transients as one family vs three sequential runs.
@@ -87,7 +93,8 @@ class TestValidationFamily:
         The family evaluates the stacked ``(3, 27)`` state once per Newton
         iteration where the sequential runs evaluate three times; each row
         still factors its own Jacobian.  Rows must be byte-equal to their own
-        runs.  Alternated trials, best of each side.
+        runs.  The median ratio over ``PAIRS`` pairs, alternating which side
+        runs first, must reach ``MIN_SPEEDUP``.
         """
         training = buffer_training_waveform()
         period = 1.0 / training.frequency
@@ -99,26 +106,33 @@ class TestValidationFamily:
             system.compile("auto")  # exclude one-time compilation from timing
 
         family_s, sequential_s = [], []
-        for _ in range(5):
-            start = time.perf_counter()
-            family = transient_analysis(systems, options)
-            family_s.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            sequential = [transient_analysis(system, options) for system in systems]
-            sequential_s.append(time.perf_counter() - start)
-        speedup = min(sequential_s) / min(family_s)
+        for pair in range(self.PAIRS):
+            for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
+                start = time.perf_counter()
+                if side == 0:
+                    family = transient_analysis(systems, options)
+                    family_s.append(time.perf_counter() - start)
+                else:
+                    sequential = [transient_analysis(system, options)
+                                  for system in systems]
+                    sequential_s.append(time.perf_counter() - start)
+        ratios = np.array(sequential_s) / np.array(family_s)
+        speedup = float(np.median(ratios))
         with capsys.disabled():
             print(f"[buffer validation family] sequential "
-                  f"{min(sequential_s) * 1e3:.1f} ms, family "
-                  f"{min(family_s) * 1e3:.1f} ms -> {speedup:.2f}x "
-                  f"({[r.newton_iterations for r in family]} Newton iterations)")
+                  f"{np.median(sequential_s) * 1e3:.1f} ms, family "
+                  f"{np.median(family_s) * 1e3:.1f} ms -> {speedup:.2f}x "
+                  f"(median of {self.PAIRS} pairs; "
+                  f"{[r.newton_iterations for r in family]} Newton iterations)")
 
         record_benchmark("BENCH_engine.json", "buffer_validation_family", {
             "sequential_ms": min(sequential_s) * 1e3,
             "family_ms": min(family_s) * 1e3,
             "sequential_median_ms": float(np.median(sequential_s)) * 1e3,
             "family_median_ms": float(np.median(family_s)) * 1e3,
+            "pair_ratios": [float(ratio) for ratio in ratios],
             "speedup": speedup,
+            "min_speedup": self.MIN_SPEEDUP,
             "newton_iterations": [r.newton_iterations for r in family],
         })
 
@@ -128,7 +142,7 @@ class TestValidationFamily:
                                               getattr(solo, field).view(np.uint64))
             assert row.newton_iterations == solo.newton_iterations
             assert row.cache_factorizations == solo.cache_factorizations
-        assert speedup >= 1.3, (
+        assert speedup >= self.MIN_SPEEDUP, (
             f"validation family only {speedup:.2f}x faster than sequential runs")
 
 

@@ -99,9 +99,9 @@ def dc_operating_point(system: MNASystem, t: float = 0.0,
     except SingularMatrixError:
         pass
 
-    # Strategy 2: gmin stepping.
+    # Strategy 2: gmin stepping (an empty ladder skips it).
     stepping_guess = guess
-    converged_chain = True
+    converged_chain = bool(opts.gmin_steps)
     for gmin in opts.gmin_steps:
         try:
             result = _solve_fixed(system, engine, excitation, gmin, stepping_guess,
@@ -140,7 +140,11 @@ def dc_operating_point(system: MNASystem, t: float = 0.0,
                 f"DC analysis of {system.circuit.name!r} failed during source stepping",
                 iterations=total_iterations, residual=result.residual_norm)
         stepping_guess = result.solution
-    assert result is not None
+    if result is None:
+        raise ConvergenceError(
+            f"DC analysis of {system.circuit.name!r} failed: plain Newton and "
+            f"gmin stepping did not converge and source_steps=0 leaves no "
+            f"source stepping", iterations=total_iterations)
     return _package(system, result, total_iterations, "source-stepping")
 
 

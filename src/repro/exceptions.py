@@ -117,3 +117,8 @@ class FrameError(GatewayError):
         self.request_id = int(request_id)
         self.code = code
         super().__init__(message)
+
+
+class ChunkSeriesError(FrameError):
+    """A chunk series failed reassembly (out of order, inconsistent, or over
+    its limits); always attributed to the series' request id."""

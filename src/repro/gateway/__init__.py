@@ -12,13 +12,15 @@ dependencies), and funnels every request into the same
 server's per-model dispatch lanes answer them concurrently, one lane per
 model, so one model's traffic never stalls another's.
 
-* :mod:`~repro.gateway.protocol` — the frame format and its encoders /
+* :mod:`~repro.gateway.protocol` — the frame format, its encoders /
   decoders (pure functions over bytes; every malformation is a named
-  :class:`~repro.exceptions.FrameError`);
+  :class:`~repro.exceptions.FrameError`) and
+  :class:`~repro.gateway.protocol.FrameReader`, the sans-I/O parser every
+  endpoint reads its byte stream with;
 * :mod:`~repro.gateway.server` — :class:`Gateway`, the asyncio front-end
   with admission control (``max_connections``) and per-connection
-  backpressure (``max_inflight_per_conn`` — a connection at its cap stops
-  being read, not buffered);
+  backpressure (``max_inflight_per_conn`` — every queued frame holds a
+  slot, and a connection at its cap stops being read, not buffered);
 * :mod:`~repro.gateway.client` — :class:`GatewayClient` (synchronous, with
   pipelined :meth:`~repro.gateway.client.GatewayClient.submit_many`) and
   :class:`AsyncGatewayClient`; both grow ``subscribe_stats()`` /

@@ -12,6 +12,10 @@ Two variants over the same wire protocol (:mod:`repro.gateway.protocol`):
   an event loop.  A background reader task matches reply frames to the
   awaiting futures by request id.
 
+Each connection parses its replies with one
+:class:`~repro.gateway.protocol.FrameReader`, the parser the gateway reads
+requests with; chunked replies come out of it whole.
+
 Both raise :class:`~repro.exceptions.GatewayError`:
 
 * connecting to a closed (or never-started) gateway names the address and
@@ -58,32 +62,6 @@ def _connect_error(host: str, port: int, exc: Exception) -> GatewayError:
         "gateway running? (a closed gateway refuses new connections)")
 
 
-class _ReplyBuffer:
-    """Incremental frame parser over a byte stream."""
-
-    def __init__(self, max_frame_bytes: int) -> None:
-        self._buffer = bytearray()
-        self._max = int(max_frame_bytes)
-
-    def feed(self, data: bytes) -> list:
-        """Consume bytes, return every complete decoded reply."""
-        self._buffer.extend(data)
-        replies = []
-        prefix = protocol.LENGTH_PREFIX
-        while len(self._buffer) >= prefix.size:
-            (length,) = prefix.unpack_from(self._buffer)
-            if length > self._max:
-                raise GatewayError(
-                    f"gateway sent a frame of {length} bytes, beyond this "
-                    f"client's max_frame_bytes={self._max}")
-            if len(self._buffer) < prefix.size + length:
-                break
-            payload = bytes(self._buffer[prefix.size:prefix.size + length])
-            del self._buffer[:prefix.size + length]
-            replies.append(protocol.decode_payload(payload))
-        return replies
-
-
 def _raise_if_fatal(reply) -> None:
     """A ``request_id == 0`` error frame fails the whole connection."""
     if isinstance(reply, protocol.ErrorReply) and reply.request_id == 0:
@@ -126,6 +104,8 @@ class GatewayClient:
         except OSError as exc:
             raise _connect_error(host, self.port, exc) from None
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        #: Parses every reply this connection receives, across calls.
+        self._frames = protocol.FrameReader(self.max_frame_bytes)
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -197,26 +177,55 @@ class GatewayClient:
         return outputs
 
     def _pipeline(self, outbound: bytes, expected: set[int]) -> dict:
-        """Interleave sends and receives until every reply arrived."""
-        sock = self._sock
-        sock.setblocking(False)
-        buffer = _ReplyBuffer(self.max_frame_bytes)
-        assembler = protocol.ChunkAssembler()
+        """Stream ``outbound`` out and collect every expected reply."""
         results: dict[int, object] = {}
+        for reply in self._messages(outbound, self.timeout, per_message=False):
+            if reply is None:
+                raise GatewayError(
+                    f"timed out after {self.timeout:.1f} s with "
+                    f"{len(expected) - len(results)} of {len(expected)} "
+                    f"reply(ies) outstanding from {self.host}:{self.port}")
+            if reply.request_id in expected:
+                results[reply.request_id] = reply
+                if len(results) == len(expected):
+                    return results
+        raise GatewayError(
+            f"gateway at {self.host}:{self.port} closed the connection with "
+            f"{len(expected) - len(results)} request(s) outstanding")
+
+    def _messages(self, outbound: bytes, timeout: float | None,
+                  per_message: bool):
+        """Yield each message the gateway sends while ``outbound`` streams out.
+
+        Sends and receives interleave on one selector, so a long pipeline
+        never deadlocks against the gateway's per-connection backpressure.
+        Yields ``None`` once ``timeout`` passes (counted from the call, or
+        from the last message with ``per_message``; ``None`` waits forever)
+        and returns when the gateway closes the connection.  Every other
+        failure raises a named :class:`~repro.exceptions.GatewayError`.
+        """
+        sock, frames = self._sock, self._frames
         view = memoryview(outbound)
-        deadline = time.monotonic() + self.timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        sock.setblocking(False)
         selector = selectors.DefaultSelector()
         try:
             selector.register(sock, selectors.EVENT_READ
                               | (selectors.EVENT_WRITE if view else 0))
-            while len(results) < len(expected):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise GatewayError(
-                        f"timed out after {self.timeout:.1f} s with "
-                        f"{len(expected) - len(results)} of {len(expected)} "
-                        f"reply(ies) outstanding from {self.host}:{self.port}")
-                for key_event, mask in selector.select(remaining):
+            while True:
+                message = frames.next_message()
+                if message is not None:
+                    _raise_if_fatal(message)
+                    yield message
+                    if per_message and timeout is not None:
+                        deadline = time.monotonic() + timeout
+                    continue
+                remaining = (None if deadline is None
+                             else deadline - time.monotonic())
+                if remaining is not None and remaining <= 0:
+                    yield None
+                    continue
+                for _, mask in selector.select(remaining):
                     if mask & selectors.EVENT_WRITE and view:
                         try:
                             sent = sock.send(view[:1 << 20])
@@ -235,32 +244,22 @@ class GatewayClient:
                         except BlockingIOError:
                             continue
                         except OSError as exc:
+                            if self._closed:
+                                return      # close() ended the stream
                             raise GatewayError(
                                 f"connection to {self.host}:{self.port} "
                                 f"failed mid-receive: {exc!r}") from None
                         if not data:
-                            raise GatewayError(
-                                f"gateway at {self.host}:{self.port} closed "
-                                f"the connection with "
-                                f"{len(expected) - len(results)} request(s) "
-                                "outstanding")
-                        for reply in buffer.feed(data):
-                            _raise_if_fatal(reply)
-                            if isinstance(reply, protocol.ResultChunk):
-                                reply = assembler.feed(reply)
-                                if reply is None:
-                                    continue    # series still streaming
-                            if reply.request_id in expected:
-                                results[reply.request_id] = reply
-            return results
+                            return
+                        frames.feed(data)
         except FrameError as exc:
             raise GatewayError(
                 f"gateway at {self.host}:{self.port} sent a malformed "
                 f"frame: {exc}") from None
         finally:
             selector.close()
-            sock.setblocking(True)
-            sock.settimeout(self.timeout)
+            if not self._closed:
+                sock.settimeout(self.timeout)
 
     # ------------------------------------------------------------ subscriptions
     def subscribe_stats(self, interval_s: float = 0.0,
@@ -296,13 +295,12 @@ class GatewayClient:
 
     def _subscribe(self, subscribe_frame: bytes, request_id: int,
                    frame_cls, timeout: float | None):
+        """Send the subscribe frame now; return the iterator of its frames."""
         if self._closed:
             raise GatewayError(
                 f"client connection to {self.host}:{self.port} is closed")
-        sock = self._sock
-        sock.settimeout(self.timeout)
         try:
-            sock.sendall(subscribe_frame)
+            self._sock.sendall(subscribe_frame)
         except OSError as exc:
             raise GatewayError(
                 f"connection to {self.host}:{self.port} failed mid-send: "
@@ -311,45 +309,19 @@ class GatewayClient:
 
     def _subscription_frames(self, request_id: int, frame_cls,
                              timeout: float | None):
-        sock = self._sock
-        buffer = _ReplyBuffer(self.max_frame_bytes)
-        sock.settimeout(timeout)
-        try:
-            while True:
-                try:
-                    data = sock.recv(1 << 20)
-                except socket.timeout:
-                    raise GatewayError(
-                        f"timed out after {timeout:.1f} s waiting for the "
-                        f"next telemetry frame from {self.host}:{self.port}"
-                    ) from None
-                except OSError as exc:
-                    if self._closed:
-                        return              # close() ended the subscription
-                    raise GatewayError(
-                        f"connection to {self.host}:{self.port} failed "
-                        f"mid-receive: {exc!r}") from None
-                if not data:
-                    return                  # gateway closed: stream over
-                try:
-                    replies = buffer.feed(data)
-                except FrameError as exc:
-                    raise GatewayError(
-                        f"gateway at {self.host}:{self.port} sent a "
-                        f"malformed frame: {exc}") from None
-                for reply in replies:
-                    _raise_if_fatal(reply)
-                    if isinstance(reply, protocol.ErrorReply) \
-                            and reply.request_id == request_id:
-                        raise GatewayError(
-                            f"subscription {request_id} failed "
-                            f"(code {reply.code}): {reply.message}")
-                    if isinstance(reply, frame_cls) \
-                            and reply.request_id == request_id:
-                        yield reply.payload
-        finally:
-            if not self._closed:
-                sock.settimeout(self.timeout)
+        for reply in self._messages(b"", timeout, per_message=True):
+            if reply is None:
+                raise GatewayError(
+                    f"timed out after {timeout:.1f} s waiting for the next "
+                    f"telemetry frame from {self.host}:{self.port}")
+            if reply.request_id != request_id:
+                continue
+            if isinstance(reply, protocol.ErrorReply):
+                raise GatewayError(
+                    f"subscription {request_id} failed (code {reply.code}): "
+                    f"{reply.message}")
+            if isinstance(reply, frame_cls):
+                yield reply.payload
 
 
 class AsyncGatewayClient:
@@ -457,53 +429,42 @@ class AsyncGatewayClient:
 
     # ---------------------------------------------------------------- replies
     async def _read_replies(self) -> None:
-        reader = self._reader
-        assert reader is not None
-        assembler = protocol.ChunkAssembler()
+        frames = protocol.FrameReader(self.max_frame_bytes)
         try:
-            while True:
-                head = await reader.readexactly(protocol.LENGTH_PREFIX.size)
-                (length,) = protocol.LENGTH_PREFIX.unpack(head)
-                if length > self.max_frame_bytes:
-                    raise GatewayError(
-                        f"gateway sent a frame of {length} bytes, beyond "
-                        f"this client's max_frame_bytes={self.max_frame_bytes}")
-                reply = protocol.decode_payload(
-                    await reader.readexactly(length))
-                _raise_if_fatal(reply)
-                if isinstance(reply, protocol.ResultChunk):
-                    reply = assembler.feed(reply)
-                    if reply is None:
-                        continue            # series still streaming
-                if isinstance(reply, (protocol.StatsFrame,
-                                      protocol.EventFrame)):
-                    stream = self._streams.get(reply.request_id)
-                    if stream is not None:
-                        stream.put_nowait(reply.payload)
-                    continue
-                if isinstance(reply, protocol.ErrorReply) \
-                        and reply.request_id in self._streams:
-                    self._streams[reply.request_id].put_nowait(GatewayError(
-                        f"subscription {reply.request_id} failed "
-                        f"(code {reply.code}): {reply.message}"))
-                    continue
-                future = self._pending.pop(reply.request_id, None)
-                if future is None or future.done():
-                    continue
-                if isinstance(reply, protocol.Result):
-                    future.set_result(reply.outputs)
-                else:
-                    future.set_exception(GatewayError(
-                        f"request {reply.request_id} failed "
-                        f"(code {reply.code}): {reply.message}"))
-        except asyncio.CancelledError:
-            raise
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            self._fail_pending(GatewayError(
-                f"gateway at {self.host}:{self.port} closed the connection "
-                f"with {len(self._pending)} request(s) outstanding"))
+            while data := await self._reader.read(protocol.READ_BYTES):
+                frames.feed(data)
+                while (reply := frames.next_message()) is not None:
+                    _raise_if_fatal(reply)
+                    if isinstance(reply, (protocol.StatsFrame,
+                                          protocol.EventFrame)):
+                        stream = self._streams.get(reply.request_id)
+                        if stream is not None:
+                            stream.put_nowait(reply.payload)
+                        continue
+                    if isinstance(reply, protocol.ErrorReply) \
+                            and reply.request_id in self._streams:
+                        self._streams[reply.request_id].put_nowait(
+                            GatewayError(
+                                f"subscription {reply.request_id} failed "
+                                f"(code {reply.code}): {reply.message}"))
+                        continue
+                    future = self._pending.pop(reply.request_id, None)
+                    if future is None or future.done():
+                        continue
+                    if isinstance(reply, protocol.Result):
+                        future.set_result(reply.outputs)
+                    else:
+                        future.set_exception(GatewayError(
+                            f"request {reply.request_id} failed "
+                            f"(code {reply.code}): {reply.message}"))
+        except (ConnectionError, OSError):
+            pass
         except GatewayError as exc:
             self._fail_pending(exc)
+            return
+        self._fail_pending(GatewayError(
+            f"gateway at {self.host}:{self.port} closed the connection "
+            f"with {len(self._pending)} request(s) outstanding"))
 
     def _fail_pending(self, exc: GatewayError) -> None:
         if self._dead is None:

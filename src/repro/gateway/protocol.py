@@ -55,6 +55,12 @@ Decoding raises :class:`~repro.exceptions.FrameError` with the recovered
 so a server can fail exactly the offending request — or only the offending
 connection — and a client can map a reply onto the caller that sent it.
 
+Every endpoint parses its incoming byte stream with one
+:class:`FrameReader` (sans-I/O, https://sans-io.readthedocs.io/): the
+endpoint feeds it whatever its socket returned and takes whole messages
+out, chunk series already reassembled.  The gateway, both clients and the
+tests share that one parser.
+
 The request id is chosen by the client (non-zero, unique among its in-flight
 requests on that connection); the gateway echoes it verbatim.  Replies may
 arrive in any order — different models complete on different dispatch lanes.
@@ -68,7 +74,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import FrameError
+from ..exceptions import ChunkSeriesError, FrameError
 
 __all__ = [
     "ChunkAssembler",
@@ -82,6 +88,8 @@ __all__ = [
     "EVENTS_SUBSCRIBE",
     "EventFrame",
     "EventsSubscribe",
+    "FrameReader",
+    "READ_BYTES",
     "REQUEST",
     "REQUEST_CHUNK",
     "RESULT",
@@ -143,6 +151,10 @@ E_CONNECTION_LIMIT = 6   #: refused by ``max_connections`` admission control
 
 MAX_KEY_BYTES = 512
 
+#: Bytes an asyncio endpoint asks its socket for per read: it takes
+#: whatever the socket holds, up to this, and feeds it to its FrameReader.
+READ_BYTES = 256 << 10
+
 LENGTH_PREFIX = struct.Struct("!I")
 _PREFIX = struct.Struct("!HBBQ")
 _REQUEST_HEAD = struct.Struct("!BIH")
@@ -151,9 +163,6 @@ _ERROR_HEAD = struct.Struct("!H")
 _REQUEST_CHUNK_HEAD = struct.Struct("!BIIH")
 _RESULT_CHUNK_HEAD = struct.Struct("!BII")
 _STATS_SUB_HEAD = struct.Struct("!d")
-
-#: Native float64 wire dtype (kept for callers that sized buffers off it).
-WIRE_DTYPE = WIRE_DTYPES[DTYPE_FLOAT64]
 
 
 def dtype_code(dtype) -> int:
@@ -434,15 +443,18 @@ def encode_event(request_id: int, event: dict) -> bytes:
     return _frame(payload)
 
 
-def decode_payload(payload: bytes):
+def decode_payload(payload):
     """Decode one frame payload (the bytes after the length prefix).
 
     Returns a :class:`Request`, :class:`Result`, :class:`ErrorReply`,
-    :class:`RequestChunk` or :class:`ResultChunk`.  Raises
+    :class:`RequestChunk`, :class:`ResultChunk` or a subscription/telemetry
+    frame.  ``payload`` is any bytes-like object, sliced through memoryviews;
+    only the samples are copied, once, into an array of their own.  Raises
     :class:`~repro.exceptions.FrameError` on any malformation, carrying the
     request id when the 12-byte fixed prefix was readable so the error can
     be attributed to the offending request.
     """
+    payload = memoryview(payload)
     if len(payload) < _PREFIX.size:
         raise FrameError(
             f"truncated frame header: {len(payload)} byte(s), need at least "
@@ -469,7 +481,7 @@ def decode_payload(payload: bytes):
             raise FrameError("truncated error frame", request_id=request_id,
                              code=E_BAD_FRAME)
         (code,) = _ERROR_HEAD.unpack_from(body)
-        message = body[_ERROR_HEAD.size:].decode("utf-8", errors="replace")
+        message = str(body[_ERROR_HEAD.size:], "utf-8", "replace")
         return ErrorReply(request_id=request_id, code=code, message=message)
     if msg_type == STATS_SUBSCRIBE:
         if request_id < 1:
@@ -508,10 +520,10 @@ def decode_payload(payload: bytes):
                      request_id=request_id, code=E_BAD_FRAME)
 
 
-def _decode_json(body: bytes, request_id: int, what: str):
+def _decode_json(body: memoryview, request_id: int, what: str):
     try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return json.loads(str(body, "utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad UTF-8/JSON, huge ints
         raise FrameError(f"malformed JSON in {what} frame: {exc}",
                          request_id=request_id, code=E_BAD_FRAME) from None
 
@@ -525,20 +537,29 @@ def _checked_dtype(dtype_code_raw: int, request_id: int, what: str) -> int:
     return dtype_code_raw
 
 
-def _samples_from(body: bytes, n_steps: int, dtype: int, request_id: int,
-                  what: str) -> np.ndarray:
+def _samples_from(body: memoryview, n_steps: int | None, dtype: int,
+                  request_id: int, what: str) -> np.ndarray:
+    """The body's samples as float64; ``n_steps=None`` (a chunk) takes any
+    whole number of them."""
     wire = WIRE_DTYPES[dtype]
-    if len(body) != n_steps * wire.itemsize:
+    if n_steps is None:
+        if len(body) % wire.itemsize:
+            raise FrameError(
+                f"{what} carries {len(body)} byte(s), not a multiple of the "
+                f"{wire.name} item size", request_id=request_id,
+                code=E_BAD_FRAME)
+    elif len(body) != n_steps * wire.itemsize:
         raise FrameError(
             f"{what} shape header declares {n_steps} {wire.name} sample(s) "
             f"({n_steps * wire.itemsize} bytes) but the frame carries "
             f"{len(body)} byte(s)", request_id=request_id, code=E_BAD_FRAME)
-    # Upcast at the edge: the runtime only ever sees native float64 (a no-op
-    # copy-free view for float64 frames on little-endian hosts).
-    return np.frombuffer(body, dtype=wire).astype(np.float64, copy=False)
+    # Upcast at the edge: the runtime only ever sees native float64.  The
+    # copy owns its data, so the samples pin no read buffer and are aligned
+    # whatever the key length.
+    return np.frombuffer(body, dtype=wire).astype(np.float64)
 
 
-def _decode_request(request_id: int, body: bytes) -> Request:
+def _decode_request(request_id: int, body: memoryview) -> Request:
     if request_id < 1:
         raise FrameError("request frames need a positive request_id",
                          code=E_BAD_FRAME)
@@ -555,20 +576,20 @@ def _decode_request(request_id: int, body: bytes) -> Request:
                    dtype=dtype)
 
 
-def _decode_key(rest: bytes, key_len: int, request_id: int) -> str:
+def _decode_key(rest: memoryview, key_len: int, request_id: int) -> str:
     if key_len < 1 or key_len > MAX_KEY_BYTES or len(rest) < key_len:
         raise FrameError(
             f"bad model-key length {key_len} (1..{MAX_KEY_BYTES}, frame has "
             f"{len(rest)} byte(s) after the header)", request_id=request_id,
             code=E_BAD_FRAME)
     try:
-        return rest[:key_len].decode("ascii")
+        return str(rest[:key_len], "ascii")
     except UnicodeDecodeError as exc:
         raise FrameError(f"model key is not ASCII: {exc}",
                          request_id=request_id, code=E_BAD_FRAME) from None
 
 
-def _decode_result(request_id: int, body: bytes) -> Result:
+def _decode_result(request_id: int, body: memoryview) -> Result:
     if len(body) < _RESULT_HEAD.size:
         raise FrameError("truncated result header", request_id=request_id,
                          code=E_BAD_FRAME)
@@ -579,7 +600,8 @@ def _decode_result(request_id: int, body: bytes) -> Result:
     return Result(request_id=request_id, outputs=outputs, dtype=dtype)
 
 
-def _decode_request_chunk(request_id: int, body: bytes) -> RequestChunk:
+def _decode_request_chunk(request_id: int,
+                          body: memoryview) -> RequestChunk:
     if request_id < 1:
         raise FrameError("request chunks need a positive request_id",
                          code=E_BAD_FRAME)
@@ -590,34 +612,20 @@ def _decode_request_chunk(request_id: int, body: bytes) -> RequestChunk:
     dtype = _checked_dtype(dtype_raw, request_id, "request chunk")
     rest = body[_REQUEST_CHUNK_HEAD.size:]
     key = _decode_key(rest, key_len, request_id)
-    wire = WIRE_DTYPES[dtype]
-    sample_bytes = rest[key_len:]
-    if len(sample_bytes) % wire.itemsize:
-        raise FrameError(
-            f"request chunk carries {len(sample_bytes)} byte(s), not a "
-            f"multiple of the {wire.name} item size", request_id=request_id,
-            code=E_BAD_FRAME)
-    samples = np.frombuffer(sample_bytes, dtype=wire).astype(np.float64,
-                                                             copy=False)
+    samples = _samples_from(rest[key_len:], None, dtype, request_id,
+                            "request chunk")
     return RequestChunk(request_id=request_id, key=key, samples=samples,
                         dtype=dtype, n_steps_total=total, offset=offset)
 
 
-def _decode_result_chunk(request_id: int, body: bytes) -> ResultChunk:
+def _decode_result_chunk(request_id: int, body: memoryview) -> ResultChunk:
     if len(body) < _RESULT_CHUNK_HEAD.size:
         raise FrameError("truncated result-chunk header",
                          request_id=request_id, code=E_BAD_FRAME)
     dtype_raw, total, offset = _RESULT_CHUNK_HEAD.unpack_from(body)
     dtype = _checked_dtype(dtype_raw, request_id, "result chunk")
-    wire = WIRE_DTYPES[dtype]
-    sample_bytes = body[_RESULT_CHUNK_HEAD.size:]
-    if len(sample_bytes) % wire.itemsize:
-        raise FrameError(
-            f"result chunk carries {len(sample_bytes)} byte(s), not a "
-            f"multiple of the {wire.name} item size", request_id=request_id,
-            code=E_BAD_FRAME)
-    outputs = np.frombuffer(sample_bytes, dtype=wire).astype(np.float64,
-                                                             copy=False)
+    outputs = _samples_from(body[_RESULT_CHUNK_HEAD.size:], None, dtype,
+                            request_id, "result chunk")
     return ResultChunk(request_id=request_id, outputs=outputs, dtype=dtype,
                        n_steps_total=total, offset=offset)
 
@@ -639,8 +647,8 @@ class ChunkAssembler:
     One assembler per connection (per direction).  :meth:`feed` returns the
     completed message when a chunk finishes its series, ``None`` while the
     series is still streaming, and raises :class:`~repro.exceptions.
-    FrameError` — attributed to the chunk's request id, with the offending
-    stream already dropped — on any inconsistency: out-of-order or
+    ChunkSeriesError` (a ``FrameError``) — attributed to the chunk's request
+    id, with the offending stream already dropped — on any inconsistency: out-of-order or
     overlapping offsets, a first chunk not at offset 0, a key/dtype/total
     that changes mid-series, a declared total over ``max_samples``, or more
     than ``max_streams`` concurrently streaming requests (an attacker must
@@ -659,7 +667,8 @@ class ChunkAssembler:
 
     def _fail(self, stream_key, message: str, request_id: int):
         self._streams.pop(stream_key, None)
-        raise FrameError(message, request_id=request_id, code=E_BAD_FRAME)
+        raise ChunkSeriesError(message, request_id=request_id,
+                               code=E_BAD_FRAME)
 
     def feed(self, chunk: RequestChunk | ResultChunk):
         """Absorb one chunk; the finished Request/Result, or ``None``."""
@@ -720,3 +729,80 @@ class ChunkAssembler:
                            samples=assembled, dtype=stream.dtype)
         return Result(request_id=chunk.request_id, outputs=assembled,
                       dtype=stream.dtype)
+
+
+class FrameReader:
+    """Sans-I/O reader of one direction of a connection.
+
+    The endpoint owns the socket: it passes whatever a read returned to
+    :meth:`feed` and calls :meth:`next_message` until that returns ``None``
+    (no whole message buffered).  The reader does no I/O, so every endpoint
+    parses frames with this one piece of code.
+
+    * A length prefix over ``max_frame_bytes`` raises the connection-fatal
+      ``FrameError`` (code ``E_FRAME_TOO_LARGE``) as soon as the prefix is
+      buffered, before the frame's payload is, and keeps raising it: the
+      stream cannot be re-synchronised.
+    * A malformed frame is consumed, then raises the ``FrameError`` of
+      :func:`decode_payload` (carrying its request id when readable); the
+      next call goes on with the frame after it.
+    * Chunk frames go to the reader's :class:`ChunkAssembler` (bounded by
+      ``max_samples``): a series comes out as one :class:`Request` or
+      :class:`Result`, and a failed series raises ``ChunkSeriesError``.
+
+    Frames are decoded through memoryview slices of the read buffer, and
+    only the samples are copied out, once, into arrays of their own, so a
+    message never pins the read buffer.  Whenever :meth:`next_message`
+    returns ``None`` the reader holds less than ``4 + max_frame_bytes``
+    unconsumed bytes.
+    """
+
+    def __init__(self, max_frame_bytes: int = 64 << 20,
+                 max_samples: int | None = None) -> None:
+        self.max_frame_bytes = int(max_frame_bytes)
+        #: Frames consumed so far, chunk and malformed frames included.
+        self.n_frames = 0
+        #: Immutable, so views of it (say, in a raised error's traceback)
+        #: can never block a resize; bytes before ``_offset`` are consumed.
+        self._buffer = b""
+        self._offset = 0
+        self._assembler = ChunkAssembler(max_samples=max_samples)
+
+    @property
+    def buffered(self) -> int:
+        """Bytes fed but not yet consumed."""
+        return len(self._buffer) - self._offset
+
+    @property
+    def n_streams(self) -> int:
+        """Chunk series still streaming."""
+        return len(self._assembler)
+
+    def feed(self, data) -> None:
+        """Append bytes the connection delivered."""
+        rest = self._buffer[self._offset:]
+        self._buffer = rest + data if rest else bytes(data)
+        self._offset = 0
+
+    def next_message(self):
+        """The next whole message, or ``None`` until more bytes are fed."""
+        buffer = self._buffer
+        while len(buffer) - self._offset >= LENGTH_PREFIX.size:
+            (length,) = LENGTH_PREFIX.unpack_from(buffer, self._offset)
+            if length > self.max_frame_bytes:
+                raise FrameError(
+                    f"frame of {length} bytes exceeds max_frame_bytes="
+                    f"{self.max_frame_bytes}", code=E_FRAME_TOO_LARGE)
+            start = self._offset + LENGTH_PREFIX.size
+            if len(buffer) < start + length:
+                return None
+            self._offset = start + length
+            self.n_frames += 1
+            message = decode_payload(
+                memoryview(buffer)[start:self._offset])
+            if isinstance(message, (RequestChunk, ResultChunk)):
+                message = self._assembler.feed(message)
+                if message is None:
+                    continue
+            return message
+        return None

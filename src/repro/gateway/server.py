@@ -13,33 +13,39 @@ Admission control and backpressure, all from the serving policy:
 
 * ``max_connections`` — connections beyond the cap are refused with a named
   error frame (code ``E_CONNECTION_LIMIT``) and closed, never buffered;
-* ``max_inflight_per_conn`` — a connection at its in-flight cap simply stops
-  being **read** until replies drain.  The TCP window then pushes back on
-  the client; the gateway never buffers an unbounded backlog, and the cap
-  also bounds each connection's outgoing reply queue;
+* ``max_inflight_per_conn`` — one slot budget per connection.  An admitted
+  request holds a slot until its reply is written, and every other queued
+  frame (error, stats or event) holds one until it is written.  A
+  connection at its cap neither decodes a buffered frame nor reads its
+  socket until a written frame frees a slot, so the TCP window pushes back
+  on the client.  The gateway reads what the socket holds (up to
+  ``protocol.READ_BYTES``) into the connection's
+  :class:`~repro.gateway.protocol.FrameReader`, which then holds less than
+  one read plus one maximum-size frame, and the outgoing queue never holds
+  more frames than the cap;
 * ``max_frame_bytes`` — an oversized length prefix fails the connection with
-  a named error before any of the frame is read into memory.
+  a named error before the frame's payload is buffered.
 
 Failure isolation: a malformed frame whose request id is readable fails only
-that request (error frame, connection lives); a frame the stream cannot be
-re-synchronised after (bad magic, truncated or oversized header) fails only
-that connection (error frame with the ``request_id == 0`` connection-fatal
-sentinel, then close).  The model server, its dispatch lanes, and every
-other connection keep serving either way.
+that request (error frame, connection lives); a frame without a readable id
+(bad magic, truncated or oversized header) fails only that connection (error
+frame with the ``request_id == 0`` connection-fatal sentinel, then close).
+A chunk series that fails reassembly fails only its request and is counted
+apart, as a chunk-stream error.  The model server, its dispatch lanes, and
+every other connection keep serving either way.
 
 Observability: a connection can also subscribe to push telemetry —
 ``STATS_SUBSCRIBE`` starts periodic ``STATS`` frames (snapshots of
 ``ServeStats.as_dict()`` plus the gateway counters) and ``EVENTS_SUBSCRIBE``
 streams the model server's broker events as ``EVENT`` frames.  Telemetry
-frames share the connection's ``max_inflight_per_conn`` slot budget: at the
-cap a stats tick is skipped and an events pump parks until a written reply
-frees a slot (its broker subscription keeps absorbing events, dropping
-oldest when full), so a slow telemetry consumer throttles only its own
-stream.  The gateway itself publishes ``ConnectionOpened`` /
-``ConnectionClosed``, ``ProtocolError`` and ``ChunkStreamError`` events to
-the same broker, and — when the server's span tracer is live — contributes
-``gateway_decode`` / ``gateway_encode`` / ``gateway_write`` spans to each
-sampled request's trace through one
+frames take slots from the same budget: at the cap a stats tick is skipped
+and an events pump parks until a written frame frees a slot (its broker
+subscription keeps absorbing events, dropping oldest when full), so a slow
+telemetry consumer throttles only its own stream.  The gateway itself
+publishes ``ConnectionOpened`` / ``ConnectionClosed``, ``ProtocolError`` and
+``ChunkStreamError`` events to the same broker, and — when the server's span
+tracer is live — contributes ``gateway_decode`` / ``gateway_encode`` /
+``gateway_write`` spans to each sampled request's trace through one
 :class:`~repro.telemetry.spans.SpanBatch` per request, opened at decode
 (the trace id rides the request future; the sampling decision is the span
 batch's, not the gateway's).
@@ -51,7 +57,8 @@ import asyncio
 import threading
 import time
 
-from ..exceptions import GatewayError, ServeError, ServerClosedError
+from ..exceptions import (ChunkSeriesError, GatewayError, ServeError,
+                          ServerClosedError)
 from ..serve.server import ModelServer
 from ..serve.stats import GatewayCounters
 from ..telemetry.events import (ChunkStreamError, ConnectionClosed,
@@ -61,20 +68,13 @@ from . import protocol
 __all__ = ["Gateway"]
 
 
-#: Protocol-error frames a connection may have queued at once; a peer
-#: flooding malformed frames without reading its errors is paused (its
-#: socket stops being read) once these slots are taken.
-ERROR_FRAME_SLOTS = 4
-
-
 class _Connection:
     """Loop-side state of one accepted connection."""
 
-    __slots__ = ("writer", "outgoing", "inflight", "error_slots",
-                 "reads_resumed", "alive", "assembler", "peer", "pumps",
-                 "slots_freed", "n_requests")
+    __slots__ = ("writer", "frames", "outgoing", "inflight", "slot_freed",
+                 "alive", "peer", "pumps", "n_requests")
 
-    def __init__(self, writer: asyncio.StreamWriter,
+    def __init__(self, writer: asyncio.StreamWriter, max_frame_bytes: int,
                  max_request_samples: int) -> None:
         self.writer = writer
         peername = writer.get_extra_info("peername")
@@ -83,33 +83,29 @@ class _Connection:
         self.peer = (f"{peername[0]}:{peername[1]}"
                      if isinstance(peername, (tuple, list))
                      and len(peername) >= 2 else "?")
+        #: Parses this connection's incoming frames.  Its chunk reassembly is
+        #: bounded by the policy's per-request sample limit — a stream
+        #: declaring more is rejected on its first chunk.
+        self.frames = protocol.FrameReader(max_frame_bytes,
+                                           max_samples=max_request_samples)
         #: Telemetry pump tasks (stats/events subscriptions) of this
         #: connection; cancelled at teardown before the writer sentinel.
         self.pumps: list[asyncio.Task] = []
-        #: Set whenever a written reply frees an in-flight slot — how an
-        #: events pump parked at the cap learns it can enqueue again
-        #: (separate from ``reads_resumed`` so pumps and the read loop never
-        #: steal each other's wake-ups).
-        self.slots_freed = asyncio.Event()
         #: Request frames admitted into the model server over this
         #: connection's lifetime (reported by its ConnectionClosed event).
         self.n_requests = 0
-        #: Reply frames waiting for the writer task.  The queue object is
-        #: unbounded but its occupancy is capped structurally: request
-        #: replies by the in-flight accounting (a slot frees only once its
-        #: reply is written), error frames by :data:`ERROR_FRAME_SLOTS`.
+        #: Frames waiting for the writer task.  The queue object is
+        #: unbounded, but each item holds an in-flight slot until it is
+        #: written, so it never holds more than the cap.
         self.outgoing: asyncio.Queue = asyncio.Queue()
+        #: Slots held: admitted requests not yet answered on the wire, plus
+        #: queued error, stats and event frames.
         self.inflight = 0
-        self.error_slots = asyncio.Semaphore(ERROR_FRAME_SLOTS)
-        #: Set when a written reply drains the connection below its
-        #: in-flight cap.
-        self.reads_resumed = asyncio.Event()
+        #: Set when a written frame frees a slot or the writer dies.  It
+        #: wakes every waiter (the read loop, parked events pumps); each
+        #: re-checks the cap and clears it before waiting again.
+        self.slot_freed = asyncio.Event()
         self.alive = True
-        #: Reassembles this connection's streaming (chunked) requests.  Its
-        #: buffering is bounded by the policy's per-request sample limit —
-        #: a stream declaring more is rejected on its first chunk.
-        self.assembler = protocol.ChunkAssembler(
-            max_samples=max_request_samples)
 
 
 class Gateway:
@@ -280,7 +276,8 @@ class Gateway:
             return
         counters.n_connections += 1
         counters.n_open_connections += 1
-        conn = _Connection(writer, self.policy.max_request_samples)
+        conn = _Connection(writer, self.policy.max_frame_bytes,
+                           self.policy.max_request_samples)
         if self.telemetry:
             self.telemetry.publish(ConnectionOpened(peer=conn.peer))
         writer_task = asyncio.ensure_future(self._write_loop(conn))
@@ -297,7 +294,7 @@ class Gateway:
             # Chunk series still streaming at disconnect never completed:
             # account them as chunk-stream failures (the client is gone, so
             # no error frame — just the counter and the event).
-            n_abandoned = len(conn.assembler)
+            n_abandoned = conn.frames.n_streams
             if n_abandoned:
                 counters.n_chunk_stream_errors += n_abandoned
                 if self.telemetry:
@@ -326,106 +323,78 @@ class Gateway:
 
     async def _read_loop(self, reader: asyncio.StreamReader,
                          conn: _Connection) -> None:
-        counters = self.counters
+        frames = conn.frames
+        cap = self.policy.max_inflight_per_conn
         while True:
+            # Backpressure: at the in-flight cap, neither decode a buffered
+            # frame nor read the socket until a written frame frees a slot.
+            while conn.alive and conn.inflight >= cap:
+                conn.slot_freed.clear()
+                await conn.slot_freed.wait()
             if not conn.alive:             # writer died: stop serving reads
                 return
-            # Backpressure: at the in-flight cap, stop reading this socket
-            # until a reply drains it below the cap (replies count as
-            # drained once written to the wire).
-            while conn.inflight >= self.policy.max_inflight_per_conn:
-                conn.reads_resumed.clear()
-                await conn.reads_resumed.wait()
-                if not conn.alive:
-                    return
-            try:
-                head = await reader.readexactly(protocol.LENGTH_PREFIX.size)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return                      # client went away
-            (length,) = protocol.LENGTH_PREFIX.unpack(head)
-            if length > self.policy.max_frame_bytes:
-                counters.n_protocol_errors += 1
-                if self.telemetry:
-                    self.telemetry.publish(ProtocolError(
-                        peer=conn.peer, code=protocol.E_FRAME_TOO_LARGE))
-                await self._enqueue(conn, protocol.encode_error(
-                    0, protocol.E_FRAME_TOO_LARGE,
-                    f"frame of {length} bytes exceeds "
-                    f"ServePolicy.max_frame_bytes="
-                    f"{self.policy.max_frame_bytes}; closing this "
-                    "connection (the frame was not read)"))
-                return
-            try:
-                payload = await reader.readexactly(length)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                return                      # truncated mid-frame: client died
-            counters.n_frames_in += 1
+            n_before = frames.n_frames
             t_decode = time.monotonic()
             try:
-                message = protocol.decode_payload(payload)
+                message = frames.next_message()
             except protocol.FrameError as err:
-                if not await self._frame_error(conn, err):
+                if not self._frame_error(conn, err):
                     return
                 continue
-            if isinstance(message, protocol.RequestChunk):
-                # Streaming request: absorb the chunk; submit only once
-                # the series completes.  An inconsistent chunk raises —
-                # attributed to its request id, so it fails exactly the
-                # offending stream, never the connection — and is counted
-                # as a chunk-stream failure distinct from garbled frames.
+            finally:
+                self.counters.n_frames_in += frames.n_frames - n_before
+            if message is None:
                 try:
-                    message = conn.assembler.feed(message)
-                except protocol.FrameError as err:
-                    counters.n_chunk_stream_errors += 1
-                    if self.telemetry:
-                        self.telemetry.publish(ChunkStreamError(
-                            peer=conn.peer, request_id=err.request_id,
-                            detail=str(err)))
-                    if not await self._frame_error(conn, err,
-                                                   publish=False):
-                        return
-                    continue
-                if message is None:
-                    continue
+                    data = await reader.read(protocol.READ_BYTES)
+                except (ConnectionError, OSError):
+                    return                  # client went away
+                if not data:
+                    return                  # EOF, possibly mid-frame
+                frames.feed(data)
+            elif isinstance(message, protocol.Request):
+                self._submit(conn, message, t_decode,
+                             time.monotonic() - t_decode)
             elif isinstance(message, protocol.StatsSubscribe):
                 self._start_stats_pump(conn, message)
-                continue
             elif isinstance(message, protocol.EventsSubscribe):
                 self._start_events_pump(conn, message)
-                continue
-            elif not isinstance(message, protocol.Request):
-                err = protocol.FrameError(
+            elif not self._frame_error(conn, protocol.FrameError(
                     "clients send request or subscribe frames only",
-                    request_id=getattr(message, "request_id", 0),
-                    code=protocol.E_BAD_FRAME)
-                if not await self._frame_error(conn, err):
-                    return
-                continue
-            await self._submit(conn, message, t_decode,
-                               time.monotonic() - t_decode)
+                    request_id=message.request_id,
+                    code=protocol.E_BAD_FRAME)):
+                return
 
-    async def _frame_error(self, conn: _Connection,
-                           err: protocol.FrameError,
-                           publish: bool = True) -> bool:
+    def _frame_error(self, conn: _Connection,
+                     err: protocol.FrameError) -> bool:
         """Account and answer one malformed frame.
 
         Returns ``False`` when the error is connection-fatal (no request id
         — the stream can't be trusted to be in sync any more) so the read
-        loop fails this connection, nothing else.  ``publish=False`` skips
-        the generic ``ProtocolError`` event for errors the caller already
-        published under a more specific type.
+        loop fails this connection, nothing else.  A failed chunk series is
+        published as a ``ChunkStreamError``, anything else as a
+        ``ProtocolError``.
         """
-        self.counters.n_protocol_errors += 1
+        counters, telemetry = self.counters, self.telemetry
+        counters.n_protocol_errors += 1
         code = err.code or protocol.E_BAD_FRAME
-        if publish and self.telemetry:
-            self.telemetry.publish(ProtocolError(
+        detail = str(err)
+        if isinstance(err, ChunkSeriesError):
+            counters.n_chunk_stream_errors += 1
+            if telemetry:
+                telemetry.publish(ChunkStreamError(
+                    peer=conn.peer, request_id=err.request_id, detail=detail))
+        elif telemetry:
+            telemetry.publish(ProtocolError(
                 peer=conn.peer, code=code, request_id=err.request_id))
-        await self._enqueue(
-            conn, protocol.encode_error(err.request_id, code, str(err)))
+        if code == protocol.E_FRAME_TOO_LARGE:
+            detail = (f"{detail} (ServePolicy.max_frame_bytes); closing this "
+                      "connection, the frame was not read")
+        self._enqueue(conn, protocol.encode_error(err.request_id, code,
+                                                  detail))
         return err.request_id != 0
 
-    async def _submit(self, conn: _Connection, message: protocol.Request,
-                      t_decode: float, decode_s: float) -> None:
+    def _submit(self, conn: _Connection, message: protocol.Request,
+                t_decode: float, decode_s: float) -> None:
         counters = self.counters
         try:
             future = self._server.submit(message.key, message.samples)
@@ -434,7 +403,7 @@ class Gateway:
             code = (protocol.E_SERVER_CLOSED
                     if isinstance(exc, ServerClosedError)
                     else protocol.E_BAD_REQUEST)
-            await self._enqueue(conn, protocol.encode_error(
+            self._enqueue(conn, protocol.encode_error(
                 message.request_id, code, str(exc)))
             return
         # The trace id exists only once the server admitted the request, so
@@ -449,6 +418,9 @@ class Gateway:
             spans.flush()
         counters.n_requests += 1
         conn.n_requests += 1
+        # The request holds its slot until the writer puts its reply on the
+        # wire (see _write_loop): releasing it earlier would let a client
+        # that stalls its reads grow the outgoing queue past the cap.
         conn.inflight += 1
         request_id = message.request_id
         dtype = message.dtype
@@ -493,7 +465,7 @@ class Gateway:
                 # Reply in the request's wire dtype; a result too large for
                 # one frame streams back as a RESULT_CHUNK series.  All its
                 # frames are queued as one item so the reply is written
-                # contiguously and releases exactly one in-flight slot.
+                # contiguously, under the slot its request already holds.
                 t_encode = time.monotonic()
                 frames = protocol.encode_result_frames(
                     request_id, future.result(), dtype=dtype,
@@ -502,30 +474,13 @@ class Gateway:
                     spans.add("gateway_encode", t_encode,
                               time.monotonic() - t_encode)
                     spans.flush()
-        # The in-flight slot is released by the writer once this frame is
-        # actually on the wire (see _write_loop) — releasing it here would
-        # let a slow-draining client re-fill the queue beyond its cap while
-        # earlier replies still wait on its stalled socket.
-        conn.outgoing.put_nowait(
-            (b"".join(frames), True, len(frames), spans))
+        conn.outgoing.put_nowait((b"".join(frames), len(frames), spans))
 
-    async def _enqueue(self, conn: _Connection, frame: bytes) -> None:
-        """Queue a protocol-error frame, bounded by its own slot budget.
-
-        Blocking here pauses the read loop — a peer flooding malformed
-        frames without draining its error replies stops being read."""
-        if not conn.alive:
-            return
-        await conn.error_slots.acquire()
-        if not conn.alive:                 # writer died while we waited
-            conn.error_slots.release()
-            return
-        conn.outgoing.put_nowait((frame, False, 1, None))
-
-    def _release_slot(self, conn: _Connection) -> None:
-        conn.inflight -= 1
-        conn.reads_resumed.set()
-        conn.slots_freed.set()
+    def _enqueue(self, conn: _Connection, frame: bytes) -> None:
+        """Queue an error, stats or event frame under a slot of its own."""
+        if conn.alive:
+            conn.inflight += 1
+            conn.outgoing.put_nowait((frame, 1, None))
 
     # ------------------------------------------------------- telemetry pumps
     def _start_stats_pump(self, conn: _Connection,
@@ -538,17 +493,13 @@ class Gateway:
     async def _stats_pump(self, conn: _Connection, request_id: int,
                           interval: float) -> None:
         while conn.alive:
-            # Telemetry frames ride the same in-flight slot budget as data
-            # replies: at the cap the tick is skipped (stats are periodic
-            # snapshots — the next tick carries fresher numbers anyway), so
-            # a slow consumer throttles only itself.
+            # At the cap the tick is skipped (stats are periodic snapshots —
+            # the next tick carries fresher numbers anyway), so a slow
+            # consumer throttles only itself.
             if conn.inflight < self.policy.max_inflight_per_conn:
                 payload = self._server.stats().as_dict()
                 payload["gateway"] = self.stats()
-                conn.inflight += 1
-                conn.outgoing.put_nowait(
-                    (protocol.encode_stats(request_id, payload), True, 1,
-                     None))
+                self._enqueue(conn, protocol.encode_stats(request_id, payload))
             await asyncio.sleep(interval)
 
     def _start_events_pump(self, conn: _Connection,
@@ -568,26 +519,24 @@ class Gateway:
 
     async def _events_pump(self, conn: _Connection, request_id: int,
                            subscription, ready: asyncio.Event) -> None:
+        cap = self.policy.max_inflight_per_conn
         try:
             while conn.alive:
                 ready.clear()
-                while conn.inflight < self.policy.max_inflight_per_conn:
+                while conn.inflight < cap:
                     event = subscription.get_nowait()
                     if event is None:
                         break
-                    conn.inflight += 1
-                    conn.outgoing.put_nowait((protocol.encode_event(
-                        request_id, event.as_dict()), True, 1, None))
-                if (len(subscription)
-                        and conn.inflight
-                        >= self.policy.max_inflight_per_conn):
-                    # Backlog but no slots: wait for a written reply to free
+                    self._enqueue(conn, protocol.encode_event(
+                        request_id, event.as_dict()))
+                if len(subscription) and conn.inflight >= cap:
+                    # Backlog but no slots: wait for a written frame to free
                     # one.  Events keep accumulating in the subscription's
                     # bounded queue meanwhile (dropping oldest when full) —
                     # backpressure costs this subscriber history, never the
                     # publisher latency and never other connections.
-                    conn.slots_freed.clear()
-                    await conn.slots_freed.wait()
+                    conn.slot_freed.clear()
+                    await conn.slot_freed.wait()
                 else:
                     await ready.wait()
         finally:
@@ -599,35 +548,27 @@ class Gateway:
                 item = await conn.outgoing.get()
                 if item is None:
                     return
-                frame, counts_inflight, n_frames, spans = item
+                frame, n_frames, spans = item
                 # Count before writing: transport.write() can push the bytes
                 # to the socket synchronously, and a client observing the
                 # reply must also observe it counted.
                 self.counters.n_frames_out += n_frames
+                t_write = time.monotonic()
+                conn.writer.write(frame)
+                await conn.writer.drain()
                 if spans:
                     # Sampled at decode: error, stats and event frames carry
                     # None, an unsampled reply a falsy span batch.
-                    t_write = time.monotonic()
-                    conn.writer.write(frame)
-                    await conn.writer.drain()
                     spans.add("gateway_write", t_write,
                               time.monotonic() - t_write)
                     spans.flush()
-                else:
-                    conn.writer.write(frame)
-                    await conn.writer.drain()
-                if counts_inflight:
-                    self._release_slot(conn)
-                else:
-                    conn.error_slots.release()
+                conn.inflight -= 1
+                conn.slot_freed.set()
         except (ConnectionError, OSError):
             conn.alive = False
-            # Unblock a reader parked on backpressure or on an error slot
-            # (it re-checks conn.alive on wake-up and exits), and any events
-            # pump parked on the slot budget.
-            conn.reads_resumed.set()
-            conn.slots_freed.set()
-            conn.error_slots.release()
+            # Wake the read loop and any events pump parked on the slot
+            # budget: each re-checks conn.alive and exits.
+            conn.slot_freed.set()
             # Drain until the read loop's sentinel arrives (nothing enqueues
             # after it: the read loop has exited by then).
             while True:

@@ -58,14 +58,17 @@ class ServePolicy:
     #: connections beyond this are refused with a named error frame instead
     #: of being accepted and buffered without bound.
     max_connections: int = 1024
-    #: Per-connection in-flight request cap for the gateway.  A connection at
-    #: its cap simply stops being read until replies drain — backpressure
-    #: through the TCP window, not unbounded server-side buffering.  It also
-    #: bounds each connection's outgoing reply queue.
+    #: Per-connection slot budget of the gateway.  An admitted request holds
+    #: a slot until its reply is written, and every other queued frame
+    #: (error, stats or event) holds one until it is written.  A connection
+    #: at its cap stops being read until a written frame frees a slot —
+    #: backpressure through the TCP window, not unbounded server-side
+    #: buffering — so the cap also bounds every queued frame of the
+    #: connection's outgoing queue.
     max_inflight_per_conn: int = 256
     #: Largest frame (length prefix value, bytes) the gateway will read or a
     #: client will accept.  An oversized frame fails its connection with a
-    #: named error — it is never read into memory.
+    #: named error before its payload is buffered.
     max_frame_bytes: int = 64 << 20
     #: Shard-job retries after a worker crash before the affected requests
     #: fail (cleanly, with a ServeError — never a hang).

@@ -210,6 +210,39 @@ class TestDCAnalysis:
         assert at_quarter.outputs[0] == pytest.approx(1.5)
 
 
+class TestDCStrategyEdges:
+    """Empty stepping ladders skip their strategy; running out of strategies
+    raises a named ConvergenceError, never a bare IndexError/AssertionError."""
+
+    ONE_ITERATION = NewtonOptions(max_iterations=1)
+
+    @pytest.fixture(scope="class")
+    def buffer(self):
+        return build_output_buffer().build()
+
+    def test_empty_gmin_ladder_goes_on_to_source_stepping(self, buffer):
+        options = DCOptions(newton=self.ONE_ITERATION, gmin_steps=())
+        with pytest.raises(ConvergenceError, match="during source stepping"):
+            dc_operating_point(buffer, options=options)
+
+    @pytest.mark.parametrize("gmin_steps", [(), (1e-3,)])
+    def test_no_source_steps_left_raises_named_error(self, buffer, gmin_steps):
+        options = DCOptions(newton=self.ONE_ITERATION, gmin_steps=gmin_steps,
+                            source_steps=0)
+        with pytest.raises(ConvergenceError, match="source_steps=0"):
+            dc_operating_point(buffer, options=options)
+
+    def test_default_options_keep_plain_newton_bits(self, buffer):
+        result = dc_operating_point(buffer)
+        assert result.strategy == "newton"
+        for options in (DCOptions(gmin_steps=()), DCOptions(source_steps=0)):
+            other = dc_operating_point(buffer, options=options)
+            assert other.strategy == "newton"
+            assert other.iterations == result.iterations
+            np.testing.assert_array_equal(other.solution.view(np.uint64),
+                                          result.solution.view(np.uint64))
+
+
 class TestACAnalysis:
     def test_frequency_grid_bounds(self):
         grid = frequency_grid(1e3, 1e6, 10)

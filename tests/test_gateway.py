@@ -8,9 +8,12 @@ requests through one connection.
 
 import asyncio
 import logging
+import select
 import socket
-import time
 import struct
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -355,22 +358,20 @@ def raw_connection(gateway) -> socket.socket:
     return sock
 
 
+#: One FrameReader per raw socket: bytes read past one reply stay buffered
+#: for the next call.
+_readers = weakref.WeakKeyDictionary()
+
+
 def read_reply(sock: socket.socket):
-    """One decoded reply frame off a raw socket (None on clean EOF)."""
-    head = b""
-    while len(head) < 4:
-        chunk = sock.recv(4 - len(head))
-        if not chunk:
+    """One decoded reply off a raw socket (None on EOF)."""
+    frames = _readers.setdefault(sock, protocol.FrameReader())
+    while (reply := frames.next_message()) is None:
+        data = sock.recv(1 << 16)
+        if not data:
             return None
-        head += chunk
-    (length,) = protocol.LENGTH_PREFIX.unpack(head)
-    payload = b""
-    while len(payload) < length:
-        chunk = sock.recv(length - len(payload))
-        if not chunk:
-            return None
-        payload += chunk
-    return protocol.decode_payload(payload)
+        frames.feed(data)
+    return reply
 
 
 def assert_closed(sock: socket.socket) -> None:
@@ -625,6 +626,100 @@ class TestGatewayFailureIsolation:
         assert "connection" in counters.describe()
         stats = gateway.stats()
         assert stats["address"].startswith("127.0.0.1:")
+
+
+# ------------------------------------------------------------ slot budget
+class TestSlotBudget:
+    """Every queued frame (reply, error, stats or event) holds one of the
+    connection's ``max_inflight_per_conn`` slots until it is written."""
+
+    #: The sender keeps at most this many frames ahead of the gateway's
+    #: error count, so a paused gateway is not buried in buffered bytes.
+    AHEAD = 20_000
+    CHUNK = 1_000
+
+    def test_malformed_flood_pauses_the_reader_and_loses_nothing(
+            self, registry, compiled_pair, keys):
+        """A client floods malformed frames with readable ids and does not
+        read.  The error frames fill the kernel buffers, the writer stalls,
+        the queued errors take every slot, and the gateway stops reading:
+        its error count levels off below the frames sent.  Once the client
+        reads, it gets one error per frame, in order, and the connection
+        still serves a request bitwise."""
+        policy = ServePolicy(max_batch=8, max_wait=1e-3,
+                             max_inflight_per_conn=4)
+        bad_head = struct.Struct("!IHBBQBIH")  # prefix + request head only
+        sent_bytes, stop, failures = [0], threading.Event(), []
+        with ModelServer(registry, policy) as server, \
+                Gateway(server) as gateway:
+            counters = gateway.counters
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sock.settimeout(30.0)
+            sock.connect(gateway.address)
+
+            def n_sent() -> int:
+                return sent_bytes[0] // bad_head.size
+
+            def flood():
+                next_id = 1
+                try:
+                    while not stop.is_set():
+                        if n_sent() - counters.n_protocol_errors > self.AHEAD:
+                            time.sleep(0.01)
+                            continue
+                        view = memoryview(b"".join(
+                            bad_head.pack(bad_head.size - 4, protocol.MAGIC,
+                                          protocol.PROTOCOL_VERSION,
+                                          protocol.REQUEST, request_id,
+                                          9, 0, 1)       # dtype code 9
+                            for request_id in range(next_id,
+                                                    next_id + self.CHUNK)))
+                        next_id += self.CHUNK
+                        while view:              # blocks once buffers fill
+                            n = sock.send(view)
+                            sent_bytes[0] += n
+                            view = view[n:]
+                except OSError as exc:
+                    failures.append(exc)
+
+            sender = threading.Thread(target=flood, daemon=True)
+            sender.start()
+            last, since = -1, time.monotonic()
+            deadline = time.monotonic() + 60.0
+            while time.monotonic() - since < 0.5:
+                assert time.monotonic() < deadline, "gateway never paused"
+                if counters.n_protocol_errors != last:
+                    last, since = counters.n_protocol_errors, time.monotonic()
+                time.sleep(0.05)
+            # Paused: frames sent (or stuck in a blocked send) go unread.
+            assert 0 < last < n_sent()
+            stop.set()
+            frames, got = protocol.FrameReader(), 0
+            deadline = time.monotonic() + 60.0
+            while sender.is_alive() or got < n_sent():
+                assert time.monotonic() < deadline, "replies stopped"
+                reply = frames.next_message()
+                if reply is None:
+                    # A sender finishing its chunk waits for these reads.
+                    if select.select([sock], [], [], 0.05)[0]:
+                        frames.feed(sock.recv(1 << 16))
+                    continue
+                assert isinstance(reply, protocol.ErrorReply)
+                assert reply.request_id == got + 1
+                assert "unsupported dtype code 9" in reply.message
+                got += 1
+            assert failures == [] and got == n_sent()
+            assert frames.buffered == 0
+            row = request_rows(1, 24, seed=4)[0]
+            sock.sendall(protocol.encode_request(got + 1, keys[0], row))
+            reply = read_reply(sock)
+            assert isinstance(reply, protocol.Result)
+            assert reply.request_id == got + 1
+            np.testing.assert_array_equal(reply.outputs,
+                                          compiled_pair[0].evaluate(row))
+            sock.close()
+        assert counters.n_protocol_errors == got
 
 
 # ----------------------------------------------------------- wire format opt-ins

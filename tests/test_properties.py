@@ -1,5 +1,6 @@
 """Hypothesis property-based tests for the core numerical building blocks."""
 
+import struct
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.waveforms import BitPattern, Sine, prbs_bits
+from repro.exceptions import FrameError
+from repro.gateway import protocol
 from repro.runtime import batch as batch_module
 from repro.runtime import compile_model
 from repro.rvf import PartialFractionFunction, basis_primitive
@@ -341,3 +344,230 @@ class TestBrokerProperties:
                 0, len(pending[index]) - sub.maxsize)
             assert wakeups[index] == edges[index]
             assert sub.drain() == pending[index][-sub.maxsize:]
+
+
+# ----------------------------------------------------------- frame reader
+ids = st.integers(1, 2**64 - 1)
+wire_dtypes = st.sampled_from((protocol.DTYPE_FLOAT64, protocol.DTYPE_FLOAT32))
+rows = st.lists(finite_floats, max_size=120).map(np.array)
+json_dicts = st.dictionaries(
+    st.text(max_size=8),
+    st.one_of(st.integers(-2**53, 2**53), finite_floats, st.text(max_size=8)),
+    max_size=4)
+plain_text = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                     max_size=40)
+#: One message per draw, as ``(kind, fields)``; the request id is added later.
+message_specs = st.one_of(
+    st.tuples(st.just("request"), st.tuples(
+        st.text(alphabet="abcdef0123456789", min_size=1, max_size=16),
+        rows, wire_dtypes)),
+    st.tuples(st.just("result"), st.tuples(rows, wire_dtypes)),
+    st.tuples(st.just("error"), st.tuples(st.integers(0, 65535),
+                                          plain_text)),
+    st.tuples(st.just("stats_subscribe"),
+              st.tuples(st.floats(allow_nan=False))),
+    st.tuples(st.just("events_subscribe"),
+              st.tuples(st.lists(plain_text, max_size=3))),
+    st.tuples(st.just("stats"), st.tuples(json_dicts)),
+    st.tuples(st.just("event"), st.tuples(json_dicts)))
+
+
+def wire_row(values, dtype):
+    """What a row reads back as after the wire: float64, quantised."""
+    return values.astype(protocol.WIRE_DTYPES[dtype]).astype(np.float64)
+
+
+def encode_spec(request_id, kind, fields, max_frame_bytes):
+    """(frames, expected message) of one drawn message."""
+    if kind == "request":
+        key, values, dtype = fields
+        return (protocol.encode_request_frames(
+            request_id, key, values, dtype=dtype,
+            max_frame_bytes=max_frame_bytes),
+            protocol.Request(request_id, key, wire_row(values, dtype), dtype))
+    if kind == "result":
+        values, dtype = fields
+        return (protocol.encode_result_frames(
+            request_id, values, dtype=dtype, max_frame_bytes=max_frame_bytes),
+            protocol.Result(request_id, wire_row(values, dtype), dtype))
+    encoder, message = {
+        "error": (protocol.encode_error, protocol.ErrorReply),
+        "stats_subscribe": (protocol.encode_stats_subscribe,
+                            protocol.StatsSubscribe),
+        "events_subscribe": (protocol.encode_events_subscribe,
+                             lambda rid, topics: protocol.EventsSubscribe(
+                                 rid, tuple(topics))),
+        "stats": (protocol.encode_stats, protocol.StatsFrame),
+        "event": (protocol.encode_event, protocol.EventFrame),
+    }[kind]
+    return [encoder(request_id, *fields)], message(request_id, *fields)
+
+
+def interleave(frame_lists, rng):
+    """Merge the frame lists, each kept in order, in a drawn interleaving;
+    returns the frames and the messages' completion order."""
+    queues = [list(frames) for frames in frame_lists]
+    merged, done = [], []
+    while any(queues):
+        index = rng.choice([i for i, queue in enumerate(queues) if queue])
+        merged.append(queues[index].pop(0))
+        if not queues[index]:
+            done.append(index)
+    return merged, done
+
+
+def drain(reader):
+    """Every outcome the buffered bytes yield: messages, and the request id
+    of each FrameError, in stream order (up to a connection-fatal one)."""
+    outcomes = []
+    while True:
+        try:
+            message = reader.next_message()
+        except FrameError as err:
+            outcomes.append(("error", err.request_id))
+            if err.code == protocol.E_FRAME_TOO_LARGE:
+                return outcomes
+            continue
+        if message is None:
+            return outcomes
+        outcomes.append(message)
+
+
+def feed_in_pieces(stream, cuts, reader):
+    outcomes = []
+    bounds = [0, *sorted(cuts), len(stream)]
+    for start, stop in zip(bounds, bounds[1:]):
+        reader.feed(stream[start:stop])
+        outcomes.extend(drain(reader))
+    return outcomes
+
+
+def assert_same_outcomes(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert type(a) is type(b)
+        if isinstance(a, tuple):
+            assert a == b
+            continue
+        for name, value in vars(b).items():
+            if isinstance(value, np.ndarray):
+                other = getattr(a, name)
+                assert other.dtype == np.float64
+                assert other.tobytes() == value.tobytes()
+            else:
+                assert getattr(a, name) == value
+
+
+class TestFrameReaderProperties:
+    """The one frame parser of every gateway endpoint, fuzzed: how the
+    socket splits the stream never changes what comes out of it."""
+
+    streams = st.tuples(st.lists(message_specs, max_size=10),
+                        st.integers(64, 512),         # forces chunk series
+                        st.randoms(use_true_random=False))
+
+    def build(self, specs, max_frame_bytes, rng, request_ids):
+        encoded = [encode_spec(request_id, kind, fields, max_frame_bytes)
+                   for request_id, (kind, fields) in zip(request_ids, specs)]
+        frames, done = interleave([frames for frames, _ in encoded], rng)
+        return frames, [encoded[index][1] for index in done]
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams, st.data())
+    def test_any_split_yields_the_messages_of_one_feed(self, stream, data):
+        specs, max_frame_bytes, rng = stream
+        request_ids = data.draw(st.lists(ids, min_size=len(specs),
+                                         max_size=len(specs), unique=True))
+        frames, expected = self.build(specs, max_frame_bytes, rng,
+                                      request_ids)
+        wire = b"".join(frames)
+        whole = protocol.FrameReader()
+        whole.feed(wire)
+        one_feed = drain(whole)
+        assert_same_outcomes(one_feed, expected)
+        assert whole.n_frames == len(frames) and whole.n_streams == 0
+        cuts = data.draw(st.lists(st.integers(0, len(wire)), max_size=24))
+        split = protocol.FrameReader()
+        assert_same_outcomes(feed_in_pieces(wire, cuts, split), one_feed)
+        assert split.n_frames == len(frames) and split.buffered == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams, st.data())
+    def test_corrupt_frame_fails_in_place_and_the_rest_comes_out(
+            self, stream, data):
+        specs, max_frame_bytes, rng = stream
+        request_ids = data.draw(st.lists(ids, min_size=len(specs) + 1,
+                                         max_size=len(specs) + 1, unique=True))
+        frames, expected = self.build(specs, max_frame_bytes, rng,
+                                      request_ids[1:])
+        bad_id = request_ids[0]
+        frame = bytearray(protocol.encode_request(bad_id, "k", np.ones(4)))
+        corruption = data.draw(st.sampled_from(("type", "dtype", "truncate")))
+        if corruption == "type":
+            frame[4 + 3] = data.draw(st.integers(10, 255))
+        elif corruption == "dtype":
+            frame[4 + 12] = data.draw(st.integers(3, 255))
+        else:
+            frame = frame[:-data.draw(st.integers(1, 7))]
+            frame[:4] = protocol.LENGTH_PREFIX.pack(len(frame) - 4)
+        at = data.draw(st.integers(0, len(frames)))
+        # Messages complete at their last frame: those finished before the
+        # corrupt frame's position come out before its error.
+        n_before = sum(1 for message in expected
+                       if self.last_frame(frames, message) < at)
+        expected = [*expected[:n_before], ("error", bad_id),
+                    *expected[n_before:]]
+        wire = b"".join([*frames[:at], bytes(frame), *frames[at:]])
+        cuts = data.draw(st.lists(st.integers(0, len(wire)), max_size=24))
+        reader = protocol.FrameReader()
+        assert_same_outcomes(feed_in_pieces(wire, cuts, reader), expected)
+        assert reader.n_frames == len(frames) + 1
+
+    @staticmethod
+    def last_frame(frames, message):
+        """Index of the frame that completes ``message``."""
+        return max(index for index, frame in enumerate(frames)
+                   if struct.unpack_from("!Q", frame, 8)[0]
+                   == message.request_id)
+
+    headers = st.tuples(st.integers(0, 11), ids).map(
+        lambda head: struct.pack("!HBBQ", protocol.MAGIC,
+                                 protocol.PROTOCOL_VERSION, *head))
+    #: Arbitrary bytes, and frames with a sound length prefix around
+    #: arbitrary (or arbitrarily headed) payloads to reach the decoders.
+    garbage = st.lists(st.one_of(
+        st.binary(max_size=40),
+        st.binary(max_size=120).map(
+            lambda body: protocol.LENGTH_PREFIX.pack(len(body)) + body),
+        st.tuples(headers, st.binary(max_size=120)).map(
+            lambda parts: protocol.LENGTH_PREFIX.pack(
+                len(parts[0]) + len(parts[1])) + parts[0] + parts[1])),
+        max_size=12).map(b"".join)
+
+    @settings(max_examples=400, deadline=None)
+    @given(garbage, st.integers(0, 160), st.one_of(st.none(),
+                                                   st.integers(1, 64)),
+           st.data())
+    def test_arbitrary_bytes_only_raise_frame_errors(
+            self, wire, max_frame_bytes, max_samples, data):
+        reader = protocol.FrameReader(max_frame_bytes, max_samples=max_samples)
+        cuts = data.draw(st.lists(st.integers(0, len(wire)), max_size=8))
+        bounds = [0, *sorted(cuts), len(wire)]
+        for start, stop in zip(bounds, bounds[1:]):
+            reader.feed(wire[start:stop])
+            while True:
+                try:
+                    message = reader.next_message()
+                except FrameError as err:
+                    if err.code != protocol.E_FRAME_TOO_LARGE:
+                        continue
+                    # Connection-fatal: the stream cannot be re-synchronised,
+                    # so the reader keeps refusing it.
+                    with pytest.raises(FrameError, match="max_frame_bytes"):
+                        reader.next_message()
+                    return
+                if message is None:
+                    assert reader.buffered < 4 + max_frame_bytes
+                    break
+                assert not isinstance(message, (protocol.RequestChunk,
+                                                protocol.ResultChunk))
