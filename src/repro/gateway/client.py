@@ -272,11 +272,8 @@ class GatewayClient:
         connection's receive stream — use a dedicated client instance, and
         ``break`` /  ``close()`` to end the subscription.
         """
-        request_id = self._next_id
-        self._next_id += 1
-        return self._subscribe(
-            protocol.encode_stats_subscribe(request_id, interval_s),
-            request_id, protocol.StatsFrame, timeout)
+        return self._subscribe(protocol.StatsFrame, timeout,
+                               protocol.encode_stats_subscribe, interval_s)
 
     def subscribe_events(self, topics=(), timeout: float | None = None):
         """Iterate streamed telemetry events (dicts), as they happen.
@@ -287,20 +284,19 @@ class GatewayClient:
         :func:`repro.telemetry.event_from_dict` to get the typed event
         back.  Semantics otherwise match :meth:`subscribe_stats`.
         """
-        request_id = self._next_id
-        self._next_id += 1
-        return self._subscribe(
-            protocol.encode_events_subscribe(request_id, topics),
-            request_id, protocol.EventFrame, timeout)
+        return self._subscribe(protocol.EventFrame, timeout,
+                               protocol.encode_events_subscribe, topics)
 
-    def _subscribe(self, subscribe_frame: bytes, request_id: int,
-                   frame_cls, timeout: float | None):
-        """Send the subscribe frame now; return the iterator of its frames."""
+    def _subscribe(self, frame_cls, timeout: float | None, encode, *args):
+        """Send the subscribe frame ``encode(request_id, *args)`` now; return
+        the iterator of its frames."""
         if self._closed:
             raise GatewayError(
                 f"client connection to {self.host}:{self.port} is closed")
+        request_id = self._next_id
+        self._next_id += 1
         try:
-            self._sock.sendall(subscribe_frame)
+            self._sock.sendall(encode(request_id, *args))
         except OSError as exc:
             raise GatewayError(
                 f"connection to {self.host}:{self.port} failed mid-send: "
@@ -484,32 +480,30 @@ class AsyncGatewayClient:
         concurrent :meth:`submit` calls on this same connection — the
         reader task routes each frame to its awaiting consumer.
         """
-        request_id = self._next_id
-        self._next_id += 1
         async for payload in self._subscribe(
-                protocol.encode_stats_subscribe(request_id, interval_s),
-                request_id):
+                protocol.encode_stats_subscribe, interval_s):
             yield payload
 
     async def subscribe_events(self, topics=()):
         """Async-iterate streamed telemetry events (dicts)."""
-        request_id = self._next_id
-        self._next_id += 1
         async for payload in self._subscribe(
-                protocol.encode_events_subscribe(request_id, topics),
-                request_id):
+                protocol.encode_events_subscribe, topics):
             yield payload
 
-    async def _subscribe(self, subscribe_frame: bytes, request_id: int):
+    async def _subscribe(self, encode, *args):
+        """Send the subscribe frame ``encode(request_id, *args)``, then
+        yield its payloads."""
         if self._closed or self._writer is None:
             raise GatewayError(
                 f"client connection to {self.host}:{self.port} is closed")
         if self._dead is not None:
             raise self._dead
+        request_id = self._next_id
+        self._next_id += 1
         queue: asyncio.Queue = asyncio.Queue()
         self._streams[request_id] = queue
         try:
-            self._writer.write(subscribe_frame)
+            self._writer.write(encode(request_id, *args))
             await self._writer.drain()
         except (ConnectionError, OSError) as exc:
             self._streams.pop(request_id, None)

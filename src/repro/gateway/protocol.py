@@ -267,25 +267,31 @@ class EventFrame:
     payload: dict
 
 
-def frame_overhead(key: str = "") -> int:
-    """Bytes a request frame adds on top of the raw sample payload."""
+def _ascii(key: str) -> bytes:
     try:
-        key_bytes = key.encode("ascii")
+        return key.encode("ascii")
     except UnicodeEncodeError as exc:
         raise FrameError(f"model key must be ASCII: {exc}") from None
+
+
+def frame_overhead(key: str = "") -> int:
+    """Bytes a request frame adds on top of the raw sample payload."""
     return (LENGTH_PREFIX.size + _PREFIX.size + _REQUEST_HEAD.size
-            + len(key_bytes))
+            + len(_ascii(key)))
 
 
 def _frame(payload: bytes) -> bytes:
     return LENGTH_PREFIX.pack(len(payload)) + payload
 
 
+def _check_request_id(request_id: int) -> None:
+    if request_id < 1:
+        raise FrameError("request_id must be a positive integer (0 is the "
+                         "connection-fatal sentinel)")
+
+
 def _key_bytes(key: str) -> bytes:
-    try:
-        key_bytes = key.encode("ascii")
-    except UnicodeEncodeError as exc:
-        raise FrameError(f"model key must be ASCII: {exc}") from None
+    key_bytes = _ascii(key)
     if not key_bytes or len(key_bytes) > MAX_KEY_BYTES:
         raise FrameError(f"model key must be 1..{MAX_KEY_BYTES} ASCII bytes; "
                          f"got {len(key_bytes)}")
@@ -301,9 +307,7 @@ def _wire_samples(values, dtype: int) -> np.ndarray:
 def _request_parts(request_id: int, key: str, samples,
                    dtype) -> tuple[bytes, int, np.ndarray]:
     """Validated key bytes, wire dtype code and wire samples of a request."""
-    if request_id < 1:
-        raise FrameError("request_id must be a positive integer (0 is the "
-                         "connection-fatal sentinel)")
+    _check_request_id(request_id)
     key_bytes = _key_bytes(key)
     dtype = dtype_code(dtype)
     return key_bytes, dtype, _wire_samples(samples, dtype)
@@ -407,9 +411,7 @@ def encode_error(request_id: int, code: int, message: str) -> bytes:
 
 def encode_stats_subscribe(request_id: int, interval_s: float = 0.0) -> bytes:
     """One STATS_SUBSCRIBE frame (length prefix included)."""
-    if request_id < 1:
-        raise FrameError("request_id must be a positive integer (0 is the "
-                         "connection-fatal sentinel)")
+    _check_request_id(request_id)
     payload = (_PREFIX.pack(MAGIC, PROTOCOL_VERSION, STATS_SUBSCRIBE,
                             request_id)
                + _STATS_SUB_HEAD.pack(float(interval_s)))
@@ -418,29 +420,24 @@ def encode_stats_subscribe(request_id: int, interval_s: float = 0.0) -> bytes:
 
 def encode_events_subscribe(request_id: int, topics=()) -> bytes:
     """One EVENTS_SUBSCRIBE frame (length prefix included)."""
-    if request_id < 1:
-        raise FrameError("request_id must be a positive integer (0 is the "
-                         "connection-fatal sentinel)")
-    body = json.dumps([str(topic) for topic in topics]).encode("utf-8")
-    payload = (_PREFIX.pack(MAGIC, PROTOCOL_VERSION, EVENTS_SUBSCRIBE,
-                            request_id) + body)
-    return _frame(payload)
+    _check_request_id(request_id)
+    return _json_frame(EVENTS_SUBSCRIBE, request_id,
+                       [str(topic) for topic in topics])
+
+
+def _json_frame(msg_type: int, request_id: int, body) -> bytes:
+    return _frame(_PREFIX.pack(MAGIC, PROTOCOL_VERSION, msg_type, request_id)
+                  + json.dumps(body, sort_keys=True).encode("utf-8"))
 
 
 def encode_stats(request_id: int, stats: dict) -> bytes:
     """One STATS frame (length prefix included; body is UTF-8 JSON)."""
-    body = json.dumps(stats, sort_keys=True).encode("utf-8")
-    payload = (_PREFIX.pack(MAGIC, PROTOCOL_VERSION, STATS, request_id)
-               + body)
-    return _frame(payload)
+    return _json_frame(STATS, request_id, stats)
 
 
 def encode_event(request_id: int, event: dict) -> bytes:
     """One EVENT frame (length prefix included; body is UTF-8 JSON)."""
-    body = json.dumps(event, sort_keys=True).encode("utf-8")
-    payload = (_PREFIX.pack(MAGIC, PROTOCOL_VERSION, EVENT, request_id)
-               + body)
-    return _frame(payload)
+    return _json_frame(EVENT, request_id, event)
 
 
 def decode_payload(payload):
@@ -504,18 +501,14 @@ def decode_payload(payload):
                 "events-subscribe body must be a JSON list of topic names",
                 request_id=request_id, code=E_BAD_FRAME)
         return EventsSubscribe(request_id=request_id, topics=tuple(topics))
-    if msg_type == STATS:
-        payload_dict = _decode_json(body, request_id, "stats")
+    if msg_type in (STATS, EVENT):
+        what, frame_cls = (("stats", StatsFrame) if msg_type == STATS
+                           else ("event", EventFrame))
+        payload_dict = _decode_json(body, request_id, what)
         if not isinstance(payload_dict, dict):
-            raise FrameError("stats body must be a JSON object",
+            raise FrameError(f"{what} body must be a JSON object",
                              request_id=request_id, code=E_BAD_FRAME)
-        return StatsFrame(request_id=request_id, payload=payload_dict)
-    if msg_type == EVENT:
-        payload_dict = _decode_json(body, request_id, "event")
-        if not isinstance(payload_dict, dict):
-            raise FrameError("event body must be a JSON object",
-                             request_id=request_id, code=E_BAD_FRAME)
-        return EventFrame(request_id=request_id, payload=payload_dict)
+        return frame_cls(request_id=request_id, payload=payload_dict)
     raise FrameError(f"unknown message type {msg_type}",
                      request_id=request_id, code=E_BAD_FRAME)
 
@@ -750,11 +743,15 @@ class FrameReader:
       ``max_samples``): a series comes out as one :class:`Request` or
       :class:`Result`, and a failed series raises ``ChunkSeriesError``.
 
+    Fed bytes are kept as they came and joined onto the read buffer only
+    once they complete the length prefix or the frame being waited for, so
+    a frame that spans many reads is joined once, when it completes, not
+    once per read.
     Frames are decoded through memoryview slices of the read buffer, and
     only the samples are copied out, once, into arrays of their own, so a
-    message never pins the read buffer.  Whenever :meth:`next_message`
-    returns ``None`` the reader holds less than ``4 + max_frame_bytes``
-    unconsumed bytes.
+    message never pins the read buffer; a fully consumed buffer is dropped
+    at once.  Whenever :meth:`next_message` returns ``None`` the reader
+    holds less than ``4 + max_frame_bytes`` unconsumed bytes.
     """
 
     def __init__(self, max_frame_bytes: int = 64 << 20,
@@ -766,12 +763,15 @@ class FrameReader:
         #: can never block a resize; bytes before ``_offset`` are consumed.
         self._buffer = b""
         self._offset = 0
+        #: Bytes fed since the last join, and their total length.
+        self._pieces = []
+        self._n_pieces = 0
         self._assembler = ChunkAssembler(max_samples=max_samples)
 
     @property
     def buffered(self) -> int:
         """Bytes fed but not yet consumed."""
-        return len(self._buffer) - self._offset
+        return len(self._buffer) - self._offset + self._n_pieces
 
     @property
     def n_streams(self) -> int:
@@ -780,29 +780,43 @@ class FrameReader:
 
     def feed(self, data) -> None:
         """Append bytes the connection delivered."""
-        rest = self._buffer[self._offset:]
-        self._buffer = rest + data if rest else bytes(data)
-        self._offset = 0
+        if data:
+            self._pieces.append(bytes(data))
+            self._n_pieces += len(data)
 
     def next_message(self):
         """The next whole message, or ``None`` until more bytes are fed."""
-        buffer = self._buffer
-        while len(buffer) - self._offset >= LENGTH_PREFIX.size:
-            (length,) = LENGTH_PREFIX.unpack_from(buffer, self._offset)
+        while self._holds(LENGTH_PREFIX.size):
+            (length,) = LENGTH_PREFIX.unpack_from(self._buffer, self._offset)
             if length > self.max_frame_bytes:
                 raise FrameError(
                     f"frame of {length} bytes exceeds max_frame_bytes="
                     f"{self.max_frame_bytes}", code=E_FRAME_TOO_LARGE)
-            start = self._offset + LENGTH_PREFIX.size
-            if len(buffer) < start + length:
+            if not self._holds(LENGTH_PREFIX.size + length):
                 return None
+            buffer, start = self._buffer, self._offset + LENGTH_PREFIX.size
             self._offset = start + length
+            if self._offset == len(buffer):
+                self._buffer, self._offset = b"", 0
             self.n_frames += 1
-            message = decode_payload(
-                memoryview(buffer)[start:self._offset])
+            message = decode_payload(memoryview(buffer)[start:start + length])
             if isinstance(message, (RequestChunk, ResultChunk)):
                 message = self._assembler.feed(message)
                 if message is None:
                     continue
             return message
         return None
+
+    def _holds(self, n: int) -> bool:
+        """Whether the read buffer holds ``n`` unconsumed bytes, joining the
+        fed pieces onto it only once, with them, it does."""
+        unread = len(self._buffer) - self._offset
+        if unread >= n:
+            return True
+        if unread + self._n_pieces < n:
+            return False
+        if unread:
+            self._pieces.insert(0, memoryview(self._buffer)[self._offset:])
+        self._buffer = b"".join(self._pieces)
+        self._offset, self._pieces, self._n_pieces = 0, [], 0
+        return True

@@ -13,6 +13,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -271,6 +272,59 @@ class TestChunkedFrames:
         with pytest.raises(FrameError, match="cannot carry even one"):
             protocol.encode_request_frames(1, "k" * 64, np.zeros(100),
                                            max_frame_bytes=80)
+
+
+class TestFrameReaderMemory:
+    """What reading one large frame costs the reader, measured in bytes
+    allocated under ``tracemalloc``: every copy needs a fresh allocation."""
+
+    samples = np.random.default_rng(3).standard_normal(1 << 20)   # 8 MiB
+
+    def test_frame_over_many_reads_costs_linear_allocation(self):
+        """An 8 MiB request read 64 KiB at a time allocates about one copy
+        for the frame and one for its samples, not a growing prefix per
+        read (about 64 frames' worth here)."""
+        frame = protocol.encode_request(1, "ab", self.samples)
+        pieces = [frame[at:at + (64 << 10)]
+                  for at in range(0, len(frame), 64 << 10)]
+        reader = protocol.FrameReader()
+        messages, allocated = [], 0
+        tracemalloc.start()
+        try:
+            for piece in pieces:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                reader.feed(piece)
+                while (message := reader.next_message()) is not None:
+                    messages.append(message)
+                allocated += tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        (request,) = messages
+        assert request.samples.tobytes() == self.samples.tobytes()
+        assert reader.buffered == 0
+        assert allocated < 3 * len(frame)
+
+    def test_consumed_frames_pin_no_read(self):
+        """Once every fed frame is taken out, the reader drops its buffer:
+        an idle connection holds none of its last read."""
+        frame = protocol.encode_request(1, "ab", self.samples)
+        halves = frame[:len(frame) // 2], frame[len(frame) // 2:]
+        reader = protocol.FrameReader()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for half in halves:
+                reader.feed(half)
+            request = reader.next_message()
+            assert reader.next_message() is None
+            assert request.samples.tobytes() == self.samples.tobytes()
+            del request
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert reader.buffered == 0
+        assert held < 64 << 10
 
 
 # ----------------------------------------------------------------- round trip
