@@ -185,22 +185,36 @@ class TestThreadedTFT:
                            snapshot_callback=trajectory)
         grid = default_frequency_grid(1.0, 10e9, 4)
 
-        serial_s, threaded_s = [], []
+        serial_s, threaded_s, threaded_cpu_s = [], [], []
         for pair in range(self.PAIRS):
             for side in ((0, 1) if pair % 2 == 0 else (1, 0)):
-                start = time.perf_counter()
+                start, cpu_start = time.perf_counter(), time.process_time()
                 if side == 0:
                     reference = _serial_tft(trajectory, grid, 110)
                     serial_s.append(time.perf_counter() - start)
                 else:
                     tft = extract_tft(trajectory, grid, max_snapshots=110)
                     threaded_s.append(time.perf_counter() - start)
+                    threaded_cpu_s.append(time.process_time() - cpu_start)
         cores = usable_cores()
-        speedup = float(np.median(np.array(serial_s) / np.array(threaded_s)))
+        ratios = np.array(serial_s) / np.array(threaded_s)
+        # Process CPU time over wall time of the threaded call: near 2 when
+        # its two threads ran side by side, near 1 when they shared a core.
+        cpu_wall = np.array(threaded_cpu_s) / np.array(threaded_s)
+        speedup = float(np.median(ratios))
+        pairs = [{"serial_ms": serial * 1e3, "threaded_ms": threaded * 1e3,
+                  "ratio": float(ratio), "threaded_cpu_wall": float(load)}
+                 for serial, threaded, ratio, load
+                 in zip(serial_s, threaded_s, ratios, cpu_wall)]
         with capsys.disabled():
             print(f"[buffer TFT 110x41] serial {np.median(serial_s) * 1e3:.1f} ms, "
                   f"{cores} usable core(s) {np.median(threaded_s) * 1e3:.1f} ms "
-                  f"-> {speedup:.2f}x (median of {self.PAIRS} pairs)")
+                  f"-> {speedup:.2f}x (median of {self.PAIRS} pairs; threaded "
+                  f"CPU/wall {np.median(cpu_wall):.2f})")
+            print("  pairs (serial/threaded ms, ratio, threaded CPU/wall): "
+                  + ", ".join(f"{pair['serial_ms']:.1f}/{pair['threaded_ms']:.1f}"
+                              f" {pair['ratio']:.2f}x {pair['threaded_cpu_wall']:.2f}"
+                              for pair in pairs))
 
         record_benchmark("BENCH_engine.json", "buffer_tft_threads", {
             "usable_cores": cores,
@@ -208,6 +222,8 @@ class TestThreadedTFT:
             "threaded_median_ms": float(np.median(threaded_s)) * 1e3,
             "serial_ms": min(serial_s) * 1e3,
             "threaded_ms": min(threaded_s) * 1e3,
+            "pairs": pairs,
+            "threaded_cpu_wall_median": float(np.median(cpu_wall)),
             "speedup": speedup,
             "min_speedup": self.MIN_SPEEDUP if cores >= 2 else None,
         })

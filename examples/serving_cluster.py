@@ -7,8 +7,8 @@ one stimulus at a time, for more than one model, and the server does the
 batching:
 
 1. extract and compile **two** models of one circuit family (an RC ladder at
-   two ladder depths), registered in a content-hash-keyed registry with a
-   persistent index,
+   two ladder depths), registered in a content-hash-keyed registry (a
+   directory of ``<key>.npz`` / ``<key>.json`` pairs),
 2. start a :class:`~repro.serve.server.ModelServer` with a micro-batching
    policy and a two-worker shard pool,
 3. fire a few thousand interleaved single-stimulus requests against both

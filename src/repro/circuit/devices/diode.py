@@ -127,16 +127,3 @@ class Diode(TwoTerminal):
         add_jac(c_out, self.neg, self.neg, capacitance)
         add_jac(c_out, self.pos, self.neg, -capacitance)
         add_jac(c_out, self.neg, self.pos, -capacitance)
-
-    # ------------------------------------------------------------- Newton help
-    def limit_voltage(self, v_new: float, v_old: float) -> float:
-        """SPICE ``pnjlim``-style junction-voltage limiting for Newton steps."""
-        vt = self._vt
-        if v_new > self._v_crit and abs(v_new - v_old) > 2.0 * vt:
-            if v_old > 0.0:
-                arg = 1.0 + (v_new - v_old) / vt
-                if arg > 0.0:
-                    return v_old + vt * math.log(arg)
-                return self._v_crit
-            return vt * math.log(v_new / vt) if v_new > 0.0 else self._v_crit
-        return v_new

@@ -23,21 +23,18 @@ complex recurrence per branch).  Entries of the earlier
 loadable under their original keys: they are verified against the payload
 as stored, then converted by copying values into the v2 arrays.
 
-Registries additionally maintain a **persistent index** (``_index.json``)
-mapping keys to entry sizes, so :meth:`ModelRegistry.keys` and membership
-tests are O(1) file reads instead of O(n) directory scans — the difference
-between a registry fronting ten models and one fronting hundreds of
-thousands.  The index is advisory: it is rebuilt from the directory whenever
-it is missing, unparsable or older than the directory contents, and
-:meth:`ModelRegistry.load` always verifies against the actual files.
+The directory is the registry: there is no index beside the entry files.
+A key is a member while both of its files exist, so a membership test is two
+``stat`` calls at any registry size; :meth:`ModelRegistry.keys` lists the
+``*.json`` files that have a matching ``.npz``.  Only :meth:`ModelRegistry.save`
+writes into the directory and only :meth:`ModelRegistry.remove` deletes from
+it: no read, and so no shard worker loading a model, writes a registry file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,11 +44,6 @@ from ..exceptions import RegistryError
 from .compiled import FORMAT, CompiledModel
 
 __all__ = ["ModelRegistry", "ModelHandle", "content_hash"]
-
-#: Name of the persistent index file inside a registry directory.
-INDEX_NAME = "_index.json"
-#: Index schema version; bumping it forces a rebuild on older indexes.
-INDEX_VERSION = 1
 
 #: The earlier format: two real states per branch, advanced by a 2x2 block.
 FORMAT_V1 = "compiled-hammerstein-v1"
@@ -122,9 +114,6 @@ class ModelRegistry:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        #: In-memory cache of the parsed index, keyed by the index file's
-        #: ``st_mtime_ns`` so repeated ``keys()`` calls cost one ``stat``.
-        self._index_cache: tuple[int, dict] | None = None
 
     # ------------------------------------------------------------------ paths
     def _npz_path(self, key: str) -> Path:
@@ -133,134 +122,21 @@ class ModelRegistry:
     def _json_path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def _index_path(self) -> Path:
-        return self.root / INDEX_NAME
+    def _sizes(self, key: str) -> tuple[int, int] | None:
+        """The sizes of an entry's two files, or ``None`` unless both exist.
 
-    # ------------------------------------------------------------------ index
-    def _read_index(self, allow_stale: bool = False) -> dict | None:
-        """The parsed index, or ``None`` when missing, corrupt or stale.
-
-        Staleness is one ``stat`` pair: :meth:`_write_index` stamps the index
-        file's mtime to the directory's, so any foreign file created or
-        removed afterwards leaves ``root mtime > index mtime`` and forces a
-        rebuild.  The registry's own write paths pass ``allow_stale=True``:
-        they have just modified the directory themselves (entry files are
-        written before the index update), and going through the staleness
-        check there would turn every save into a full rescan.
-
-        Limitation: a *foreign* change landing in the same filesystem
-        timestamp tick as the stamp is indistinguishable from freshness
-        (sub-ns on ext4, coarser elsewhere).  Concurrent cross-process
-        mutation is advisory territory throughout this class — ``load``
-        always verifies real files, and :meth:`rebuild_index` is the
-        belt-and-braces reconciliation.
+        A key names two files directly under the root.  Keys reach
+        :meth:`__contains__` from the network, so a key that is a path, is
+        too long for a file name or holds a NUL byte names no entry rather
+        than raising.
         """
-        try:
-            index_mtime = self._index_path().stat().st_mtime_ns
-            root_mtime = self.root.stat().st_mtime_ns
-        except OSError:
+        if Path(key).name != key:
             return None
-        if root_mtime > index_mtime and not allow_stale:
-            return None
-        if self._index_cache is not None and self._index_cache[0] == index_mtime:
-            return self._index_cache[1]
         try:
-            data = json.loads(self._index_path().read_text())
-        except (json.JSONDecodeError, OSError):
+            return (self._npz_path(key).stat().st_size,
+                    self._json_path(key).stat().st_size)
+        except (OSError, ValueError):
             return None
-        if (not isinstance(data, dict) or data.get("version") != INDEX_VERSION
-                or not isinstance(data.get("entries"), dict)):
-            return None
-        self._index_cache = (index_mtime, data)
-        return data
-
-    def _write_index(self, data: dict) -> None:
-        """Atomically persist the index and stamp it fresh (see _read_index)."""
-        if not self.root.is_dir():
-            return
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix="_index-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(data, handle, sort_keys=True)
-            os.replace(tmp, self._index_path())
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        stamp = self.root.stat().st_mtime_ns
-        os.utime(self._index_path(), ns=(stamp, stamp))
-        self._index_cache = (stamp, data)
-
-    def _ensure_index(self) -> dict:
-        """The current index, rebuilding from the directory when needed."""
-        data = self._read_index()
-        if data is None:
-            data = self.rebuild_index()
-        return data
-
-    def rebuild_index(self) -> dict:
-        """Rescan the directory and rewrite the persistent index.
-
-        Called automatically whenever the index is missing, unparsable, from
-        an older schema version, or stale (files were added or removed behind
-        the registry's back); callable directly for belt-and-braces repair.
-        """
-        entries: dict[str, dict] = {}
-        if self.root.is_dir():
-            for json_path in self.root.glob("*.json"):
-                key = json_path.stem
-                if key.startswith("_"):
-                    continue
-                npz_path = self._npz_path(key)
-                try:
-                    nbytes = npz_path.stat().st_size + json_path.stat().st_size
-                except OSError:      # incomplete entry: metadata without arrays
-                    continue
-                entries[key] = {"nbytes": int(nbytes)}
-        data = {"version": INDEX_VERSION, "entries": entries}
-        self._write_index(data)
-        return data
-
-    def _index_put(self, key: str) -> None:
-        """Add/refresh one entry after its files were written.
-
-        Reads the index with ``allow_stale=True``: the caller (``save``)
-        validated the index through its membership check *before* touching
-        the directory, so the only "staleness" here is our own entry write —
-        a strict read would rescan on every save.
-        """
-        data = self._read_index(allow_stale=True)
-        if data is None:
-            self.rebuild_index()        # missing/corrupt; rescan covers key
-            return
-        try:
-            nbytes = (self._npz_path(key).stat().st_size
-                      + self._json_path(key).stat().st_size)
-        except OSError:
-            return
-        data["entries"][key] = {"nbytes": int(nbytes)}
-        self._write_index(data)
-
-    def _index_drop(self, key: str, trusted: bool = False) -> None:
-        """Remove one entry from the index.
-
-        ``trusted`` mirrors :meth:`_index_put`'s reasoning and is only
-        passed by ``remove`` (whose membership check just validated the
-        index; the sole directory change since is its own unlinks).  The
-        untrusted path — ``load`` discovering missing files — rebuilds on a
-        stale index instead of delta-updating it: the directory demonstrably
-        changed behind our back, and stamping a stale index fresh would hide
-        entries added alongside the deletion.
-        """
-        data = self._read_index(allow_stale=trusted)
-        if data is None:
-            self.rebuild_index()
-            return
-        if key in data["entries"]:
-            del data["entries"][key]
-            self._write_index(data)
 
     # ------------------------------------------------------------------- save
     def save(self, model: CompiledModel, provenance: dict | None = None) -> str:
@@ -302,7 +178,6 @@ class ModelRegistry:
             return key
         self._json_path(key).write_text(json.dumps(record, indent=2,
                                                    sort_keys=True, default=repr))
-        self._index_put(key)
         return key
 
     # ------------------------------------------------------------------- load
@@ -316,11 +191,10 @@ class ModelRegistry:
         stored, then converted to the v2 arrays.
         """
         npz_path, json_path = self._npz_path(key), self._json_path(key)
-        if not npz_path.exists() or not json_path.exists():
-            missing = [label for label, path in (("arrays", npz_path),
-                                                 ("metadata", json_path))
-                       if not path.exists()]
-            self._index_drop(key)
+        missing = [label for label, path in (("arrays", npz_path),
+                                             ("metadata", json_path))
+                   if not path.exists()]
+        if missing:
             raise RegistryError(f"no registry entry {key!r} under {self.root} "
                                 f"(missing {' and '.join(missing)})")
 
@@ -368,33 +242,22 @@ class ModelRegistry:
 
     # ------------------------------------------------------------------ admin
     def keys(self) -> list[str]:
-        """Keys of all complete entries (metadata + arrays present).
-
-        Served from the persistent index — O(1) in the number of entries
-        after the first call — instead of scanning the directory; the index
-        is rebuilt transparently when files changed behind the registry's
-        back (see :meth:`rebuild_index`).
-        """
-        if not self.root.is_dir():
-            return []
-        return sorted(self._ensure_index()["entries"])
+        """Keys of all complete entries (metadata + arrays present), sorted."""
+        return sorted(path.stem for path in self.root.glob("*.json")
+                      if path.stem in self)
 
     def __contains__(self, key: str) -> bool:
-        if not self.root.is_dir():
-            return False
-        return key in self._ensure_index()["entries"]
+        return self._sizes(key) is not None
 
     def __len__(self) -> int:
         return len(self.keys())
 
     def entry_nbytes(self, key: str) -> int:
-        """On-disk footprint of one entry (arrays + metadata), from the index."""
-        if not self.root.is_dir():
+        """On-disk footprint of one entry: the sizes of its two files."""
+        sizes = self._sizes(key)
+        if sizes is None:
             raise RegistryError(f"no registry entry {key!r} under {self.root}")
-        entry = self._ensure_index()["entries"].get(key)
-        if entry is None:
-            raise RegistryError(f"no registry entry {key!r} under {self.root}")
-        return int(entry["nbytes"])
+        return sum(sizes)
 
     def remove(self, key: str) -> None:
         """Delete an entry (both files); missing entries raise."""
@@ -402,7 +265,6 @@ class ModelRegistry:
             raise RegistryError(f"no registry entry {key!r} under {self.root}")
         self._npz_path(key).unlink()
         self._json_path(key).unlink()
-        self._index_drop(key, trusted=True)
 
     def handle(self, key: str) -> "ModelHandle":
         """A picklable reference to one entry (for cross-process serving)."""

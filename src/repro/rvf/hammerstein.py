@@ -67,12 +67,6 @@ class HammersteinBranch:
             term = term + np.conj(residues)[:, None] / (svals[None, :] - np.conj(self.pole))
         return term
 
-    def equilibrium_output(self, x_dc: np.ndarray | float) -> float:
-        """Branch output in equilibrium at the DC state (contribution to y)."""
-        v_dc = complex(_evaluate_state_function_scalar(self.static_function, x_dc))
-        y_dc = -v_dc / self.pole
-        return float(2.0 * y_dc.real if self.is_complex_pair else y_dc.real)
-
     def recurrence(self, dt: float) -> tuple[complex, complex, complex]:
         """Discrete-time recurrence coefficients at a fixed sample interval.
 
@@ -192,10 +186,6 @@ class HammersteinModel:
         return all(branch.pole.real < 0.0 for branch in self.branches)
 
     # ------------------------------------------------------------ evaluations
-    def instantaneous_gain(self, states: np.ndarray) -> np.ndarray:
-        """Memoryless gain ``g_0(x)`` of the static path, shape ``(K,)``."""
-        return _evaluate_state_function(self.gain_function, states).real
-
     def static_output(self, states: np.ndarray) -> np.ndarray:
         """Static path output ``F_0(x)``, shape ``(K,)``."""
         return _evaluate_state_function(self.static_function, states).real
@@ -339,14 +329,3 @@ def _evaluate_state_function(function, states: np.ndarray) -> np.ndarray:
     if states.ndim == 1:
         states = states[:, None]
     return np.atleast_1d(np.asarray(function(states), dtype=complex))
-
-
-def _evaluate_state_function_scalar(function, x: np.ndarray | float) -> complex:
-    if np.isscalar(x):
-        x_arr = np.array([x], dtype=float)
-    else:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        if x_arr.ndim == 1 and not isinstance(
-                function, (PartialFractionFunction, IntegratedPartialFraction)):
-            x_arr = x_arr[None, :]
-    return complex(_evaluate_state_function(function, x_arr)[0])

@@ -77,12 +77,6 @@ class PartialFractionFunction:
         return PartialFractionFunction(self.poles.copy(), factor * self.coefficients,
                                        factor * self.constant, self.variable)
 
-    def is_effectively_real(self, states: np.ndarray, tolerance: float = 1e-6) -> bool:
-        """Whether the function is (numerically) real-valued on ``states``."""
-        values = self(np.asarray(states, dtype=float))
-        scale = float(np.max(np.abs(values))) or 1.0
-        return float(np.max(np.abs(values.imag))) <= tolerance * scale
-
     # ------------------------------------------------------------ integration
     def antiderivative(self) -> "IntegratedPartialFraction":
         """Exact antiderivative with respect to the state variable."""

@@ -24,7 +24,7 @@ oversized, empty, non-finite or unknown-key request is rejected with a
 can touch a batch — one bad request must never poison the lock-step batch it
 would have joined.  The registry is asked about a key only until the server
 admits it: keys are content hashes, so an admitted key always names the
-same model, and the per-request membership check (three ``stat`` calls)
+same model, and the per-request membership check (two ``stat`` calls)
 leaves the hot path.  A model removed from the registry after its key was
 admitted keeps being served from a warm cache; once no cache holds it, its
 batches fail with a named :class:`~repro.exceptions.ServeError`.
@@ -292,8 +292,8 @@ class ModelServer:
         # admitted concurrently just costs one more registry lookup.
         if key not in self._lane_by_key and key not in self.registry:
             raise self._reject(key, "unknown_key", ServeError(
-                f"unknown model key {key[:12]!r}... — not in "
-                f"{self.registry.describe()}"))
+                f"unknown model key {key[:12]!r}... — not in the model "
+                f"registry at {self.registry.root}"))
         request = ServeRequest(key=key, samples=samples)
         with self._lock:
             if self._closed:

@@ -84,10 +84,6 @@ class VectorFitResult:
         return evaluate_model(svals, self.poles, self.residues,
                               self.constants, self.proportionals)
 
-    def evaluate_single(self, svals: np.ndarray, response: int = 0) -> np.ndarray:
-        """Evaluate one response model as a 1-D array."""
-        return self.evaluate(svals)[response]
-
     def is_stable(self) -> bool:
         """True when every pole lies strictly in the left half plane."""
         return bool(np.all(self.poles.real < 0.0))

@@ -29,7 +29,6 @@ from repro.runtime import (
     validate_model,
 )
 from repro.runtime import batch as batch_module
-from repro.runtime.registry import INDEX_NAME
 from repro.sweep import SweepOptions, run_sweep, waveform_sweep
 from repro.tft.state_estimator import StateEstimator
 
@@ -404,8 +403,7 @@ class TestRegistry:
         """Acceptance: idempotent save — same content hash, zero writes."""
         registry = ModelRegistry(tmp_path)
         key = registry.save(compiled, provenance={"origin": "first"})
-        paths = [tmp_path / f"{key}.npz", tmp_path / f"{key}.json",
-                 tmp_path / INDEX_NAME]
+        paths = [tmp_path / f"{key}.npz", tmp_path / f"{key}.json"]
         before = [(p.stat().st_mtime_ns, p.read_bytes()) for p in paths]
         assert registry.save(compiled) == key                  # no provenance
         assert registry.save(compiled,
@@ -495,38 +493,7 @@ class TestRegistryV1Entries:
 
 
 class TestRegistryIndex:
-    """The persistent index must accelerate keys() without ever lying."""
-
-    def test_index_file_created_and_keys_served_from_it(self, compiled, tmp_path):
-        registry = ModelRegistry(tmp_path)
-        key = registry.save(compiled)
-        assert (tmp_path / INDEX_NAME).exists()
-        assert registry.keys() == [key]
-        assert key in registry and len(registry) == 1
-        # Prove keys() is answered by the index, not a directory scan: plant
-        # a bogus entry through the registry's own (freshness-stamping)
-        # index writer and observe it echoed back verbatim.
-        planted = dict(registry._ensure_index())
-        planted["entries"] = {**planted["entries"], "bogus": {"nbytes": 1}}
-        registry._write_index(planted)
-        assert ModelRegistry(tmp_path).keys() == sorted(["bogus", key])
-        # rebuild_index() is the reconciliation for exactly that situation.
-        registry.rebuild_index()
-        assert ModelRegistry(tmp_path).keys() == [key]
-
-    def test_corrupt_index_is_rebuilt_transparently(self, compiled, tmp_path):
-        """Acceptance: index corruption never breaks the registry."""
-        registry = ModelRegistry(tmp_path)
-        key = registry.save(compiled)
-        index_path = tmp_path / INDEX_NAME
-        for garbage in ("not json{{", json.dumps({"version": 999}),
-                        json.dumps([1, 2, 3]), ""):
-            index_path.write_text(garbage)
-            fresh = ModelRegistry(tmp_path)
-            assert fresh.keys() == [key]
-            assert json.loads(index_path.read_text())["entries"][key]
-            np.testing.assert_array_equal(fresh.load(key).static_table,
-                                          compiled.static_table)
+    """The directory is the registry: its complete file pairs are the entries."""
 
     def test_foreign_writes_detected_as_stale(self, compiled, tmp_path):
         """Files added/removed behind the registry's back are picked up."""
@@ -553,8 +520,8 @@ class TestRegistryIndex:
         key = registry.save(compiled)
         registry.remove(key)
         assert registry.keys() == []
-        assert key not in json.loads(
-            (tmp_path / INDEX_NAME).read_text())["entries"]
+        assert key not in ModelRegistry(tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_entry_nbytes_matches_disk(self, compiled, tmp_path):
         registry = ModelRegistry(tmp_path)
@@ -579,8 +546,8 @@ class TestRegistryIndex:
         (tmp_path / f"{key}.npz").unlink()
         with pytest.raises(RegistryError, match="no registry entry"):
             registry.load(key)
-        assert key not in json.loads(
-            (tmp_path / INDEX_NAME).read_text())["entries"]
+        assert registry.keys() == []
+        assert key not in registry
 
     def test_failed_load_does_not_hide_foreign_additions(self, compiled,
                                                          tmp_path):
@@ -602,6 +569,64 @@ class TestRegistryIndex:
             registry.load(key)
         assert registry.keys() == [other_key]
         assert other_key in registry
+
+    def test_directory_left_with_an_index_lists_only_complete_pairs(
+            self, compiled, tmp_path):
+        """Registries used to keep an ``_index.json`` beside the entries.
+        A directory left with a stale or garbage index, a leftover
+        ``_index-*.tmp`` and half-written entries lists, counts and admits
+        exactly its complete file pairs, and no read writes a file."""
+        source = ModelRegistry(tmp_path / "source")
+        copied, json_only, npz_only = (
+            source.save(compile_model(synthetic_model(), dt=dt,
+                                      input_range=(0.0, 1.0)))
+            for dt in (2e-9, 3e-9, 4e-9))
+        registry = ModelRegistry(tmp_path / "reg")
+        root = registry.root
+        kept = registry.save(compiled)
+        deleted = registry.save(compile_model(synthetic_model(), dt=5e-9,
+                                              input_range=(0.0, 1.0)))
+        (root / f"{deleted}.npz").unlink()
+        (root / f"{deleted}.json").unlink()
+        for key, suffixes in ((copied, (".npz", ".json")),
+                              (json_only, (".json",)), (npz_only, (".npz",))):
+            for suffix in suffixes:
+                shutil.copy(source.root / f"{key}{suffix}", root)
+        (root / "_index-k3x9q1.tmp").write_text('{"version": 1, "entr')
+        stale = json.dumps({"version": 1, "entries": {
+            key: {"nbytes": 1} for key in (kept, deleted, json_only, npz_only)}})
+        for index_text in (stale, "not json{{", json.dumps({"version": 999}),
+                           json.dumps([1, 2, 3]), ""):
+            (root / "_index.json").write_text(index_text)
+            before = {path.name: (path.stat().st_mtime_ns, path.read_bytes())
+                      for path in root.iterdir()}
+            registry = ModelRegistry(root)
+            assert registry.keys() == sorted([kept, copied])
+            assert len(registry) == 2
+            assert kept in registry and copied in registry
+            for key in (kept, copied):
+                assert registry.entry_nbytes(key) == (
+                    (root / f"{key}.npz").stat().st_size
+                    + (root / f"{key}.json").stat().st_size)
+                assert content_hash(registry.handle(key).load()) == key
+            with pytest.raises(RegistryError, match="no registry entry"):
+                ModelHandle(str(root), deleted).load()
+            for key in (deleted, json_only, npz_only):
+                assert key not in registry
+                for call in (registry.entry_nbytes, registry.remove,
+                             registry.handle):
+                    with pytest.raises(RegistryError, match="no registry entry"):
+                        call(key)
+            # Keys arrive from the network: a path to a pair outside the
+            # directory, a name too long for a file and a NUL byte name no
+            # entry, and asking about them raises nothing else.
+            for key in (f"../source/{copied}", "k" * 512, f"{kept}\x00"):
+                assert key not in registry
+                with pytest.raises(RegistryError, match="no registry entry"):
+                    registry.entry_nbytes(key)
+            assert before == {
+                path.name: (path.stat().st_mtime_ns, path.read_bytes())
+                for path in root.iterdir()}
 
 
 class TestModelHandle:
