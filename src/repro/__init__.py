@@ -23,7 +23,7 @@ The package is organised bottom-up:
   lanes, sharded worker processes, per-request futures,
 * :mod:`repro.gateway` — asyncio TCP front-end and clients so remote
   processes reach the same scheduler,
-* :mod:`repro.analysis` — error metrics, timing and report helpers.
+* :mod:`repro.analysis` — error metrics and report tables.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Error metrics, speed-up measurement and report tables."""
+"""Error metrics and report tables."""
 
 from .errors import (
     BatchErrorReport,
@@ -11,7 +11,7 @@ from .errors import (
     surface_rmse_db,
     time_domain_rmse,
 )
-from .report import ComparisonTable, ModelComparisonRow, ascii_table, measure_speedup
+from .report import ComparisonTable, ModelComparisonRow, ascii_table
 
 __all__ = [
     "db",
@@ -26,5 +26,4 @@ __all__ = [
     "ComparisonTable",
     "ModelComparisonRow",
     "ascii_table",
-    "measure_speedup",
 ]

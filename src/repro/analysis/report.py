@@ -1,17 +1,14 @@
-"""Comparison tables and speed-up measurements (the paper's Table I)."""
+"""Comparison tables (the paper's Table I)."""
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from ..units import format_si
 from .errors import surface_rmse_db, time_domain_rmse
 
-__all__ = ["ModelComparisonRow", "ComparisonTable", "measure_speedup", "ascii_table"]
+__all__ = ["ModelComparisonRow", "ComparisonTable", "ascii_table"]
 
 
 @dataclass
@@ -69,25 +66,3 @@ def ascii_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     lines.extend(render_row(row) for row in rows)
     return "\n".join(lines)
 
-
-def measure_speedup(reference_runner: Callable[[], np.ndarray],
-                    model_runner: Callable[[], np.ndarray],
-                    repeats: int = 1) -> tuple[float, float, float]:
-    """Wall-clock speed-up of a model against its reference simulation.
-
-    Both callables are executed ``repeats`` times; the minimum wall time of
-    each is used (the usual benchmarking convention).  Returns
-    ``(reference_seconds, model_seconds, speedup)``.
-    """
-    def best_time(runner: Callable[[], np.ndarray]) -> float:
-        best = np.inf
-        for _ in range(max(1, repeats)):
-            start = _time.perf_counter()
-            runner()
-            best = min(best, _time.perf_counter() - start)
-        return best
-
-    reference_seconds = best_time(reference_runner)
-    model_seconds = best_time(model_runner)
-    speedup = reference_seconds / model_seconds if model_seconds > 0 else np.inf
-    return reference_seconds, model_seconds, speedup

@@ -10,7 +10,6 @@ from .caffeine import (
     extract_caffeine_model,
     fit_caffeine,
 )
-from .polynomial import PolynomialFunction, fit_polynomial
 
 __all__ = [
     "BasisTerm",
@@ -21,6 +20,4 @@ __all__ = [
     "fit_caffeine",
     "extract_caffeine_model",
     "CaffeineExtractionResult",
-    "PolynomialFunction",
-    "fit_polynomial",
 ]

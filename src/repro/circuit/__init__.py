@@ -24,9 +24,7 @@ from .devices import (
     Diode,
     Inductor,
     MOSFETParams,
-    PolynomialConductance,
     Resistor,
-    TanhTransconductor,
     VoltageSource,
 )
 from .mna import MNASystem
@@ -34,7 +32,7 @@ from .netlist import Circuit, Output
 from .newton import NewtonOptions, NewtonResult, newton_solve
 from .parser import parse_netlist
 from .transient import TransientOptions, TransientResult, transient_analysis
-from .waveforms import DC, BitPattern, PiecewiseLinear, Pulse, Sine, Waveform, prbs_bits
+from .waveforms import DC, BitPattern, Pulse, Sine, Waveform, prbs_bits
 
 __all__ = [
     # description
@@ -42,9 +40,9 @@ __all__ = [
     # devices
     "Device", "Resistor", "Capacitor", "Inductor", "VoltageSource", "CurrentSource",
     "VCVS", "VCCS", "Diode", "MOSFET", "NMOS", "PMOS", "MOSFETParams",
-    "PolynomialConductance", "CubicConductance", "TanhTransconductor",
+    "CubicConductance",
     # waveforms
-    "Waveform", "DC", "Sine", "Pulse", "PiecewiseLinear", "BitPattern", "prbs_bits",
+    "Waveform", "DC", "Sine", "Pulse", "BitPattern", "prbs_bits",
     # analyses
     "dc_operating_point", "DCOptions", "DCResult",
     "ac_analysis", "ACResult", "frequency_grid",

@@ -1,7 +1,7 @@
 """Device library for the MNA circuit simulator."""
 
 from .base import Device, TwoTerminal
-from .behavioral import CubicConductance, PolynomialConductance, TanhTransconductor
+from .behavioral import CubicConductance
 from .diode import Diode
 from .mosfet import MOSFET, NMOS, PMOS, MOSFETParams
 from .passives import Capacitor, Inductor, Resistor
@@ -22,7 +22,5 @@ __all__ = [
     "NMOS",
     "PMOS",
     "MOSFETParams",
-    "PolynomialConductance",
     "CubicConductance",
-    "TanhTransconductor",
 ]

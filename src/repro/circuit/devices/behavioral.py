@@ -1,57 +1,20 @@
-"""Behavioural nonlinear elements with closed-form constitutive relations.
+"""Behavioural nonlinear element with a closed-form constitutive relation.
 
-These elements are primarily used by the test-suite and the smaller example
-circuits: because their I-V relations (and hence their small-signal
-conductances) are known analytically, the Jacobian snapshots and transfer
-function trajectories extracted from circuits built out of them can be checked
-against hand-derived expressions.
+The element is used by the test-suite and the smaller example circuits:
+because its I-V relation (and hence its small-signal conductance) is known
+analytically, the Jacobian snapshots and transfer function trajectories
+extracted from circuits built out of it can be checked against hand-derived
+expressions.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from ...exceptions import CircuitError
-from .base import Device, TwoTerminal, add_at, add_jac
+from .base import TwoTerminal
 
-__all__ = ["PolynomialConductance", "TanhTransconductor", "CubicConductance"]
-
-
-class PolynomialConductance(TwoTerminal):
-    """Two-terminal element with ``i(v) = sum_k coeffs[k] * v**k``.
-
-    ``coeffs[0]`` is a constant current offset, ``coeffs[1]`` a linear
-    conductance and higher orders introduce polynomial nonlinearity.
-    """
-
-    def __init__(self, name: str, node_pos: str, node_neg: str,
-                 coefficients: Sequence[float]) -> None:
-        super().__init__(name, node_pos, node_neg)
-        coeffs = [float(c) for c in coefficients]
-        if not coeffs:
-            raise CircuitError(f"{name}: at least one polynomial coefficient is required")
-        self.coefficients = coeffs
-
-    def is_nonlinear(self) -> bool:
-        return len(self.coefficients) > 2
-
-    def is_nonlinear_dynamic(self) -> bool:
-        return False  # no dynamic stamps
-
-    def current(self, voltage: float) -> float:
-        return float(sum(c * voltage ** k for k, c in enumerate(self.coefficients)))
-
-    def conductance(self, voltage: float) -> float:
-        return float(sum(k * c * voltage ** (k - 1)
-                         for k, c in enumerate(self.coefficients) if k >= 1))
-
-    def stamp_static(self, v: np.ndarray, i_out: np.ndarray, g_out: np.ndarray) -> None:
-        vd = self.branch_voltage(v)
-        self.stamp_current(i_out, self.current(vd))
-        self.stamp_conductance(g_out, self.conductance(vd))
+__all__ = ["CubicConductance"]
 
 
 class CubicConductance(TwoTerminal):
@@ -83,45 +46,3 @@ class CubicConductance(TwoTerminal):
         self.stamp_current(i_out, current)
         self.stamp_conductance(g_out, conductance)
 
-
-class TanhTransconductor(Device):
-    """Voltage-controlled current source with a saturating tanh characteristic.
-
-    ``i(out) = i_max * tanh(gm * v(ctrl) / i_max)`` flowing from ``out_pos``
-    through the element to ``out_neg``.  This is the textbook large-signal
-    model of a differential pair and is used to build fast behavioural
-    equivalents of the output-buffer stages.
-    Terminal order: ``(out_pos, out_neg, ctrl_pos, ctrl_neg)``.
-    """
-
-    def __init__(self, name: str, out_pos: str, out_neg: str,
-                 ctrl_pos: str, ctrl_neg: str,
-                 transconductance: float, max_current: float) -> None:
-        super().__init__(name, (out_pos, out_neg, ctrl_pos, ctrl_neg))
-        if transconductance <= 0.0 or max_current <= 0.0:
-            raise CircuitError(f"{name}: transconductance and max_current must be positive")
-        self.transconductance = float(transconductance)
-        self.max_current = float(max_current)
-
-    def is_nonlinear(self) -> bool:
-        return True
-
-    def is_nonlinear_dynamic(self) -> bool:
-        return False  # no dynamic stamps
-
-    def current_and_gm(self, v_ctrl: float) -> tuple[float, float]:
-        x = self.transconductance * v_ctrl / self.max_current
-        current = self.max_current * math.tanh(x)
-        gm = self.transconductance * (1.0 - math.tanh(x) ** 2)
-        return current, gm
-
-    def stamp_static(self, v: np.ndarray, i_out: np.ndarray, g_out: np.ndarray) -> None:
-        op, on, cp, cn = self.node_index
-        v_ctrl = (v[cp] if cp >= 0 else 0.0) - (v[cn] if cn >= 0 else 0.0)
-        current, gm = self.current_and_gm(v_ctrl)
-        add_at(i_out, op, current)
-        add_at(i_out, on, -current)
-        add_jac(g_out, op, cp, gm)
-        add_jac(g_out, op, cn, -gm)
-        add_jac(g_out, on, cp, -gm)
-        add_jac(g_out, on, cn, gm)

@@ -3,7 +3,7 @@
 The paper trains the model with a "low-frequency high-amplitude sinusoidal
 input for 1 period" and validates it with a "spectrally-rich bit pattern input
 at 2.5 GS/s".  This module provides those stimuli plus the usual SPICE
-primitives (DC, pulse, piecewise-linear) as small callable objects.
+primitives (DC, pulse) as small callable objects.
 
 A waveform is a callable ``w(t) -> float`` that also supports vectorised
 evaluation on NumPy arrays via :meth:`Waveform.sample`.
@@ -22,7 +22,6 @@ __all__ = [
     "DC",
     "Sine",
     "Pulse",
-    "PiecewiseLinear",
     "BitPattern",
     "prbs_bits",
 ]
@@ -45,10 +44,8 @@ class Waveform:
         """Evaluate the waveform on an array of time points.
 
         The base implementation loops over :meth:`value`; the built-in
-        waveforms override it with vectorised NumPy evaluation (this is the
-        hot path of :func:`repro.runtime.batch.stack_stimuli` and of
-        excitation evaluation for long bit patterns) and are tested to agree
-        with the scalar reference.
+        waveforms override it with vectorised NumPy evaluation, tested to
+        agree with the scalar reference.
         """
         times = np.asarray(times, dtype=float)
         return np.array([self.value(float(t)) for t in times.ravel()]).reshape(times.shape)
@@ -57,11 +54,11 @@ class Waveform:
         """Times in ``[t_start, t_stop]`` where the waveform has a corner.
 
         A *breakpoint* is a point where the waveform or its derivative is
-        discontinuous — pulse edges, piecewise-linear knots, bit-pattern
-        transitions.  The adaptive transient controller clamps its step so no
-        accepted interval straddles one (stepping clean across a transition
-        lands on a smooth solution and leaves the LTE estimate nothing to
-        reject).  Smooth waveforms return an empty array.
+        discontinuous — pulse edges and bit-pattern transitions.  The adaptive
+        transient controller clamps its step so no accepted interval straddles
+        one (stepping clean across a transition lands on a smooth solution and
+        leaves the LTE estimate nothing to reject).  Smooth waveforms return an
+        empty array.
         """
         return np.empty(0)
 
@@ -180,29 +177,6 @@ class Pulse(Waveform):
         periods = self.delay + self.period * np.arange(first, last + 1)
         return _clip_breakpoints((periods[:, None] + corners[None, :]).ravel(),
                                  t_start, t_stop)
-
-
-@dataclass
-class PiecewiseLinear(Waveform):
-    """Piecewise-linear waveform defined by ``(time, value)`` breakpoints."""
-
-    points: Sequence[tuple[float, float]] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        pts = sorted((float(t), float(v)) for t, v in self.points)
-        if not pts:
-            pts = [(0.0, 0.0)]
-        self._times = np.array([p[0] for p in pts])
-        self._values = np.array([p[1] for p in pts])
-
-    def value(self, t: float) -> float:
-        return float(np.interp(t, self._times, self._values))
-
-    def sample(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        return np.interp(np.asarray(times, dtype=float), self._times, self._values)
-
-    def breakpoints(self, t_start: float, t_stop: float) -> np.ndarray:
-        return _clip_breakpoints(self._times, t_start, t_stop)
 
 
 def prbs_bits(n_bits: int, order: int = 7, seed: int = 0b1010101) -> list[int]:

@@ -9,7 +9,7 @@ that bargain.  It turns extraction results into deployable artifacts:
   static nonlinear maps (:func:`compile_model` / :class:`CompiledModel`);
 * :mod:`~repro.runtime.batch` — evaluate thousands of stimuli in lock-step
   as one ``(n_stimuli, n_steps)`` array, in cache-sized tiles of rows by
-  steps (:func:`evaluate_batch`, :func:`stack_stimuli`);
+  steps (:func:`evaluate_batch`);
 * :mod:`~repro.runtime.registry` — content-hash-keyed persistence of
   compiled models with provenance metadata, so a sweep run in one process is
   served from any other (:class:`ModelRegistry`);
@@ -21,7 +21,7 @@ The canonical flow is **compile → register → batch-serve → validate**; see
 the ROADMAP quickstart for a complete example.
 """
 
-from .batch import evaluate_batch, shard_slices, stack_stimuli
+from .batch import evaluate_batch, shard_slices
 from .compiled import CompiledModel, compile_model
 from .registry import ModelHandle, ModelRegistry, content_hash
 from .validate import ValidationReport, ValidationRow, validate_model
@@ -31,7 +31,6 @@ __all__ = [
     "compile_model",
     "evaluate_batch",
     "shard_slices",
-    "stack_stimuli",
     "ModelHandle",
     "ModelRegistry",
     "content_hash",

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..exceptions import ModelError
 
-__all__ = ["evaluate_batch", "shard_slices", "stack_stimuli"]
+__all__ = ["evaluate_batch", "shard_slices"]
 
 #: Workspace budget of one tile, in bytes: half the 2 MiB per-core L2 of the
 #: 2-core reference box, chosen from ``bulk`` benchmark pairs (CHANGES.md).
@@ -65,27 +65,6 @@ def shard_slices(n_rows: int, n_shards: int) -> list[slice]:
         slices.append(slice(start, start + size))
         start += size
     return slices
-
-
-def stack_stimuli(waveforms, times: np.ndarray) -> np.ndarray:
-    """Sample a collection of waveforms onto one time grid, shape ``(B, K)``.
-
-    ``waveforms`` is an iterable of :class:`repro.circuit.waveforms.Waveform`
-    (or plain callables); ``times`` the uniform serving grid, typically
-    :meth:`CompiledModel.time_axis <repro.runtime.compiled.CompiledModel.
-    time_axis>`.
-    """
-    times = np.asarray(times, dtype=float).ravel()
-    rows = []
-    for waveform in waveforms:
-        sample = getattr(waveform, "sample", None)
-        if callable(sample):
-            rows.append(np.asarray(sample(times), dtype=float))
-        else:
-            rows.append(np.array([float(waveform(t)) for t in times]))
-    if not rows:
-        raise ModelError("stack_stimuli needs at least one waveform")
-    return np.vstack(rows)
 
 
 def evaluate_batch(model, inputs: np.ndarray,

@@ -138,6 +138,12 @@ class ModelRegistry:
         except (OSError, ValueError):
             return None
 
+    def _require(self, key: str) -> None:
+        """Raise :class:`~repro.exceptions.RegistryError` unless ``key`` is
+        a member, before any of its files is opened."""
+        if key not in self:
+            raise RegistryError(f"no registry entry {key!r} under {self.root}")
+
     # ------------------------------------------------------------------- save
     def save(self, model: CompiledModel, provenance: dict | None = None) -> str:
         """Store a compiled model; returns its content-hash key.
@@ -190,14 +196,8 @@ class ModelRegistry:
         :class:`~repro.exceptions.RegistryError`.  A v1 entry is verified as
         stored, then converted to the v2 arrays.
         """
+        self._require(key)
         npz_path, json_path = self._npz_path(key), self._json_path(key)
-        missing = [label for label, path in (("arrays", npz_path),
-                                             ("metadata", json_path))
-                   if not path.exists()]
-        if missing:
-            raise RegistryError(f"no registry entry {key!r} under {self.root} "
-                                f"(missing {' and '.join(missing)})")
-
         try:
             record = json.loads(json_path.read_text())
         except (json.JSONDecodeError, OSError) as exc:
@@ -235,10 +235,8 @@ class ModelRegistry:
 
     def provenance(self, key: str) -> dict:
         """The provenance record stored alongside a model."""
-        json_path = self._json_path(key)
-        if not json_path.exists():
-            raise RegistryError(f"no registry entry {key!r} under {self.root}")
-        return json.loads(json_path.read_text()).get("provenance", {})
+        self._require(key)
+        return json.loads(self._json_path(key).read_text()).get("provenance", {})
 
     # ------------------------------------------------------------------ admin
     def keys(self) -> list[str]:
@@ -261,15 +259,13 @@ class ModelRegistry:
 
     def remove(self, key: str) -> None:
         """Delete an entry (both files); missing entries raise."""
-        if key not in self:
-            raise RegistryError(f"no registry entry {key!r} under {self.root}")
+        self._require(key)
         self._npz_path(key).unlink()
         self._json_path(key).unlink()
 
     def handle(self, key: str) -> "ModelHandle":
         """A picklable reference to one entry (for cross-process serving)."""
-        if key not in self:
-            raise RegistryError(f"no registry entry {key!r} under {self.root}")
+        self._require(key)
         return ModelHandle(str(self.root), key)
 
     def describe(self) -> str:

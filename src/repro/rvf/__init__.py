@@ -1,14 +1,12 @@
 """Recursive Vector Fitting and Hammerstein model synthesis (core contribution)."""
 
-from .export import model_equations, to_python_callable, to_verilog_a
+from .export import model_equations, to_verilog_a
 from .extract import RVFExtractionResult, RVFOptions, extract_rvf_model
 from .hammerstein import HammersteinBranch, HammersteinModel, ModelMetadata
 from .integration import basis_primitive
 from .recursive import (
-    NestedPartialFraction,
     StateFitOptions,
     StateFitReport,
-    fit_recursive_expansion,
     fit_residue_trajectories,
 )
 from .residues import IntegratedPartialFraction, PartialFractionFunction
@@ -23,15 +21,12 @@ __all__ = [
     "ModelMetadata",
     "PartialFractionFunction",
     "IntegratedPartialFraction",
-    "NestedPartialFraction",
     "StateFitOptions",
     "StateFitReport",
     "fit_residue_trajectories",
-    "fit_recursive_expansion",
     "basis_primitive",
     "simulate_hammerstein",
     "ModelSimulationResult",
     "model_equations",
     "to_verilog_a",
-    "to_python_callable",
 ]

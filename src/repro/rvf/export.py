@@ -3,24 +3,18 @@
 The paper's deliverable is "a set of analytical differential equations" that
 can be "exported to almost any mathematical software package or behavioural
 description language".  This module renders a :class:`HammersteinModel` in
-three forms:
+two forms:
 
 * :func:`model_equations` — a plain-text listing of the ODE system with the
   analytic static nonlinearities spelled out (atan/log expressions),
-* :func:`to_verilog_a` — a Verilog-A flavoured behavioural module,
-* :func:`to_python_callable` — a self-contained Python right-hand-side
-  function suitable for ``scipy.integrate`` style solvers.
+* :func:`to_verilog_a` — a Verilog-A flavoured behavioural module.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from .hammerstein import HammersteinModel
 
-import numpy as np
-
-from .hammerstein import HammersteinModel, _evaluate_state_function
-
-__all__ = ["model_equations", "to_verilog_a", "to_python_callable"]
+__all__ = ["model_equations", "to_verilog_a"]
 
 
 def _branch_label(index: int) -> str:
@@ -121,59 +115,3 @@ def to_verilog_a(model: HammersteinModel, module_name: str = "rvf_macromodel",
     lines.append("endmodule")
     return "\n".join(lines)
 
-
-def to_python_callable(model: HammersteinModel) -> Callable[[float, np.ndarray, float], np.ndarray]:
-    """Right-hand side ``f(t, state, u)`` of the model ODE system.
-
-    The state vector stacks the complex branch states as ``[Re, Im]`` pairs
-    (or a single real entry for real poles).  The companion output function is
-    available as the returned callable's ``output`` attribute:
-    ``y = rhs.output(state, u)``.
-    """
-    branches = model.branches
-
-    def rhs(t: float, state: np.ndarray, u: float) -> np.ndarray:
-        derivative = np.zeros_like(state, dtype=float)
-        cursor = 0
-        for branch in branches:
-            v = complex(_evaluate_state_function(branch.static_function,
-                                                 np.array([u]))[0])
-            a = branch.pole
-            if branch.is_complex_pair:
-                yr, yi = state[cursor], state[cursor + 1]
-                derivative[cursor] = a.real * yr - a.imag * yi + v.real
-                derivative[cursor + 1] = a.imag * yr + a.real * yi + v.imag
-                cursor += 2
-            else:
-                derivative[cursor] = a.real * state[cursor] + v.real
-                cursor += 1
-        return derivative
-
-    def output(state: np.ndarray, u: float) -> float:
-        y = float(_evaluate_state_function(model.static_function, np.array([u]))[0].real)
-        cursor = 0
-        for branch in branches:
-            if branch.is_complex_pair:
-                y += 2.0 * state[cursor]
-                cursor += 2
-            else:
-                y += state[cursor]
-                cursor += 1
-        return y
-
-    def initial_state(u0: float) -> np.ndarray:
-        values: list[float] = []
-        for branch in branches:
-            v = complex(_evaluate_state_function(branch.static_function,
-                                                 np.array([u0]))[0])
-            equilibrium = -v / branch.pole
-            if branch.is_complex_pair:
-                values.extend([equilibrium.real, equilibrium.imag])
-            else:
-                values.append(equilibrium.real)
-        return np.array(values)
-
-    rhs.output = output           # type: ignore[attr-defined]
-    rhs.initial_state = initial_state  # type: ignore[attr-defined]
-    rhs.n_states = model.dynamic_order  # type: ignore[attr-defined]
-    return rhs

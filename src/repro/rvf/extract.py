@@ -104,10 +104,10 @@ def extract_rvf_model(tft: TFTDataset, options: RVFOptions | None = None,
         state_estimator = StateEstimator()
     if tft.state_dimension != 1:
         raise ModelError(
-            "extract_rvf_model currently supports one-dimensional state estimators "
-            "(x = u(t)), which is the configuration demonstrated in the paper; "
-            "use repro.rvf.recursive.fit_recursive_expansion for gridded "
-            "multi-dimensional data")
+            "extract_rvf_model supports one-dimensional state estimators "
+            "(x = u(t)), the configuration of the paper's output-buffer example; "
+            "the multi-dimensional recursion of the paper's eq. (16) is not "
+            "implemented")
 
     response = tft.siso_response(opts.output_index, opts.input_index)       # (K, L)
     dc_gain = tft.siso_dc(opts.output_index, opts.input_index)              # (K,)

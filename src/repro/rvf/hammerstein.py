@@ -40,7 +40,7 @@ class HammersteinBranch:
     """One branch of the parallel Hammerstein structure."""
 
     pole: complex
-    residue_function: object           # r_p(x): PartialFractionFunction or nested
+    residue_function: object           # r_p(x): PartialFractionFunction or a callable
     static_function: object            # f_p(x) = integral of r_p over the input
     is_complex_pair: bool
 
@@ -237,7 +237,7 @@ class HammersteinModel:
 
         Only models whose residue/static functions are the analytical
         partial-fraction types produced by the 1-D RVF extraction are
-        serialisable; callables and nested expansions raise
+        serialisable; other callables raise
         :class:`~repro.exceptions.ModelError`.
         """
         from dataclasses import asdict

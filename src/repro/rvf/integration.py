@@ -29,7 +29,7 @@ import numpy as np
 
 from ..exceptions import ModelError
 
-__all__ = ["basis_primitive", "basis_primitive_derivative"]
+__all__ = ["basis_primitive"]
 
 #: Poles closer to the imaginary axis than this are rejected: the basis
 #: function 1/(j*x - b) would develop a near-singularity inside the state
@@ -55,10 +55,3 @@ def basis_primitive(u: np.ndarray | float, pole: complex) -> np.ndarray | comple
         return complex(value)
     return value
 
-
-def basis_primitive_derivative(u: np.ndarray | float, pole: complex) -> np.ndarray | complex:
-    """The basis function itself, ``1/(j*u - pole)`` (used in tests)."""
-    value = 1.0 / (1j * np.asarray(u, dtype=float) - pole)
-    if np.isscalar(u):
-        return complex(value)
-    return value

@@ -3,38 +3,32 @@
 After the frequency poles ``{a_p}`` have been fixed, every frequency-pole
 residue becomes a trajectory ``r_p(x^(k))`` over the sampled states.  This
 module fits those trajectories — all of them sharing a *common* set of state
-poles ``{b_q}`` — as partial fraction expansions in the state variable(s),
+poles ``{b_q}`` — as partial fraction expansions in the state variable,
 which is the "recursive" application of vector fitting that gives the paper
-its name (Section III.B, eq. (16)).
+its name (Section III.B).
 
-Two cases are covered:
-
-* **one-dimensional state estimators** (``x = u(t)``, the paper's example):
-  a single complex-coefficient vector fit along ``j*x``;
-* **multi-dimensional gridded state estimators**: the expansion is built one
-  dimension at a time, outermost dimension first; the residues of each level
-  are themselves fitted along the next dimension (paper eq. (16)), ending
-  with partial fractions in the input ``u`` that can be integrated
-  analytically.
+The state estimator is one-dimensional (``x = u(t)``, the configuration of
+the paper's output-buffer example), so the recursion is a single
+complex-coefficient vector fit along ``j*x``.  The paper's eq. (16)
+generalises it to multi-dimensional gridded states, one dimension at a time;
+that case is not implemented.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import FittingError, ModelError
+from ..exceptions import FittingError
 from ..vectfit import VectorFitOptions, vector_fit
 from ..vectfit.poles import initial_state_poles
-from .residues import IntegratedPartialFraction, PartialFractionFunction
+from .residues import PartialFractionFunction
 
 __all__ = [
     "StateFitOptions",
     "StateFitReport",
     "fit_residue_trajectories",
-    "fit_recursive_expansion",
-    "NestedPartialFraction",
 ]
 
 
@@ -208,153 +202,3 @@ def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
     )
     return functions, report
 
-
-# --------------------------------------------------------------------------- #
-# multi-dimensional (gridded) recursion
-# --------------------------------------------------------------------------- #
-
-@dataclass
-class NestedPartialFraction:
-    """Recursive partial fraction expansion over a multi-dimensional state.
-
-    At this level the expansion reads (paper eq. (16))
-
-    .. math::
-        f(x) = g_0(x_{rest}) + \\sum_q \\frac{g_q(x_{rest})}{j x_d - b_q}
-
-    where ``x_d`` is the coordinate handled at this level
-    (``dimension_index``) and the ``g_q`` are either nested expansions over
-    the remaining coordinates or, at the innermost level, plain
-    :class:`PartialFractionFunction` objects in the input ``u``.
-    """
-
-    poles: np.ndarray
-    children: list
-    constant_child: object
-    dimension_index: int
-    variable: str = "x"
-
-    def __post_init__(self) -> None:
-        self.poles = np.atleast_1d(np.asarray(self.poles, dtype=complex))
-        if len(self.children) != self.poles.size:
-            raise ModelError("need exactly one child expansion per pole")
-
-    def __call__(self, x: np.ndarray) -> complex | np.ndarray:
-        """Evaluate at one state vector ``x`` (1-D array) or a batch ``(K, q)``."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self._evaluate_single(x)
-        return np.array([self._evaluate_single(row) for row in x])
-
-    def _evaluate_single(self, x: np.ndarray) -> complex:
-        value = (complex(_call_child(self.constant_child, x))
-                 if self.constant_child is not None else 0.0)
-        coordinate = x[self.dimension_index]
-        for pole, child in zip(self.poles, self.children):
-            value += complex(_call_child(child, x)) / (1j * coordinate - pole)
-        return value
-
-    def antiderivative(self) -> "NestedPartialFraction":
-        """Antiderivative with respect to the innermost variable (the input)."""
-        integrated_children = [child.antiderivative() for child in self.children]
-        integrated_constant = (self.constant_child.antiderivative()
-                               if self.constant_child is not None else None)
-        return NestedPartialFraction(self.poles.copy(), integrated_children,
-                                     integrated_constant, self.dimension_index,
-                                     self.variable)
-
-    def to_expression(self, precision: int = 6) -> str:
-        parts = []
-        if self.constant_child is not None:
-            parts.append(self.constant_child.to_expression(precision))
-        for pole, child in zip(self.poles, self.children):
-            parts.append(f"({child.to_expression(precision)})/"
-                         f"(j*x{self.dimension_index} - ({pole:.{precision}g}))")
-        return " + ".join(parts)
-
-
-def _call_child(child, x: np.ndarray) -> complex:
-    """Evaluate a child expansion: leaves take the scalar input u = x[0]."""
-    if isinstance(child, (PartialFractionFunction, IntegratedPartialFraction)):
-        return child(float(x[0]))
-    return child(x)
-
-
-def _leaf_functions(states_u: np.ndarray, samples: np.ndarray,
-                    options: StateFitOptions) -> tuple[list[PartialFractionFunction], StateFitReport]:
-    return fit_residue_trajectories(states_u, samples, options, variable="u")
-
-
-def fit_recursive_expansion(grid_axes: list[np.ndarray], samples: np.ndarray,
-                            options: StateFitOptions | None = None
-                            ) -> tuple[list, list[StateFitReport]]:
-    """Fit functions on a tensor-product state grid, one dimension at a time.
-
-    Parameters
-    ----------
-    grid_axes:
-        List of 1-D arrays ``[u_axis, x2_axis, ..., xq_axis]`` defining the
-        tensor grid (the first axis is the input ``u``).
-    samples:
-        Function samples of shape ``(F, n_u, n_2, ..., n_q)``.
-    options:
-        Shared :class:`StateFitOptions` for every level.
-
-    Returns
-    -------
-    (functions, reports):
-        ``functions[i]`` models ``samples[i]``; for a one-dimensional grid the
-        functions are plain :class:`PartialFractionFunction` objects, otherwise
-        nested expansions whose innermost variable is ``u``.  ``reports`` holds
-        one :class:`StateFitReport` per fitted dimension (outermost first).
-    """
-    opts = options or StateFitOptions()
-    samples = np.asarray(samples, dtype=complex)
-    n_dims = len(grid_axes)
-    expected_shape = tuple(len(axis) for axis in grid_axes)
-    if samples.shape[1:] != expected_shape:
-        raise FittingError(
-            f"samples shape {samples.shape[1:]} does not match grid {expected_shape}")
-
-    if n_dims == 1:
-        functions, report = _leaf_functions(np.asarray(grid_axes[0], dtype=float),
-                                            samples, opts)
-        return functions, [report]
-
-    # Fit along the outermost (last) dimension first: every combination of the
-    # remaining coordinates contributes one trajectory, and all trajectories
-    # share the same poles b_q.
-    n_functions = samples.shape[0]
-    last_axis = np.asarray(grid_axes[-1], dtype=float)
-    inner_shape = samples.shape[1:-1]
-    flattened = samples.reshape(n_functions * int(np.prod(inner_shape)), len(last_axis))
-
-    outer_functions, outer_report = fit_residue_trajectories(
-        last_axis, flattened, opts, variable=f"x{n_dims - 1}")
-    poles = outer_report.poles
-    n_poles = poles.size
-
-    # The fitted coefficients (and constants) become new sample hyper-surfaces
-    # over the remaining dimensions; recurse on those.
-    coefficients = np.array([f.coefficients for f in outer_functions])   # (F*, Q)
-    constants = np.array([f.constant for f in outer_functions])          # (F*,)
-    coefficient_surfaces = coefficients.T.reshape(n_poles, n_functions, *inner_shape)
-    child_samples = np.concatenate(
-        [coefficient_surfaces.reshape(n_poles * n_functions, *inner_shape),
-         constants.reshape(n_functions, *inner_shape)],
-        axis=0)
-
-    child_functions, child_reports = fit_recursive_expansion(
-        grid_axes[:-1], child_samples, opts)
-
-    functions = []
-    for i in range(n_functions):
-        children = [child_functions[q * n_functions + i] for q in range(n_poles)]
-        constant_child = child_functions[n_poles * n_functions + i]
-        functions.append(NestedPartialFraction(
-            poles=poles.copy(),
-            children=children,
-            constant_child=constant_child,
-            dimension_index=n_dims - 1,
-        ))
-    return functions, [outer_report] + child_reports

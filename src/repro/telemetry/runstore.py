@@ -231,14 +231,6 @@ class RunStore:
             return [self._get_run_locked(int(r[0])) for r in rows]
 
     # --------------------------------------------------------------- journal
-    def record_event(self, run_id: int, event) -> None:
-        """Journal one broker event (typed event or ``as_dict`` payload).
-
-        ``SpanClosed`` payloads are routed to the dedicated ``spans``
-        table; everything else lands in ``events``.
-        """
-        self.record_events(run_id, (event,))
-
     @staticmethod
     def _span_rows(run_id: int, span: SpanClosed) -> list:
         """One single-member row per member trace of ``span``."""
@@ -249,8 +241,8 @@ class RunStore:
                 for trace_id in span.trace_ids]
 
     def record_events(self, run_id: int, events) -> int:
-        """Journal a batch of events in one transaction; returns the count
-        of rows written.
+        """Journal a batch of broker events (typed events or ``as_dict``
+        payloads) in one transaction; returns the count of rows written.
 
         ``SpanClosed`` events split off into the ``spans`` table (same
         transaction), one row per member trace, so a recorded run keeps its

@@ -2,14 +2,13 @@
 
 from .hyperplane import TFTDataset
 from .snapshots import JacobianSnapshot, SnapshotTrajectory
-from .state_estimator import DelayLine, StateEstimator
+from .state_estimator import StateEstimator
 from .trajectory import default_frequency_grid, extract_tft, snapshot_transfer_function
 
 __all__ = [
     "JacobianSnapshot",
     "SnapshotTrajectory",
     "StateEstimator",
-    "DelayLine",
     "TFTDataset",
     "extract_tft",
     "snapshot_transfer_function",

@@ -134,40 +134,6 @@ class TFTDataset:
             output_names=list(self.output_names),
         )
 
-    def subsample_states(self, max_states: int) -> "TFTDataset":
-        """Uniformly thin the state axis to at most ``max_states`` samples."""
-        if max_states < 2:
-            raise ReproError("need at least two states")
-        if self.n_states <= max_states:
-            return self
-        indices = np.unique(np.linspace(0, self.n_states - 1, max_states).astype(int))
-        return TFTDataset(
-            frequencies=self.frequencies.copy(),
-            states=self.states[indices],
-            response=self.response[indices],
-            dc_response=self.dc_response[indices],
-            times=None if self.times is None else self.times[indices],
-            outputs=None if self.outputs is None else self.outputs[indices],
-            input_names=list(self.input_names),
-            output_names=list(self.output_names),
-        )
-
-    def restrict_frequencies(self, f_min: float, f_max: float) -> "TFTDataset":
-        """Copy restricted to the frequency band ``[f_min, f_max]``."""
-        mask = (self.frequencies >= f_min) & (self.frequencies <= f_max)
-        if not np.any(mask):
-            raise ReproError("no frequency samples inside the requested band")
-        return TFTDataset(
-            frequencies=self.frequencies[mask],
-            states=self.states.copy(),
-            response=self.response[:, mask],
-            dc_response=self.dc_response.copy(),
-            times=None if self.times is None else self.times.copy(),
-            outputs=None if self.outputs is None else self.outputs.copy(),
-            input_names=list(self.input_names),
-            output_names=list(self.output_names),
-        )
-
     # ------------------------------------------------------------ persistence
     def save(self, path: str | Path) -> None:
         """Serialise to a NumPy ``.npz`` archive."""

@@ -160,12 +160,6 @@ class SnapshotTrajectory:
         thinned.snapshots = [self.snapshots[i] for i in indices]
         return thinned
 
-    def sorted_by_input(self, input_index: int = 0) -> "SnapshotTrajectory":
-        """Copy with snapshots sorted by the value of one input (state axis)."""
-        ordered = SnapshotTrajectory(self.system)
-        ordered.snapshots = sorted(self.snapshots, key=lambda s: s.inputs[input_index])
-        return ordered
-
     def describe(self) -> str:
         if not self.snapshots:
             return "empty snapshot trajectory"

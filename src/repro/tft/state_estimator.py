@@ -7,19 +7,19 @@ vector ``x(t_k)`` composed of the input and delayed copies of the input
 .. math:: k \\;\\rightarrow\\; x(t) = (u(t), u(t-\\Delta_1), \\ldots, u(t-\\Delta_{q-1}))
 
 For the output-buffer demonstrator a single dimension ``x = u(t)`` is enough
-(the paper's Fig. 6 uses exactly that), but the classes here support an
+(the paper's Fig. 6 uses exactly that), but the estimator supports an
 arbitrary number of delays so MIMO / higher-order embeddings can be built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ReproError
 
-__all__ = ["StateEstimator", "DelayLine"]
+__all__ = ["StateEstimator"]
 
 
 @dataclass
@@ -70,43 +70,3 @@ class StateEstimator:
         """Embed the inputs recorded in a :class:`SnapshotTrajectory`."""
         return self.embed(trajectory.times, trajectory.inputs())
 
-    def delay_line(self, initial_value: float = 0.0) -> "DelayLine":
-        """Streaming evaluator for time-domain model simulation."""
-        return DelayLine(self.delays, initial_value)
-
-
-class DelayLine:
-    """Streaming delayed-input evaluator used during model simulation.
-
-    The Hammerstein model needs ``x(t)`` at every integration step; this class
-    keeps a short history of ``(t, u)`` samples and produces the delayed
-    coordinates by interpolation, so the extracted model can be simulated with
-    any step size without storing the whole waveform up front.
-    """
-
-    def __init__(self, delays: tuple[float, ...], initial_value: float = 0.0) -> None:
-        self.delays = tuple(float(d) for d in delays)
-        self._history_t: list[float] = []
-        self._history_u: list[float] = []
-        self._initial_value = float(initial_value)
-        self._max_delay = max(self.delays) if self.delays else 0.0
-
-    def push(self, t: float, u: float) -> np.ndarray:
-        """Record ``u(t)`` and return the embedded vector ``x(t)``."""
-        self._history_t.append(float(t))
-        self._history_u.append(float(u))
-        # Trim history older than the largest delay (keep a small margin).
-        if self._max_delay > 0 and len(self._history_t) > 2:
-            cutoff = t - 2.0 * self._max_delay
-            while len(self._history_t) > 2 and self._history_t[1] < cutoff:
-                self._history_t.pop(0)
-                self._history_u.pop(0)
-        coords = [u]
-        for delay in self.delays:
-            coords.append(self._value_at(t - delay))
-        return np.array(coords)
-
-    def _value_at(self, t: float) -> float:
-        if not self._history_t or t <= self._history_t[0]:
-            return self._history_u[0] if self._history_u else self._initial_value
-        return float(np.interp(t, self._history_t, self._history_u))

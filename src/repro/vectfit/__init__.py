@@ -9,9 +9,7 @@ from .poles import (
     initial_state_poles,
     sort_poles,
     split_real_complex,
-    zero_phase_pairs,
 )
-from .rational import RationalFunction
 from .vectorfit import VectorFitOptions, VectorFitResult, evaluate_model, vector_fit
 
 __all__ = [
@@ -21,14 +19,12 @@ __all__ = [
     "evaluate_model",
     "fit_auto_order",
     "AutoFitReport",
-    "RationalFunction",
     "initial_complex_poles",
     "initial_real_poles",
     "initial_state_poles",
     "flip_unstable",
     "sort_poles",
     "split_real_complex",
-    "zero_phase_pairs",
     "basis_matrix",
     "coefficients_to_residues",
     "residues_to_coefficients",

@@ -24,13 +24,7 @@ __all__ = [
     "basis_matrix",
     "coefficients_to_residues",
     "residues_to_coefficients",
-    "n_coefficients",
 ]
-
-
-def n_coefficients(poles: np.ndarray, real_mode: bool) -> int:
-    """Number of basis coefficients for a pole set in the given mode."""
-    return len(poles) if not real_mode else len(poles)
 
 
 def basis_matrix(svals: np.ndarray, poles: np.ndarray, real_mode: bool) -> np.ndarray:

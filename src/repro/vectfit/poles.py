@@ -12,7 +12,6 @@ __all__ = [
     "flip_unstable",
     "sort_poles",
     "split_real_complex",
-    "zero_phase_pairs",
 ]
 
 
@@ -175,23 +174,3 @@ def split_real_complex(poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     real_idx = [i for i, p in enumerate(poles) if p.imag == 0.0]
     pair_idx = [i for i, p in enumerate(poles) if p.imag > 0.0]
     return np.array(real_idx, dtype=int), np.array(pair_idx, dtype=int)
-
-
-def zero_phase_pairs(poles: np.ndarray) -> np.ndarray:
-    """Force poles into the +/- real-part pattern used for state-axis bases.
-
-    The recursive VF step fits functions of the *real* state variable ``x``
-    with basis ``1/(jx - b)``.  To make the fitted function real-valued (the
-    paper's "zero-phase angle" condition, after [10]), the poles are arranged
-    in pairs ``(b, -conj(b))`` whose real parts have opposite signs.  Given an
-    arbitrary pole set this helper returns the closest such configuration.
-    """
-    poles = sort_poles(np.asarray(poles, dtype=complex))
-    adjusted: list[complex] = []
-    for p in poles:
-        if p.imag == 0.0:
-            adjusted.append(p)
-        elif p.imag > 0.0:
-            adjusted.append(p)
-            adjusted.append(-np.conj(p))
-    return np.array(adjusted, dtype=complex)

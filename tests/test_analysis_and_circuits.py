@@ -10,7 +10,6 @@ from repro.analysis import (
     compare_surfaces,
     db,
     gain_error_db,
-    measure_speedup,
     phase_error_deg,
     surface_rmse_db,
     time_domain_rmse,
@@ -102,20 +101,6 @@ class TestReporting:
         table.add(ModelComparisonRow("A", -10.0, 1.0, 1.0, 1.0, True))
         table.add(ModelComparisonRow("B", -50.0, 1.0, 1.0, 1.0, True))
         assert table.best_by_accuracy().name == "B"
-
-    def test_measure_speedup_ordering(self):
-        import time
-
-        def slow():
-            time.sleep(0.02)
-            return np.zeros(1)
-
-        def fast():
-            return np.zeros(1)
-
-        ref_s, model_s, speedup = measure_speedup(slow, fast)
-        assert ref_s > model_s
-        assert speedup > 1.0
 
 
 class TestCircuitLibrary:

@@ -10,9 +10,7 @@ from repro.circuit import (
     MOSFETParams,
     NMOS,
     PMOS,
-    PolynomialConductance,
     Resistor,
-    TanhTransconductor,
     VCCS,
     VCVS,
 )
@@ -203,39 +201,9 @@ class TestMOSFET:
 
 
 class TestBehavioralDevices:
-    def test_polynomial_conductance_current(self):
-        g = PolynomialConductance("G1", "a", "0", [0.0, 1e-3, 0.0, 2e-4])
-        assert g.current(0.5) == pytest.approx(1e-3 * 0.5 + 2e-4 * 0.125)
-
-    def test_polynomial_conductance_derivative(self):
-        g = PolynomialConductance("G1", "a", "0", [0.0, 1e-3, 0.0, 2e-4])
-        h = 1e-7
-        numeric = (g.current(0.5 + h) - g.current(0.5 - h)) / (2 * h)
-        assert g.conductance(0.5) == pytest.approx(numeric, rel=1e-5)
-
-    def test_polynomial_requires_coefficients(self):
-        with pytest.raises(CircuitError):
-            PolynomialConductance("G1", "a", "0", [])
-
-    def test_polynomial_linearity_flag(self):
-        assert not PolynomialConductance("G1", "a", "0", [0.0, 1e-3]).is_nonlinear()
-        assert PolynomialConductance("G2", "a", "0", [0.0, 1e-3, 1e-4]).is_nonlinear()
-
     def test_cubic_conductance_saturating(self):
         g = CubicConductance("G1", "a", "0", g1=1e-3, g3=1e-4)
         assert g.is_nonlinear()
-
-    def test_tanh_transconductor_limits(self):
-        t = TanhTransconductor("GM", "o", "0", "c", "0",
-                               transconductance=1e-3, max_current=1e-4)
-        i_large, _ = t.current_and_gm(10.0)
-        assert i_large == pytest.approx(1e-4, rel=1e-3)
-
-    def test_tanh_transconductor_small_signal_gm(self):
-        t = TanhTransconductor("GM", "o", "0", "c", "0",
-                               transconductance=2e-3, max_current=1e-3)
-        _, gm = t.current_and_gm(0.0)
-        assert gm == pytest.approx(2e-3)
 
 
 class TestControlledSources:

@@ -5,11 +5,9 @@ import pytest
 
 from repro.baselines import (
     CaffeineOptions,
-    PolynomialFunction,
     default_basis_library,
     extract_caffeine_model,
     fit_caffeine,
-    fit_polynomial,
 )
 from repro.circuit import Sine, TransientOptions, transient_analysis
 from repro.circuits import build_rc_ladder
@@ -19,7 +17,6 @@ from repro.rvf import (
     extract_rvf_model,
     model_equations,
     simulate_hammerstein,
-    to_python_callable,
     to_verilog_a,
 )
 from repro.tft import SnapshotTrajectory, default_frequency_grid, extract_tft
@@ -120,41 +117,6 @@ class TestModelExport:
         assert "analog begin" in text
         assert "endmodule" in text
 
-    def test_python_callable_consistent_with_simulator(self, nonlinear_rvf):
-        model = nonlinear_rvf.model
-        rhs = to_python_callable(model)
-        state = rhs.initial_state(model.dc_input)
-        assert state.shape == (model.dynamic_order,)
-        # In equilibrium the derivatives vanish and the output is the DC output.
-        derivative = rhs(0.0, state, model.dc_input)
-        assert np.max(np.abs(derivative)) < 1e-6
-        assert rhs.output(state, model.dc_input) == pytest.approx(model.dc_output, abs=1e-9)
-
-    def test_python_callable_derivatives_match_branch_equations(self, nonlinear_rvf):
-        model = nonlinear_rvf.model
-        rhs = to_python_callable(model)
-        u = 0.85
-        rng = np.random.default_rng(3)
-        state = rng.normal(scale=0.1, size=model.dynamic_order)
-        derivative = rhs(0.0, state, u)
-        # Reconstruct the expected derivatives branch by branch:
-        # dy/dt = a*y + f(u) with complex branches stored as [Re, Im].
-        cursor = 0
-        for branch in model.branches:
-            from repro.rvf.hammerstein import _evaluate_state_function
-            v = complex(_evaluate_state_function(branch.static_function, np.array([u]))[0])
-            a = branch.pole
-            if branch.is_complex_pair:
-                y = complex(state[cursor], state[cursor + 1])
-                expected = a * y + v
-                assert derivative[cursor] == pytest.approx(expected.real, rel=1e-9, abs=1e-12)
-                assert derivative[cursor + 1] == pytest.approx(expected.imag, rel=1e-9, abs=1e-12)
-                cursor += 2
-            else:
-                expected = a.real * state[cursor] + v.real
-                assert derivative[cursor] == pytest.approx(expected, rel=1e-9, abs=1e-12)
-                cursor += 1
-
 
 class TestCaffeineBaseline:
     def test_basis_library_contains_integrable_and_non_integrable(self):
@@ -223,24 +185,3 @@ class TestCaffeineBaseline:
                                         caffeine_options=CaffeineOptions(generations=8))
         assert not result.fully_automated
 
-
-class TestPolynomialBaseline:
-    def test_exact_fit_of_polynomial(self):
-        x = np.linspace(-1, 2, 30)
-        y = 1.0 - 0.5 * x + 0.25 * x ** 2
-        f = fit_polynomial(x, y, degree=2)
-        assert np.allclose(f(x).real, y, atol=1e-9)
-
-    def test_antiderivative_calculus(self):
-        f = PolynomialFunction([1.0, 2.0, 3.0], center=0.5, scale=2.0)
-        F = f.antiderivative()
-        h = 1e-6
-        assert (F(1.0 + h) - F(1.0 - h)) / (2 * h) == pytest.approx(f(1.0), rel=1e-5)
-
-    def test_with_value_at(self):
-        f = PolynomialFunction([1.0, 1.0])
-        assert f.with_value_at(0.0, 5.0)(0.0) == pytest.approx(5.0)
-
-    def test_degree_validation(self):
-        with pytest.raises(FittingError):
-            fit_polynomial(np.linspace(0, 1, 5), np.zeros(5), degree=10)

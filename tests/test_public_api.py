@@ -1,0 +1,100 @@
+"""The package surface: every public name resolves, and no definition in
+``src/repro`` is kept alive only by the tests."""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "repro"
+#: The trees whose code counts as a use: the package itself and everything
+#: that runs it, apart from the tests.
+USERS = ("src", "examples", "benchmarks", "perfbench", "tools")
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+#: Top-level definitions kept even where only tests reach them.
+KEEP = {
+    # The inverse oracle test_coefficients_roundtrip checks
+    # coefficients_to_residues against.
+    "residues_to_coefficients",
+    # The lock sanitizer's control API; the sanitizer gate in
+    # tests/conftest.py drives it.
+    "enable", "disable", "is_enabled", "reset", "isolated", "violations",
+    "assert_clean",
+    # The engine's test circuits.
+    "build_diode_limiter", "build_common_source_amplifier",
+    "build_differential_amplifier", "add_differential_stage",
+    # Builders of the inputs that tests feed to other behaviour.
+    "encode_request", "encode_result", "frame_overhead", "corner_sweep",
+    "cross_sweep", "initial_real_poles",
+    # The documented terminal waterfall of one trace.
+    "describe_trace",
+    # The reference the compiled kernel is tested against.
+    "simulate_hammerstein",
+}
+
+
+def test_every_module_imports_and_exports_resolve():
+    stale = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.checks.__main__":
+            continue                    # runs the checker on import
+        module = importlib.import_module(info.name)
+        stale.extend(f"{info.name}.{name}" for name in getattr(module, "__all__", ())
+                     if not hasattr(module, name))
+    assert stale == [], f"__all__ names no attribute: {stale}"
+
+
+def _names(node: ast.AST):
+    """The names ``node`` spells as code: ``Name`` nodes, attributes and
+    ``from ... import`` names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_no_src_definition_is_reached_only_from_tests():
+    """Each top-level function or class of a non-``__init__`` module in
+    ``src/repro`` is named as code somewhere in :data:`USERS`.
+
+    A name counts when a ``Name``, an ``Attribute`` or a ``from ... import``
+    names it.  It does not count inside the definition's own body, in a
+    re-export of a ``src/repro`` package ``__init__``, or in the body of
+    another definition that is not reached; strings (docstrings, ``__all__``
+    entries, messages) never count.  :data:`KEEP` names count as reached, so
+    their helpers do too.  Names match by spelling alone, so a definition
+    that shares its name with a used one counts as reached.  Methods are out
+    of reach for the same reason: their names collide (``merge``,
+    ``describe``).
+    """
+    definitions: dict[str, list[tuple[Path, ast.AST]]] = {}
+    reached = set(KEEP)
+    for tree in USERS:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            in_package = path.is_relative_to(PACKAGE)
+            is_init = path.name == "__init__.py"
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                if in_package and not is_init and isinstance(stmt, _DEFINITIONS):
+                    definitions.setdefault(stmt.name, []).append((path, stmt))
+                elif not (in_package and is_init and isinstance(stmt, ast.ImportFrom)):
+                    reached.update(_names(stmt))
+    frontier = reached & definitions.keys()
+    while frontier:
+        for _, node in definitions[frontier.pop()]:
+            found = set(_names(node)) - reached
+            reached |= found
+            frontier |= found & definitions.keys()
+    unreached = sorted(f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                       for name, nodes in definitions.items() if name not in reached
+                       for path, node in nodes)
+    assert unreached == [], "reached only from tests:\n" + "\n".join(unreached)
+    assert sorted(KEEP - definitions.keys()) == [], "KEEP names no definition"

@@ -25,7 +25,6 @@ from repro.runtime import (
     content_hash,
     evaluate_batch,
     shard_slices,
-    stack_stimuli,
     validate_model,
 )
 from repro.runtime import batch as batch_module
@@ -220,12 +219,6 @@ class TestCompile:
             dc_input=0.5, dc_output=0.3)
         with pytest.raises(ModelError, match="one-dimensional"):
             compile_model(delayed, dt=1e-9, input_range=(0.0, 1.0))
-
-    def test_stack_stimuli_samples_waveforms(self, compiled):
-        times = compiled.time_axis(50)
-        stack = stack_stimuli([Sine(0.5, 0.1, 1e6), Sine(0.5, 0.2, 2e6)], times)
-        assert stack.shape == (2, 50)
-        np.testing.assert_allclose(stack[0], Sine(0.5, 0.1, 1e6).sample(times))
 
     def test_non_finite_stimuli_rejected_with_row_named(self, compiled):
         """NaN/Inf must raise, not silently index garbage table entries."""
@@ -622,8 +615,11 @@ class TestRegistryIndex:
             # entry, and asking about them raises nothing else.
             for key in (f"../source/{copied}", "k" * 512, f"{kept}\x00"):
                 assert key not in registry
-                with pytest.raises(RegistryError, match="no registry entry"):
-                    registry.entry_nbytes(key)
+                for call in (registry.entry_nbytes, registry.load,
+                             lambda k: registry.load(k, verify=False),
+                             registry.provenance):
+                    with pytest.raises(RegistryError, match="no registry entry"):
+                        call(key)
             assert before == {
                 path.name: (path.stat().st_mtime_ns, path.read_bytes())
                 for path in root.iterdir()}

@@ -12,7 +12,6 @@ from repro.rvf import (
     PartialFractionFunction,
     StateFitOptions,
     basis_primitive,
-    fit_recursive_expansion,
     fit_residue_trajectories,
     simulate_hammerstein,
 )
@@ -147,58 +146,6 @@ class TestFitResidueTrajectories:
         from repro.exceptions import FittingError
         with pytest.raises(FittingError):
             fit_residue_trajectories(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-
-
-class TestRecursiveExpansion:
-    def test_one_dimensional_grid_delegates(self):
-        u = np.linspace(0, 1, 40)
-        samples = np.array([np.tanh(3 * (u - 0.5))]).astype(complex)
-        functions, reports = fit_recursive_expansion([u], samples,
-                                                     StateFitOptions(max_order=10))
-        assert len(functions) == 1 and len(reports) == 1
-        assert isinstance(functions[0], PartialFractionFunction)
-
-    def test_two_dimensional_separable_surface(self):
-        u = np.linspace(-1, 1, 25)
-        x2 = np.linspace(0.5, 1.5, 12)
-        surface = np.tanh(2 * u)[None, :, None] * (1.0 / (x2 ** 2 + 1.0))[None, None, :]
-        functions, reports = fit_recursive_expansion(
-            [u, x2], surface.astype(complex), StateFitOptions(error_bound=1e-3, max_order=10))
-        nested = functions[0]
-        # Evaluate on a few grid points and compare with the reference surface.
-        errors = []
-        for i in (2, 12, 22):
-            for j in (1, 6, 10):
-                value = nested(np.array([u[i], x2[j]]))
-                errors.append(abs(value - surface[0, i, j]))
-        assert max(errors) < 5e-2
-
-    def test_two_dimensional_antiderivative_along_u(self):
-        u = np.linspace(-1, 1, 30)
-        x2 = np.linspace(0.5, 1.5, 10)
-        surface = (u[None, :, None] ** 2) * x2[None, None, :]
-        functions, _ = fit_recursive_expansion(
-            [u, x2], surface.astype(complex), StateFitOptions(error_bound=1e-4, max_order=10))
-        nested = functions[0]
-        integral = nested.antiderivative()
-        # Fundamental theorem of calculus on the *fitted* expansion: the change
-        # of the antiderivative along u equals the quadrature of the expansion
-        # itself (robust against sharp basis features, unlike a point-wise
-        # finite difference).
-        j = 4
-        u_grid = np.linspace(-0.6, 0.6, 4001)
-        values = np.array([nested(np.array([ui, x2[j]])) for ui in u_grid])
-        quadrature = np.trapezoid(values, u_grid)
-        delta = (integral(np.array([u_grid[-1], x2[j]]))
-                 - integral(np.array([u_grid[0], x2[j]])))
-        # Compare the physically meaningful (real) part; narrow basis spikes
-        # below the quadrature resolution can leave a tiny imaginary residue.
-        assert delta.real == pytest.approx(quadrature.real, rel=2e-2, abs=2e-3)
-
-    def test_shape_mismatch_rejected(self):
-        from repro.exceptions import FittingError
-        with pytest.raises(FittingError):
-            fit_recursive_expansion([np.linspace(0, 1, 5)], np.zeros((1, 7)))
 
 
 def make_linear_model(pole=-2e9, residue=3e9, gain=0.2, dc_input=0.5, dc_output=0.0):

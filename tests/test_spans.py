@@ -593,7 +593,7 @@ class TestRunStoreSpans:
             (run,) = store.runs()
             assert run.name == "legacy"               # old data intact
             run_id = store.open_run("new")            # …and still writable
-            store.record_event(run_id, span("serve_queue", trace_id=1))
+            store.record_events(run_id, [span("serve_queue", trace_id=1)])
             assert len(store.spans(run_id)) == 1
         db = sqlite3.connect(path)
         assert db.execute("PRAGMA user_version").fetchone()[0] \

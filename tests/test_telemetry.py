@@ -221,7 +221,7 @@ class TestRunStore:
         path = tmp_path / "runs.db"
         with RunStore(path) as store:
             run_id = store.open_run("unit", meta={"who": "test"})
-            store.record_event(run_id, WorkerRespawned(worker_index=3))
+            store.record_events(run_id, [WorkerRespawned(worker_index=3)])
             store.record_events(run_id, [
                 RequestSubmitted(key="ab", n_steps=64, trace_id=1),
                 RequestSubmitted(key="ab", n_steps=64, trace_id=2),
@@ -243,7 +243,7 @@ class TestRunStore:
                             duration_s=0.125, trace_ids=(9, 10, 11))
         with RunStore(path) as store:
             run_id = store.open_run("xproc")
-            store.record_event(run_id, event)
+            store.record_events(run_id, [event])
         script = (
             "import json, sys\n"
             "from repro.telemetry import RunStore, event_from_dict\n"
@@ -289,7 +289,7 @@ class TestRunStore:
             for index in range(5):
                 event = RequestSubmitted(key="ab", n_steps=32,
                                          trace_id=index + 1)
-                store.record_event(run_id, event)
+                store.record_events(run_id, [event])
             schedule = list(store.replay(run_id))
         assert [r.trace_id for r in schedule] == [1, 2, 3, 4, 5]
         assert all(r.key == "ab" and r.n_steps == 32 for r in schedule)

@@ -91,12 +91,6 @@ class TestSnapshotTrajectory:
         with pytest.raises(ReproError, match="subsample axis"):
             trajectory.subsample(10, by="steps")
 
-    def test_sorted_by_input(self, rc_trajectory):
-        _, trajectory = rc_trajectory
-        ordered = trajectory.sorted_by_input()
-        values = ordered.inputs()[:, 0]
-        assert np.all(np.diff(values) >= 0)
-
     def test_describe_mentions_snapshot_count(self, rc_trajectory):
         _, trajectory = rc_trajectory
         assert str(len(trajectory)) in trajectory.describe()
@@ -132,16 +126,6 @@ class TestStateEstimator:
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ReproError):
             StateEstimator().embed(np.zeros(5), np.zeros(6))
-
-    def test_delay_line_streaming_matches_batch(self):
-        est = StateEstimator(delays=(0.2,))
-        t = np.linspace(0, 2.0, 41)
-        u = np.sin(t)
-        batch = est.embed(t, u)
-        line = est.delay_line(u[0])
-        streamed = np.array([line.push(ti, ui) for ti, ui in zip(t, u)])
-        assert np.allclose(streamed[:, 0], batch[:, 0])
-        assert np.allclose(streamed[10:, 1], batch[10:, 1], atol=0.05)
 
 
 class TestExtractTFT:
@@ -213,24 +197,6 @@ class TestTFTDataset:
         _, tft = cs_tft
         ordered = tft.sorted_by_state()
         assert np.all(np.diff(ordered.state_axis()) >= 0)
-
-    def test_subsample_states(self, cs_tft):
-        _, tft = cs_tft
-        small = tft.subsample_states(10)
-        assert small.n_states <= 10
-        assert small.n_frequencies == tft.n_frequencies
-
-    def test_restrict_frequencies(self, cs_tft):
-        _, tft = cs_tft
-        band = tft.restrict_frequencies(1e6, 1e9)
-        assert band.frequencies.min() >= 1e6
-        assert band.frequencies.max() <= 1e9
-        assert band.n_states == tft.n_states
-
-    def test_restrict_frequencies_empty_band_rejected(self, cs_tft):
-        _, tft = cs_tft
-        with pytest.raises(ReproError):
-            tft.restrict_frequencies(1e15, 1e16)
 
     def test_save_and_load_roundtrip(self, cs_tft, tmp_path):
         _, tft = cs_tft

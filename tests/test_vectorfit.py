@@ -1,13 +1,12 @@
-"""Tests for the vector fitting engine, pole utilities and rational functions."""
+"""Tests for the vector fitting engine and pole utilities."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.exceptions import FittingError, ModelError
+from repro.exceptions import FittingError
 from repro.vectfit import (
-    RationalFunction,
     VectorFitOptions,
     basis_matrix,
     coefficients_to_residues,
@@ -490,49 +489,3 @@ class TestAutoOrder:
         with pytest.raises(FittingError):
             fit_auto_order(2j * np.pi * np.logspace(6, 9, 20), np.ones(20), -1.0)
 
-
-class TestRationalFunction:
-    def test_evaluation_scalar_and_vector(self):
-        rf = RationalFunction([-1.0], [2.0], constant=0.5)
-        # H(0) = 0.5 + 2/(0 - (-1)) = 2.5
-        assert rf(0.0) == pytest.approx(2.5)
-        assert rf(np.array([0.0, 1j])).shape == (2,)
-
-    def test_mismatched_shapes_rejected(self):
-        with pytest.raises(ModelError):
-            RationalFunction([-1.0, -2.0], [1.0])
-
-    def test_stability_check(self):
-        assert RationalFunction([-1.0 + 2j, -1.0 - 2j], [1j, -1j]).is_stable()
-        assert not RationalFunction([1.0], [1.0]).is_stable()
-
-    def test_realness_check(self):
-        real_rf = RationalFunction([-1 + 2j, -1 - 2j], [0.5 + 1j, 0.5 - 1j], 0.1)
-        assert real_rf.is_real()
-        complex_rf = RationalFunction([-1 + 2j], [1.0])
-        assert not complex_rf.is_real()
-
-    def test_state_space_matches_transfer_function(self):
-        rf = RationalFunction([-1e8, -2e9 + 5e9j, -2e9 - 5e9j],
-                              [3e8, 1e9 + 2e9j, 1e9 - 2e9j], constant=0.4)
-        a, b, c, e = rf.to_state_space()
-        s = 2j * np.pi * 3.3e8
-        h_ss = c @ np.linalg.solve(s * np.eye(a.shape[0]) - a, b) + e
-        assert h_ss == pytest.approx(rf(s), rel=1e-9)
-
-    def test_input_shifted_realisation_equivalent(self):
-        rf = RationalFunction([-1e8, -2e9 + 5e9j, -2e9 - 5e9j],
-                              [3e8, 1e9 + 2e9j, 1e9 - 2e9j])
-        a, r, d, e = rf.to_input_shifted_state_space()
-        s = 2j * np.pi * 1.1e9
-        h = d @ np.linalg.solve(s * np.eye(a.shape[0]) - a, r) + e
-        assert h == pytest.approx(rf(s), rel=1e-9)
-
-    def test_proportional_term_rejected_in_state_space(self):
-        rf = RationalFunction([-1.0], [1.0], proportional=2.0)
-        with pytest.raises(ModelError):
-            rf.to_state_space()
-
-    def test_without_constant(self):
-        rf = RationalFunction([-1.0], [1.0], constant=3.0)
-        assert rf.without_constant().constant == 0.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.circuit.waveforms import DC, BitPattern, PiecewiseLinear, Pulse, Sine, prbs_bits
+from repro.circuit.waveforms import DC, BitPattern, Pulse, Sine, prbs_bits
 
 
 class TestDC:
@@ -69,24 +69,6 @@ class TestPulse:
         assert w(0.5e-9) == pytest.approx(w(2.5e-9))
 
 
-class TestPiecewiseLinear:
-    def test_interpolation(self):
-        w = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0)])
-        assert w(0.5) == pytest.approx(1.0)
-
-    def test_clamps_outside_range(self):
-        w = PiecewiseLinear([(0.0, 1.0), (1.0, 3.0)])
-        assert w(-1.0) == pytest.approx(1.0)
-        assert w(2.0) == pytest.approx(3.0)
-
-    def test_empty_points_is_zero(self):
-        assert PiecewiseLinear([])(0.3) == 0.0
-
-    def test_unsorted_points_are_sorted(self):
-        w = PiecewiseLinear([(1.0, 2.0), (0.0, 0.0)])
-        assert w(0.5) == pytest.approx(1.0)
-
-
 class TestPrbsBits:
     def test_length(self):
         assert len(prbs_bits(100)) == 100
@@ -146,9 +128,7 @@ class TestBitPattern:
 class TestVectorisedSampling:
     """The NumPy ``sample`` overrides must agree with the scalar reference.
 
-    ``sample`` is the hot path of ``stack_stimuli`` and of excitation
-    evaluation for long bit patterns; the scalar ``value`` stays the
-    reference implementation.
+    The scalar ``value`` stays the reference implementation.
     """
 
     WAVEFORMS = [
@@ -158,8 +138,6 @@ class TestVectorisedSampling:
         Pulse(initial=0.1, pulsed=1.0, delay=2e-9, rise=1e-9, fall=2e-9,
               width=3e-9, period=10e-9),
         Pulse(),
-        PiecewiseLinear([(0.0, 0.0), (1e-9, 1.0), (5e-9, 0.2)]),
-        PiecewiseLinear([]),
         BitPattern(bits=prbs_bits(32), bit_rate=2.5e9, low=0.5, high=1.3),
         BitPattern(bits=[1, 0, 1, 1], bit_rate=1e9, edge_time=0.0),
         BitPattern(bits=[1, 0, 0, 1], bit_rate=1e9, delay=2e-9),
@@ -215,10 +193,6 @@ class TestBreakpoints:
         w = Pulse(rise=1e-9, fall=1e-9, width=2e-9, period=10e-9)
         corners = w.breakpoints(10.5e-9, 14e-9)
         np.testing.assert_allclose(corners, [11e-9, 13e-9, 14e-9])
-
-    def test_piecewise_linear_knots(self):
-        w = PiecewiseLinear([(0.0, 0.0), (1e-9, 1.0), (5e-9, 0.2)])
-        np.testing.assert_allclose(w.breakpoints(0.5e-9, 10e-9), [1e-9, 5e-9])
 
     def test_bitpattern_transition_starts_and_ends(self):
         w = BitPattern(bits=[0, 1, 1, 0], bit_rate=1e9, edge_time=0.2e-9)
