@@ -7,7 +7,6 @@ artefacts (training transient, TFT transform, extracted models, bit-pattern
 reference transient) are computed once per session and shared.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines import CaffeineOptions, extract_caffeine_model

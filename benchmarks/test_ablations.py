@@ -14,14 +14,13 @@ reproduction to implementation choices:
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import compare_surfaces
 from repro.circuit import TransientOptions, transient_analysis
 from repro.circuits import build_output_buffer, buffer_training_waveform
 from repro.rvf import RVFOptions, extract_rvf_model
 from repro.tft import SnapshotTrajectory, default_frequency_grid, extract_tft
-from repro.vectfit import VectorFitOptions, initial_complex_poles, vector_fit
+from repro.vectfit import initial_complex_poles, vector_fit
 from .conftest import ERROR_BOUND
 
 
@@ -61,8 +60,7 @@ class TestOrderSweepAblation:
         dynamic = buffer_tft.siso_response() - dc[:, None]
         errors = []
         for order in (2, 4, 8):
-            result = vector_fit(svals, dynamic, initial_complex_poles(1e3, 10e9, order),
-                                VectorFitOptions(fit_constant=True))
+            result = vector_fit(svals, dynamic, initial_complex_poles(1e3, 10e9, order))
             errors.append(result.relative_error)
         # More poles help substantially at first (order 2 -> 4) and then the
         # error saturates at the trajectory noise floor instead of improving
@@ -76,8 +74,8 @@ class TestOrderSweepAblation:
         dynamic = buffer_tft.siso_response() - dc[:, None]
 
         def sweep():
-            return [vector_fit(svals, dynamic, initial_complex_poles(1e3, 10e9, order),
-                               VectorFitOptions(fit_constant=True)).relative_error
+            return [vector_fit(svals, dynamic,
+                               initial_complex_poles(1e3, 10e9, order)).relative_error
                     for order in (2, 4, 6)]
 
         errors = benchmark.pedantic(sweep, rounds=1, iterations=1)

@@ -11,8 +11,6 @@ Reproduction targets (shapes, not absolute values):
 * the RVF flow is fully automated, the CAFFEINE flow is not.
 """
 
-import numpy as np
-
 from repro.analysis import (
     ComparisonTable,
     ModelComparisonRow,

@@ -32,9 +32,8 @@ explicitly:
 
 from __future__ import annotations
 
-import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +43,7 @@ from ..exceptions import FittingError, ModelError
 from ..rvf.hammerstein import HammersteinBranch, HammersteinModel, ModelMetadata
 from ..tft.hyperplane import TFTDataset
 from ..tft.state_estimator import StateEstimator
-from ..vectfit import VectorFitOptions, fit_auto_order
+from ..vectfit import fit_auto_order
 from ..vectfit.poles import initial_complex_poles, split_real_complex
 
 __all__ = [
@@ -358,7 +357,6 @@ class CaffeineExtractionResult:
 
 def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
                            caffeine_options: CaffeineOptions | None = None,
-                           max_frequency_poles: int = 24,
                            split_static: bool = True,
                            output_index: int = 0, input_index: int = 0
                            ) -> CaffeineExtractionResult:
@@ -386,8 +384,7 @@ def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
     dynamic = response - dc_gain[:, None] if split_static else response
     positive = frequencies[frequencies > 0]
     report = fit_auto_order(
-        svals, dynamic, error_bound, max_order=max_frequency_poles,
-        options=VectorFitOptions(real_coefficients=True, fit_constant=True),
+        svals, dynamic, error_bound,
         initial_pole_factory=lambda order: initial_complex_poles(
             float(positive.min()), float(positive.max()), order))
     vf = report.result

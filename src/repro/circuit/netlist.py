@@ -9,7 +9,7 @@ operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from ..exceptions import CircuitError
 from .devices import (

@@ -5,8 +5,8 @@ input for 1 period" and validates it with a "spectrally-rich bit pattern input
 at 2.5 GS/s".  This module provides those stimuli plus the usual SPICE
 primitives (DC, pulse) as small callable objects.
 
-A waveform is a callable ``w(t) -> float`` that also supports vectorised
-evaluation on NumPy arrays via :meth:`Waveform.sample`.
+A waveform is a callable ``w(t) -> float``; the sources evaluate it one time
+point at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ __all__ = [
 class Waveform:
     """Base class for time-domain stimuli.
 
-    Subclasses implement :meth:`value`; the base class provides vectorised
-    sampling and simple arithmetic (offsetting by a DC level).
+    Subclasses implement :meth:`value` and, where the waveform has corners,
+    :meth:`breakpoints`.
     """
 
     def value(self, t: float) -> float:
@@ -39,16 +39,6 @@ class Waveform:
 
     def __call__(self, t: float) -> float:
         return self.value(float(t))
-
-    def sample(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        """Evaluate the waveform on an array of time points.
-
-        The base implementation loops over :meth:`value`; the built-in
-        waveforms override it with vectorised NumPy evaluation, tested to
-        agree with the scalar reference.
-        """
-        times = np.asarray(times, dtype=float)
-        return np.array([self.value(float(t)) for t in times.ravel()]).reshape(times.shape)
 
     def breakpoints(self, t_start: float, t_stop: float) -> np.ndarray:
         """Times in ``[t_start, t_stop]`` where the waveform has a corner.
@@ -61,12 +51,6 @@ class Waveform:
         empty array.
         """
         return np.empty(0)
-
-    # -- introspection helpers -------------------------------------------------
-    @property
-    def dc_value(self) -> float:
-        """Value at ``t = 0``; used for the DC operating-point solve."""
-        return self.value(0.0)
 
 
 def _clip_breakpoints(times, t_start: float, t_stop: float) -> np.ndarray:
@@ -107,15 +91,6 @@ class Sine(Waveform):
         return self.offset + self.amplitude * envelope * math.sin(
             2.0 * math.pi * self.frequency * tau + self.phase)
 
-    def sample(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        tau = np.maximum(times - self.delay, 0.0)   # clamp: pre-delay is masked
-        envelope = np.exp(-self.damping * tau) if self.damping else 1.0
-        running = self.offset + self.amplitude * envelope * np.sin(
-            2.0 * math.pi * self.frequency * tau + self.phase)
-        held = self.offset + self.amplitude * math.sin(self.phase)
-        return np.where(times < self.delay, held, running)
-
     def breakpoints(self, t_start: float, t_stop: float) -> np.ndarray:
         # Smooth everywhere except the slope kink where the hold ends.
         if self.delay > 0.0:
@@ -149,21 +124,6 @@ class Pulse(Waveform):
             frac = (tau - rise - self.width) / fall
             return self.pulsed + (self.initial - self.pulsed) * frac
         return self.initial
-
-    def sample(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        rise = max(self.rise, 1e-18)
-        fall = max(self.fall, 1e-18)
-        tau = np.mod(times - self.delay, self.period)
-        ramp_up = self.initial + (self.pulsed - self.initial) * tau / rise
-        frac = (tau - rise - self.width) / fall
-        ramp_down = self.pulsed + (self.initial - self.pulsed) * frac
-        # Conditions tested in the same order as the scalar reference.
-        return np.select(
-            [times < self.delay, tau < rise, tau < rise + self.width,
-             tau < rise + self.width + fall],
-            [self.initial, ramp_up, self.pulsed, ramp_down],
-            default=self.initial)
 
     def breakpoints(self, t_start: float, t_stop: float) -> np.ndarray:
         rise = max(self.rise, 1e-18)
@@ -258,24 +218,6 @@ class BitPattern(Waveform):
         phase = t_in_bit / self._edge
         blend = 0.5 * (1.0 - math.cos(math.pi * phase))
         return previous + (current - previous) * blend
-
-    def sample(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        times = np.asarray(times, dtype=float)
-        levels = self._levels
-        n = levels.size
-        tau = times - self.delay
-        index = np.floor_divide(tau, self._bit_period).astype(np.intp)
-        clipped = np.clip(index, 0, n - 1)
-        current = levels[clipped]
-        previous = np.where(index > 0, levels[np.clip(index - 1, 0, n - 1)], current)
-        t_in_bit = tau - index * self._bit_period
-        edge = self._edge
-        phase = t_in_bit / (edge if edge > 0.0 else 1.0)
-        blend = 0.5 * (1.0 - np.cos(math.pi * phase))
-        value = np.where((t_in_bit >= edge) | (current == previous),
-                         current, previous + (current - previous) * blend)
-        value = np.where(index >= n, levels[-1], value)
-        return np.where(tau <= 0.0, levels[0], value)
 
     def breakpoints(self, t_start: float, t_stop: float) -> np.ndarray:
         """Start and end of every raised-cosine transition between bits.

@@ -144,6 +144,24 @@ class ModelRegistry:
         if key not in self:
             raise RegistryError(f"no registry entry {key!r} under {self.root}")
 
+    def _record(self, key: str) -> dict:
+        """The metadata record of member ``key``.
+
+        Raises :class:`~repro.exceptions.RegistryError` when ``key`` is not a
+        member, or when ``<key>.json`` cannot be read or decoded or holds
+        JSON that is not an object.
+        """
+        self._require(key)
+        json_path = self._json_path(key)
+        try:
+            record = json.loads(json_path.read_text())
+        except (OSError, ValueError) as exc:    # ValueError: bad JSON or UTF-8
+            raise RegistryError(f"unreadable registry metadata {json_path}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise RegistryError(f"unreadable registry metadata {json_path}: "
+                                f"a JSON {type(record).__name__}, not an object")
+        return record
+
     # ------------------------------------------------------------------- save
     def save(self, model: CompiledModel, provenance: dict | None = None) -> str:
         """Store a compiled model; returns its content-hash key.
@@ -161,8 +179,8 @@ class ModelRegistry:
         existing_record: dict | None = None
         if key in self:
             try:
-                existing_record = json.loads(self._json_path(key).read_text())
-            except (OSError, json.JSONDecodeError):
+                existing_record = self._record(key)
+            except RegistryError:
                 existing_record = None     # unreadable: rewrite it below
         else:
             with open(self._npz_path(key), "wb") as handle:
@@ -196,12 +214,8 @@ class ModelRegistry:
         :class:`~repro.exceptions.RegistryError`.  A v1 entry is verified as
         stored, then converted to the v2 arrays.
         """
-        self._require(key)
-        npz_path, json_path = self._npz_path(key), self._json_path(key)
-        try:
-            record = json.loads(json_path.read_text())
-        except (json.JSONDecodeError, OSError) as exc:
-            raise RegistryError(f"unreadable registry metadata {json_path}: {exc}") from exc
+        record = self._record(key)
+        npz_path = self._npz_path(key)
         fields = _FIELDS_BY_FORMAT.get(record.get("format"))
         if fields is None:
             raise RegistryError(
@@ -235,8 +249,7 @@ class ModelRegistry:
 
     def provenance(self, key: str) -> dict:
         """The provenance record stored alongside a model."""
-        self._require(key)
-        return json.loads(self._json_path(key).read_text()).get("provenance", {})
+        return self._record(key).get("provenance", {})
 
     # ------------------------------------------------------------------ admin
     def keys(self) -> list[str]:

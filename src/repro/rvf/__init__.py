@@ -4,11 +4,7 @@ from .export import model_equations, to_verilog_a
 from .extract import RVFExtractionResult, RVFOptions, extract_rvf_model
 from .hammerstein import HammersteinBranch, HammersteinModel, ModelMetadata
 from .integration import basis_primitive
-from .recursive import (
-    StateFitOptions,
-    StateFitReport,
-    fit_residue_trajectories,
-)
+from .recursive import StateFitReport, fit_residue_trajectories
 from .residues import IntegratedPartialFraction, PartialFractionFunction
 from .timedomain import ModelSimulationResult, simulate_hammerstein
 
@@ -21,7 +17,6 @@ __all__ = [
     "ModelMetadata",
     "PartialFractionFunction",
     "IntegratedPartialFraction",
-    "StateFitOptions",
     "StateFitReport",
     "fit_residue_trajectories",
     "basis_primitive",

@@ -18,50 +18,46 @@ Given a TFT dataset this module
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import FittingError, ModelError
 from ..tft.hyperplane import TFTDataset
 from ..tft.state_estimator import StateEstimator
-from ..vectfit import VectorFitOptions, fit_auto_order
+from ..vectfit import fit_auto_order
 from ..vectfit.orders import AutoFitReport
 from ..vectfit.poles import initial_complex_poles, split_real_complex
 from .hammerstein import HammersteinBranch, HammersteinModel, ModelMetadata
-from .recursive import StateFitOptions, StateFitReport, fit_residue_trajectories
+from .recursive import StateFitReport, fit_residue_trajectories
 
 __all__ = ["RVFOptions", "RVFExtractionResult", "extract_rvf_model"]
 
 
 @dataclass
 class RVFOptions:
-    """Configuration of the RVF extraction (the paper's epsilon and orders)."""
+    """The RVF extraction's error bound and the TFT entry it models.
 
+    The fitting itself has no settings: both stages run the relaxed vector
+    fit of :func:`repro.vectfit.vector_fit`, the frequency-pole search
+    (Algorithm 1 lines 14-17) with the order schedule of
+    :func:`repro.vectfit.fit_auto_order` and the state-pole search (lines
+    18-25) with that of :func:`repro.rvf.recursive.fit_residue_trajectories`.
+    """
+
+    #: The paper's error bound epsilon, shared by both pole searches.
     error_bound: float = 1e-3
-    #: Frequency-pole search (Algorithm 1 lines 14-17).
-    start_frequency_order: int = 2
-    frequency_order_step: int = 2
-    max_frequency_poles: int = 24
-    #: State-pole search (Algorithm 1 lines 18-25).
-    state_fit: StateFitOptions = field(default_factory=StateFitOptions)
     #: Model the dynamic part H - H(0) with a separately integrated static
     #: path (the paper's flow).  When False the full response is fitted by the
     #: Hammerstein branches alone.
     split_static: bool = True
-    #: Frequency-axis weighting ("uniform" emphasises the passband shape,
-    #: "inverse_sqrt" balances the fit across the rolloff).
-    frequency_weighting: str = "uniform"
+    #: The TFT entry (output, input) that the model describes.
     output_index: int = 0
     input_index: int = 0
 
     def __post_init__(self) -> None:
         if self.error_bound <= 0:
             raise FittingError("error_bound must be positive")
-        # Keep the state fit bound consistent with the global bound by default.
-        if self.state_fit.error_bound != self.error_bound:
-            self.state_fit = StateFitOptions(**{**self.state_fit.__dict__,
-                                                "error_bound": self.error_bound})
 
 
 @dataclass
@@ -142,20 +138,8 @@ def extract_rvf_model(tft: TFTDataset, options: RVFOptions | None = None,
         raise FittingError("the frequency grid needs at least two positive frequencies")
     f_min, f_max = float(f_positive.min()), float(f_positive.max())
 
-    vf_options = VectorFitOptions(
-        real_coefficients=True,
-        relaxed=True,
-        fit_constant=True,
-        fit_proportional=False,
-        enforce_stability=True,
-        weighting=opts.frequency_weighting,
-    )
     frequency_report = fit_auto_order(
         svals, dynamic_data, opts.error_bound,
-        start_order=opts.start_frequency_order,
-        max_order=opts.max_frequency_poles,
-        order_step=opts.frequency_order_step,
-        options=vf_options,
         initial_pole_factory=lambda order: initial_complex_poles(f_min, f_max, order),
     )
     vf_result = frequency_report.result
@@ -174,7 +158,7 @@ def extract_rvf_model(tft: TFTDataset, options: RVFOptions | None = None,
     samples = np.array(stacked)
 
     functions, state_report = fit_residue_trajectories(
-        states, samples, opts.state_fit, variable="u")
+        states, samples, opts.error_bound, variable="u")
 
     gain_function = functions[0]
     residue_functions = functions[1:]

@@ -8,10 +8,12 @@ which is the "recursive" application of vector fitting that gives the paper
 its name (Section III.B).
 
 The state estimator is one-dimensional (``x = u(t)``, the configuration of
-the paper's output-buffer example), so the recursion is a single
-complex-coefficient vector fit along ``j*x``.  The paper's eq. (16)
-generalises it to multi-dimensional gridded states, one dimension at a time;
-that case is not implemented.
+the paper's output-buffer example), so the recursion is a single vector fit
+along the state axis: the state poles are found by real-coefficient vector
+fitting on the real state samples, and the final residues by one
+complex-coefficient least-squares solve, mapped to the paper's ``j*x``
+convention.  The paper's eq. (16) generalises it to multi-dimensional
+gridded states, one dimension at a time; that case is not implemented.
 """
 
 from __future__ import annotations
@@ -21,49 +23,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import FittingError
-from ..vectfit import VectorFitOptions, vector_fit
+from ..vectfit import vector_fit
 from ..vectfit.poles import initial_state_poles
 from .residues import PartialFractionFunction
 
 __all__ = [
-    "StateFitOptions",
     "StateFitReport",
     "fit_residue_trajectories",
 ]
 
-
-@dataclass
-class StateFitOptions:
-    """Options of the state-axis (recursive) fitting stage."""
-
-    error_bound: float = 1e-3
-    start_order: int = 2
-    order_step: int = 2
-    max_order: int = 20
-    n_iterations: int = 20
-    weighting: str = "uniform"
-    #: Minimum |Re(b)| of a state pole, relative to the state-axis span, so
-    #: that the analytic antiderivative stays well conditioned.
-    min_pole_real_fraction: float = 1e-3
-    #: Stop increasing the order once an extra pair of poles improves the error
-    #: by less than this factor — trajectory data has a noise floor (hysteresis
-    #: of the training trajectory) below which extra poles only overfit.
-    stagnation_factor: float = 0.85
-
-    def vector_fit_options(self) -> VectorFitOptions:
-        # The state-axis pole search runs in real-coefficient mode on the real
-        # state variable: poles are found as complex conjugate pairs about the
-        # state axis, which is exactly the "zero-phase" pole pairing of the
-        # paper's reference [10] once mapped to the j*x convention.
-        return VectorFitOptions(
-            n_iterations=self.n_iterations,
-            real_coefficients=True,
-            relaxed=True,
-            fit_constant=True,
-            fit_proportional=False,
-            enforce_stability=False,
-            weighting=self.weighting,
-        )
+#: State-pole search (Algorithm 1 lines 18-25): the order starts at two poles
+#: and adds a conjugate pair per step, up to ``MAX_ORDER``.
+START_ORDER = 2
+ORDER_STEP = 2
+MAX_ORDER = 20
+#: Most pole-relocation steps of each state-axis vector fit.
+N_ITERATIONS = 20
+#: Minimum |Re(b)| of a state pole, relative to the state-axis span, so
+#: that the analytic antiderivative stays well conditioned.
+MIN_POLE_REAL_FRACTION = 1e-3
+#: Stop increasing the order once an extra pair of poles improves the error
+#: by less than this factor — trajectory data has a noise floor (hysteresis
+#: of the training trajectory) below which extra poles only overfit.
+STAGNATION_FACTOR = 0.85
 
 
 @dataclass
@@ -100,8 +82,7 @@ def _off_axis_poles(poles_x: np.ndarray, span: float, min_fraction: float) -> np
 
 
 def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
-                             options: StateFitOptions | None = None,
-                             variable: str = "u"
+                             error_bound: float = 1e-3, variable: str = "u"
                              ) -> tuple[list[PartialFractionFunction], StateFitReport]:
     """Fit several functions of one real state variable with common poles.
 
@@ -112,9 +93,9 @@ def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
     samples:
         Function samples, shape ``(F, K)`` — one row per residue trajectory
         (plus rows for the instantaneous gain or the direct term if desired).
-    options:
-        :class:`StateFitOptions`; the order is increased by ``order_step``
-        until the relative error drops below ``error_bound``.
+    error_bound:
+        Target relative error of the pole search; the order is increased by
+        :data:`ORDER_STEP` until the error drops below it.
     variable:
         Name used when printing the resulting analytical expressions.
 
@@ -124,7 +105,6 @@ def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
         One :class:`PartialFractionFunction` per row of ``samples`` (all
         sharing the same poles), plus fit diagnostics.
     """
-    opts = options or StateFitOptions()
     states = np.asarray(states, dtype=float).ravel()
     samples = np.atleast_2d(np.asarray(samples, dtype=complex))
     if samples.shape[1] != states.size:
@@ -135,12 +115,14 @@ def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
 
     span = float(states.max() - states.min()) or 1.0
     x_lo, x_hi = float(states.min()), float(states.max())
-    vf_opts = opts.vector_fit_options()
 
-    # The pole search runs in real-coefficient mode on the real state variable.
-    # Complex trajectories (residues of complex frequency-pole pairs) are
-    # split into real and imaginary rows; per-row normalisation keeps small
-    # trajectories from being drowned out by large ones in the common-pole fit.
+    # The pole search runs in real-coefficient mode on the real state variable:
+    # poles are found as complex conjugate pairs about the state axis, which
+    # is exactly the "zero-phase" pole pairing of the paper's reference [10]
+    # once mapped to the j*x convention.  Complex trajectories (residues of
+    # complex frequency-pole pairs) are split into real and imaginary rows;
+    # per-row normalisation keeps small trajectories from being drowned out
+    # by large ones in the common-pole fit.
     scales = np.sqrt(np.mean(np.abs(samples) ** 2, axis=1))
     scales = np.where(scales > 0.0, scales, 1.0)
     normalised = samples / scales[:, None]
@@ -152,27 +134,28 @@ def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
     pole_sets: list[np.ndarray] = []
 
     max_supported = max(1, states.size // 2 - 1)
-    effective_max = min(opts.max_order, max_supported)
-    order = min(max(opts.start_order, 1), effective_max)
+    effective_max = min(MAX_ORDER, max_supported)
+    order = min(START_ORDER, effective_max)
     while True:
         initial = initial_state_poles(x_lo, x_hi, order)
-        result = vector_fit(svals_x, fit_rows, initial, vf_opts)
+        result = vector_fit(svals_x, fit_rows, initial, n_iterations=N_ITERATIONS,
+                            enforce_stability=False)
         orders_tried.append(order)
         errors.append(result.relative_error)
         pole_sets.append(result.poles)
-        if result.relative_error <= opts.error_bound or order >= effective_max:
+        if result.relative_error <= error_bound or order >= effective_max:
             break
         # Stagnation guard: trajectory data carries a hysteresis noise floor;
         # once extra poles stop paying for themselves they only overfit.
-        if len(errors) >= 2 and errors[-1] > opts.stagnation_factor * min(errors[:-1]):
+        if len(errors) >= 2 and errors[-1] > STAGNATION_FACTOR * min(errors[:-1]):
             break
-        order = min(order + opts.order_step, effective_max)
+        order = min(order + ORDER_STEP, effective_max)
 
     # Prefer the smallest order whose error is within 5% of the best achieved.
     best_error = min(errors)
-    tolerance = max(opts.error_bound, 1.05 * best_error)
+    tolerance = max(error_bound, 1.05 * best_error)
     chosen = next(i for i, err in enumerate(errors) if err <= tolerance)
-    poles_x = _off_axis_poles(pole_sets[chosen], span, opts.min_pole_real_fraction)
+    poles_x = _off_axis_poles(pole_sets[chosen], span, MIN_POLE_REAL_FRACTION)
 
     # Final residue identification: one complex least-squares solve with the
     # fixed pole set, directly on the (unsplit) complex trajectories.
@@ -197,8 +180,8 @@ def fit_residue_trajectories(states: np.ndarray, samples: np.ndarray,
         poles=poles_jx,
         orders_tried=orders_tried,
         errors=errors,
-        error_bound=opts.error_bound,
-        converged=bool(min(errors) <= opts.error_bound),
+        error_bound=error_bound,
+        converged=bool(min(errors) <= error_bound),
     )
     return functions, report
 

@@ -17,7 +17,7 @@ human-readable analytical expressions for the model export.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -10,11 +10,10 @@ from .poles import (
     sort_poles,
     split_real_complex,
 )
-from .vectorfit import VectorFitOptions, VectorFitResult, evaluate_model, vector_fit
+from .vectorfit import VectorFitResult, evaluate_model, vector_fit
 
 __all__ = [
     "vector_fit",
-    "VectorFitOptions",
     "VectorFitResult",
     "evaluate_model",
     "fit_auto_order",

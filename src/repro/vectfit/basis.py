@@ -1,17 +1,12 @@
 """Partial-fraction basis construction for vector fitting.
 
-Two coefficient conventions are supported:
-
-* **real mode** — the classic VF basis for frequency responses of real
-  systems: real poles contribute one column ``1/(s-a)``; each complex
-  conjugate pair contributes the two real-coefficient columns
-  ``1/(s-a) + 1/(s-a*)`` and ``j/(s-a) - j/(s-a*)``.  Solving a real
-  least-squares problem in these coefficients automatically produces
-  conjugate-symmetric residues.
-* **complex mode** — one column ``1/(s-a)`` per pole with complex
-  coefficients.  This is used for fitting residue trajectories along the
-  state axis, where the data is a general complex function of a real
-  variable and carries no conjugate symmetry.
+The basis is the classic real-coefficient one for responses of real
+systems: real poles contribute one column ``1/(s-a)``; each complex
+conjugate pair contributes the two real-coefficient columns
+``1/(s-a) + 1/(s-a*)`` and ``j/(s-a) - j/(s-a*)``.  Solving a real
+least-squares problem in these coefficients automatically produces
+conjugate-symmetric residues.  Frequency responses (``s = j*omega``) and
+residue trajectories sampled on the real state axis are both fitted in it.
 """
 
 from __future__ import annotations
@@ -27,21 +22,17 @@ __all__ = [
 ]
 
 
-def basis_matrix(svals: np.ndarray, poles: np.ndarray, real_mode: bool) -> np.ndarray:
+def basis_matrix(svals: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Complex basis matrix ``Phi`` with one row per sample.
 
-    In real mode the columns are ordered: one column per real pole followed by
-    two columns per conjugate pair (in the canonical pole ordering of
-    :func:`repro.vectfit.poles.sort_poles`).  In complex mode there is simply
-    one column per pole.  Every column of a kind is built by one array
-    operation over all of its poles, element for element the same arithmetic
-    as building the columns one pole at a time.
+    The columns are ordered: one column per real pole followed by two columns
+    per conjugate pair (in the canonical pole ordering of
+    :func:`repro.vectfit.poles.sort_poles`).  Every column of a kind is built
+    by one array operation over all of its poles, element for element the
+    same arithmetic as building the columns one pole at a time.
     """
     svals = np.asarray(svals, dtype=complex).ravel()
     poles = np.asarray(poles, dtype=complex)
-    if not real_mode:
-        return 1.0 / (svals[:, None] - poles[None, :])
-
     real_idx, pair_idx = split_real_complex(poles)
     n_real = real_idx.size
     phi = np.empty((svals.size, n_real + 2 * pair_idx.size), dtype=complex)
@@ -53,18 +44,14 @@ def basis_matrix(svals: np.ndarray, poles: np.ndarray, real_mode: bool) -> np.nd
     return phi
 
 
-def coefficients_to_residues(coefficients: np.ndarray, poles: np.ndarray,
-                             real_mode: bool) -> np.ndarray:
+def coefficients_to_residues(coefficients: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Convert basis coefficients into one complex residue per pole.
 
-    The returned array is aligned with ``poles``; in real mode the residues of
-    a conjugate pair are themselves conjugate.
+    The returned array is aligned with ``poles``; the residues of a conjugate
+    pair are themselves conjugate.
     """
     coefficients = np.asarray(coefficients)
     poles = np.asarray(poles, dtype=complex)
-    if not real_mode:
-        return coefficients.astype(complex)
-
     residues = np.zeros(len(poles), dtype=complex)
     real_idx, pair_idx = split_real_complex(poles)
     cursor = 0
@@ -81,13 +68,10 @@ def coefficients_to_residues(coefficients: np.ndarray, poles: np.ndarray,
     return residues
 
 
-def residues_to_coefficients(residues: np.ndarray, poles: np.ndarray,
-                             real_mode: bool) -> np.ndarray:
+def residues_to_coefficients(residues: np.ndarray, poles: np.ndarray) -> np.ndarray:
     """Inverse of :func:`coefficients_to_residues` (used by tests)."""
     residues = np.asarray(residues, dtype=complex)
     poles = np.asarray(poles, dtype=complex)
-    if not real_mode:
-        return residues.copy()
     real_idx, pair_idx = split_real_complex(poles)
     coefficients: list[float] = []
     for i in real_idx:

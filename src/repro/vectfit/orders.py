@@ -2,7 +2,9 @@
 
 Algorithm 1 of the paper increments the number of poles by two until the fit
 error drops below the user-supplied bound ``epsilon``; this module implements
-that loop for the frequency axis and for the state axis.
+that loop for the frequency axis (the RVF flow's first stage and the CAFFEINE
+baseline's frequency stage).  The state-axis loop of the recursive stage is
+:func:`repro.rvf.recursive.fit_residue_trajectories`.
 """
 
 from __future__ import annotations
@@ -13,9 +15,19 @@ import numpy as np
 
 from ..exceptions import FittingError
 from .poles import initial_complex_poles
-from .vectorfit import VectorFitOptions, VectorFitResult, vector_fit
+from .vectorfit import VectorFitResult, vector_fit
 
 __all__ = ["AutoFitReport", "fit_auto_order"]
+
+#: The search starts at two poles and adds a conjugate pair per step.
+START_ORDER = 2
+ORDER_STEP = 2
+#: The largest number of poles tried.
+MAX_ORDER = 24
+#: Stop enlarging the model once an order increment fails to improve the
+#: error below this factor times the best error so far (data measured along a
+#: trajectory has an intrinsic noise floor).
+STAGNATION_FACTOR = 0.75
 
 
 @dataclass
@@ -34,11 +46,12 @@ class AutoFitReport:
 
 
 def fit_auto_order(svals: np.ndarray, data: np.ndarray, error_bound: float,
-                   *, start_order: int = 2, max_order: int = 40, order_step: int = 2,
-                   options: VectorFitOptions | None = None,
-                   initial_pole_factory=None,
-                   stagnation_factor: float | None = 0.75) -> AutoFitReport:
+                   *, initial_pole_factory=None) -> AutoFitReport:
     """Increase the model order until the relative RMS error drops below the bound.
+
+    The order runs from :data:`START_ORDER` in steps of :data:`ORDER_STEP` up
+    to :data:`MAX_ORDER` (or what the sample count supports), and the search
+    stops early once an increment stagnates (:data:`STAGNATION_FACTOR`).
 
     Parameters
     ----------
@@ -47,22 +60,14 @@ def fit_auto_order(svals: np.ndarray, data: np.ndarray, error_bound: float,
         ``(K, L)``, possibly with ``K = 1``).
     error_bound:
         Target *relative* RMS error (the paper's epsilon).
-    start_order / max_order / order_step:
-        Search range for the number of poles (the paper increments by 2).
     initial_pole_factory:
         Callable ``f(order) -> poles``; defaults to log-spaced complex pairs
         spanning the imaginary parts of ``svals``.
-    stagnation_factor:
-        Stop enlarging the model once an order increment fails to improve the
-        error below ``stagnation_factor * best_error_so_far`` (data measured
-        along a trajectory has an intrinsic noise floor).  ``None`` disables
-        the guard.
     """
     if error_bound <= 0:
         raise FittingError("error_bound must be positive")
     svals = np.asarray(svals, dtype=complex).ravel()
     data = np.atleast_2d(np.asarray(data, dtype=complex))
-    opts = options or VectorFitOptions()
 
     if initial_pole_factory is None:
         span = np.abs(svals.imag)
@@ -81,11 +86,11 @@ def fit_auto_order(svals: np.ndarray, data: np.ndarray, error_bound: float,
 
     # Never attempt an order the sample count cannot support.
     max_supported = max(1, svals.size - 2)
-    effective_max = min(max_order, max_supported)
+    effective_max = min(MAX_ORDER, max_supported)
 
-    order = min(start_order, effective_max)
+    order = min(START_ORDER, effective_max)
     while True:
-        result = vector_fit(svals, data, initial_pole_factory(order), opts)
+        result = vector_fit(svals, data, initial_pole_factory(order))
         orders_tried.append(order)
         errors.append(result.relative_error)
         if best is None or result.relative_error < best.relative_error:
@@ -94,7 +99,6 @@ def fit_auto_order(svals: np.ndarray, data: np.ndarray, error_bound: float,
             return AutoFitReport(result, orders_tried, errors, error_bound, True)
         if order >= effective_max:
             return AutoFitReport(best, orders_tried, errors, error_bound, False)
-        if (stagnation_factor is not None and len(errors) >= 2
-                and errors[-1] > stagnation_factor * min(errors[:-1])):
+        if len(errors) >= 2 and errors[-1] > STAGNATION_FACTOR * min(errors[:-1]):
             return AutoFitReport(best, orders_tried, errors, error_bound, False)
-        order = min(order + order_step, effective_max)
+        order = min(order + ORDER_STEP, effective_max)

@@ -5,7 +5,6 @@ extraction are the expensive parts of the pipeline; many test modules can
 share one extraction.
 """
 
-import numpy as np
 import pytest
 
 from repro.checks import lockwatch
@@ -56,8 +55,7 @@ def nonlinear_tft():
 @pytest.fixture(scope="session")
 def nonlinear_rvf(nonlinear_tft):
     """RVF extraction result for the nonlinear low-pass."""
-    return extract_rvf_model(nonlinear_tft, RVFOptions(error_bound=1e-3,
-                                                       max_frequency_poles=12))
+    return extract_rvf_model(nonlinear_tft, RVFOptions(error_bound=1e-3))
 
 
 @pytest.fixture(scope="session")

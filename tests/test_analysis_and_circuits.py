@@ -161,7 +161,7 @@ class TestCircuitLibrary:
     def test_training_waveform_covers_paper_state_range(self):
         wave = buffer_training_waveform()
         t = np.linspace(0, 1 / wave.frequency, 500)
-        values = wave.sample(t)
+        values = np.array([wave(ti) for ti in t])
         assert values.min() == pytest.approx(0.4, abs=1e-3)
         assert values.max() == pytest.approx(1.4, abs=1e-3)
 

@@ -19,7 +19,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.exceptions import FrameError, GatewayError, ServeError
+from repro.exceptions import FrameError, GatewayError
 from repro.gateway import (
     AsyncGatewayClient,
     Gateway,

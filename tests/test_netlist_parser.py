@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuit import dc_operating_point, parse_netlist
-from repro.circuit.devices import Diode, NMOS, PMOS, Resistor, VoltageSource
+from repro.circuit.devices import Diode, NMOS, PMOS
 from repro.circuit.waveforms import DC, Pulse, Sine
 from repro.exceptions import NetlistParseError
 

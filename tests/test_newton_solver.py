@@ -223,7 +223,6 @@ class TestModifiedNewtonOnCircuits:
     def test_linear_transient_factorizes_once(self):
         """A linear circuit's Jacobian is constant: one LU for the whole run."""
         from repro.circuit import Sine, TransientOptions, transient_analysis
-        from repro.circuit.linalg import FactorizationCache as Cache
         import repro.circuit.transient as transient_mod
 
         created = []

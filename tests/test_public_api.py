@@ -1,5 +1,6 @@
-"""The package surface: every public name resolves, and no definition in
-``src/repro`` is kept alive only by the tests."""
+"""The package surface: every public name resolves, no definition in
+``src/repro`` is kept alive only by the tests, and no module imports a name
+it never uses."""
 
 from __future__ import annotations
 
@@ -15,6 +16,9 @@ PACKAGE = ROOT / "src" / "repro"
 #: The trees whose code counts as a use: the package itself and everything
 #: that runs it, apart from the tests.
 USERS = ("src", "examples", "benchmarks", "perfbench", "tools")
+#: The trees whose imports must all be used.  ``perfbench`` is left out: its
+#: files belong to the repository benchmark.
+IMPORT_CHECKED = ("src", "tests", "benchmarks", "examples", "tools")
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: Top-level definitions kept even where only tests reach them.
@@ -26,6 +30,8 @@ KEEP = {
     # tests/conftest.py drives it.
     "enable", "disable", "is_enabled", "reset", "isolated", "violations",
     "assert_clean",
+    # The sanitizer's held-lock stack, which tests/test_checks.py probes.
+    "held",
     # The engine's test circuits.
     "build_diode_limiter", "build_common_source_amplifier",
     "build_differential_amplifier", "add_differential_stage",
@@ -98,3 +104,58 @@ def test_no_src_definition_is_reached_only_from_tests():
                        for path, node in nodes)
     assert unreached == [], "reached only from tests:\n" + "\n".join(unreached)
     assert sorted(KEEP - definitions.keys()) == [], "KEEP names no definition"
+
+
+def _imported_names(tree: ast.AST):
+    """``(line, name)`` for each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield node.lineno, alias.asname or alias.name
+
+
+def _exported_names(tree: ast.AST):
+    """The strings of every ``__all__`` assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            yield from (sub.value for sub in ast.walk(node.value)
+                        if isinstance(sub, ast.Constant) and isinstance(sub.value, str))
+
+
+def _string_annotation_names(tree: ast.AST):
+    """The names spelled inside string annotations (``"MNASystem"``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        else:
+            continue
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield from (name.id for name in ast.walk(ast.parse(sub.value, mode="eval"))
+                            if isinstance(name, ast.Name))
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name a non-``__init__`` module in :data:`IMPORT_CHECKED` imports
+    is used there: a ``Name`` node spells it, ``__all__`` lists it, or a
+    string annotation names it (the ``TYPE_CHECKING`` imports).  Package
+    ``__init__`` modules import in order to re-export."""
+    unused = []
+    for tree_name in IMPORT_CHECKED:
+        for path in sorted((ROOT / tree_name).rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            used.update(_exported_names(tree), _string_annotation_names(tree))
+            unused.extend(f"{path.relative_to(ROOT)}:{line} {name}"
+                          for line, name in _imported_names(tree) if name not in used)
+    assert unused == [], "imported but never used:\n" + "\n".join(unused)

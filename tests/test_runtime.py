@@ -18,7 +18,6 @@ from repro.rvf import RVFOptions, extract_rvf_model, simulate_hammerstein
 from repro.rvf.hammerstein import HammersteinBranch, HammersteinModel
 from repro.rvf.residues import PartialFractionFunction
 from repro.runtime import (
-    CompiledModel,
     ModelHandle,
     ModelRegistry,
     compile_model,
@@ -383,6 +382,29 @@ class TestRegistry:
         meta_path.write_text(json.dumps(record))
         with pytest.raises(RegistryError, match="format"):
             registry.load(key)
+
+    UNREADABLE_METADATA = {"not-json": b"not json{{", "array": b"[1, 2]",
+                           "string": b'"text"', "not-utf8": b"\xff\xfe"}
+
+    @pytest.mark.parametrize("method", ["load", "provenance"])
+    @pytest.mark.parametrize("content", UNREADABLE_METADATA.values(),
+                             ids=UNREADABLE_METADATA.keys())
+    def test_unreadable_metadata_raises_registry_error(self, compiled, tmp_path,
+                                                       content, method):
+        registry = ModelRegistry(tmp_path)
+        key = registry.save(compiled)
+        (tmp_path / f"{key}.json").write_bytes(content)
+        with pytest.raises(RegistryError, match="unreadable registry metadata"):
+            getattr(registry, method)(key)
+
+    def test_resave_rewrites_unreadable_metadata(self, compiled, tmp_path):
+        registry = ModelRegistry(tmp_path)
+        key = registry.save(compiled, provenance={"origin": "first"})
+        for content in self.UNREADABLE_METADATA.values():
+            (tmp_path / f"{key}.json").write_bytes(content)
+            assert registry.save(compiled, provenance={"origin": "again"}) == key
+            assert registry.provenance(key) == {"origin": "again"}
+            assert registry.load(key).dt == compiled.dt
 
     def test_remove(self, compiled, tmp_path):
         registry = ModelRegistry(tmp_path)

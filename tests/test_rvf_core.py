@@ -8,9 +8,7 @@ from repro.exceptions import ModelError
 from repro.rvf import (
     HammersteinBranch,
     HammersteinModel,
-    IntegratedPartialFraction,
     PartialFractionFunction,
-    StateFitOptions,
     basis_primitive,
     fit_residue_trajectories,
     simulate_hammerstein,
@@ -104,7 +102,7 @@ class TestFitResidueTrajectories:
         x = np.linspace(0.4, 1.4, 90)
         target = 2.0 / (1.0 + np.exp(-8 * (x - 0.9)))
         functions, report = fit_residue_trajectories(
-            x, target.astype(complex), StateFitOptions(error_bound=1e-3, max_order=16))
+            x, target.astype(complex), 1e-3)
         fitted = functions[0](x)
         error = np.sqrt(np.mean(np.abs(fitted - target) ** 2)) / np.std(target)
         assert error < 2e-2
@@ -113,7 +111,7 @@ class TestFitResidueTrajectories:
         x = np.linspace(-1, 1, 80)
         rows = np.array([np.tanh(3 * x), 1.0 / (1.0 + x ** 2), x ** 2]).astype(complex)
         functions, report = fit_residue_trajectories(
-            x, rows, StateFitOptions(error_bound=1e-3, max_order=18))
+            x, rows, 1e-3)
         assert len(functions) == 3
         for f, row in zip(functions, rows):
             assert np.sqrt(np.mean(np.abs(f(x) - row) ** 2)) < 5e-2
@@ -125,21 +123,20 @@ class TestFitResidueTrajectories:
         x = np.linspace(0, 1, 70)
         row = (np.tanh(4 * (x - 0.5)) + 1j * np.exp(-10 * (x - 0.5) ** 2)).astype(complex)
         functions, _ = fit_residue_trajectories(
-            x, row, StateFitOptions(error_bound=1e-3, max_order=16))
+            x, row, 1e-3)
         error = np.sqrt(np.mean(np.abs(functions[0](x) - row) ** 2))
         assert error < 5e-2
 
     def test_poles_are_integrable(self):
         x = np.linspace(0.4, 1.4, 60)
         target = np.exp(-30 * (x - 0.9) ** 2).astype(complex)
-        _, report = fit_residue_trajectories(x, target,
-                                             StateFitOptions(error_bound=1e-4, max_order=14))
+        _, report = fit_residue_trajectories(x, target, 1e-4)
         assert np.all(np.abs(report.poles.real) > 0)
 
     def test_report_orders_monotone(self):
         x = np.linspace(0, 1, 50)
         target = np.tanh(5 * (x - 0.5)).astype(complex)
-        _, report = fit_residue_trajectories(x, target, StateFitOptions(max_order=10))
+        _, report = fit_residue_trajectories(x, target, 1e-3)
         assert report.orders_tried == sorted(report.orders_tried)
 
     def test_too_few_samples_rejected(self):

@@ -27,7 +27,6 @@ from repro.telemetry import (
     AlertRule,
     EngineProfile,
     MetricsAggregator,
-    MetricsReport,
     RunStore,
     SpanClosed,
     TopicBroker,

@@ -11,13 +11,6 @@ class TestDC:
         assert DC(1.2)(0.0) == 1.2
         assert DC(1.2)(1e-6) == 1.2
 
-    def test_dc_value_property(self):
-        assert DC(-0.3).dc_value == -0.3
-
-    def test_sample_vectorised(self):
-        w = DC(0.5)
-        assert np.all(w.sample(np.linspace(0, 1, 5)) == 0.5)
-
 
 class TestSine:
     def test_value_at_zero_without_delay(self):
@@ -116,57 +109,13 @@ class TestBitPattern:
     def test_values_within_levels(self):
         w = BitPattern(bits=prbs_bits(16), bit_rate=2.5e9, low=0.4, high=1.4)
         t = np.linspace(0, w.duration, 500)
-        values = w.sample(t)
+        values = np.array([w(ti) for ti in t])
         assert values.min() >= 0.4 - 1e-12
         assert values.max() <= 1.4 + 1e-12
 
     def test_delay_shifts_pattern(self):
         w = BitPattern(bits=[1, 0], bit_rate=1e9, low=0.0, high=1.0, delay=1e-9)
         assert w(0.5e-9) == pytest.approx(1.0)  # before delay: first bit level
-
-
-class TestVectorisedSampling:
-    """The NumPy ``sample`` overrides must agree with the scalar reference.
-
-    The scalar ``value`` stays the reference implementation.
-    """
-
-    WAVEFORMS = [
-        Sine(offset=0.9, amplitude=0.5, frequency=2e6, delay=3e-9, phase=0.3,
-             damping=2e6),
-        Sine(offset=0.0, amplitude=1.0, frequency=1e8),
-        Pulse(initial=0.1, pulsed=1.0, delay=2e-9, rise=1e-9, fall=2e-9,
-              width=3e-9, period=10e-9),
-        Pulse(),
-        BitPattern(bits=prbs_bits(32), bit_rate=2.5e9, low=0.5, high=1.3),
-        BitPattern(bits=[1, 0, 1, 1], bit_rate=1e9, edge_time=0.0),
-        BitPattern(bits=[1, 0, 0, 1], bit_rate=1e9, delay=2e-9),
-        BitPattern(bits=[], bit_rate=1e9),
-    ]
-
-    @pytest.mark.parametrize("waveform", WAVEFORMS,
-                             ids=lambda w: type(w).__name__)
-    def test_sample_matches_scalar_value(self, waveform):
-        rng = np.random.default_rng(42)
-        times = np.concatenate([
-            rng.uniform(-5e-9, 25e-9, 500),
-            np.arange(0.0, 20e-9, 0.4e-9),      # exact bit/period boundaries
-            [0.0, 2e-9, 3e-9],                  # exact delays
-        ])
-        reference = np.array([waveform.value(float(t)) for t in times])
-        vectorised = waveform.sample(times)
-        assert vectorised.shape == times.shape
-        np.testing.assert_allclose(vectorised, reference, rtol=0, atol=1e-14)
-
-    def test_sample_preserves_shape(self):
-        w = Sine(amplitude=1.0, frequency=1e6)
-        grid = np.linspace(0, 1e-6, 12).reshape(3, 4)
-        assert w.sample(grid).shape == (3, 4)
-
-    def test_sample_accepts_lists(self):
-        w = Pulse()
-        out = w.sample([0.0, 0.5e-9, 1.5e-9])
-        assert out.shape == (3,)
 
 
 class TestBreakpoints:
