@@ -4,7 +4,7 @@ The 2.5 GS/s bit pattern of the paper spends most of its time on flat bit
 tops and all of its action in 100 ps raised-cosine edges.  A fixed time step
 must resolve the edges everywhere; the LTE controller instead estimates each
 step's local truncation error from the predictor-corrector difference and
-lets ``dt`` breathe between ``dt * min_dt_factor`` and ``dt * max_dt_factor``.
+lets ``dt`` breathe between ``dt * MIN_DT_FACTOR`` and ``dt * max_dt_factor``.
 
 The script runs the four-stage output buffer under a PRBS pattern twice —
 once on a fine fixed grid, once adaptively — and reports the step count,

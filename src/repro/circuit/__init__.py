@@ -9,7 +9,7 @@ step.
 
 from .ac import ACResult, ac_analysis, frequency_grid
 from .assembly import SPARSE_THRESHOLD, CompiledMNA, LegacyEngine, select_engine
-from .dc import DCOptions, DCResult, dc_operating_point
+from .dc import DCResult, dc_operating_point
 from .linalg import FactorizationCache, solve_linear
 from .devices import (
     MOSFET,
@@ -29,7 +29,7 @@ from .devices import (
 )
 from .mna import MNASystem
 from .netlist import Circuit, Output
-from .newton import NewtonOptions, NewtonResult, newton_solve
+from .newton import NewtonResult, newton_solve
 from .parser import parse_netlist
 from .transient import TransientOptions, TransientResult, transient_analysis
 from .waveforms import DC, BitPattern, Pulse, Sine, Waveform, prbs_bits
@@ -44,10 +44,10 @@ __all__ = [
     # waveforms
     "Waveform", "DC", "Sine", "Pulse", "BitPattern", "prbs_bits",
     # analyses
-    "dc_operating_point", "DCOptions", "DCResult",
+    "dc_operating_point", "DCResult",
     "ac_analysis", "ACResult", "frequency_grid",
     "transient_analysis", "TransientOptions", "TransientResult",
-    "newton_solve", "NewtonOptions", "NewtonResult",
+    "newton_solve", "NewtonResult",
     # compiled assembly + linear algebra
     "CompiledMNA", "LegacyEngine", "select_engine", "SPARSE_THRESHOLD",
     "FactorizationCache", "solve_linear",

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dc import DCOptions, dc_operating_point
+from .dc import dc_operating_point
 from .mna import MNASystem
 
 __all__ = ["ACResult", "ac_analysis", "frequency_grid"]
@@ -75,7 +75,6 @@ class ACResult:
 
 def ac_analysis(system: MNASystem, frequencies: np.ndarray,
                 operating_point: np.ndarray | None = None,
-                dc_options: DCOptions | None = None,
                 gmin: float = 1e-12, assembly: str = "auto") -> ACResult:
     """Linearise the circuit about its DC point and sweep the frequency grid.
 
@@ -86,11 +85,8 @@ def ac_analysis(system: MNASystem, frequencies: np.ndarray,
     path too, so circuits the compiled engine rejects remain analysable).
     """
     if operating_point is None:
-        if assembly == "legacy" and (dc_options is None
-                                     or dc_options.assembly != "legacy"):
-            from dataclasses import replace
-            dc_options = replace(dc_options or DCOptions(), assembly="legacy")
-        operating_point = dc_operating_point(system, options=dc_options).solution
+        operating_point = dc_operating_point(
+            system, assembly="legacy" if assembly == "legacy" else "auto").solution
     response = system.transfer_function(operating_point, frequencies, gmin=gmin,
                                         assembly=assembly)
     return ACResult(frequencies=np.asarray(frequencies, dtype=float),

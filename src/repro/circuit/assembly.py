@@ -22,9 +22,9 @@ wall time.  :class:`CompiledMNA` removes that cost with three ideas:
 3. **One shared sparsity pattern.**  In sparse mode every matrix (``G``,
    ``C`` and any combination ``G + a C``) lives on a single CSC pattern that
    also contains the full diagonal, so Jacobian combination is plain vector
-   arithmetic on the CSC ``data`` array and the LU factor cache
-   (:class:`repro.circuit.linalg.FactorizationCache`) can compare matrices by
-   their data vectors alone.
+   arithmetic on the CSC ``data`` array, and every matrix the LU factor cache
+   (:class:`repro.circuit.linalg.FactorizationCache`) compares has the same
+   pattern.
 
 Small systems fall back to dense arrays (same compiled split, no CSC
 indirection) because BLAS beats sparse overhead below a few dozen unknowns.
@@ -446,18 +446,6 @@ class CompiledMNA:
             self._ns_pos = ns_rows * n + ns_cols
             self._nd_pos = nd_rows * n + nd_cols
 
-        # Positions of every entry a *nonlinear* device stamps (CSC data
-        # positions in sparse mode, flat raveled indices in dense mode).
-        # The FactorizationCache uses these as its per-block drift metric:
-        # only drift in this block invalidates cached LU factors, because
-        # the remaining (linear) entries move exclusively through the
-        # ``G + alpha C`` combination factor, which the analyses signal
-        # explicitly via cache.invalidate() on time-step changes.
-        self.nonlinear_positions = np.unique(np.concatenate([
-            self._ns_pos, self._nd_pos, self._mos_pos, self._dio_pos,
-        ])) if (self._ns_pos.size or self._nd_pos.size or self._mos_pos.size
-                or self._dio_pos.size) else np.zeros(0, dtype=np.intp)
-
         self._static_has_nl = (bool(self._nl_static) or bool(self._mosfets.devices)
                                or bool(self._diodes.devices))
         self._dynamic_has_nl = bool(self._nl_dynamic)
@@ -658,9 +646,6 @@ class LegacyEngine:
     """Reference engine: the original per-device dense stamping path."""
 
     is_sparse = False
-    #: No stamp-position bookkeeping: the legacy path cannot provide a
-    #: per-block drift mask, so caches fall back to the global metric.
-    nonlinear_positions = None
 
     def __init__(self, system: "MNASystem") -> None:
         self.system = system

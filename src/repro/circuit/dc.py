@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,26 +10,17 @@ from ..exceptions import ConvergenceError, SingularMatrixError
 from .assembly import select_engine
 from .linalg import FactorizationCache
 from .mna import MNASystem
-from .newton import NewtonOptions, NewtonResult, newton_solve
+from .newton import NewtonResult, newton_solve
 
-__all__ = ["DCOptions", "DCResult", "dc_operating_point"]
+__all__ = ["DCResult", "dc_operating_point"]
 
-
-@dataclass
-class DCOptions:
-    """Options controlling the DC operating-point search."""
-
-    gmin: float = 1e-12
-    newton: NewtonOptions = field(default_factory=NewtonOptions)
-    #: gmin-stepping ladder tried when plain Newton fails (largest first).
-    gmin_steps: tuple[float, ...] = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12)
-    #: Number of source-stepping ramp points tried as the last resort.
-    source_steps: int = 20
-    #: Matrix assembly backend: "auto" (compiled, sparse above the size
-    #: threshold), "dense", "sparse" or "legacy" (original dense stamping).
-    assembly: str = "auto"
-    #: LU factors are re-used while the Jacobian drifts less than this.
-    jacobian_reuse_tol: float = 0.0
+#: Conductance from every node to ground, shared by the DC and transient
+#: analyses.
+GMIN = 1e-12
+#: gmin-stepping ladder tried when plain Newton fails (largest first).
+GMIN_STEPS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-10, 1e-12)
+#: Number of source-stepping ramp points tried as the last resort.
+SOURCE_STEPS = 20
 
 
 @dataclass
@@ -49,40 +40,36 @@ class DCResult:
 
 
 def _solve_fixed(system: MNASystem, engine, excitation: np.ndarray, gmin: float,
-                 guess: np.ndarray, newton_options: NewtonOptions,
-                 linear_solver: FactorizationCache | None = None) -> NewtonResult:
+                 guess: np.ndarray,
+                 linear_solver: FactorizationCache | None) -> NewtonResult:
     """Newton solve of ``i(v) + gmin*v_nodes - excitation = 0``."""
     n_nodes = system.n_nodes
 
     def residual_and_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i_vec, g_op = engine.eval_static(v)
         residual = i_vec - excitation
-        if gmin:
-            residual[:n_nodes] += gmin * v[:n_nodes]
-            g_op = g_op.copy()
-            engine.add_diag(g_op, gmin, n_nodes)
+        residual[:n_nodes] += gmin * v[:n_nodes]
+        g_op = g_op.copy()
+        engine.add_diag(g_op, gmin, n_nodes)
         return residual, engine.materialize(g_op)
 
-    return newton_solve(residual_and_jacobian, guess, newton_options,
-                        linear_solver=linear_solver)
+    return newton_solve(residual_and_jacobian, guess, linear_solver=linear_solver)
 
 
 def dc_operating_point(system: MNASystem, t: float = 0.0,
-                       options: DCOptions | None = None,
-                       initial_guess: np.ndarray | None = None) -> DCResult:
+                       initial_guess: np.ndarray | None = None,
+                       assembly: str = "auto") -> DCResult:
     """Compute the DC operating point of the circuit at time ``t``.
 
     The excitation is evaluated at ``t`` (normally 0), so sources described by
     waveforms contribute their value at that instant.  Three strategies are
     tried in order: plain Newton, gmin stepping and source stepping.  The
     strategy that produced the result is recorded in :attr:`DCResult.strategy`
-    so tests and reports can assert on it.
+    so tests and reports can assert on it.  ``assembly`` selects the matrix
+    assembly backend as :func:`~repro.circuit.assembly.select_engine` does.
     """
-    opts = options or DCOptions()
-    engine = select_engine(system, opts.assembly)
-    cache = (FactorizationCache(reuse_tolerance=opts.jacobian_reuse_tol,
-                                singular_threshold=opts.newton.singular_threshold)
-             if opts.assembly != "legacy" else None)
+    engine = select_engine(system, assembly)
+    cache = FactorizationCache() if assembly != "legacy" else None
     excitation = system.excitation(t)
     guess = (np.array(initial_guess, dtype=float, copy=True)
              if initial_guess is not None else system.zero_state())
@@ -91,45 +78,39 @@ def dc_operating_point(system: MNASystem, t: float = 0.0,
 
     # Strategy 1: plain Newton from the supplied guess.
     try:
-        result = _solve_fixed(system, engine, excitation, opts.gmin, guess,
-                              opts.newton, cache)
+        result = _solve_fixed(system, engine, excitation, GMIN, guess, cache)
         total_iterations += result.iterations
         if result.converged:
             return _package(system, result, total_iterations, "newton")
     except SingularMatrixError:
         pass
 
-    # Strategy 2: gmin stepping (an empty ladder skips it).
+    # Strategy 2: gmin stepping, then a final solve at GMIN.
     stepping_guess = guess
-    converged_chain = bool(opts.gmin_steps)
-    for gmin in opts.gmin_steps:
+    for gmin in GMIN_STEPS:
         try:
             result = _solve_fixed(system, engine, excitation, gmin, stepping_guess,
-                                  opts.newton, cache)
+                                  cache)
         except SingularMatrixError:
-            converged_chain = False
             break
         total_iterations += result.iterations
         if not result.converged:
-            converged_chain = False
             break
         stepping_guess = result.solution
-    if converged_chain:
-        final_gmin = min(opts.gmin, opts.gmin_steps[-1])
-        result = _solve_fixed(system, engine, excitation, final_gmin, stepping_guess,
-                              opts.newton, cache)
+    else:
+        result = _solve_fixed(system, engine, excitation, GMIN, stepping_guess,
+                              cache)
         total_iterations += result.iterations
         if result.converged:
             return _package(system, result, total_iterations, "gmin-stepping")
 
     # Strategy 3: source stepping.
     stepping_guess = system.zero_state()
-    result = None
-    for k in range(1, opts.source_steps + 1):
-        alpha = k / opts.source_steps
+    for k in range(1, SOURCE_STEPS + 1):
+        alpha = k / SOURCE_STEPS
         try:
-            result = _solve_fixed(system, engine, alpha * excitation, opts.gmin,
-                                  stepping_guess, opts.newton, cache)
+            result = _solve_fixed(system, engine, alpha * excitation, GMIN,
+                                  stepping_guess, cache)
         except SingularMatrixError as exc:
             raise ConvergenceError(
                 f"DC analysis of {system.circuit.name!r} failed: singular matrix during "
@@ -140,11 +121,6 @@ def dc_operating_point(system: MNASystem, t: float = 0.0,
                 f"DC analysis of {system.circuit.name!r} failed during source stepping",
                 iterations=total_iterations, residual=result.residual_norm)
         stepping_guess = result.solution
-    if result is None:
-        raise ConvergenceError(
-            f"DC analysis of {system.circuit.name!r} failed: plain Newton and "
-            f"gmin stepping did not converge and source_steps=0 leaves no "
-            f"source stepping", iterations=total_iterations)
     return _package(system, result, total_iterations, "source-stepping")
 
 

@@ -1,19 +1,13 @@
 """Linear-solver backends with LU-factor caching for the MNA analyses.
 
 The Newton iterations of the DC and transient analyses solve a long sequence
-of linear systems whose matrices differ only slightly from one another (and,
-for linear circuits with a fixed time step, not at all).  The
-:class:`FactorizationCache` exploits that: it keeps the LU factors of the last
-factorised matrix and re-uses them — a *modified Newton* bypass — as long as
-the matrix entries have drifted less than a relative tolerance since the
-factorisation.  Convergence is unaffected because the Newton residual is
-always evaluated exactly; a stale factor only changes the search direction.
+of linear systems.  For a linear circuit at a fixed time step the matrix
+does not change at all, and the :class:`FactorizationCache` exploits that: it
+keeps the LU factors of the last factorised matrix and reuses them for the
+next matrix only when that matrix is equal to it, so every solve is exact.
 
 Both dense matrices (LAPACK ``getrf``/``getrs``, called directly) and sparse
-CSC matrices (``scipy.sparse.linalg.splu``) are supported; since the compiled
-assembly (:mod:`repro.circuit.assembly`) emits every Jacobian on one shared
-sparsity pattern, the drift check reduces to a vector comparison of the CSC
-data arrays.
+CSC matrices (``scipy.sparse.linalg.splu``) are supported.
 """
 
 from __future__ import annotations
@@ -52,153 +46,73 @@ def _lapack(name: str, *arrays: np.ndarray):
 
 
 class FactorizationCache:
-    """Caches LU factors and re-uses them while the matrix barely changes.
+    """Caches the LU factors of the last matrix and reuses them for an equal one.
 
-    Parameters
-    ----------
-    reuse_tolerance:
-        Maximum relative drift ``max|A - A_factored| / max|A_factored|`` for
-        which the cached factors are still used.  ``0.0`` re-uses factors only
-        for bit-identical matrices (which still pays off handsomely for linear
-        circuits, whose Jacobian is constant across a whole transient).
-    singular_threshold:
-        A dense factorisation whose smallest pivot magnitude falls at or below
-        this value, or that has a NaN or infinite pivot, raises
-        :class:`SingularMatrixError` and caches nothing.
-    drift_indices:
-        Optional *per-block* drift metric: positions (into the CSC ``data``
-        vector, or flat indices into the raveled dense matrix) of the entries
-        whose drift should be compared — in the MNA analyses, the entries
-        that nonlinear devices stamp.  Both the drift and its reference scale
-        are then measured over this block only, so the tolerance is relative
-        to the nonlinear entries' own magnitude rather than to the largest
-        (often linear) entry of the whole matrix.  This is what makes a
-        modified-Newton ``reuse_tolerance`` meaningful on large mostly-linear
-        systems.  Callers are responsible for :meth:`invalidate` when entries
-        *outside* the block change for structural reasons (e.g. the
-        ``G + (2/dt) C`` combination after a time-step change).
+    A matrix is solved with the cached factors when it is the same kind
+    (dense or CSC) as the factorised one and equal to it entry for entry —
+    for a CSC matrix, pattern (``indptr``, ``indices``) and ``data`` alike.
+    Every solve therefore uses the exact LU of its own matrix, bitwise what
+    factorising it afresh would give.
 
     Dense matrices go straight to LAPACK ``getrf``/``getrs`` (the routine
     chosen by dtype exactly as ``scipy.linalg`` does), so a Newton step pays
     for the factorisation and the solve rather than for wrapper layers; a
-    singular probe raises without emitting any warning.
+    dense factorisation with a zero, NaN or infinite pivot raises
+    :class:`SingularMatrixError` without emitting any warning and caches
+    nothing.
 
     Attributes
     ----------
-    factorizations / reuses / solves / invalidations:
+    factorizations / reuses / solves:
         Counters for benchmarking, tests and the engine profile
         (:class:`~repro.telemetry.events.EngineProfile`).
-    reused_last:
-        Whether the most recent :meth:`solve` used stale (cached) factors.
     """
 
-    def __init__(self, reuse_tolerance: float = 0.0,
-                 singular_threshold: float = 0.0,
-                 drift_indices: np.ndarray | None = None) -> None:
-        if reuse_tolerance < 0.0:
-            raise ValueError("reuse_tolerance must be non-negative")
-        self.reuse_tolerance = float(reuse_tolerance)
-        self.singular_threshold = float(singular_threshold)
-        self.drift_indices = (None if drift_indices is None
-                              else np.unique(np.asarray(drift_indices, dtype=np.intp)))
+    def __init__(self) -> None:
         self.factorizations = 0
         self.reuses = 0
         self.solves = 0
-        self.invalidations = 0
-        self.reused_last = False
-        self._force_refactor = False
-        self._sparse: bool | None = None
-        self._data: np.ndarray | None = None
-        #: The cached matrix's drift-block entries and their largest magnitude.
-        self._block: np.ndarray | None = None
-        self._block_scale = 0.0
+        #: The factorised matrix: ``(dense,)`` or CSC ``(data, indices, indptr)``.
+        self._key: tuple = ()
         self._lu = None          # splu object (sparse) or (lu, piv) (dense)
 
-    # ----------------------------------------------------------------- control
-    def invalidate(self) -> None:
-        """Force a refactorisation on the next :meth:`solve` (counted)."""
-        self.invalidations += 1
-        self._force_refactor = True
-
-    def clear(self) -> None:
-        """Drop the cached factors entirely."""
-        self._data = None
-        self._lu = None
-        self._sparse = None
-        self._force_refactor = False
-
-    # ------------------------------------------------------------------ solve
     def solve(self, matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``matrix @ x = rhs``, re-using cached factors when possible."""
+        """Solve ``matrix @ x = rhs``, reusing the factors of an equal matrix."""
         self.solves += 1
         sparse = _sp.issparse(matrix)
-        data = matrix.data if sparse else np.asarray(matrix)
-
-        if self._can_reuse(sparse, data):
+        key = ((matrix.data, matrix.indices, matrix.indptr) if sparse
+               else (np.asarray(matrix),))
+        if (self._lu is not None and len(key) == len(self._key)
+                and all(map(np.array_equal, key, self._key))):
             self.reuses += 1
-            self.reused_last = True
-            return self._apply(rhs)
-
-        self._factorize(matrix, sparse, data)
-        self.reused_last = False
-        return self._apply(rhs)
-
-    # --------------------------------------------------------------- internals
-    def _can_reuse(self, sparse: bool, data: np.ndarray) -> bool:
-        if self._lu is None or self._force_refactor or sparse != self._sparse:
-            self._force_refactor = False
-            return False
-        cached = self._data
-        if cached is None or cached.shape != data.shape:
-            return False
-        idx = self.drift_indices
-        if idx is not None:
-            if idx.size == 0:
-                # Purely linear block set: entries only move for structural
-                # reasons the caller signals through invalidate().
-                return True
-            flat = data.reshape(-1)
-            if idx[-1] >= flat.size:          # mask built for another pattern
-                return False
-            drift = float(np.abs(flat[idx] - self._block).max())
-            scale = self._block_scale
         else:
-            drift = float(np.max(np.abs(data - cached))) if data.size else 0.0
-            scale = float(np.max(np.abs(cached))) if cached.size else 0.0
-        return drift <= self.reuse_tolerance * scale
-
-    def _factorize(self, matrix, sparse: bool, data: np.ndarray) -> None:
-        self.factorizations += 1
-        self._sparse = sparse
-        self._data = np.array(data, copy=True)
-        idx = self.drift_indices
-        if idx is not None and idx.size and idx[-1] < data.size:
-            self._block = self._data.reshape(-1)[idx]
-            self._block_scale = float(np.abs(self._block).max())
+            self._factorize(matrix, sparse, key)
         if sparse:
-            try:
-                self._lu = _spla.splu(_sp.csc_matrix(matrix))
-            except RuntimeError as exc:  # "Factor is exactly singular"
-                self._lu = None
-                raise SingularMatrixError(f"sparse LU factorisation failed: {exc}") from exc
-        else:
-            lu, piv, info = _lapack("getrf", data)(data)
-            pivots = np.abs(lu.diagonal())
-            # Singular probes are routine during gmin/source stepping; a zero
-            # pivot (info > 0), one at or below the threshold, or a NaN or
-            # infinite one (a non-finite Jacobian) all raise the typed error.
-            if info or not (pivots.min() > self.singular_threshold
-                            and pivots.max() < np.inf):
-                self._lu = None
-                raise SingularMatrixError(
-                    "dense LU factorisation produced a zero or non-finite pivot")
-            self._lu = (lu, piv)
-
-    def _apply(self, rhs: np.ndarray) -> np.ndarray:
-        if self._sparse:
             return self._lu.solve(rhs)
         lu, piv = self._lu
         return _lapack("getrs", lu, rhs)(lu, piv, rhs)[0]
+
+    def _factorize(self, matrix, sparse: bool, key: tuple) -> None:
+        self.factorizations += 1
+        self._lu = None
+        if sparse:
+            try:
+                lu = _spla.splu(_sp.csc_matrix(matrix))
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise SingularMatrixError(f"sparse LU factorisation failed: {exc}") from exc
+        else:
+            dense, = key
+            lu, piv, info = _lapack("getrf", dense)(dense)
+            pivots = np.abs(lu.diagonal())
+            # Singular probes are routine during gmin/source stepping; a zero
+            # pivot (info > 0) or a NaN or infinite one (a non-finite
+            # Jacobian) raises the typed error.
+            if info or not (pivots.min() > 0.0 and pivots.max() < np.inf):
+                raise SingularMatrixError(
+                    "dense LU factorisation produced a zero or non-finite pivot")
+            lu = (lu, piv)
+        self._key = tuple(part.copy() for part in key)
+        self._lu = lu
 
 
 def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,

@@ -2,11 +2,10 @@
 
 The Jacobian handed back by the residual callback may be a dense NumPy array
 or a ``scipy.sparse`` matrix; sparse Jacobians are factorised with SuperLU.
-Passing a persistent :class:`repro.circuit.linalg.FactorizationCache` enables
-the modified-Newton bypass: LU factors are re-used across iterations (and, in
-the transient analysis, across time steps) while the Jacobian drifts less
-than the cache's tolerance, with an automatic refactor when the residual
-stops contracting.
+Passing a persistent :class:`repro.circuit.linalg.FactorizationCache` lets
+a Jacobian equal to the last factorised one (a linear circuit's, across
+iterations and time steps) reuse its LU factors; every update is still the
+exact Newton step.
 
 The same loop solves a stack of independent systems (one row each, e.g. the
 time steps of several stimuli of one circuit): every decision is taken per
@@ -21,36 +20,20 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as _sp
 
 from ..exceptions import SingularMatrixError
 from .linalg import FactorizationCache, solve_linear
 
-__all__ = ["NewtonOptions", "NewtonResult", "newton_solve"]
+__all__ = ["NewtonResult", "newton_solve"]
 
-
-@dataclass
-class NewtonOptions:
-    """Tuning knobs of the Newton iteration.
-
-    ``abs_tol``/``rel_tol`` follow the SPICE convention: convergence requires
-    the residual norm to drop below ``abs_tol`` *and* the last update to be
-    small relative to the solution (``rel_tol * |v| + abs_tol``).
-    ``max_step`` limits the per-iteration change of any unknown, which acts as
-    a crude but effective junction-voltage limiter for exponential devices.
-    """
-
-    max_iterations: int = 100
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-6
-    max_step: float = 1.0
-    #: Dense LU pivots at or below this magnitude raise SingularMatrixError
-    #: (0 keeps NumPy's exact-singularity detection only).  Forwarded to the
-    #: FactorizationCache the analyses build around this iteration.
-    singular_threshold: float = 0.0
-    #: Residual contraction factor above which a cached (stale) LU factor is
-    #: invalidated so the next iteration refactors the fresh Jacobian.
-    stale_contraction_limit: float = 0.5
+#: Convergence follows the SPICE convention: the residual norm must drop
+#: below ``ABS_TOL`` *and* the last update must be small relative to the
+#: solution (``REL_TOL * |v| + ABS_TOL``).
+ABS_TOL = 1e-9
+REL_TOL = 1e-6
+#: Largest per-iteration change of any unknown: a crude but effective
+#: junction-voltage limiter for exponential devices.
+MAX_STEP = 1.0
 
 
 @dataclass
@@ -70,19 +53,11 @@ class NewtonResult:
 
 
 def _solve_step(jacobian, rhs: np.ndarray, iteration: int,
-                linear_solver: FactorizationCache | None,
-                singular_threshold: float) -> np.ndarray:
+                linear_solver: FactorizationCache | None) -> np.ndarray:
     try:
-        if linear_solver is not None:
-            delta = linear_solver.solve(jacobian, rhs)
-        elif _sp.issparse(jacobian):
-            delta = solve_linear(jacobian, rhs)
-        elif singular_threshold > 0.0:
-            cache = FactorizationCache(singular_threshold=singular_threshold)
-            delta = cache.solve(jacobian, rhs)
-        else:
-            delta = np.linalg.solve(jacobian, rhs)
-    except (np.linalg.LinAlgError, SingularMatrixError) as exc:
+        delta = (solve_linear(jacobian, rhs) if linear_solver is None
+                 else linear_solver.solve(jacobian, rhs))
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"singular Jacobian during Newton iteration {iteration}") from exc
     if not np.isfinite(delta).all():
@@ -97,8 +72,7 @@ def _max_abs(x: np.ndarray) -> list[float]:
 
 
 def newton_solve(residual_and_jacobian: Callable[..., tuple[np.ndarray, object]],
-                 initial_guess: np.ndarray,
-                 options: NewtonOptions | None = None,
+                 initial_guess: np.ndarray, max_iterations: int = 100,
                  linear_solver=None):
     """Solve ``f(v) = 0`` with a damped Newton iteration.
 
@@ -110,14 +84,11 @@ def newton_solve(residual_and_jacobian: Callable[..., tuple[np.ndarray, object]]
     initial_guess:
         Starting point; not modified.  A 2-D ``(S, n)`` guess solves S
         independent systems in one loop (see below).
-    options:
-        :class:`NewtonOptions`; defaults are suitable for the circuits in this
-        repository.
+    max_iterations:
+        Iteration budget; the transient analysis passes 50, the DC analysis
+        keeps the default.
     linear_solver:
         Optional :class:`FactorizationCache` used to solve the Newton updates.
-        A cache with a non-zero reuse tolerance turns the iteration into a
-        modified Newton method that skips refactorisation while the Jacobian
-        barely changes; convergence is still judged on the exact residual.
 
     A stacked guess runs the same iteration on every row: damping, the
     backtracking line search and the convergence test are decided per row,
@@ -130,24 +101,23 @@ def newton_solve(residual_and_jacobian: Callable[..., tuple[np.ndarray, object]]
     list of S :class:`NewtonResult`; a row whose linear solve fails stops
     there with the error on its result, where a 1-D solve raises it.
     """
-    opts = options or NewtonOptions()
     guess = np.array(initial_guess, dtype=float, copy=True)
     if guess.ndim != 1:
         solvers = (list(linear_solver) if linear_solver is not None
                    else [None] * guess.shape[0])
-        return _iterate(residual_and_jacobian, guess, opts, solvers)
+        return _iterate(residual_and_jacobian, guess, max_iterations, solvers)
 
     def one_row(v: np.ndarray, rows: list[int]):
         residual, jacobian = residual_and_jacobian(v[0])
         return residual[None], (jacobian,)
 
-    result, = _iterate(one_row, guess[None], opts, [linear_solver])
+    result, = _iterate(one_row, guess[None], max_iterations, [linear_solver])
     if result.error is not None:
         raise result.error
     return result
 
 
-def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
+def _iterate(evaluate, v: np.ndarray, max_iterations: int,
              solvers: list) -> list[NewtonResult]:
     """The Newton loop over the rows of ``v`` (see :func:`newton_solve`).
 
@@ -159,13 +129,13 @@ def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
     residual, jacobian = evaluate(v, rows)
     residual_norm = _max_abs(residual)
 
-    for iteration in range(1, opts.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         delta = np.empty_like(v)
         keep = []
         for k, row in enumerate(rows):
             try:
                 delta[k] = _solve_step(jacobian[k], -residual[k], iteration,
-                                       solvers[row], opts.singular_threshold)
+                                       solvers[row])
                 keep.append(k)
             except SingularMatrixError as exc:
                 results[row] = NewtonResult(v[k], False, iteration,
@@ -180,8 +150,8 @@ def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
 
         # Damping: limit the largest per-unknown update of each row.
         for k, max_delta in enumerate(_max_abs(delta)):
-            if max_delta > opts.max_step:
-                delta[k] *= opts.max_step / max_delta
+            if max_delta > MAX_STEP:
+                delta[k] *= MAX_STEP / max_delta
         v_new = v + delta
         residual_new, jacobian_new = evaluate(v_new, rows)
         norm_new = _max_abs(residual_new)
@@ -190,7 +160,7 @@ def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
         # a lot, up to four times, before accepting.
         for _ in range(4):
             grew = [k for k, norm in enumerate(norm_new)
-                    if norm > 10.0 * residual_norm[k] + opts.abs_tol]
+                    if norm > 10.0 * residual_norm[k] + ABS_TOL]
             if not grew:
                 break
             delta[grew] *= 0.5
@@ -204,23 +174,14 @@ def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
                 norm_new[k] = norm
                 jacobian_new[k] = trial_jacobian[j]
 
-        # Stale factors that no longer contract the residual are evicted so
-        # the next solve refactors the up-to-date Jacobian.
-        for k, norm in enumerate(norm_new):
-            cache = solvers[rows[k]]
-            if (cache is not None and cache.reused_last
-                    and norm > opts.stale_contraction_limit * residual_norm[k]
-                    and norm > opts.abs_tol):
-                cache.invalidate()
-
         update_norm = _max_abs(v_new - v)
         v, residual, jacobian = v_new, residual_new, jacobian_new
         residual_norm = norm_new
 
         converged = [
             k for k, scale in enumerate(_max_abs(v))
-            if (update_norm[k] <= opts.rel_tol * scale + opts.abs_tol
-                and residual_norm[k] <= opts.abs_tol)]
+            if (update_norm[k] <= REL_TOL * scale + ABS_TOL
+                and residual_norm[k] <= ABS_TOL)]
         if converged:
             for k in converged:
                 results[rows[k]] = NewtonResult(v[k], True, iteration,
@@ -234,6 +195,6 @@ def _iterate(evaluate, v: np.ndarray, opts: NewtonOptions,
             jacobian = [jacobian[k] for k in keep]
 
     for k, row in enumerate(rows):
-        results[row] = NewtonResult(v[k], False, opts.max_iterations,
+        results[row] = NewtonResult(v[k], False, max_iterations,
                                     residual_norm[k])
     return results

@@ -20,19 +20,35 @@ byte-equal to its own run (see :func:`transient_analysis`).
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from ..exceptions import ConvergenceError, SingularMatrixError
 from .assembly import CompiledMNA, select_engine
-from .dc import DCOptions, dc_operating_point
+from .dc import GMIN, dc_operating_point
 from .linalg import FactorizationCache
 from .mna import MNASystem
-from .newton import NewtonOptions, NewtonResult, newton_solve
+from .newton import NewtonResult, newton_solve
 
 __all__ = ["TransientOptions", "TransientResult", "SnapshotCallback", "transient_analysis"]
+
+#: Newton iteration budget of one time step.
+NEWTON_ITERATIONS = 50
+#: Smallest step, as a multiple of the nominal ``dt``, allowed when halving
+#: after a Newton failure or shrinking after an LTE rejection.
+MIN_DT_FACTOR = 1e-4
+#: Most accepted points kept (guards against runaway loops).
+MAX_POINTS = 2_000_000
+#: Absolute weight of the LTE norm: a step is accepted when
+#: ``rms(lte / (LTE_ABS_TOL + lte_rel_tol * |v|)) <= 1``.
+LTE_ABS_TOL = 1e-6
+#: Safety factor on the optimal-step formula and the per-step growth /
+#: shrink clamps of the adaptive controller (standard values).
+LTE_SAFETY = 0.9
+MAX_GROWTH = 2.0
+MIN_SHRINK = 0.2
 
 
 class SnapshotCallback(Protocol):
@@ -47,87 +63,50 @@ class SnapshotCallback(Protocol):
                g_matrix: np.ndarray, c_matrix: np.ndarray) -> None: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransientOptions:
-    """Options for the transient analysis."""
+    """Time span, step and integration method of a transient analysis.
+
+    Every run starts at ``t = 0``.  The step controller's other settings are
+    the constants of this module; the Newton and DC ones are those of
+    :mod:`repro.circuit.newton` and :mod:`repro.circuit.dc`.
+    """
 
     t_stop: float = 1e-9
     dt: float = 1e-12
-    t_start: float = 0.0
     method: str = "trapezoidal"          # or "backward_euler"
-    newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(max_iterations=50))
-    dc: DCOptions = field(default_factory=DCOptions)
-    gmin: float = 1e-12
-    #: Smallest step allowed when halving after a Newton failure.
-    min_dt_factor: float = 1e-4
-    #: Maximum number of accepted points kept (guards against runaway loops).
-    max_points: int = 2_000_000
-    #: Record a snapshot every ``snapshot_stride`` accepted steps (0 disables).
-    snapshot_stride: int = 1
     #: Matrix assembly backend: "auto" (compiled engine, sparse CSC storage
     #: above the size threshold), "dense", "sparse" or "legacy" (the original
     #: per-device dense stamping path, kept as reference and benchmark
     #: baseline).
     assembly: str = "auto"
-    #: Relative Jacobian drift below which cached LU factors are re-used
-    #: across Newton iterations and time steps (modified-Newton bypass).
-    #: Only active for non-legacy assembly.  The default of 0.0 re-uses
-    #: factors only for bit-identical Jacobians — a large win for linear
-    #: circuits (one factorisation per dt) at zero convergence cost; raising
-    #: it trades Newton iterations for factorisations, which only pays off
-    #: for systems large enough that the LU dominates an iteration.  The
-    #: drift is measured per-block (over the entries nonlinear devices
-    #: stamp) on the compiled engines, so the tolerance is relative to the
-    #: nonlinear entries' own magnitude; the solver invalidates the cache
-    #: explicitly whenever ``dt`` changes, which is the only way the linear
-    #: entries move.
-    jacobian_reuse_tol: float = 0.0
-    #: Extrapolate the previous two solutions as the Newton initial guess.
-    predictor: bool = True
     #: LTE-controlled adaptive time stepping: estimate the local truncation
     #: error of each step from the predictor–corrector difference and grow /
     #: shrink ``dt`` to hold a weighted error norm at 1.  ``dt`` becomes the
     #: *initial* step; the controller moves it within
-    #: ``[dt * min_dt_factor, dt * max_dt_factor]``.
+    #: ``[dt * MIN_DT_FACTOR, dt * max_dt_factor]`` and lands exactly on
+    #: every stimulus corner — pulse edges, PWL knots, bit-pattern
+    #: transition starts/ends, as registered by :meth:`Waveform.breakpoints
+    #: <repro.circuit.waveforms.Waveform.breakpoints>` — so no accepted step
+    #: straddles one.
     adaptive: bool = False
-    #: Absolute and relative weights of the LTE norm: a step is accepted when
-    #: ``rms(lte / (lte_abs_tol + lte_rel_tol * |v|)) <= 1``.
+    #: Relative weight of the LTE norm (see :data:`LTE_ABS_TOL`).
     lte_rel_tol: float = 1e-3
-    lte_abs_tol: float = 1e-6
-    #: Safety factor on the optimal-step formula and the per-step growth /
-    #: shrink clamps of the controller (standard values).
-    lte_safety: float = 0.9
-    max_growth: float = 2.0
-    min_shrink: float = 0.2
     #: Largest adaptive step as a multiple of the nominal ``dt``.  Keep this
     #: below the fastest feature of the stimulus: a step that clears an
     #: entire input transition lands on a smooth solution and leaves the LTE
     #: estimate nothing to reject.
     max_dt_factor: float = 50.0
-    #: Breakpoint-aware step cap (adaptive mode only): clamp the step so no
-    #: accepted interval straddles a stimulus corner — pulse edges, PWL
-    #: knots, bit-pattern transition starts/ends, as registered by
-    #: :meth:`Waveform.breakpoints <repro.circuit.waveforms.Waveform.
-    #: breakpoints>`.  The integrator lands exactly on each corner, which
-    #: removes the failure mode ``max_dt_factor`` only mitigates.
-    breakpoints: bool = True
 
     def validate(self) -> None:
-        if self.t_stop <= self.t_start:
-            raise ValueError("t_stop must be greater than t_start")
+        if self.t_stop <= 0:
+            raise ValueError("t_stop must be positive")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.method not in ("trapezoidal", "backward_euler"):
             raise ValueError(f"unknown integration method {self.method!r}")
-        if self.adaptive:
-            if self.lte_rel_tol <= 0.0 and self.lte_abs_tol <= 0.0:
-                raise ValueError("adaptive stepping needs a positive LTE tolerance")
-            if not 0.0 < self.min_shrink < 1.0:
-                raise ValueError("min_shrink must lie in (0, 1)")
-            if self.max_growth < 1.0:
-                raise ValueError("max_growth must be at least 1")
-            if self.max_dt_factor < 1.0:
-                raise ValueError("max_dt_factor must be at least 1")
+        if self.adaptive and self.max_dt_factor < 1.0:
+            raise ValueError("max_dt_factor must be at least 1")
 
 
 @dataclass
@@ -153,7 +132,6 @@ class TransientResult:
     #: :class:`~repro.telemetry.events.EngineProfile` event.
     cache_factorizations: int = 0
     cache_reuses: int = 0
-    cache_invalidations: int = 0
     cache_solves: int = 0
 
     @property
@@ -236,7 +214,6 @@ class _Row:
             lte_rejections=self.lte_rejected,
             cache_factorizations=cache.factorizations if cache else 0,
             cache_reuses=cache.reuses if cache else 0,
-            cache_invalidations=cache.invalidations if cache else 0,
             cache_solves=cache.solves if cache else 0,
         )
 
@@ -259,7 +236,6 @@ class _Group:
     dt: float
     dt_prev: float
     trap_next: bool
-    step_index: int
 
     def take(self, keep: list[int]) -> None:
         """Keep only the rows at positions ``keep``."""
@@ -282,16 +258,15 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
         Built MNA system, or a sequence of S systems of one circuit that
         differ only in their stimuli (a *family*, see below).
     options:
-        Time span, step, integration method and solver tolerances.
+        Time span, step, integration method and assembly.
     snapshot_callback:
         Optional recorder receiving ``(t, v, u, y, G, C)`` at accepted steps
         (for a family, a sequence of one recorder or ``None`` per system).
     initial_state:
         Optional starting solution; when omitted the DC operating point at
-        ``t_start`` is used (the standard SPICE behaviour).  For a family, a
+        ``t = 0`` is used (the standard SPICE behaviour).  For a family, a
         sequence of one state or ``None`` per system; rows whose excitations
-        at ``t_start`` are byte-equal solve their DC point once (unless
-        ``options.dc`` selects the legacy assembly).
+        at ``t = 0`` are byte-equal solve their DC point once.
     progress:
         Optional callable receiving the fraction of simulated time (for a
         family, once per step of each group of rows that step together).
@@ -342,25 +317,17 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
                 f"{other.circuit.name!r} does not compile to the same engine as "
                 f"{systems[0].circuit.name!r}; a family is one circuit")
 
-    dc_options = options.dc
-    if legacy and dc_options.assembly != "legacy":
-        dc_options = replace(dc_options, assembly="legacy")
-    # DC solutions by the bytes of their t_start excitation: rows of matching
+    # DC solutions by the bytes of their t = 0 excitation: rows of matching
     # compiled engines solve equal excitations to equal bits, so a later row
     # reuses an earlier row's DC point.  The legacy path evaluates each row's
     # own devices, which no engine comparison covers.
-    dc_points: dict[bytes, np.ndarray] | None = (
-        None if dc_options.assembly == "legacy" else {})
+    dc_points: dict[bytes, np.ndarray] | None = None if legacy else {}
     rows, starting = [], []
     for row_system, callback, start in zip(systems, callbacks, starts):
-        row = _Row(row_system, callback, None if legacy else FactorizationCache(
-            reuse_tolerance=options.jacobian_reuse_tol,
-            singular_threshold=options.newton.singular_threshold,
-            drift_indices=getattr(engine, "nonlinear_positions", None)))
+        row = _Row(row_system, callback, None if legacy else FactorizationCache())
         rows.append(row)
         try:
-            starting.append((row, _start_row(row, engine, options, start,
-                                              dc_options, dc_points)))
+            starting.append((row, _start_row(row, engine, start, dc_points)))
         except Exception as exc:  # noqa: BLE001 - the row's own run raises it
             row.error = exc
 
@@ -368,8 +335,8 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
     if starting:
         v, q, qdot = (np.stack(parts) for parts in zip(*(s for _, s in starting)))
         pending.append(_Group([row for row, _ in starting], v, q, qdot, None,
-                              options.t_start, options.dt, options.dt,
-                              options.method == "trapezoidal", 0))
+                              0.0, options.dt, options.dt,
+                              options.method == "trapezoidal"))
     while pending:
         pending.extend(_integrate(pending.pop(0), engine, options, progress))
 
@@ -383,32 +350,33 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
     return outcomes[0]
 
 
-def _start_row(row: _Row, engine, options: TransientOptions, initial_state,
-               dc_options: DCOptions, dc_points: dict[bytes, np.ndarray] | None,
+def _start_row(row: _Row, engine, initial_state,
+               dc_points: dict[bytes, np.ndarray] | None,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Initial point of one row: records it and returns ``(v, q, qdot)``.
 
     Without an ``initial_state`` the row starts at its DC operating point,
     taken from ``dc_points`` (keyed by the bytes of the excitation at
-    ``t_start``) when an earlier row solved the same excitation; a solved
-    point is added to it.  ``None`` solves every row's own point.
+    ``t = 0``) when an earlier row solved the same excitation; a solved
+    point is added to it.  ``None`` (the legacy assembly) solves every
+    row's own point on the legacy path.
     """
     system = row.system
-    excitation = system.excitation(options.t_start)
+    excitation = system.excitation(0.0)
     if initial_state is None:
         key = excitation.tobytes()
         v = None if dc_points is None else dc_points.get(key)
         if v is None:
-            v = dc_operating_point(system, t=options.t_start,
-                                   options=dc_options).solution
+            v = dc_operating_point(
+                system, assembly="legacy" if dc_points is None else "auto").solution
             if dc_points is not None:
                 dc_points[key] = v
         v = v.copy()
     else:
         v = np.array(initial_state, dtype=float, copy=True)
-    row.times.append(options.t_start)
+    row.times.append(0.0)
     row.states.append(v.copy())
-    u0 = system.input_vector(options.t_start)
+    u0 = system.input_vector(0.0)
     row.inputs.append(u0)
     row.outputs.append(system.output(v))
 
@@ -416,8 +384,8 @@ def _start_row(row: _Row, engine, options: TransientOptions, initial_state,
     q_vec, c_op = engine.eval_dynamic(v)
     # dq/dt at the initial point; at a true DC point this is ~0.
     qdot = excitation - i_vec
-    if row.callback is not None and options.snapshot_stride > 0:
-        row.callback.record(options.t_start, v.copy(), u0, system.output(v),
+    if row.callback is not None:
+        row.callback.record(0.0, v.copy(), u0, system.output(v),
                             engine.materialize(g_op.copy()),
                             engine.materialize(c_op.copy()))
     return v, q_vec, qdot
@@ -434,28 +402,26 @@ def _integrate(group: _Group, engine, options: TransientOptions,
     split: list[_Group] = []
     rows = group.rows
     n_nodes = engine.n_nodes
-    gmin = options.gmin
     use_trap = options.method == "trapezoidal"
-    use_predictor = options.predictor and options.assembly != "legacy"
+    # The legacy reference path starts every Newton solve from the last
+    # accepted solution, never from the extrapolated guess.
+    use_predictor = options.assembly != "legacy"
 
     t, dt, dt_prev = group.t, group.dt, group.dt_prev
-    # dt whose G + (alpha/dt) C the caches last saw; a group split off a
-    # family starts at a halved step, which refactors either way.
-    dt_factored: float | None = None
-    trap_next, step_index = group.trap_next, group.step_index
+    trap_next = group.trap_next
     t_stop = options.t_stop
-    span = t_stop - options.t_start
     # Relative end-of-interval guard: an absolute epsilon is meaningless at
     # large t_stop, and float accumulation of t can otherwise leave a sliver
     # that becomes a near-zero step with a catastrophically scaled 2/dt.
-    end_eps = 1e-12 * span
-    min_dt = options.dt * options.min_dt_factor
+    end_eps = 1e-12 * t_stop
+    min_dt = options.dt * MIN_DT_FACTOR
     adaptive = options.adaptive
     max_dt = options.dt * options.max_dt_factor if adaptive else options.dt
     stimulus_corners: np.ndarray | None = None
-    if adaptive and options.breakpoints:
+    if adaptive:
+        # Breakpoint cap: no accepted step straddles a stimulus corner.
         # Adaptive runs are single-row groups (families are refused).
-        corner_times = rows[0].system.waveform_breakpoints(options.t_start, t_stop)
+        corner_times = rows[0].system.waveform_breakpoints(0.0, t_stop)
         # Corners within min_dt of t_stop belong to the final snap: landing
         # on one would leave a sub-min_dt sliver to t_stop whose 2/dt scaling
         # the snap exists to prevent.
@@ -499,14 +465,6 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                     dt = corner - t
                     corner_target = corner
                     snap_to_stop = False
-        if dt != dt_factored:
-            # The linear Jacobian entries move only through the 1/dt factor
-            # of the G + alpha C combination; with the per-block drift metric
-            # the caches cannot see that, so signal it explicitly.
-            for row in rows:
-                if row.cache is not None:
-                    row.cache.invalidate()
-            dt_factored = dt
         # t + (t_stop - t) is not guaranteed to round to t_stop exactly.
         if snap_to_stop:
             t_new = t_stop
@@ -563,9 +521,8 @@ def _integrate(group: _Group, engine, options: TransientOptions,
             else:
                 residual = (q_trial - q_prev[sel]) / dt + i_trial - excitation[sel]
                 jac = engine.combine(g_trial, c_trial, 1.0 / dt)
-            if gmin:
-                residual[..., :n_nodes] += gmin * v_trial[..., :n_nodes]
-                engine.add_diag(jac, gmin, n_nodes)
+            residual[..., :n_nodes] += GMIN * v_trial[..., :n_nodes]
+            engine.add_diag(jac, GMIN, n_nodes)
             evaluated = (q_trial, g_trial, c_trial)
             if v_trial.ndim == 1:
                 last[at] = (evaluated, ())
@@ -580,13 +537,13 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 k = positions[0]
                 try:
                     return [newton_solve(lambda x: residual_and_jacobian(x, k),
-                                         start[0], options.newton,
+                                         start[0], NEWTON_ITERATIONS,
                                          linear_solver=rows[k].cache)]
                 except SingularMatrixError as exc:
                     return [NewtonResult(start[0], False, 0, np.inf, error=exc)]
             at = np.asarray(positions)
             return newton_solve(lambda x, sub: residual_and_jacobian(x, at[sub]),
-                                start, options.newton,
+                                start, NEWTON_ITERATIONS,
                                 linear_solver=[rows[k].cache for k in positions])
 
         results = solve(list(range(len(rows))), guess)
@@ -603,9 +560,6 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 # From the accepted solution a singular Jacobian is fatal.
                 rows[k].error = result.error
         if retry:
-            for k in retry:
-                if rows[k].cache is not None:
-                    rows[k].cache.invalidate()
             for k, result in zip(retry, solve(retry, v[retry])):
                 results[k] = result
                 if result.error is not None:
@@ -619,8 +573,6 @@ def _integrate(group: _Group, engine, options: TransientOptions,
         for k in failed:
             row = rows[k]
             row.rejected += 1
-            if row.cache is not None:
-                row.cache.invalidate()
             if dt_retry < min_dt:
                 row.error = ConvergenceError(
                     f"transient analysis of {row.system.circuit.name!r} failed at "
@@ -636,8 +588,7 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 [rows[k] for k in failed], v[failed], q_prev[failed],
                 qdot_prev[failed],
                 None if group.v_prev is None else group.v_prev[failed],
-                t, dt_retry, dt_prev, False if adaptive else trap_next,
-                step_index))
+                t, dt_retry, dt_prev, False if adaptive else trap_next))
         if not accepted:
             group.take(failed)
             dt = dt_retry
@@ -667,7 +618,7 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 est = diff * (dt / (3.0 * (dt + dt_prev)))
             else:
                 est = diff * (dt / (dt + dt_prev))
-            weight = options.lte_abs_tol + options.lte_rel_tol * np.maximum(
+            weight = LTE_ABS_TOL + options.lte_rel_tol * np.maximum(
                 np.abs(v_new), np.abs(v[0]))
             with np.errstate(divide="ignore", invalid="ignore"):
                 lte_err = float(np.sqrt(np.mean(np.square(est / weight))))
@@ -679,11 +630,7 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 row.rejected += 1
                 row.lte_rejected += 1
                 trap_next = False
-                shrink = max(options.min_shrink,
-                             options.lte_safety * lte_err ** -lte_exponent)
-                dt *= shrink
-                if row.cache is not None:
-                    row.cache.invalidate()
+                dt *= max(MIN_SHRINK, LTE_SAFETY * lte_err ** -lte_exponent)
                 if dt < min_dt:
                     row.error = ConvergenceError(
                         f"transient analysis of {row.system.circuit.name!r} cannot "
@@ -706,8 +653,6 @@ def _integrate(group: _Group, engine, options: TransientOptions,
         trap_next = use_trap           # resume the nominal method
 
         t = t_new
-        step_index += 1
-        snapshot = options.snapshot_stride > 0 and step_index % options.snapshot_stride == 0
         for k, row in enumerate(rows):
             try:
                 u_new = row.system.input_vector(t)
@@ -716,7 +661,7 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 row.states.append(v[k].copy())
                 row.inputs.append(u_new)
                 row.outputs.append(y_new)
-                if row.callback is not None and snapshot:
+                if row.callback is not None:
                     (_, g_op, c_op), j = last[k]
                     row.callback.record(t, v[k].copy(), u_new, y_new,
                                         engine.materialize(g_op[j].copy()),
@@ -731,16 +676,16 @@ def _integrate(group: _Group, engine, options: TransientOptions,
                 break
 
         if progress is not None:
-            progress((t - options.t_start) / (options.t_stop - options.t_start))
+            progress(t / t_stop)
 
         if adaptive:
             # Grow/shrink towards the step whose predicted error norm is 1,
             # damped by the safety factor and the growth/shrink clamps.
             # Bootstrap steps (no estimate yet) hold dt unchanged.
             if lte_err is not None:
-                factor = (options.lte_safety * lte_err ** -lte_exponent
-                          if lte_err > 0.0 else options.max_growth)
-                factor = min(options.max_growth, max(options.min_shrink, factor))
+                factor = (LTE_SAFETY * lte_err ** -lte_exponent
+                          if lte_err > 0.0 else MAX_GROWTH)
+                factor = min(MAX_GROWTH, max(MIN_SHRINK, factor))
                 next_dt = dt * factor
                 if corner_target is not None and factor >= 1.0:
                     # A step shortened only to land on a corner says nothing
@@ -754,10 +699,10 @@ def _integrate(group: _Group, engine, options: TransientOptions,
             dt = min(options.dt, dt * 2.0)
 
         # Rows of a group share their history length.
-        if len(rows[0].times) > options.max_points:
+        if len(rows[0].times) > MAX_POINTS:
             for row in rows:
                 row.error = ConvergenceError(
-                    f"transient analysis exceeded max_points={options.max_points}")
+                    f"transient analysis exceeded MAX_POINTS={MAX_POINTS}")
             group.take([])
     return split
 

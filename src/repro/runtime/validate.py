@@ -130,7 +130,7 @@ def validate_model(model: CompiledModel, scenarios,
     scenarios = list(scenarios)
     if not scenarios:
         raise ModelError("validate_model needs at least one scenario")
-    spans = {(s.transient.t_start, s.transient.t_stop) for s in scenarios}
+    spans = {s.transient.t_stop for s in scenarios}
     if len(spans) > 1:
         raise ModelError(
             f"scenarios span different time windows {sorted(spans)}; "
@@ -154,9 +154,8 @@ def validate_model(model: CompiledModel, scenarios,
                 "reference must have simulated every scenario")
     sim_wall = sum(r.wall_time for r in sweep_result.results)
 
-    (t_start, t_stop), = spans
-    times = t_start + model.dt * np.arange(
-        int(np.floor((t_stop - t_start) / model.dt)) + 1)
+    t_stop, = spans
+    times = model.dt * np.arange(int(np.floor(t_stop / model.dt)) + 1)
 
     # Stack each scenario's *input* onto the model grid, serve the batch, and
     # compare against the simulator output resampled onto the same grid.

@@ -86,25 +86,6 @@ class HammersteinBranch:
         z = self.pole * dt
         return complex(np.exp(z)), complex(dt * phi1(z)), complex(dt * phi2(z))
 
-    # ----------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-able description of the branch (registry serialization hook)."""
-        return {
-            "pole": [self.pole.real, self.pole.imag],
-            "residue_function": _function_to_dict(self.residue_function),
-            "static_function": _function_to_dict(self.static_function),
-            "is_complex_pair": bool(self.is_complex_pair),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HammersteinBranch":
-        return cls(
-            pole=complex(*data["pole"]),
-            residue_function=_function_from_dict(data["residue_function"]),
-            static_function=_function_from_dict(data["static_function"]),
-            is_complex_pair=bool(data["is_complex_pair"]),
-        )
-
 
 @dataclass
 class ModelMetadata:
@@ -231,55 +212,6 @@ class HammersteinModel:
                              table_size=DEFAULT_TABLE_SIZE
                              if table_size is None else table_size)
 
-    # ----------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-able description of the full analytical model.
-
-        Only models whose residue/static functions are the analytical
-        partial-fraction types produced by the 1-D RVF extraction are
-        serialisable; other callables raise
-        :class:`~repro.exceptions.ModelError`.
-        """
-        from dataclasses import asdict
-
-        metadata = asdict(self.metadata)
-        for key, value in list(metadata.items()):
-            if isinstance(value, float) and np.isnan(value):
-                metadata[key] = None
-        return {
-            "format": "hammerstein-model-v1",
-            "branches": [branch.to_dict() for branch in self.branches],
-            "gain_function": _function_to_dict(self.gain_function),
-            "static_function": _function_to_dict(self.static_function),
-            "state_estimator": {"delays": list(self.state_estimator.delays),
-                                "input_index": self.state_estimator.input_index},
-            "dc_input": self.dc_input,
-            "dc_output": self.dc_output,
-            "input_name": self.input_name,
-            "output_name": self.output_name,
-            "metadata": metadata,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HammersteinModel":
-        if data.get("format") != "hammerstein-model-v1":
-            raise ModelError(f"unsupported model format {data.get('format')!r}")
-        metadata_fields = {k: (np.nan if v is None else v)
-                           for k, v in data["metadata"].items()}
-        estimator = data["state_estimator"]
-        return cls(
-            branches=[HammersteinBranch.from_dict(b) for b in data["branches"]],
-            gain_function=_function_from_dict(data["gain_function"]),
-            static_function=_function_from_dict(data["static_function"]),
-            state_estimator=StateEstimator(delays=tuple(estimator["delays"]),
-                                           input_index=int(estimator["input_index"])),
-            dc_input=data["dc_input"],
-            dc_output=data["dc_output"],
-            input_name=data["input_name"],
-            output_name=data["output_name"],
-            metadata=ModelMetadata(**metadata_fields),
-        )
-
     # ---------------------------------------------------------------- export
     def to_equations(self, precision: int = 6) -> str:
         """Analytical differential equations as readable text."""
@@ -297,25 +229,6 @@ class HammersteinModel:
 # --------------------------------------------------------------------------- #
 # helpers
 # --------------------------------------------------------------------------- #
-
-def _function_to_dict(function) -> dict:
-    """Serialise an analytical state function; reject opaque callables."""
-    if isinstance(function, (PartialFractionFunction, IntegratedPartialFraction)):
-        return function.to_dict()
-    raise ModelError(
-        f"cannot serialise state function of type {type(function).__name__}; "
-        "only the analytical partial-fraction functions of the 1-D RVF "
-        "extraction round-trip through the registry")
-
-
-def _function_from_dict(data: dict):
-    kind = data.get("type")
-    if kind == "partial_fraction":
-        return PartialFractionFunction.from_dict(data)
-    if kind == "integrated_partial_fraction":
-        return IntegratedPartialFraction.from_dict(data)
-    raise ModelError(f"unknown state-function description {kind!r}")
-
 
 def _evaluate_state_function(function, states: np.ndarray) -> np.ndarray:
     """Evaluate a residue/static function on a batch of states -> (K,) complex."""

@@ -88,28 +88,6 @@ class PartialFractionFunction:
             variable=self.variable,
         )
 
-    # ----------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-able description (used by the runtime model registry)."""
-        return {
-            "type": "partial_fraction",
-            "poles": _complex_to_pairs(self.poles),
-            "coefficients": _complex_to_pairs(self.coefficients),
-            "constant": [self.constant.real, self.constant.imag],
-            "variable": self.variable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartialFractionFunction":
-        if data.get("type") != "partial_fraction":
-            raise ModelError(f"not a partial-fraction description: {data.get('type')!r}")
-        return cls(
-            poles=_pairs_to_complex(data["poles"]),
-            coefficients=_pairs_to_complex(data["coefficients"]),
-            constant=complex(*data["constant"]),
-            variable=data.get("variable", "u"),
-        )
-
     # --------------------------------------------------------------- printing
     def to_expression(self, precision: int = 6) -> str:
         """Human-readable analytical expression, e.g. for the model export."""
@@ -177,32 +155,6 @@ class IntegratedPartialFraction:
             variable=self.variable,
         )
 
-    # ----------------------------------------------------------- serialization
-    def to_dict(self) -> dict:
-        """JSON-able description (used by the runtime model registry)."""
-        return {
-            "type": "integrated_partial_fraction",
-            "poles": _complex_to_pairs(self.poles),
-            "coefficients": _complex_to_pairs(self.coefficients),
-            "linear_coefficient": [self.linear_coefficient.real,
-                                   self.linear_coefficient.imag],
-            "offset": [self.offset.real, self.offset.imag],
-            "variable": self.variable,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IntegratedPartialFraction":
-        if data.get("type") != "integrated_partial_fraction":
-            raise ModelError(f"not an integrated-partial-fraction description: "
-                             f"{data.get('type')!r}")
-        return cls(
-            poles=_pairs_to_complex(data["poles"]),
-            coefficients=_pairs_to_complex(data["coefficients"]),
-            linear_coefficient=complex(*data["linear_coefficient"]),
-            offset=complex(*data["offset"]),
-            variable=data.get("variable", "u"),
-        )
-
     def to_expression(self, precision: int = 6) -> str:
         """Analytical expression using atan/log (for the model export)."""
         u = self.variable
@@ -215,14 +167,6 @@ class IntegratedPartialFraction:
                 f"{_format_complex(coeff, precision)}*(-atan(({u} - {tau})/{sigma}) "
                 f"- 0.5j*log(({u} - {tau})**2 + {sigma}**2))")
         return " + ".join(parts)
-
-
-def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(values)]
-
-
-def _pairs_to_complex(pairs: list[list[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def _format_real(value: float, precision: int) -> str:

@@ -342,7 +342,6 @@ def run_sweep(scenarios: Iterable[Scenario],
                     lte_rejections=transient.lte_rejections,
                     cache_factorizations=transient.cache_factorizations,
                     cache_reuses=transient.cache_reuses,
-                    cache_invalidations=transient.cache_invalidations,
                     cache_hit_rate=transient.cache_hit_rate,
                     wall_time_s=transient.wall_time))
         return result

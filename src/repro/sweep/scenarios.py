@@ -10,8 +10,7 @@ own private circuit instance.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..circuit.netlist import Circuit
@@ -69,8 +68,7 @@ class Scenario:
 
     def with_transient(self, **changes: Any) -> "Scenario":
         """Copy with fields of the transient options replaced."""
-        return replace(self, transient=replace(copy.deepcopy(self.transient),
-                                               **changes))
+        return replace(self, transient=replace(self.transient, **changes))
 
     def recipe(self) -> dict[str, Any]:
         """JSON-able provenance record of this scenario.
@@ -88,35 +86,23 @@ class Scenario:
                        f"{getattr(self.builder, '__qualname__', repr(self.builder))}",
             "builder_kwargs": {k: _jsonable(v) for k, v in self.builder_kwargs.items()},
             "waveform": _jsonable(self.waveform),
-            "transient": {
-                "t_start": self.transient.t_start,
-                "t_stop": self.transient.t_stop,
-                "dt": self.transient.dt,
-                "method": self.transient.method,
-                "assembly": self.transient.assembly,
-                "adaptive": self.transient.adaptive,
-                "lte_rel_tol": self.transient.lte_rel_tol,
-                "lte_abs_tol": self.transient.lte_abs_tol,
-                "jacobian_reuse_tol": self.transient.jacobian_reuse_tol,
-            },
+            "transient": asdict(self.transient),
             "max_snapshots": self.max_snapshots,
         }
 
 
 def _jsonable(value: Any) -> Any:
     """Best-effort conversion of scenario ingredients to JSON-able values."""
-    import dataclasses
-
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, Mapping):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if is_dataclass(value) and not isinstance(value, type):
         return {"class": type(value).__name__,
                 **{f.name: _jsonable(getattr(value, f.name))
-                   for f in dataclasses.fields(value)}}
+                   for f in fields(value)}}
     return repr(value)
 
 
@@ -136,11 +122,9 @@ def waveform_sweep(builder: Callable[..., Circuit],
     else:
         named = [(f"{prefix}{i}", w) for i, w in enumerate(waveforms)]
     base = transient or TransientOptions()
-    # deepcopy, not replace: scenarios must not share the nested
-    # NewtonOptions/DCOptions either, or a per-scenario tweak leaks.
     return [Scenario(name=name, builder=builder,
                      builder_kwargs=dict(builder_kwargs or {}),
-                     waveform=waveform, transient=copy.deepcopy(base),
+                     waveform=waveform, transient=base,
                      max_snapshots=max_snapshots)
             for name, waveform in named]
 
@@ -157,7 +141,7 @@ def corner_sweep(builder: Callable[..., Circuit],
     """
     base = transient or TransientOptions()
     return [Scenario(name=name, builder=builder, builder_kwargs=dict(kwargs),
-                     waveform=waveform, transient=copy.deepcopy(base),
+                     waveform=waveform, transient=base,
                      max_snapshots=max_snapshots)
             for name, kwargs in corners.items()]
 

@@ -374,8 +374,8 @@ class EngineProfile(TelemetryEvent):
     Emitted by :func:`~repro.sweep.runner.run_sweep` alongside
     ``ScenarioCompleted``, surfacing what the solver spent its time on:
     Newton iterations, LTE accept/reject traffic, and the
-    :class:`~repro.circuit.linalg.FactorizationCache` hit/miss/invalidation
-    balance (``cache_hit_rate`` = reuses / solves, 0.0 when the cache was
+    :class:`~repro.circuit.linalg.FactorizationCache` factorisations and
+    reuses (``cache_hit_rate`` = reuses / solves, 0.0 when the cache was
     disabled or never consulted).  ``wall_time_s`` is the transient's
     :attr:`~repro.circuit.transient.TransientResult.wall_time`: a transient
     family's time split equally over its scenarios, so the profiles of a
@@ -389,7 +389,6 @@ class EngineProfile(TelemetryEvent):
     lte_rejections: int = 0
     cache_factorizations: int = 0
     cache_reuses: int = 0
-    cache_invalidations: int = 0
     cache_hit_rate: float = 0.0
     wall_time_s: float = 0.0
     t: float = field(default_factory=_now)

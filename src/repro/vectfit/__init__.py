@@ -5,7 +5,6 @@ from .orders import AutoFitReport, fit_auto_order
 from .poles import (
     flip_unstable,
     initial_complex_poles,
-    initial_real_poles,
     initial_state_poles,
     sort_poles,
     split_real_complex,
@@ -19,7 +18,6 @@ __all__ = [
     "fit_auto_order",
     "AutoFitReport",
     "initial_complex_poles",
-    "initial_real_poles",
     "initial_state_poles",
     "flip_unstable",
     "sort_poles",

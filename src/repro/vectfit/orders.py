@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import FittingError
-from .poles import initial_complex_poles
 from .vectorfit import VectorFitResult, vector_fit
 
 __all__ = ["AutoFitReport", "fit_auto_order"]
@@ -46,7 +45,7 @@ class AutoFitReport:
 
 
 def fit_auto_order(svals: np.ndarray, data: np.ndarray, error_bound: float,
-                   *, initial_pole_factory=None) -> AutoFitReport:
+                   *, initial_pole_factory) -> AutoFitReport:
     """Increase the model order until the relative RMS error drops below the bound.
 
     The order runs from :data:`START_ORDER` in steps of :data:`ORDER_STEP` up
@@ -61,24 +60,13 @@ def fit_auto_order(svals: np.ndarray, data: np.ndarray, error_bound: float,
     error_bound:
         Target *relative* RMS error (the paper's epsilon).
     initial_pole_factory:
-        Callable ``f(order) -> poles``; defaults to log-spaced complex pairs
-        spanning the imaginary parts of ``svals``.
+        Callable ``f(order) -> poles`` giving the starting poles of each
+        order tried.
     """
     if error_bound <= 0:
         raise FittingError("error_bound must be positive")
     svals = np.asarray(svals, dtype=complex).ravel()
     data = np.atleast_2d(np.asarray(data, dtype=complex))
-
-    if initial_pole_factory is None:
-        span = np.abs(svals.imag)
-        span = span[span > 0]
-        if span.size == 0:
-            raise FittingError("cannot derive a default pole range from svals")
-        f_min = float(span.min()) / (2.0 * np.pi)
-        f_max = float(span.max()) / (2.0 * np.pi)
-
-        def initial_pole_factory(order: int) -> np.ndarray:
-            return initial_complex_poles(f_min, f_max, order)
 
     orders_tried: list[int] = []
     errors: list[float] = []

@@ -8,7 +8,6 @@ from ..exceptions import FittingError
 
 __all__ = [
     "initial_complex_poles",
-    "initial_real_poles",
     "flip_unstable",
     "sort_poles",
     "split_real_complex",
@@ -37,15 +36,6 @@ def initial_complex_poles(f_min: float, f_max: float, n_poles: int,
     if n_poles % 2:
         poles.append(complex(-2.0 * np.pi * f_max, 0.0))
     return np.array(poles, dtype=complex)
-
-
-def initial_real_poles(x_min: float, x_max: float, n_poles: int) -> np.ndarray:
-    """Real, linearly spread starting poles for fitting along a state axis."""
-    if n_poles < 1:
-        raise FittingError("need at least one starting pole")
-    span = max(abs(x_min), abs(x_max), 1.0)
-    magnitudes = np.linspace(0.5 * span, 2.0 * span, n_poles)
-    return -magnitudes.astype(complex)
 
 
 def initial_state_poles(x_min: float, x_max: float, n_poles: int) -> np.ndarray:

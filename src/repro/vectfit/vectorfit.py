@@ -21,7 +21,7 @@ state axis (see :func:`repro.rvf.recursive.fit_residue_trajectories`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +54,6 @@ class VectorFitResult:
     rms_error: float
     relative_error: float
     iterations: int
-    svals: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_poles(self) -> int:
@@ -279,7 +278,8 @@ def vector_fit(svals: np.ndarray, data: np.ndarray, initial_poles: np.ndarray, *
         Response samples, shape ``(K, L)`` (a 1-D array is treated as a single
         response).
     initial_poles:
-        Starting poles, closed under conjugation; see
+        Starting poles, paired into exact conjugates before the first step
+        (:func:`~repro.vectfit.poles.enforce_conjugate_closure`); see
         :mod:`repro.vectfit.poles` for generators.
     n_iterations:
         Most pole-relocation steps; the loop stops earlier once the poles
@@ -297,10 +297,6 @@ def vector_fit(svals: np.ndarray, data: np.ndarray, initial_poles: np.ndarray, *
         raise FittingError(
             f"data has {data.shape[1]} samples per response but {svals.size} svals given")
     poles = _canonical_order(np.asarray(initial_poles, dtype=complex))
-    _, pair_idx = split_real_complex(poles)
-    n_complex = int(np.sum(poles.imag != 0))
-    if n_complex != 2 * len(pair_idx):
-        raise FittingError("vector fitting needs conjugate-closed poles")
     n_samples_needed = len(poles) + 1
     if svals.size < n_samples_needed:
         raise FittingError(
@@ -327,7 +323,6 @@ def vector_fit(svals: np.ndarray, data: np.ndarray, initial_poles: np.ndarray, *
         rms_error=rms,
         relative_error=relative,
         iterations=iterations_used,
-        svals=svals,
     )
 
 

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.circuit import (
     Circuit,
     CubicConductance,
-    DCOptions,
     Sine,
     TransientOptions,
     ac_analysis,
@@ -86,9 +85,9 @@ class TestDCEquivalence:
     def test_dc_operating_point_matches(self, spec):
         n, res, caps, nl, diode_at = spec
         system = random_network(n, res, caps, nl, diode_at).build()
-        reference = dc_operating_point(system, options=DCOptions(assembly="legacy"))
+        reference = dc_operating_point(system, assembly="legacy")
         for mode in ("dense", "sparse"):
-            result = dc_operating_point(system, options=DCOptions(assembly=mode))
+            result = dc_operating_point(system, assembly=mode)
             np.testing.assert_allclose(result.solution, reference.solution,
                                        rtol=1e-7, atol=1e-9, err_msg=mode)
 
@@ -122,23 +121,10 @@ class TestTransientEquivalence:
         for mode in ("dense", "sparse"):
             result = transient_analysis(
                 circuit.build(), TransientOptions(t_stop=2e-7, dt=2e-9,
-                                                  assembly=mode, predictor=False))
+                                                  assembly=mode))
             assert result.n_points == reference.n_points, mode
             np.testing.assert_allclose(result.outputs, reference.outputs,
                                        rtol=1e-6, atol=1e-7 * span, err_msg=mode)
-
-    def test_predictor_changes_nothing_measurable(self):
-        circuit = random_network(3, [1e3] * 3, [1e-9] * 3,
-                                 [True, False, True], diode_at=2)
-        base = transient_analysis(circuit.build(),
-                                  TransientOptions(t_stop=1e-6, dt=5e-9,
-                                                   predictor=False))
-        fast = transient_analysis(circuit.build(),
-                                  TransientOptions(t_stop=1e-6, dt=5e-9,
-                                                   predictor=True))
-        span = float(base.outputs.max() - base.outputs.min()) or 1.0
-        np.testing.assert_allclose(fast.outputs, base.outputs,
-                                   rtol=1e-5, atol=2e-6 * span)
 
 
 class TestEngineCacheInvalidation:

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.circuit.dc as dc_module
+import repro.circuit.newton as newton_module
 from repro.circuit import (
     Circuit,
-    DCOptions,
-    NewtonOptions,
     Sine,
     TransientOptions,
     ac_analysis,
@@ -126,31 +126,35 @@ class TestMNASystem:
 
 
 class TestNewton:
-    def test_solves_linear_system_in_one_iteration(self):
+    def test_solves_linear_system_in_one_iteration(self, monkeypatch):
+        monkeypatch.setattr(newton_module, "MAX_STEP", 10.0)
         a = np.array([[2.0, 0.0], [0.0, 4.0]])
         b = np.array([2.0, 8.0])
 
         def f(v):
             return a @ v - b, a
 
-        result = newton_solve(f, np.zeros(2), NewtonOptions(max_step=10.0))
+        result = newton_solve(f, np.zeros(2))
         assert result.converged
         assert result.solution == pytest.approx([1.0, 2.0])
 
-    def test_solves_scalar_nonlinear_equation(self):
+    def test_solves_scalar_nonlinear_equation(self, monkeypatch):
+        monkeypatch.setattr(newton_module, "MAX_STEP", 5.0)
+
         def f(v):
             return np.array([v[0] ** 3 - 8.0]), np.array([[3.0 * v[0] ** 2]])
 
-        result = newton_solve(f, np.array([1.0]), NewtonOptions(max_step=5.0))
+        result = newton_solve(f, np.array([1.0]))
         assert result.converged
         assert result.solution[0] == pytest.approx(2.0)
 
-    def test_reports_non_convergence(self):
+    def test_reports_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(newton_module, "MAX_STEP", 0.1)
+
         def f(v):
             return np.array([np.sign(v[0]) * 1.0 + 1e-3]), np.array([[1e-12]])
 
-        result = newton_solve(f, np.array([0.5]),
-                              NewtonOptions(max_iterations=5, max_step=0.1))
+        result = newton_solve(f, np.array([0.5]), max_iterations=5)
         assert not result.converged
 
 
@@ -209,38 +213,21 @@ class TestDCAnalysis:
         assert at_zero.outputs[0] == pytest.approx(1.0)
         assert at_quarter.outputs[0] == pytest.approx(1.5)
 
-
-class TestDCStrategyEdges:
-    """Empty stepping ladders skip their strategy; running out of strategies
-    raises a named ConvergenceError, never a bare IndexError/AssertionError."""
-
-    ONE_ITERATION = NewtonOptions(max_iterations=1)
-
-    @pytest.fixture(scope="class")
-    def buffer(self):
-        return build_output_buffer().build()
-
-    def test_empty_gmin_ladder_goes_on_to_source_stepping(self, buffer):
-        options = DCOptions(newton=self.ONE_ITERATION, gmin_steps=())
-        with pytest.raises(ConvergenceError, match="during source stepping"):
-            dc_operating_point(buffer, options=options)
-
-    @pytest.mark.parametrize("gmin_steps", [(), (1e-3,)])
-    def test_no_source_steps_left_raises_named_error(self, buffer, gmin_steps):
-        options = DCOptions(newton=self.ONE_ITERATION, gmin_steps=gmin_steps,
-                            source_steps=0)
-        with pytest.raises(ConvergenceError, match="source_steps=0"):
-            dc_operating_point(buffer, options=options)
-
-    def test_default_options_keep_plain_newton_bits(self, buffer):
-        result = dc_operating_point(buffer)
-        assert result.strategy == "newton"
-        for options in (DCOptions(gmin_steps=()), DCOptions(source_steps=0)):
-            other = dc_operating_point(buffer, options=options)
-            assert other.strategy == "newton"
-            assert other.iterations == result.iterations
-            np.testing.assert_array_equal(other.solution.view(np.uint64),
-                                          result.solution.view(np.uint64))
+    @pytest.mark.parametrize("budget, strategy", [
+        (6, "newton"), (5, "gmin-stepping"), (4, "source-stepping"), (1, None)])
+    def test_iteration_budget_walks_the_strategy_chain(self, monkeypatch, budget,
+                                                       strategy):
+        """Each tighter Newton budget defeats one more strategy of the chain;
+        when source stepping fails too, the error names it."""
+        solve = dc_module.newton_solve
+        monkeypatch.setattr(dc_module, "newton_solve",
+                            lambda f, guess, **kwargs: solve(f, guess, budget, **kwargs))
+        system = build_common_source_amplifier().build()
+        if strategy is None:
+            with pytest.raises(ConvergenceError, match="during source stepping"):
+                dc_operating_point(system)
+        else:
+            assert dc_operating_point(system).strategy == strategy
 
 
 class TestACAnalysis:
@@ -341,15 +328,6 @@ class TestTransientAnalysis:
         snap = trajectory[0]
         assert snap.conductance.shape == (system.n_unknowns, system.n_unknowns)
         assert snap.capacitance.shape == (system.n_unknowns, system.n_unknowns)
-
-    def test_snapshot_stride(self):
-        from repro.tft import SnapshotTrajectory
-        circuit = build_rc_ladder(1, input_waveform=Sine(0.5, 0.2, 1e6))
-        system = circuit.build()
-        trajectory = SnapshotTrajectory(system)
-        options = TransientOptions(t_stop=1e-6, dt=1e-8, snapshot_stride=10)
-        transient_analysis(system, options, snapshot_callback=trajectory)
-        assert len(trajectory) == pytest.approx(11, abs=2)
 
     def test_diode_limiter_clips(self):
         circuit = build_diode_limiter(input_waveform=Sine(0.0, 2.0, 1e6))

@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.circuit import FactorizationCache, NewtonOptions, newton_solve, solve_linear
+import repro.circuit.newton as newton_mod
+import repro.circuit.transient as transient_mod
+from repro.circuit import (FactorizationCache, Sine, TransientOptions, newton_solve,
+                           solve_linear, transient_analysis)
+from repro.circuits import build_diode_limiter, build_rc_ladder
 from repro.exceptions import SingularMatrixError
 
 
 class TestDampingClamp:
-    def test_large_update_is_clamped_to_max_step(self):
+    def test_large_update_is_clamped_to_max_step(self, monkeypatch):
+        monkeypatch.setattr(newton_mod, "MAX_STEP", 1.0)
         steps = []
 
         def f(v):
             steps.append(v[0])
             return np.array([v[0] - 10.0]), np.array([[1.0]])
 
-        result = newton_solve(f, np.array([0.0]),
-                              NewtonOptions(max_step=1.0, max_iterations=30))
+        result = newton_solve(f, np.array([0.0]), max_iterations=30)
         assert result.converged
         assert result.solution[0] == pytest.approx(10.0)
         # The raw Newton step is 10; the clamp forces unit-sized moves, so the
@@ -28,11 +32,13 @@ class TestDampingClamp:
         assert steps[2] == pytest.approx(2.0)
         assert result.iterations >= 10
 
-    def test_no_clamp_when_step_small(self):
+    def test_no_clamp_when_step_small(self, monkeypatch):
+        monkeypatch.setattr(newton_mod, "MAX_STEP", 1.0)
+
         def f(v):
             return np.array([v[0] - 0.5]), np.array([[1.0]])
 
-        result = newton_solve(f, np.array([0.0]), NewtonOptions(max_step=1.0))
+        result = newton_solve(f, np.array([0.0]))
         assert result.converged
         # One productive step plus the confirming zero-update iteration.
         assert result.iterations == 2
@@ -40,8 +46,9 @@ class TestDampingClamp:
 
 
 class TestBacktrackingLineSearch:
-    def test_backtracks_when_residual_explodes(self):
+    def test_backtracks_when_residual_explodes(self, monkeypatch):
         """Scripted residuals force the halving loop to run."""
+        monkeypatch.setattr(newton_mod, "MAX_STEP", 10.0)
         evaluations = []
 
         def f(v):
@@ -54,12 +61,12 @@ class TestBacktrackingLineSearch:
                 return np.array([1e6]), np.array([[0.1]])
             return np.array([x - 0.5]), np.array([[0.1]])
 
-        newton_solve(f, np.array([0.0]),
-                     NewtonOptions(max_step=10.0, max_iterations=1))
+        newton_solve(f, np.array([0.0]), max_iterations=1)
         # Initial point, rejected full step and the halving sequence.
         assert evaluations[:5] == [0.0, 5.0, 2.5, 1.25, 0.625]
 
-    def test_backtracking_gives_up_after_four_halvings(self):
+    def test_backtracking_gives_up_after_four_halvings(self, monkeypatch):
+        monkeypatch.setattr(newton_mod, "MAX_STEP", 10.0)
         calls = {"count": 0}
 
         def f(v):
@@ -70,8 +77,7 @@ class TestBacktrackingLineSearch:
                 return np.array([1.0]), np.array([[1.0]])
             return np.array([1e9]), np.array([[1.0]])
 
-        result = newton_solve(f, np.array([0.0]),
-                              NewtonOptions(max_iterations=1, max_step=10.0))
+        result = newton_solve(f, np.array([0.0]), max_iterations=1)
         assert not result.converged
         # 1 initial + 1 full step + 4 backtracks = 6 evaluations.
         assert calls["count"] == 6
@@ -110,13 +116,14 @@ class TestSingularAndNonFinite:
 
 
 class TestNonConvergenceReporting:
-    def test_reports_iterations_and_residual(self):
+    def test_reports_iterations_and_residual(self, monkeypatch):
+        monkeypatch.setattr(newton_mod, "MAX_STEP", 0.5)
+
         def f(v):
             # No root: f = cos(v) + 2 is always >= 1.
             return np.array([np.cos(v[0]) + 2.0]), np.array([[-np.sin(v[0]) - 1e-3]])
 
-        result = newton_solve(f, np.array([0.1]),
-                              NewtonOptions(max_iterations=7, max_step=0.5))
+        result = newton_solve(f, np.array([0.1]), max_iterations=7)
         assert not result.converged
         assert result.iterations == 7
         assert result.residual_norm >= 1.0
@@ -134,33 +141,34 @@ class TestFactorizationCache:
         assert cache.reuses == 1
         assert np.allclose(a @ x1, b) and np.allclose(a @ x2, b)
 
-    def test_refactors_on_drift_beyond_tolerance(self):
-        cache = FactorizationCache(reuse_tolerance=1e-3)
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        b = np.array([1.0, 2.0])
-        cache.solve(a, b)
-        cache.solve(a * (1.0 + 1e-6), b)       # within tolerance: reuse
-        assert cache.reuses == 1
-        cache.solve(a * 1.5, b)                # way out: refactor
-        assert cache.factorizations == 2
-        x = cache.solve(a * 1.5, b)
-        assert np.allclose((a * 1.5) @ x, b)
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_any_changed_entry_is_factorised_again(self, sparse):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
+        b = rng.standard_normal(4)
+        kind = sp.csc_matrix if sparse else np.array
+        for i, j in np.ndindex(a.shape):
+            moved = a.copy()
+            moved[i, j] = np.nextafter(moved[i, j], np.inf)
+            cache = FactorizationCache()
+            cache.solve(kind(a), b)
+            x = cache.solve(kind(moved), b)
+            assert (cache.factorizations, cache.reuses) == (2, 0), (i, j)
+            expected = FactorizationCache().solve(kind(moved), b)
+            np.testing.assert_array_equal(x, expected)
 
-    def test_stale_solution_is_approximate_but_fresh_is_exact(self):
-        cache = FactorizationCache(reuse_tolerance=0.5)
-        a = np.array([[2.0, 0.0], [0.0, 2.0]])
-        b = np.array([2.0, 2.0])
-        cache.solve(a, b)
-        stale = cache.solve(a * 1.2, b)        # reused factors of a
-        assert cache.reused_last
-        assert np.allclose(stale, [1.0, 1.0])  # solves with the OLD matrix
-        cache.invalidate()
-        fresh = cache.solve(a * 1.2, b)
-        assert not cache.reused_last
-        assert np.allclose(fresh, [1.0 / 1.2, 1.0 / 1.2])
+    def test_csc_pattern_decides_reuse_not_just_data(self):
+        """Equal ``data`` vectors on different patterns are different matrices."""
+        cache = FactorizationCache()
+        b = np.array([1.0, 2.0])
+        cache.solve(sp.csc_matrix(np.array([[2.0, 0.0], [0.0, 3.0]])), b)
+        swapped = sp.csc_matrix(np.array([[0.0, 3.0], [2.0, 0.0]]))
+        x = cache.solve(swapped, b)
+        assert cache.reuses == 0 and cache.factorizations == 2
+        np.testing.assert_allclose(x, [1.0, 1.0 / 3.0])
 
     def test_sparse_reuse_and_refactor(self):
-        cache = FactorizationCache(reuse_tolerance=0.0)
+        cache = FactorizationCache()
         a = sp.csc_matrix(np.array([[2.0, 1.0], [0.0, 3.0]]))
         b = np.array([1.0, 3.0])
         x1 = cache.solve(a, b)
@@ -178,7 +186,7 @@ class TestFactorizationCache:
         else:
             a = np.eye(3)
             a[1, 1] = np.nan if entry == "one-nan" else np.inf
-        cache = FactorizationCache(reuse_tolerance=1.0)
+        cache = FactorizationCache()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):               # nothing cached: factorised again
@@ -222,9 +230,6 @@ class TestFactorizationCache:
 class TestModifiedNewtonOnCircuits:
     def test_linear_transient_factorizes_once(self):
         """A linear circuit's Jacobian is constant: one LU for the whole run."""
-        from repro.circuit import Sine, TransientOptions, transient_analysis
-        import repro.circuit.transient as transient_mod
-
         created = []
         original = transient_mod.FactorizationCache
 
@@ -233,7 +238,6 @@ class TestModifiedNewtonOnCircuits:
             created.append(cache)
             return cache
 
-        from repro.circuits import build_rc_ladder
         circuit = build_rc_ladder(3, input_waveform=Sine(0.5, 0.2, 1e6))
         system = circuit.build()
         transient_mod.FactorizationCache = spy
@@ -248,89 +252,34 @@ class TestModifiedNewtonOnCircuits:
         assert cache.factorizations <= 2
         assert cache.reuses > 50
 
+    @pytest.mark.parametrize("build", [
+        lambda: build_diode_limiter(input_waveform=0.3),
+        lambda: build_rc_ladder(70, input_waveform=Sine(0.5, 0.3, 1e6))],
+        ids=["diode_limiter", "rc_ladder70"])
+    def test_reused_factors_give_the_bits_of_fresh_ones(self, build, monkeypatch):
+        """Reuse is for equal matrices only, so a run that factorises every
+        Jacobian afresh is byte-equal to one that reuses factors."""
+        options = TransientOptions(t_stop=1e-6, dt=1e-8)
+        reusing = transient_analysis(build().build(), options)
+
+        class NeverReuses(FactorizationCache):
+            def solve(self, matrix, rhs):
+                return FactorizationCache().solve(matrix, rhs)
+
+        monkeypatch.setattr(transient_mod, "FactorizationCache", NeverReuses)
+        fresh = transient_analysis(build().build(), options)
+        assert reusing.cache_reuses > 0 and fresh.cache_solves == 0
+        assert reusing.newton_iterations == fresh.newton_iterations
+        np.testing.assert_array_equal(reusing.times, fresh.times)
+        np.testing.assert_array_equal(reusing.states.view(np.uint64),
+                                      fresh.states.view(np.uint64))
+
 
 class TestSingularThreshold:
-    def test_near_singular_pivot_raises_when_threshold_set(self):
-        def f(v):
-            return np.array([1.0, 1.0]), np.array([[1.0, 0.0], [0.0, 1e-15]])
-
-        with pytest.raises(SingularMatrixError):
-            newton_solve(f, np.zeros(2),
-                         NewtonOptions(singular_threshold=1e-12))
-
     def test_near_singular_pivot_tolerated_by_default(self):
         def f(v):
             return np.array([v[0] - 1.0, 1e-15 * v[1]]), \
                 np.array([[1.0, 0.0], [0.0, 1e-15]])
 
-        result = newton_solve(f, np.zeros(2), NewtonOptions(max_iterations=3))
+        result = newton_solve(f, np.zeros(2), max_iterations=3)
         assert np.isfinite(result.solution).all()
-
-
-class TestPerBlockDriftMetric:
-    """drift_indices: only the nonlinear block decides factor reuse."""
-
-    def test_linear_drift_ignored_nonlinear_drift_triggers(self):
-        cache = FactorizationCache(reuse_tolerance=1e-2, drift_indices=[4])
-        a = np.diag([2.0, 3.0, 4.0])
-        b = np.ones(3)
-        cache.solve(a, b)
-        moved_linear = a.copy()
-        moved_linear[0, 0] *= 5.0              # flat index 0: outside the block
-        cache.solve(moved_linear, b)
-        assert cache.reuses == 1 and cache.factorizations == 1
-        moved_nonlinear = a.copy()
-        moved_nonlinear[1, 1] *= 1.5           # flat index 4: inside the block
-        x = cache.solve(moved_nonlinear, b)
-        assert cache.factorizations == 2
-        assert np.allclose(moved_nonlinear @ x, b)
-
-    def test_scale_is_blockwise_not_global(self):
-        """A 20% move of a tiny nonlinear entry must trigger even when the
-        matrix is dominated by huge linear entries (the whole point of the
-        per-block metric for large mostly-linear systems)."""
-        cache = FactorizationCache(reuse_tolerance=0.05, drift_indices=[4])
-        a = np.diag([1e9, 1.0, 1.0])
-        b = np.ones(3)
-        cache.solve(a, b)
-        moved = a.copy()
-        moved[1, 1] = 1.2                      # 0.2 drift vs global scale 1e9
-        cache.solve(moved, b)
-        assert cache.factorizations == 2       # global metric would have reused
-
-    def test_empty_block_reuses_until_invalidated(self):
-        cache = FactorizationCache(reuse_tolerance=0.0,
-                                   drift_indices=np.zeros(0, dtype=np.intp))
-        a = np.diag([2.0, 2.0])
-        b = np.ones(2)
-        cache.solve(a, b)
-        stale = cache.solve(a * 2.0, b)        # linear-only change: reused
-        assert cache.reused_last
-        assert np.allclose(stale, [0.5, 0.5])  # solved with the OLD factors
-        cache.invalidate()                     # the caller's dt-change signal
-        fresh = cache.solve(a * 2.0, b)
-        assert cache.factorizations == 2
-        assert np.allclose(fresh, [0.25, 0.25])
-
-    def test_sparse_data_vector_block(self):
-        pattern = np.array([[2.0, 1.0], [0.0, 3.0]])
-        a = sp.csc_matrix(pattern)
-        # CSC data order of this pattern: [2.0, 1.0, 3.0]; block = entry 2.
-        cache = FactorizationCache(reuse_tolerance=1e-2, drift_indices=[2])
-        b = np.ones(2)
-        cache.solve(a, b)
-        moved_linear = a.copy()
-        moved_linear.data[0] *= 10.0
-        cache.solve(moved_linear, b)
-        assert cache.reuses == 1
-        moved_nonlinear = a.copy()
-        moved_nonlinear.data[2] *= 2.0
-        cache.solve(moved_nonlinear, b)
-        assert cache.factorizations == 2
-
-    def test_out_of_range_block_refactors(self):
-        cache = FactorizationCache(reuse_tolerance=1e-2, drift_indices=[100])
-        a = np.diag([2.0, 3.0])
-        cache.solve(a, np.ones(2))
-        cache.solve(a.copy(), np.ones(2))      # mask beyond data: no reuse
-        assert cache.factorizations == 2

@@ -37,12 +37,46 @@ KEEP = {
     "build_differential_amplifier", "add_differential_stage",
     # Builders of the inputs that tests feed to other behaviour.
     "encode_request", "encode_result", "frame_overhead", "corner_sweep",
-    "cross_sweep", "initial_real_poles",
+    "cross_sweep",
     # The documented terminal waterfall of one trace.
     "describe_trace",
     # The reference the compiled kernel is tested against.
     "simulate_hammerstein",
 }
+
+
+#: Option fields kept although no flow passes them, with the reason.
+SETTINGS_KEPT = {
+    "RVFOptions.output_index": "picks the TFT output that is modelled",
+    "RVFOptions.input_index": "picks the TFT input that is modelled",
+}
+
+
+def test_every_solver_setting_is_set_by_a_flow():
+    """Each field of :class:`TransientOptions` and :class:`RVFOptions` is
+    passed by keyword to the class in some call in :data:`USERS`, or is
+    listed in :data:`SETTINGS_KEPT`: a setting no flow sets belongs in a
+    module constant."""
+    from dataclasses import fields
+
+    from repro.circuit import TransientOptions
+    from repro.rvf import RVFOptions
+
+    options = {cls.__name__: cls for cls in (TransientOptions, RVFOptions)}
+    passed = set()
+    for tree in USERS:
+        for path in sorted((ROOT / tree).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in options:
+                    passed.update(f"{name}.{kw.arg}" for kw in node.keywords if kw.arg)
+    unset = sorted(f"{name}.{field.name}" for name, cls in options.items()
+                   for field in fields(cls)
+                   if f"{name}.{field.name}" not in passed | SETTINGS_KEPT.keys())
+    assert unset == [], "set by no flow:\n" + "\n".join(unset)
+    assert sorted(SETTINGS_KEPT.keys() & passed) == [], "kept settings a flow sets"
 
 
 def test_every_module_imports_and_exports_resolve():

@@ -298,24 +298,6 @@ class TestTiles:
                 assert_same_bits(split, want)
 
 
-class TestModelSerialization:
-    def test_dict_round_trip_reproduces_simulation(self):
-        model = synthetic_model()
-        clone = HammersteinModel.from_dict(model.to_dict())
-        times, u = make_stimulus(120)
-        np.testing.assert_array_equal(simulate_hammerstein(model, times, u).outputs,
-                                      simulate_hammerstein(clone, times, u).outputs)
-
-    def test_dict_is_jsonable(self):
-        json.dumps(synthetic_model().to_dict())
-
-    def test_opaque_functions_rejected(self):
-        model = synthetic_model()
-        model.gain_function = lambda x: np.ones(len(x))
-        with pytest.raises(ModelError, match="serialise"):
-            model.to_dict()
-
-
 class TestRegistry:
     def test_round_trip_is_bitwise(self, compiled, tmp_path):
         registry = ModelRegistry(tmp_path / "models")

@@ -13,7 +13,6 @@ sampled-out trace produces zero spans across every layer.
 import sqlite3
 import time
 
-import numpy as np
 import pytest
 
 from repro.exceptions import RunStoreError
@@ -721,17 +720,10 @@ class TestEngineProfile:
         assert result.cache_factorizations >= 1
         assert result.cache_hit_rate == pytest.approx(
             result.cache_reuses / result.cache_solves)
-        assert result.cache_invalidations >= 0
 
-    def test_factorization_cache_counts_invalidations(self):
-        from repro.circuit.linalg import FactorizationCache
-
-        cache = FactorizationCache()
-        matrix = np.eye(3)
-        cache.solve(matrix, np.ones(3))
-        cache.solve(matrix, np.ones(3))
-        assert cache.reuses == 1 and cache.invalidations == 0
-        cache.invalidate()
-        cache.solve(matrix, np.ones(3))
-        assert cache.invalidations == 1
-        assert cache.factorizations == 2    # the invalidation forced one
+    def test_journal_payload_with_a_dropped_field_still_decodes(self):
+        """Journals written while EngineProfile carried cache_invalidations
+        keep decoding: unknown fields are ignored."""
+        profile = EngineProfile(name="s0", cache_factorizations=2, cache_reuses=98)
+        payload = {**profile.as_dict(), "cache_invalidations": 3}
+        assert event_from_dict(payload) == profile

@@ -1,5 +1,7 @@
 """Tests of the repro.sweep scenario runner and its TFT integration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -250,16 +252,13 @@ class TestTFTFeed:
 
 class TestAdaptiveScenarios:
     def test_recipe_records_adaptive_stepping_options(self):
-        scenario = Scenario(
-            name="ad", builder=build_rc_ladder,
-            transient=TransientOptions(t_stop=1e-6, dt=1e-9, adaptive=True,
-                                       lte_rel_tol=5e-4, lte_abs_tol=2e-7,
-                                       jacobian_reuse_tol=0.05))
-        transient = scenario.recipe()["transient"]
-        assert transient["adaptive"] is True
-        assert transient["lte_rel_tol"] == pytest.approx(5e-4)
-        assert transient["lte_abs_tol"] == pytest.approx(2e-7)
-        assert transient["jacobian_reuse_tol"] == pytest.approx(0.05)
+        options = TransientOptions(t_stop=1e-6, dt=1e-9, adaptive=True,
+                                   lte_rel_tol=5e-4, max_dt_factor=40.0)
+        scenario = Scenario(name="ad", builder=build_rc_ladder, transient=options)
+        assert scenario.recipe()["transient"] == dataclasses.asdict(options)
+        # Every field is recorded, so scenarios that differ in any one differ.
+        other = scenario.with_transient(max_dt_factor=50.0)
+        assert other.recipe() != scenario.recipe()
 
     def test_adaptive_sweep_thins_snapshots_by_time(self):
         """Adaptive runs cluster steps; thinning must stay uniform in time."""

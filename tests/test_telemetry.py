@@ -593,10 +593,10 @@ class TestSweepTelemetry:
             assert (profile.newton_iterations, profile.accepted_steps,
                     profile.rejected_steps, profile.lte_rejections,
                     profile.cache_factorizations, profile.cache_reuses,
-                    profile.cache_invalidations, profile.cache_hit_rate) == (
+                    profile.cache_hit_rate) == (
                 solo.newton_iterations, solo.accepted_steps, solo.rejected_steps,
                 solo.lte_rejections, solo.cache_factorizations, solo.cache_reuses,
-                solo.cache_invalidations, solo.cache_hit_rate)
+                solo.cache_hit_rate)
             assert profile.wall_time_s == result[scenario.name].transient.wall_time
         assert profiles[0].wall_time_s == profiles[1].wall_time_s > 0.0
         assert per_scenario[0].wall_time_s == per_scenario[1].wall_time_s

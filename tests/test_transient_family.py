@@ -10,9 +10,10 @@ import traceback
 import numpy as np
 import pytest
 
+import repro.circuit.dc as dc_module
+import repro.circuit.newton as newton_module
 import repro.circuit.transient as transient_module
-from repro.circuit import (DCOptions, NewtonOptions, Sine, TransientOptions,
-                           transient_analysis)
+from repro.circuit import Sine, TransientOptions, transient_analysis
 from repro.circuits import (build_diode_limiter, build_output_buffer,
                             buffer_training_waveform, build_rc_ladder)
 from repro.circuits.buffer import BufferParams
@@ -25,8 +26,7 @@ from test_sweep import ExplodingWaveform
 #: (amplitude V, frequency Hz) design points, each jittered by +-5% per seed.
 HELDOUT_DESIGN = ((0.45, 3.0e6), (0.30, 1.5e6), (0.15, 2.5e6))
 COUNTERS = ("newton_iterations", "rejected_steps", "lte_rejections",
-            "cache_factorizations", "cache_reuses", "cache_invalidations",
-            "cache_solves")
+            "cache_factorizations", "cache_reuses", "cache_solves")
 
 
 def heldout_sines(seed):
@@ -100,9 +100,10 @@ class TestBufferFamily:
         for wave, row in zip(sines, family):
             assert_same_run(row, solo_run(wave, options)[0])
 
-    def test_rows_damp_their_own_updates_from_their_own_starts(self):
+    def test_rows_damp_their_own_updates_from_their_own_starts(self, monkeypatch):
         """One row starts far from its solution, so only its steps are damped."""
-        options = buffer_options(periods=0.1, newton=NewtonOptions(max_step=0.3))
+        monkeypatch.setattr(newton_module, "MAX_STEP", 0.3)
+        options = buffer_options(periods=0.1)
         sines = [Sine(0.9, 0.45, 3e6), Sine(0.9, 0.05, 1e6)]
         systems = [build_output_buffer(input_waveform=w).build() for w in sines]
         starts = [np.zeros(systems[0].n_unknowns), None]
@@ -113,9 +114,10 @@ class TestBufferFamily:
             assert_same_run(row, solo)
         assert family[0].newton_iterations > 4 * family[1].newton_iterations
 
-    def test_row_failing_the_shared_step_continues_alone(self):
+    def test_row_failing_the_shared_step_continues_alone(self, monkeypatch):
         """A tight iteration cap makes the large swing miss steps its peers take."""
-        options = buffer_options(periods=0.5, newton=NewtonOptions(max_iterations=3))
+        monkeypatch.setattr(transient_module, "NEWTON_ITERATIONS", 3)
+        options = buffer_options(periods=0.5)
         sines = [Sine(0.9, 0.45, 3e6), Sine(0.9, 0.15, 2.5e6), Sine(0.9, 0.05, 1e6)]
         family = transient_analysis(
             [build_output_buffer(input_waveform=w).build() for w in sines], options)
@@ -198,9 +200,12 @@ class TestFamilyPreparation:
                                       options, initial_state=start)
             assert_same_run(row, solo)
 
-    def test_failing_dc_point_fails_every_row_by_its_own_name(self, dc_calls):
-        options = buffer_options(periods=0.1, dc=DCOptions(
-            newton=NewtonOptions(max_iterations=1)))
+    def test_failing_dc_point_fails_every_row_by_its_own_name(self, dc_calls,
+                                                              monkeypatch):
+        solve = dc_module.newton_solve
+        monkeypatch.setattr(dc_module, "newton_solve",
+                            lambda f, guess, **kwargs: solve(f, guess, 1, **kwargs))
+        options = buffer_options(periods=0.1)
         systems = [build_output_buffer(input_waveform=Sine(0.9, a, 2e6),
                                        name=name).build()
                    for a, name in ((0.1, "first"), (0.2, "second"))]
