@@ -9,7 +9,7 @@ reference transient) are computed once per session and shared.
 
 import pytest
 
-from repro.baselines import CaffeineOptions, extract_caffeine_model
+from repro.baselines import extract_caffeine_model
 from repro.circuit import TransientOptions, transient_analysis
 from repro.circuits import build_output_buffer, buffer_test_pattern, buffer_training_waveform
 from repro.rvf import RVFOptions, extract_rvf_model, simulate_hammerstein
@@ -49,8 +49,7 @@ def rvf_extraction(buffer_tft):
 @pytest.fixture(scope="session")
 def caffeine_extraction(buffer_tft):
     """CAFFEINE baseline model of the buffer (Fig. 8 / Table I row 2)."""
-    return extract_caffeine_model(buffer_tft, error_bound=ERROR_BOUND,
-                                  caffeine_options=CaffeineOptions(generations=25))
+    return extract_caffeine_model(buffer_tft, error_bound=ERROR_BOUND, generations=25)
 
 
 @pytest.fixture(scope="session")

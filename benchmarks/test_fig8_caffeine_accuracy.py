@@ -10,7 +10,7 @@ comparison; the benchmark measures the baseline's build time (Table I row 2).
 import numpy as np
 
 from repro.analysis import compare_surfaces
-from repro.baselines import CaffeineOptions, extract_caffeine_model
+from repro.baselines import extract_caffeine_model
 from .conftest import ERROR_BOUND
 
 
@@ -52,8 +52,8 @@ def test_caffeine_uses_ordinary_vf_poles(caffeine_extraction):
 
 
 def test_caffeine_flow_is_not_fully_automated(caffeine_extraction):
-    # Table I's "Fully Automated = NO" column: the integrable-basis restriction
-    # (or a manual integration step) is required.
+    # Table I's "Fully Automated = NO" column: the basis library is restricted
+    # by hand to terms whose integrals exist in closed form.
     assert not caffeine_extraction.fully_automated
 
 
@@ -61,6 +61,6 @@ def test_benchmark_caffeine_model_extraction(benchmark, buffer_tft):
     """Table I "build time" of the CAFFEINE baseline flow."""
     result = benchmark.pedantic(
         lambda: extract_caffeine_model(buffer_tft, error_bound=ERROR_BOUND,
-                                       caffeine_options=CaffeineOptions(generations=15)),
+                                       generations=15),
         rounds=1, iterations=1)
     assert result.model.is_stable()

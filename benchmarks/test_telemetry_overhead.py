@@ -44,7 +44,6 @@ from repro.telemetry import (
     RunRecorder,
     RunStore,
 )
-from repro.tft.state_estimator import StateEstimator
 
 from .artifacts import record_benchmark
 
@@ -91,7 +90,7 @@ def _model(tau: float = 1.0) -> HammersteinModel:
     return HammersteinModel(
         branches=branches, gain_function=gain,
         static_function=gain.antiderivative().with_value_at(0.5, 0.3),
-        state_estimator=StateEstimator(), dc_input=0.5, dc_output=0.3)
+        dc_input=0.5, dc_output=0.3)
 
 
 def _stimuli(n_requests: int = N_REQUESTS, n_steps: int = N_STEPS,

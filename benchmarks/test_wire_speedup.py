@@ -31,7 +31,6 @@ from repro.runtime import ModelRegistry, compile_model
 from repro.rvf.hammerstein import HammersteinBranch, HammersteinModel
 from repro.rvf.residues import PartialFractionFunction
 from repro.serve import ModelServer, ServePolicy
-from repro.tft.state_estimator import StateEstimator
 
 from .artifacts import record_benchmark
 
@@ -67,7 +66,7 @@ def _model(tau: float = 1.0) -> HammersteinModel:
     return HammersteinModel(
         branches=branches, gain_function=gain,
         static_function=gain.antiderivative().with_value_at(0.5, 0.3),
-        state_estimator=StateEstimator(), dc_input=0.5, dc_output=0.3)
+        dc_input=0.5, dc_output=0.3)
 
 
 def _registry():

@@ -18,7 +18,7 @@ from repro.analysis import (
     surface_rmse_db,
     time_domain_rmse,
 )
-from repro.baselines import CaffeineOptions, extract_caffeine_model
+from repro.baselines import extract_caffeine_model
 from repro.circuit import TransientOptions, transient_analysis
 from repro.circuits import build_output_buffer, buffer_test_pattern, buffer_training_waveform
 from repro.rvf import RVFOptions, extract_rvf_model, simulate_hammerstein
@@ -42,9 +42,8 @@ def main():
     tft = extract_tft(trajectory, default_frequency_grid(1.0, 10e9, 4), max_snapshots=110)
 
     rvf = extract_rvf_model(tft, RVFOptions(error_bound=1e-3))
-    caffeine = extract_caffeine_model(
-        tft, error_bound=1e-3,
-        caffeine_options=CaffeineOptions(generations=CAFFEINE_GENERATIONS))
+    caffeine = extract_caffeine_model(tft, error_bound=1e-3,
+                                      generations=CAFFEINE_GENERATIONS)
     print(rvf.summary())
     print(caffeine.summary())
 

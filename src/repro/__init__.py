@@ -54,7 +54,7 @@ from .runtime import (
     validate_model,
 )
 from .sweep import Scenario, SweepOptions, run_sweep, waveform_sweep
-from .tft import SnapshotTrajectory, StateEstimator, TFTDataset, extract_tft
+from .tft import SnapshotTrajectory, TFTDataset, extract_tft
 
 __all__ = [
     "__version__",
@@ -64,7 +64,7 @@ __all__ = [
     # example circuits
     "build_output_buffer", "buffer_training_waveform", "buffer_test_pattern",
     # TFT
-    "SnapshotTrajectory", "StateEstimator", "TFTDataset", "extract_tft",
+    "SnapshotTrajectory", "TFTDataset", "extract_tft",
     # scenario sweeps
     "Scenario", "SweepOptions", "run_sweep", "waveform_sweep",
     # RVF core

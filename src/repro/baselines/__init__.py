@@ -5,7 +5,6 @@ from .caffeine import (
     CaffeineExtractionResult,
     CaffeineFunction,
     CaffeineIntegral,
-    CaffeineOptions,
     default_basis_library,
     extract_caffeine_model,
     fit_caffeine,
@@ -15,7 +14,6 @@ __all__ = [
     "BasisTerm",
     "CaffeineFunction",
     "CaffeineIntegral",
-    "CaffeineOptions",
     "default_basis_library",
     "fit_caffeine",
     "extract_caffeine_model",

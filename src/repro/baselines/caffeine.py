@@ -9,8 +9,8 @@ searched by an evolutionary algorithm and the coefficients fitted linearly.
 
 This module implements a faithful, compact version of that idea:
 
-* a library of unary basis functions (powers, exponentials, logarithms,
-  rational and saturation shapes) of the state variable,
+* a library of unary basis functions (powers, exponentials, saturation and
+  Gaussian shapes) of the state variable,
 * an evolutionary structure search (selection + mutation + crossover over
   basis subsets) with a complexity penalty,
 * linear least-squares coefficient fitting for every candidate structure.
@@ -19,12 +19,11 @@ Two properties of the baseline that the paper highlights are reproduced
 explicitly:
 
 * **automation**: the indefinite integral over the input that the Hammerstein
-  synthesis requires exists in closed form only for a subset of the basis
-  library.  ``integrable_only=True`` restricts the search to that subset
-  (what the paper did manually: "relatively simple base functions ... such
-  that the indefinite integral could be calculated manually");
-  with ``integrable_only=False`` the fitted function may not be integrable
-  and :meth:`CaffeineFunction.integrate` raises, flagging the manual step.
+  synthesis requires exists in closed form only for some basis functions, so
+  the library holds only terms with a closed-form antiderivative.  Choosing
+  that library is what the paper did by hand ("relatively simple base
+  functions ... such that the indefinite integral could be calculated
+  manually"), so the flow is not fully automated.
 * **accuracy**: with the restricted basis the fit is typically less accurate
   and less uniform over the state space than the RVF partial fractions, which
   is the behaviour seen in the paper's Fig. 8 and Table I.
@@ -42,7 +41,6 @@ from scipy.special import erf as _erf
 from ..exceptions import FittingError, ModelError
 from ..rvf.hammerstein import HammersteinBranch, HammersteinModel, ModelMetadata
 from ..tft.hyperplane import TFTDataset
-from ..tft.state_estimator import StateEstimator
 from ..vectfit import fit_auto_order
 from ..vectfit.poles import initial_complex_poles, split_real_complex
 
@@ -50,25 +48,31 @@ __all__ = [
     "BasisTerm",
     "CaffeineFunction",
     "CaffeineIntegral",
-    "CaffeineOptions",
     "fit_caffeine",
     "extract_caffeine_model",
     "CaffeineExtractionResult",
     "default_basis_library",
 ]
 
+#: Evolutionary search: individuals per generation, most basis terms per
+#: individual, fitness penalty per term, and the chances that a child is
+#: mutated or bred by crossover.
+POPULATION_SIZE = 32
+MAX_TERMS = 6
+COMPLEXITY_PENALTY = 2e-3
+MUTATION_RATE = 0.35
+CROSSOVER_RATE = 0.5
+#: Seed of the search's random stream, so a fit is reproducible.
+SEED = 2013
+
 
 @dataclass(frozen=True)
 class BasisTerm:
-    """One canonical-form basis function ``g(x)`` with an optional antiderivative."""
+    """One canonical-form basis function ``g(x)`` with its antiderivative."""
 
     name: str
     function: Callable[[np.ndarray], np.ndarray]
-    antiderivative: Callable[[np.ndarray], np.ndarray] | None = None
-
-    @property
-    def integrable(self) -> bool:
-        return self.antiderivative is not None
+    antiderivative: Callable[[np.ndarray], np.ndarray]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"BasisTerm({self.name})"
@@ -79,10 +83,9 @@ def default_basis_library(x_center: float = 0.0, x_scale: float = 1.0) -> list[B
 
     The variable is normalised as ``z = (x - x_center) / x_scale`` so the
     library is well conditioned regardless of the physical state range.
-    Polynomials, exponentials and the hyperbolic saturation have closed-form
-    antiderivatives; the logarithmic and rational terms do not integrate to
-    elementary functions once they appear inside products, which is exactly
-    the automation gap the paper points out.
+    Every term is a polynomial, exponential, hyperbolic saturation or
+    Gaussian shape with a closed-form antiderivative, the restriction the
+    paper made by hand.
     """
     c, s = float(x_center), float(x_scale)
 
@@ -115,21 +118,8 @@ def default_basis_library(x_center: float = 0.0, x_scale: float = 1.0) -> list[B
                   lambda x: s * 0.5 * np.sqrt(np.pi) * _erf(z(x))),
         BasisTerm("z*exp(-z^2)", lambda x: z(x) * np.exp(-z(x) ** 2),
                   lambda x: -s * 0.5 * np.exp(-z(x) ** 2)),
-        # Non-integrable (in the automated sense) terms: these widen the
-        # search space but poison the closed-form integration step.
-        BasisTerm("log(0.1+|z|)", lambda x: np.log(0.1 + np.abs(z(x)))),
-        BasisTerm("1/(1+z^2)", lambda x: 1.0 / (1.0 + z(x) ** 2)),
-        BasisTerm("z/(1+z^2)", lambda x: z(x) / (1.0 + z(x) ** 2)),
-        BasisTerm("|z|", lambda x: np.abs(z(x))),
     ]
     return terms
-
-
-def _as_x(states: np.ndarray) -> np.ndarray:
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 2:
-        return states[:, 0]
-    return states
 
 
 @dataclass
@@ -146,7 +136,7 @@ class CaffeineFunction:
             raise ModelError("one coefficient per basis term is required")
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
-        x_arr = _as_x(np.atleast_1d(np.asarray(x, dtype=float)))
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         value = np.zeros(x_arr.shape, dtype=complex)
         for term, coeff in zip(self.terms, self.coefficients):
             value = value + coeff * term.function(x_arr)
@@ -158,18 +148,8 @@ class CaffeineFunction:
     def complexity(self) -> int:
         return len(self.terms)
 
-    @property
-    def is_integrable(self) -> bool:
-        return all(term.integrable for term in self.terms)
-
     def integrate(self) -> "CaffeineIntegral":
-        """Closed-form antiderivative; raises when manual work would be needed."""
-        if not self.is_integrable:
-            missing = [t.name for t in self.terms if not t.integrable]
-            raise ModelError(
-                "CAFFEINE expression contains terms without an automated "
-                f"antiderivative ({', '.join(missing)}); the integral must be "
-                "computed manually (the automation drawback reported in the paper)")
+        """Closed-form antiderivative, term by term."""
         return CaffeineIntegral(terms=list(self.terms),
                                 coefficients=self.coefficients.copy())
 
@@ -192,7 +172,7 @@ class CaffeineIntegral:
     offset: complex = 0.0
 
     def __call__(self, x: np.ndarray | float) -> np.ndarray | complex:
-        x_arr = _as_x(np.atleast_1d(np.asarray(x, dtype=float)))
+        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         value = np.full(x_arr.shape, complex(self.offset), dtype=complex)
         for term, coeff in zip(self.terms, self.coefficients):
             value = value + coeff * term.antiderivative(x_arr)
@@ -213,21 +193,6 @@ class CaffeineIntegral:
         return " + ".join(parts)
 
 
-@dataclass
-class CaffeineOptions:
-    """Evolutionary search configuration."""
-
-    population_size: int = 32
-    generations: int = 25
-    max_terms: int = 6
-    complexity_penalty: float = 2e-3
-    mutation_rate: float = 0.35
-    crossover_rate: float = 0.5
-    seed: int = 2013
-    integrable_only: bool = True
-    basis_library: list[BasisTerm] | None = None
-
-
 def _fit_coefficients(terms: Sequence[BasisTerm], x: np.ndarray,
                       y: np.ndarray) -> tuple[np.ndarray, float]:
     matrix = np.column_stack([term.function(x) for term in terms])
@@ -239,48 +204,41 @@ def _fit_coefficients(terms: Sequence[BasisTerm], x: np.ndarray,
 
 
 def fit_caffeine(states: np.ndarray, samples: np.ndarray,
-                 options: CaffeineOptions | None = None) -> CaffeineFunction:
+                 generations: int = 25) -> CaffeineFunction:
     """Fit one (possibly complex-valued) function of the state with CAFFEINE.
 
     ``samples`` may be complex; the canonical-form terms are real functions of
     the state and the coefficients become complex, which mirrors using the
-    same symbolic template for the real and imaginary parts.
+    same symbolic template for the real and imaginary parts.  The structure
+    search runs ``generations`` generations of the evolutionary loop.
     """
-    opts = options or CaffeineOptions()
-    x = _as_x(states)
+    x = np.asarray(states, dtype=float)
     y = np.asarray(samples, dtype=complex).ravel()
     if x.size != y.size:
         raise FittingError("states and samples must have the same length")
     if x.size < 8:
         raise FittingError("CAFFEINE regression needs at least eight samples")
 
-    library = opts.basis_library
-    if library is None:
-        library = default_basis_library(x_center=float(np.mean(x)),
-                                        x_scale=float(np.std(x)) or 1.0)
-    if opts.integrable_only:
-        library = [term for term in library if term.integrable]
-    if not library:
-        raise FittingError("the basis library is empty")
-
-    rng = np.random.default_rng(opts.seed)
+    library = default_basis_library(x_center=float(np.mean(x)),
+                                    x_scale=float(np.std(x)) or 1.0)
+    rng = np.random.default_rng(SEED)
     n_library = len(library)
 
     def random_individual() -> tuple[int, ...]:
-        size = rng.integers(2, opts.max_terms + 1)
+        size = rng.integers(2, MAX_TERMS + 1)
         size = min(size, n_library)
         return tuple(sorted(rng.choice(n_library, size=size, replace=False).tolist()))
 
     def evaluate(individual: tuple[int, ...]) -> tuple[float, np.ndarray]:
         terms = [library[i] for i in individual]
         coeffs, error = _fit_coefficients(terms, x, y)
-        fitness = error + opts.complexity_penalty * len(individual)
+        fitness = error + COMPLEXITY_PENALTY * len(individual)
         return fitness, coeffs
 
     def mutate(individual: tuple[int, ...]) -> tuple[int, ...]:
         genes = set(individual)
         action = rng.random()
-        if action < 0.4 and len(genes) < min(opts.max_terms, n_library):
+        if action < 0.4 and len(genes) < min(MAX_TERMS, n_library):
             genes.add(int(rng.integers(n_library)))
         elif action < 0.7 and len(genes) > 1:
             genes.discard(int(rng.choice(sorted(genes))))
@@ -300,22 +258,22 @@ def fit_caffeine(states: np.ndarray, samples: np.ndarray,
         genes = [g for g, k in zip(union, keep) if k]
         if not genes:
             genes = [union[int(rng.integers(len(union)))]]
-        return tuple(sorted(genes[:opts.max_terms]))
+        return tuple(sorted(genes[:MAX_TERMS]))
 
-    population = [random_individual() for _ in range(opts.population_size)]
+    population = [random_individual() for _ in range(POPULATION_SIZE)]
     scored = {ind: evaluate(ind) for ind in set(population)}
 
-    for _ in range(opts.generations):
+    for _ in range(generations):
         ranked = sorted(population, key=lambda ind: scored[ind][0])
-        elite = ranked[: max(2, opts.population_size // 4)]
+        elite = ranked[: max(2, POPULATION_SIZE // 4)]
         next_population = list(elite)
-        while len(next_population) < opts.population_size:
-            if rng.random() < opts.crossover_rate and len(elite) >= 2:
+        while len(next_population) < POPULATION_SIZE:
+            if rng.random() < CROSSOVER_RATE and len(elite) >= 2:
                 idx = rng.choice(len(elite), size=2, replace=False)
                 child = crossover(elite[int(idx[0])], elite[int(idx[1])])
             else:
                 child = elite[int(rng.integers(len(elite)))]
-            if rng.random() < opts.mutation_rate or child in scored:
+            if rng.random() < MUTATION_RATE or child in scored:
                 child = mutate(child)
             next_population.append(child)
         population = next_population
@@ -356,24 +314,20 @@ class CaffeineExtractionResult:
 
 
 def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
-                           caffeine_options: CaffeineOptions | None = None,
-                           split_static: bool = True,
-                           output_index: int = 0, input_index: int = 0
-                           ) -> CaffeineExtractionResult:
+                           generations: int = 25, output_index: int = 0,
+                           input_index: int = 0) -> CaffeineExtractionResult:
     """Baseline flow: ordinary VF for the frequency poles, CAFFEINE residues.
 
     This mirrors the paper's comparison setup: "the same TFT data is fitted
     using the regular vector fitting algorithm for frequency pole allocation
     and the CAFFEINE regression toolbox is used for residue regression".
+    Each residue trajectory and the static gain are fitted by
+    :func:`fit_caffeine` with ``generations`` generations.
     """
     start = _time.perf_counter()
-    opts = caffeine_options or CaffeineOptions()
-    if tft.state_dimension != 1:
-        raise ModelError("the CAFFEINE baseline supports one-dimensional state estimators")
-
     response = tft.siso_response(output_index, input_index)
     dc_gain = tft.siso_dc(output_index, input_index).real
-    states = tft.state_axis(0)
+    states = tft.states
     frequencies = tft.frequencies
     svals = 2j * np.pi * frequencies
 
@@ -381,7 +335,7 @@ def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
     dc_input = float(states[k_dc])
     dc_output = float(tft.outputs[k_dc, output_index]) if tft.outputs is not None else 0.0
 
-    dynamic = response - dc_gain[:, None] if split_static else response
+    dynamic = response - dc_gain[:, None]
     positive = frequencies[frequencies > 0]
     report = fit_auto_order(
         svals, dynamic, error_bound,
@@ -392,34 +346,19 @@ def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
     real_idx, pair_idx = split_real_complex(poles)
     representative = list(real_idx) + list(pair_idx)
 
-    gain_samples = (dc_gain if split_static else np.zeros_like(dc_gain)) + vf.constants.real
-
     residue_errors: list[float] = []
-    gain_function = fit_caffeine(states, gain_samples.astype(complex), opts)
+    gain_function = fit_caffeine(states, (dc_gain + vf.constants.real).astype(complex),
+                                 generations)
     residue_errors.append(gain_function.fit_error)
 
     branches: list[HammersteinBranch] = []
-    fully_automated = True
     for p in representative:
-        residue_function = fit_caffeine(states, vf.residues[:, p], opts)
+        residue_function = fit_caffeine(states, vf.residues[:, p], generations)
         residue_errors.append(residue_function.fit_error)
-        try:
-            static = residue_function.integrate().with_value_at(dc_input, 0.0)
-        except ModelError:
-            # Non-integrable expression: fall back to the constant-gain branch
-            # (what a designer would have to fix by hand) and record that the
-            # flow is no longer automated.
-            fully_automated = False
-            fallback = CaffeineFunction(
-                terms=[t for t in default_basis_library(float(np.mean(states)),
-                                                        float(np.std(states)) or 1.0)
-                       if t.name == "1"],
-                coefficients=np.array([np.mean(vf.residues[:, p])]))
-            static = fallback.integrate().with_value_at(dc_input, 0.0)
         branches.append(HammersteinBranch(
             pole=poles[p],
             residue_function=residue_function,
-            static_function=static,
+            static_function=residue_function.integrate().with_value_at(dc_input, 0.0),
             is_complex_pair=bool(poles[p].imag != 0.0),
         ))
 
@@ -432,14 +371,12 @@ def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
         state_fit_error=float(max(residue_errors)),
         error_bound=error_bound,
         training_snapshots=tft.n_states,
-        split_static=split_static,
         notes={"regressor": "caffeine"},
     )
     model = HammersteinModel(
         branches=branches,
         gain_function=gain_function,
         static_function=static_function,
-        state_estimator=StateEstimator(),
         dc_input=dc_input,
         dc_output=dc_output,
         input_name=tft.input_names[input_index] if tft.input_names else "u",
@@ -448,16 +385,15 @@ def extract_caffeine_model(tft: TFTDataset, error_bound: float = 1e-3,
     )
     build_time = _time.perf_counter() - start
     metadata.build_time_seconds = build_time
-    # The paper flags CAFFEINE as "not fully automated" because of the manual
-    # integration step; when the search is restricted to integrable bases the
-    # integral exists but the restriction itself is a manual modelling choice.
-    fully_automated = fully_automated and not opts.integrable_only
 
     return CaffeineExtractionResult(
         model=model,
         residue_errors=residue_errors,
         n_frequency_poles=int(poles.size),
         build_time=build_time,
-        fully_automated=fully_automated,
+        # The paper flags CAFFEINE as "not fully automated" (Table I's "NO"):
+        # every term integrates in closed form only because the basis library
+        # was restricted to such terms by hand.
+        fully_automated=False,
         tft=tft,
     )

@@ -74,21 +74,19 @@ class ACResult:
 
 
 def ac_analysis(system: MNASystem, frequencies: np.ndarray,
-                operating_point: np.ndarray | None = None,
-                gmin: float = 1e-12, assembly: str = "auto") -> ACResult:
+                assembly: str = "auto") -> ACResult:
     """Linearise the circuit about its DC point and sweep the frequency grid.
 
     The sweep solves batched right-hand sides: in dense mode all frequencies
     go through one LAPACK call, in sparse mode each frequency is factorised
     once for every input column.  ``assembly="legacy"`` restores the original
-    per-frequency dense loop (and keeps the implicit DC solve on the legacy
-    path too, so circuits the compiled engine rejects remain analysable).
+    per-frequency dense loop (and keeps the DC solve on the legacy path too,
+    so circuits the compiled engine rejects remain analysable).
     """
-    if operating_point is None:
-        operating_point = dc_operating_point(
-            system, assembly="legacy" if assembly == "legacy" else "auto").solution
-    response = system.transfer_function(operating_point, frequencies, gmin=gmin,
+    operating_point = dc_operating_point(
+        system, assembly="legacy" if assembly == "legacy" else "auto").solution
+    response = system.transfer_function(operating_point, frequencies,
                                         assembly=assembly)
     return ACResult(frequencies=np.asarray(frequencies, dtype=float),
                     response=response,
-                    operating_point=np.array(operating_point, copy=True))
+                    operating_point=operating_point)

@@ -31,6 +31,10 @@ __all__ = ["FactorizationCache", "batched_transfer", "fan_out", "solve_linear",
 #: of the triangular solves saturates.
 _MAX_TRANSFER_THREADS = 8
 
+#: Largest ``(chunk, n, n)`` complex system stack :func:`batched_transfer`
+#: allocates, in bytes.
+MAX_CHUNK_BYTES = 64 << 20
+
 #: LAPACK routines by name and operand dtypes, as ``get_lapack_funcs``
 #: picks them (looked up once, not per Newton step).
 _LAPACK: dict = {}
@@ -116,12 +120,11 @@ class FactorizationCache:
 
 
 def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,
-                     input_matrix: np.ndarray, output_matrix: np.ndarray,
-                     max_chunk_bytes: int = 64 << 20) -> np.ndarray:
+                     input_matrix: np.ndarray, output_matrix: np.ndarray) -> np.ndarray:
     """``D^T (G + s C)^{-1} B`` for every ``s``, via batched LAPACK solves.
 
     The frequency axis is chunked so the ``(chunk, n, n)`` complex stack stays
-    below ``max_chunk_bytes`` — large densified systems would otherwise
+    below :data:`MAX_CHUNK_BYTES` — large densified systems would otherwise
     multiply their peak memory by the full frequency count.  The stack is
     allocated once and each chunk's systems are written into it in place:
     ``G + Re(s) C`` into the real part and ``Im(s) C`` into the imaginary
@@ -131,7 +134,7 @@ def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,
     """
     n = g_mat.shape[0]
     rhs_full = input_matrix.astype(complex)
-    chunk = max(1, int(max_chunk_bytes // max(16 * n * n, 1)))
+    chunk = max(1, int(MAX_CHUNK_BYTES // max(16 * n * n, 1)))
     result = np.empty((s_values.size, output_matrix.shape[1], input_matrix.shape[1]),
                       dtype=complex)
     stack = np.empty((min(chunk, s_values.size), n, n), dtype=complex)

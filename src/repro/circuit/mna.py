@@ -217,13 +217,16 @@ class MNASystem:
                 f"{self.n_outputs} output(s)")
 
     def transfer_function(self, v: np.ndarray, frequencies: Sequence[float] | np.ndarray,
-                          gmin: float = 0.0, assembly: str = "auto") -> np.ndarray:
+                          assembly: str = "auto") -> np.ndarray:
         """Small-signal transfer functions about the point ``v``.
 
         Returns an array of shape ``(n_freq, n_outputs, n_inputs)`` containing
         ``D^T (G + s C)^{-1} B`` evaluated at ``s = j 2 pi f`` for every
-        frequency ``f``.  This is the elementary operation behind both the AC
-        analysis and the TFT extraction (paper eq. (3)).
+        frequency ``f``, with :data:`~repro.circuit.dc.GMIN` added on every
+        diagonal entry of ``G`` (the DC analysis adds it on the node rows
+        only).  This is the elementary operation of the AC analysis (paper
+        eq. (3)); the TFT extraction solves each snapshot's ``G + s C``
+        without it.
 
         In ``"dense"``/small ``"auto"`` mode the whole frequency sweep is one
         batched LAPACK call; in sparse mode each frequency factorises
@@ -243,11 +246,12 @@ class MNASystem:
         s_values = 2j * np.pi * frequencies
         result = np.empty((frequencies.size, self.n_outputs, self.n_inputs), dtype=complex)
 
+        from .dc import GMIN            # dc.py imports this module
+
         if assembly == "legacy":
             _, g_mat = self.eval_static(v)
             _, c_mat = self.eval_dynamic(v)
-            if gmin:
-                g_mat = g_mat + gmin * np.eye(self.n_unknowns)
+            g_mat = g_mat + GMIN * np.eye(self.n_unknowns)
             for idx, s in enumerate(s_values):
                 solved = np.linalg.solve(g_mat + s * c_mat, self.input_matrix)
                 result[idx] = self.output_matrix.T @ solved
@@ -259,8 +263,7 @@ class MNASystem:
         if engine.is_sparse:
             from .linalg import fan_out, solve_linear
             g_data = g_op.astype(complex, copy=True)
-            if gmin:
-                engine.add_diag(g_data, gmin, self.n_unknowns)
+            engine.add_diag(g_data, GMIN, self.n_unknowns)
             b_cols = self.input_matrix.astype(complex)
             d_mat = self.output_matrix.T
 
@@ -275,8 +278,7 @@ class MNASystem:
         from ..exceptions import SingularMatrixError
         from .linalg import batched_transfer
         g_mat = np.array(g_op, copy=True)
-        if gmin:
-            engine.add_diag(g_mat, gmin, self.n_unknowns)
+        engine.add_diag(g_mat, GMIN, self.n_unknowns)
         try:
             return batched_transfer(g_mat, c_op, s_values,
                                     self.input_matrix, self.output_matrix)

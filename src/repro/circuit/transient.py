@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -105,6 +105,8 @@ class TransientOptions:
             raise ValueError("dt must be positive")
         if self.method not in ("trapezoidal", "backward_euler"):
             raise ValueError(f"unknown integration method {self.method!r}")
+        if self.lte_rel_tol < 0:
+            raise ValueError("lte_rel_tol must be non-negative")
         if self.adaptive and self.max_dt_factor < 1.0:
             raise ValueError("max_dt_factor must be at least 1")
 
@@ -248,7 +250,6 @@ class _Group:
 def transient_analysis(system: MNASystem | Sequence[MNASystem],
                        options: TransientOptions,
                        snapshot_callback=None, initial_state=None,
-                       progress: Callable[[float], None] | None = None,
                        ) -> TransientResult | list[TransientResult | Exception]:
     """Run a nonlinear transient simulation.
 
@@ -267,9 +268,6 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
         ``t = 0`` is used (the standard SPICE behaviour).  For a family, a
         sequence of one state or ``None`` per system; rows whose excitations
         at ``t = 0`` are byte-equal solve their DC point once.
-    progress:
-        Optional callable receiving the fraction of simulated time (for a
-        family, once per step of each group of rows that step together).
 
     A family runs on a shared fixed time grid through one Newton loop over
     the stacked states (:func:`~repro.circuit.newton.newton_solve`), with
@@ -338,7 +336,7 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
                               0.0, options.dt, options.dt,
                               options.method == "trapezoidal"))
     while pending:
-        pending.extend(_integrate(pending.pop(0), engine, options, progress))
+        pending.extend(_integrate(pending.pop(0), engine, options))
 
     wall_time = (_time.perf_counter() - wall_start) / len(rows)
     outcomes = [row.error if row.error is not None
@@ -391,8 +389,7 @@ def _start_row(row: _Row, engine, initial_state,
     return v, q_vec, qdot
 
 
-def _integrate(group: _Group, engine, options: TransientOptions,
-               progress: Callable[[float], None] | None) -> list[_Group]:
+def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]:
     """Step ``group`` to ``t_stop``; returns the groups split off on the way.
 
     Rows leave the group when their run ends in an error (kept on the row)
@@ -674,9 +671,6 @@ def _integrate(group: _Group, engine, options: TransientOptions,
             rows = group.rows
             if not rows:
                 break
-
-        if progress is not None:
-            progress(t / t_stop)
 
         if adaptive:
             # Grow/shrink towards the step whose predicted error norm is 1,

@@ -168,10 +168,9 @@ def compile_model(model: HammersteinModel, dt: float,
     Parameters
     ----------
     model:
-        The analytical model produced by :func:`repro.rvf.extract_rvf_model`.
-        Only one-dimensional state estimators (``x = u(t)``, the paper's
-        demonstrated configuration) can be compiled: with input delays the
-        static maps would need multi-dimensional tables.
+        The analytical model produced by :func:`repro.rvf.extract_rvf_model`;
+        its state is the input ``x = u(t)``, so every static map is a
+        one-dimensional table.
     dt:
         Fixed sample interval of the compiled recurrence.  Stimuli served
         through the compiled model must be sampled on this grid.
@@ -187,10 +186,6 @@ def compile_model(model: HammersteinModel, dt: float,
         (the extraction's :class:`~repro.rvf.hammerstein.ModelMetadata` is
         always recorded).
     """
-    if model.state_dimension != 1:
-        raise ModelError(
-            "compile_model supports one-dimensional state estimators "
-            f"(x = u(t)); got dimension {model.state_dimension}")
     if dt <= 0.0:
         raise ModelError("compile_model: dt must be positive")
     u_min, u_max = float(input_range[0]), float(input_range[1])

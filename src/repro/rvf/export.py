@@ -26,8 +26,7 @@ def model_equations(model: HammersteinModel, precision: int = 6) -> str:
     u = model.input_name
     lines = [
         f"// Analytical Hammerstein model extracted by recursive vector fitting",
-        f"// input : {u}(t)    (state estimator x = "
-        f"({u}(t)" + "".join(f", {u}(t-{d:.3g}s)" for d in model.state_estimator.delays) + "))",
+        f"// input : {u}(t)    (state estimator x = ({u}(t)))",
         f"// output: {model.output_name}(t)",
         f"// {model.n_branches} branches, dynamic order {model.dynamic_order}, "
         f"stable by construction: {model.is_stable()}",

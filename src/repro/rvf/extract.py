@@ -24,7 +24,6 @@ import numpy as np
 
 from ..exceptions import FittingError, ModelError
 from ..tft.hyperplane import TFTDataset
-from ..tft.state_estimator import StateEstimator
 from ..vectfit import fit_auto_order
 from ..vectfit.orders import AutoFitReport
 from ..vectfit.poles import initial_complex_poles, split_real_complex
@@ -90,24 +89,15 @@ class RVFExtractionResult:
                 f"build time {self.build_time:.2f} s")
 
 
-def extract_rvf_model(tft: TFTDataset, options: RVFOptions | None = None,
-                      state_estimator: StateEstimator | None = None) -> RVFExtractionResult:
+def extract_rvf_model(tft: TFTDataset,
+                      options: RVFOptions | None = None) -> RVFExtractionResult:
     """Run the complete time-domain RVF algorithm on a TFT dataset."""
     opts = options or RVFOptions()
     start_time = _time.perf_counter()
 
-    if state_estimator is None:
-        state_estimator = StateEstimator()
-    if tft.state_dimension != 1:
-        raise ModelError(
-            "extract_rvf_model supports one-dimensional state estimators "
-            "(x = u(t)), the configuration of the paper's output-buffer example; "
-            "the multi-dimensional recursion of the paper's eq. (16) is not "
-            "implemented")
-
     response = tft.siso_response(opts.output_index, opts.input_index)       # (K, L)
     dc_gain = tft.siso_dc(opts.output_index, opts.input_index)              # (K,)
-    states = tft.state_axis(0)                                              # (K,)
+    states = tft.states                                                     # (K,)
     frequencies = tft.frequencies
     svals = 2j * np.pi * frequencies
 
@@ -191,7 +181,6 @@ def extract_rvf_model(tft: TFTDataset, options: RVFOptions | None = None,
         branches=branches,
         gain_function=gain_function,
         static_function=static_function,
-        state_estimator=state_estimator,
         dc_input=dc_input,
         dc_output=dc_output,
         input_name=tft.input_names[opts.input_index] if tft.input_names else "u",

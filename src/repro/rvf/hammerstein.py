@@ -2,7 +2,8 @@
 
 The extracted behavioural model (paper eq. (7), Figs. 2 and 4) consists of
 
-* a *static path*: an analytical function ``F_0(x)`` of the state estimator
+* a *static path*: an analytical function ``F_0(x)`` of the state
+  ``x = u(t)`` (the input, the paper's one-dimensional state estimator)
   whose derivative with respect to the input matches the instantaneous
   (s = 0 and direct feed-through) gain of the circuit along the trajectory;
 * ``P`` parallel *Hammerstein branches*: each branch feeds a static nonlinear
@@ -29,8 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from ..exceptions import ModelError
-from ..tft.state_estimator import StateEstimator
-from .residues import IntegratedPartialFraction, PartialFractionFunction
 
 __all__ = ["HammersteinBranch", "HammersteinModel", "ModelMetadata"]
 
@@ -57,8 +56,8 @@ class HammersteinBranch:
     def small_signal(self, states: np.ndarray, svals: np.ndarray) -> np.ndarray:
         """Small-signal contribution ``r_p(x)/(s-a_p)`` (+ conjugate for pairs).
 
-        ``states`` has shape ``(K,)`` (scalar estimator) or ``(K, q)``;
-        ``svals`` is a complex array of shape ``(L,)``.  Returns ``(K, L)``.
+        ``states`` has shape ``(K,)``; ``svals`` is a complex array of shape
+        ``(L,)``.  Returns ``(K, L)``.
         """
         residues = _evaluate_state_function(self.residue_function, states)
         svals = np.asarray(svals, dtype=complex).ravel()
@@ -112,26 +111,22 @@ class HammersteinModel:
         The parallel Hammerstein branches (one per real pole or complex pair).
     gain_function:
         Instantaneous (memoryless) gain ``g_0(x)`` of the static path as an
-        analytical function of the state estimator.
+        analytical function of the state ``x = u(t)``.
     static_function:
         Antiderivative of ``gain_function`` with the integration constant
         already fixed from the DC solution: ``F_0(x_dc) = y_dc``.
-    state_estimator:
-        Mapping from the input waveform to the state vector ``x``.
     dc_input / dc_output:
         The circuit's DC operating point used to fix integration constants.
     """
 
     def __init__(self, branches: Sequence[HammersteinBranch],
                  gain_function: object, static_function: object,
-                 state_estimator: StateEstimator,
                  dc_input: float, dc_output: float,
                  input_name: str = "u", output_name: str = "y",
                  metadata: ModelMetadata | None = None) -> None:
         self.branches = list(branches)
         self.gain_function = gain_function
         self.static_function = static_function
-        self.state_estimator = state_estimator
         self.dc_input = float(dc_input)
         self.dc_output = float(dc_output)
         self.input_name = input_name
@@ -157,10 +152,6 @@ class HammersteinModel:
     def dynamic_order(self) -> int:
         """Number of real states of the dynamic part."""
         return sum(branch.order for branch in self.branches)
-
-    @property
-    def state_dimension(self) -> int:
-        return self.state_estimator.dimension
 
     def is_stable(self) -> bool:
         """Always true by construction; kept as an explicit, testable check."""
@@ -222,8 +213,7 @@ class HammersteinModel:
     def describe(self) -> str:
         return (f"Hammerstein model: {self.n_branches} branches "
                 f"({self.frequency_poles.size} frequency poles, dynamic order "
-                f"{self.dynamic_order}), state dimension {self.state_dimension}, "
-                f"stable={self.is_stable()}")
+                f"{self.dynamic_order}), stable={self.is_stable()}")
 
 
 # --------------------------------------------------------------------------- #
@@ -232,13 +222,5 @@ class HammersteinModel:
 
 def _evaluate_state_function(function, states: np.ndarray) -> np.ndarray:
     """Evaluate a residue/static function on a batch of states -> (K,) complex."""
-    states = np.asarray(states, dtype=float)
-    if isinstance(function, (PartialFractionFunction, IntegratedPartialFraction)):
-        if states.ndim == 2:
-            values = function(states[:, 0])
-        else:
-            values = function(states)
-        return np.atleast_1d(np.asarray(values, dtype=complex))
-    if states.ndim == 1:
-        states = states[:, None]
-    return np.atleast_1d(np.asarray(function(states), dtype=complex))
+    return np.atleast_1d(np.asarray(function(np.asarray(states, dtype=float)),
+                                    dtype=complex))

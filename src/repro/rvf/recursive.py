@@ -7,13 +7,14 @@ poles ``{b_q}`` — as partial fraction expansions in the state variable,
 which is the "recursive" application of vector fitting that gives the paper
 its name (Section III.B).
 
-The state estimator is one-dimensional (``x = u(t)``, the configuration of
-the paper's output-buffer example), so the recursion is a single vector fit
-along the state axis: the state poles are found by real-coefficient vector
-fitting on the real state samples, and the final residues by one
-complex-coefficient least-squares solve, mapped to the paper's ``j*x``
-convention.  The paper's eq. (16) generalises it to multi-dimensional
-gridded states, one dimension at a time; that case is not implemented.
+The state is the input, ``x = u(t)`` (the one-dimensional state estimator
+of the paper's output-buffer example, and the only state the TFT dataset
+holds), so the recursion is a single vector fit along the state axis: the
+state poles are found by real-coefficient vector fitting on the real state
+samples, and the final residues by one complex-coefficient least-squares
+solve, mapped to the paper's ``j*x`` convention.  The paper's eq. (16)
+generalises it to states of delayed inputs on a multi-dimensional grid, one
+dimension at a time; that case is not implemented.
 """
 
 from __future__ import annotations

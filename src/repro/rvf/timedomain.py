@@ -94,9 +94,8 @@ def simulate_hammerstein(model, times: np.ndarray, inputs: np.ndarray) -> ModelS
     if np.any(np.diff(times) <= 0):
         raise ModelError("times must be strictly increasing")
 
-    # State-estimator trajectory and static path, evaluated vectorised.
-    states = model.state_estimator.embed(times, inputs)
-    static_part = model.static_output(states)
+    # The state is the input: the static path is evaluated on it vectorised.
+    static_part = model.static_output(inputs)
 
     n_points = times.size
     branch_outputs = np.zeros((model.n_branches, n_points))
@@ -106,7 +105,7 @@ def simulate_hammerstein(model, times: np.ndarray, inputs: np.ndarray) -> ModelS
     from .hammerstein import _evaluate_state_function
 
     for b_idx, branch in enumerate(model.branches):
-        v = _evaluate_state_function(branch.static_function, states)
+        v = _evaluate_state_function(branch.static_function, inputs)
         pole = branch.pole
         # Equilibrium initial condition: 0 = a*y + v(0).
         y = -v[0] / pole

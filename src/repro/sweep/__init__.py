@@ -21,8 +21,8 @@ This subpackage turns that into a one-call workflow:
    capturing its own :class:`~repro.tft.SnapshotTrajectory` — and returns a
    :class:`~repro.sweep.runner.SweepResult`.
 3. The result feeds straight into the TFT flow:
-   :meth:`~repro.sweep.runner.SweepResult.extract_tfts` yields one
-   :class:`~repro.tft.TFTDataset` per scenario, and
+   :meth:`~repro.sweep.runner.SweepResult.trajectories` yields one
+   snapshot trajectory per scenario for :func:`~repro.tft.extract_tft`, and
    :meth:`~repro.sweep.runner.SweepResult.combined_trajectory` /
    :meth:`~repro.sweep.runner.SweepResult.extract_combined_tft` merge the
    snapshot families of same-topology scenarios into a single dataset whose

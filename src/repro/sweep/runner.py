@@ -6,8 +6,9 @@ rebuilds its scenario's circuit from the picklable builder recipe, runs the
 transient analysis on the compiled assembly engine and captures a private
 :class:`~repro.tft.SnapshotTrajectory` — the per-scenario ``{G(k), C(k)}``
 snapshot set that the TFT extraction consumes.  Results come back in scenario
-order inside a :class:`SweepResult`, which offers both per-scenario TFT
-datasets and a combined trajectory covering the union of all runs.
+order inside a :class:`SweepResult`, which offers both the per-scenario
+snapshot trajectories and a combined trajectory covering the union of all
+runs, with its TFT dataset.
 
 The serial path runs scenarios of one circuit as *families*: scenarios with
 equal builder, builder keyword arguments and fixed-step transient options on
@@ -24,8 +25,6 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ..circuit.mna import MNASystem
 from ..circuit.transient import TransientResult, transient_analysis
@@ -236,14 +235,6 @@ class SweepResult:
                 if r.ok and r.trajectory is not None}
 
     # ---------------------------------------------------------------- TFT feed
-    def extract_tfts(self, frequencies: np.ndarray | None = None,
-                     max_snapshots: int | None = None,
-                     gmin: float = 0.0) -> dict[str, TFTDataset]:
-        """One TFT dataset per successful scenario."""
-        return {name: extract_tft(trajectory, frequencies,
-                                  max_snapshots=max_snapshots, gmin=gmin)
-                for name, trajectory in self.trajectories().items()}
-
     def combined_trajectory(self) -> SnapshotTrajectory:
         """All scenarios' snapshots merged into one trajectory.
 
@@ -270,12 +261,10 @@ class SweepResult:
             merged.snapshots.extend(trajectory.snapshots)
         return merged
 
-    def extract_combined_tft(self, frequencies: np.ndarray | None = None,
-                             max_snapshots: int | None = None,
-                             gmin: float = 0.0) -> TFTDataset:
-        """TFT dataset of the merged snapshot family (see above)."""
-        return extract_tft(self.combined_trajectory(), frequencies,
-                           max_snapshots=max_snapshots, gmin=gmin)
+    def extract_combined_tft(self, max_snapshots: int | None = None) -> TFTDataset:
+        """TFT dataset of the merged snapshot family (see above), on the
+        default frequency grid."""
+        return extract_tft(self.combined_trajectory(), max_snapshots=max_snapshots)
 
     # -------------------------------------------------------------- provenance
     def provenance(self) -> dict:

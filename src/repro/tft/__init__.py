@@ -2,13 +2,11 @@
 
 from .hyperplane import TFTDataset
 from .snapshots import JacobianSnapshot, SnapshotTrajectory
-from .state_estimator import StateEstimator
 from .trajectory import default_frequency_grid, extract_tft, snapshot_transfer_function
 
 __all__ = [
     "JacobianSnapshot",
     "SnapshotTrajectory",
-    "StateEstimator",
     "TFTDataset",
     "extract_tft",
     "snapshot_transfer_function",

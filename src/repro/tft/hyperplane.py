@@ -2,15 +2,15 @@
 
 A :class:`TFTDataset` holds the state-dependent transfer functions
 ``H^(k)_{lm}(s)`` sampled on a grid of frequencies for every captured circuit
-state ``k``, together with the low-dimensional state-estimator coordinates
-``x^(k)``.  It is the object plotted in the paper's Fig. 6 and the input to
-the Recursive Vector Fitting model extraction.
+state ``k``, together with its state ``x^(k) = u(t_k)``: the input at the
+snapshot's time, the one-dimensional state estimator of the paper's eq. (4)
+that its output-buffer example uses (Fig. 6).  It is the object plotted in
+Fig. 6 and the input to the Recursive Vector Fitting model extraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +28,7 @@ class TFTDataset:
     frequencies:
         Frequency grid in Hz, shape ``(L,)``.
     states:
-        State-estimator coordinates ``x^(k)``, shape ``(K, q)``.
+        State ``x^(k) = u(t_k)`` of every sample, shape ``(K,)``.
     response:
         Complex transfer functions ``H^(k)(s_l)``, shape ``(K, L, M_o, M_i)``.
     dc_response:
@@ -48,9 +48,7 @@ class TFTDataset:
 
     def __post_init__(self) -> None:
         self.frequencies = np.asarray(self.frequencies, dtype=float).ravel()
-        self.states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        if self.states.shape[0] != self.response.shape[0]:
-            self.states = self.states.T
+        self.states = np.asarray(self.states, dtype=float).ravel()
         self.response = np.asarray(self.response, dtype=complex)
         if self.response.ndim == 2:
             self.response = self.response[:, :, None, None]
@@ -61,9 +59,9 @@ class TFTDataset:
         if self.frequencies.size != l:
             raise ReproError(
                 f"response has {l} frequency samples but grid has {self.frequencies.size}")
-        if self.states.shape[0] != k:
+        if self.states.size != k:
             raise ReproError(
-                f"response has {k} states but {self.states.shape[0]} state vectors given")
+                f"response has {k} states but {self.states.size} state samples given")
         if self.outputs is not None:
             self.outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
             if self.outputs.shape[0] != k:
@@ -86,13 +84,9 @@ class TFTDataset:
     def n_inputs(self) -> int:
         return int(self.response.shape[3])
 
-    @property
-    def state_dimension(self) -> int:
-        return int(self.states.shape[1])
-
-    def state_axis(self, dimension: int = 0) -> np.ndarray:
-        """One coordinate of the state estimator for every sample, shape ``(K,)``."""
-        return self.states[:, dimension]
+    def state_axis(self) -> np.ndarray:
+        """The state ``u(t_k)`` of every sample, shape ``(K,)``."""
+        return self.states
 
     # ------------------------------------------------------------- SISO views
     def siso_response(self, output: int = 0, input_: int = 0) -> np.ndarray:
@@ -120,9 +114,9 @@ class TFTDataset:
         return np.degrees(phase)
 
     # ------------------------------------------------------------ manipulation
-    def sorted_by_state(self, dimension: int = 0) -> "TFTDataset":
-        """Copy with samples ordered by one state coordinate (for plotting)."""
-        order = np.argsort(self.states[:, dimension], kind="stable")
+    def sorted_by_state(self) -> "TFTDataset":
+        """Copy with samples ordered by state (for plotting)."""
+        order = np.argsort(self.states, kind="stable")
         return TFTDataset(
             frequencies=self.frequencies.copy(),
             states=self.states[order],
@@ -132,38 +126,6 @@ class TFTDataset:
             outputs=None if self.outputs is None else self.outputs[order],
             input_names=list(self.input_names),
             output_names=list(self.output_names),
-        )
-
-    # ------------------------------------------------------------ persistence
-    def save(self, path: str | Path) -> None:
-        """Serialise to a NumPy ``.npz`` archive."""
-        np.savez_compressed(
-            Path(path),
-            frequencies=self.frequencies,
-            states=self.states,
-            response=self.response,
-            dc_response=self.dc_response,
-            times=np.array([]) if self.times is None else self.times,
-            outputs=np.array([]) if self.outputs is None else self.outputs,
-            input_names=np.array(self.input_names, dtype=object),
-            output_names=np.array(self.output_names, dtype=object),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TFTDataset":
-        """Load a dataset saved with :meth:`save`."""
-        archive = np.load(Path(path), allow_pickle=True)
-        times = archive["times"]
-        outputs = archive["outputs"] if "outputs" in archive else np.array([])
-        return cls(
-            frequencies=archive["frequencies"],
-            states=archive["states"],
-            response=archive["response"],
-            dc_response=archive["dc_response"],
-            times=None if times.size == 0 else times,
-            outputs=None if outputs.size == 0 else outputs,
-            input_names=[str(n) for n in archive["input_names"]],
-            output_names=[str(n) for n in archive["output_names"]],
         )
 
     def describe(self) -> str:

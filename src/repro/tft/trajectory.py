@@ -28,7 +28,6 @@ from ..circuit.linalg import batched_transfer, fan_out
 from ..exceptions import ReproError, SingularMatrixError
 from .hyperplane import TFTDataset
 from .snapshots import JacobianSnapshot, SnapshotTrajectory
-from .state_estimator import StateEstimator
 
 __all__ = ["extract_tft", "snapshot_transfer_function", "default_frequency_grid"]
 
@@ -45,20 +44,17 @@ def default_frequency_grid(f_min: float = 1.0, f_max: float = 10e9,
 
 
 def snapshot_transfer_function(snapshot: JacobianSnapshot, input_matrix: np.ndarray,
-                               output_matrix: np.ndarray, frequencies: np.ndarray,
-                               gmin: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+                               output_matrix: np.ndarray,
+                               frequencies: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate ``H(s)`` and ``H(0)`` for one snapshot.
 
     Returns ``(response, dc_response)`` with shapes ``(L, M_o, M_i)`` and
-    ``(M_o, M_i)``.  A small ``gmin`` can be added on the diagonal of ``G`` to
-    regularise floating nodes; the default of zero matches the paper, which
-    relies on the circuit itself being well posed.
+    ``(M_o, M_i)``.  ``G + sC`` is solved as the snapshot recorded it, with
+    nothing added on the diagonal: like the paper, the transform relies on
+    the circuit itself being well posed.
     """
     g_mat = snapshot.conductance
     c_mat = snapshot.capacitance
-    n = g_mat.shape[0]
-    if gmin:
-        g_mat = g_mat + gmin * np.eye(n)
     frequencies = np.asarray(frequencies, dtype=float).ravel()
     n_outputs = output_matrix.shape[1]
     n_inputs = input_matrix.shape[1]
@@ -67,7 +63,7 @@ def snapshot_transfer_function(snapshot: JacobianSnapshot, input_matrix: np.ndar
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             "G(k) is singular at s=0; the circuit has a floating node or an "
-            "all-capacitive cutset — add a leakage path or pass gmin > 0") from exc
+            "all-capacitive cutset — add a leakage path") from exc
     dc_response = output_matrix.T @ dc_solve
 
     s_values = 2j * np.pi * frequencies
@@ -92,8 +88,7 @@ def snapshot_transfer_function(snapshot: JacobianSnapshot, input_matrix: np.ndar
 
 
 def extract_tft(trajectory: SnapshotTrajectory, frequencies: np.ndarray | None = None,
-                state_estimator: StateEstimator | None = None,
-                max_snapshots: int | None = None, gmin: float = 0.0) -> TFTDataset:
+                max_snapshots: int | None = None) -> TFTDataset:
     """Transform a snapshot trajectory into a :class:`TFTDataset`.
 
     Parameters
@@ -102,30 +97,24 @@ def extract_tft(trajectory: SnapshotTrajectory, frequencies: np.ndarray | None =
         Jacobian snapshots recorded during a transient analysis.
     frequencies:
         Frequency grid in Hz; defaults to :func:`default_frequency_grid`.
-    state_estimator:
-        Mapping from the input waveform to the low-dimensional state ``x``;
-        defaults to the one-dimensional estimator ``x = u(t)`` used by the
-        paper's example.
     max_snapshots:
         Optional thinning of the trajectory before the transform (the paper
         uses about 100 samples).
-    gmin:
-        Optional diagonal regularisation of ``G(k)``.
 
-    The snapshots are solved in contiguous ranges on the usable cores (see
-    the module docstring); the dataset does not depend on the core count.
+    The state of each snapshot is the input at its time, ``x = u(t_k)``
+    (the first input of a multi-input circuit).  The snapshots are solved in
+    contiguous ranges on the usable cores (see the module docstring); the
+    dataset does not depend on the core count.
     """
     if len(trajectory) == 0:
         raise ReproError("cannot extract a TFT from an empty trajectory")
     if frequencies is None:
         frequencies = default_frequency_grid()
-    if state_estimator is None:
-        state_estimator = StateEstimator()
     if max_snapshots is not None:
         trajectory = trajectory.subsample(max_snapshots)
 
     frequencies = np.asarray(frequencies, dtype=float).ravel()
-    states = state_estimator.embed_snapshot_trajectory(trajectory)
+    states = trajectory.inputs()[:, 0]
 
     k_count = len(trajectory)
     n_outputs = trajectory.n_outputs
@@ -137,7 +126,7 @@ def extract_tft(trajectory: SnapshotTrajectory, frequencies: np.ndarray | None =
         for k in range(start, stop):
             response[k], dc_response[k] = snapshot_transfer_function(
                 trajectory[k], trajectory.input_matrix, trajectory.output_matrix,
-                frequencies, gmin=gmin)
+                frequencies)
 
     fan_out(solve_range, k_count)
 

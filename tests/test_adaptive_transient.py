@@ -178,6 +178,11 @@ class TestAdaptiveAccuracy:
     def test_option_validation(self):
         with pytest.raises(ValueError, match="max_dt_factor"):
             TransientOptions(adaptive=True, max_dt_factor=0.1).validate()
+        # A negative relative weight makes the LTE weight cross zero at
+        # |v| = LTE_ABS_TOL / |lte_rel_tol|; zero is a pure absolute tolerance.
+        with pytest.raises(ValueError, match="lte_rel_tol"):
+            TransientOptions(adaptive=True, lte_rel_tol=-1e-3).validate()
+        TransientOptions(adaptive=True, lte_rel_tol=0.0).validate()
 
 
 class TestStepRejectionMachinery:

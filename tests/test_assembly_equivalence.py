@@ -144,7 +144,7 @@ class TestEngineCacheInvalidation:
 
 
 class TestBatchedTransferChunking:
-    def test_chunked_solve_matches_unchunked(self):
+    def test_chunked_solve_matches_unchunked(self, monkeypatch):
         from repro.circuit.linalg import batched_transfer
         system = build_rc_ladder(4, input_waveform=Sine(0.5, 0.1, 1e5)).build()
         _, g = system.eval_static(system.zero_state())
@@ -152,8 +152,9 @@ class TestBatchedTransferChunking:
         s_values = 2j * np.pi * frequency_grid(1e3, 1e9, 4)
         full = batched_transfer(g, c, s_values, system.input_matrix,
                                 system.output_matrix)
+        monkeypatch.setattr(linalg, "MAX_CHUNK_BYTES", 1)
         tiny_chunks = batched_transfer(g, c, s_values, system.input_matrix,
-                                       system.output_matrix, max_chunk_bytes=1)
+                                       system.output_matrix)
         np.testing.assert_allclose(tiny_chunks, full, rtol=0, atol=0)
 
 
@@ -170,28 +171,31 @@ class TestInPlaceTransferStack:
 
     @pytest.mark.parametrize("chunk", ["one", "several"])
     def test_buffer_snapshots_bitwise_equal_expression_form(self, buffer_trajectory,
-                                                            buffer_tft, chunk):
+                                                            buffer_tft, chunk, monkeypatch):
         from repro.circuit.linalg import batched_transfer
         s_values = 2j * np.pi * buffer_tft.frequencies
         b, d = buffer_trajectory.input_matrix, buffer_trajectory.output_matrix
         n = b.shape[0]
         # Seven frequencies per chunk: 41 frequencies take six chunks.
-        max_chunk_bytes = (64 << 20) if chunk == "one" else 16 * n * n * 7
+        monkeypatch.setattr(linalg, "MAX_CHUNK_BYTES",
+                            (64 << 20) if chunk == "one" else 16 * n * n * 7)
         for snapshot in buffer_trajectory.snapshots[::10]:
             g, c = snapshot.conductance, snapshot.capacitance
-            got = batched_transfer(g, c, s_values, b, d, max_chunk_bytes=max_chunk_bytes)
+            got = batched_transfer(g, c, s_values, b, d)
             expected = expression_transfer(g, c, s_values, b, d)
             assert np.array_equal(got.view(float), expected.view(float))
 
-    def test_general_complex_s_matches_expression_form(self, buffer_trajectory):
+    def test_general_complex_s_matches_expression_form(self, buffer_trajectory,
+                                                       monkeypatch):
         from repro.circuit.linalg import batched_transfer
         snapshot = buffer_trajectory.snapshots[40]
         omega = 2 * np.pi * frequency_grid(1e3, 1e10, 4)
         s_values = -0.3 * omega + 1j * omega
         b, d = buffer_trajectory.input_matrix, buffer_trajectory.output_matrix
         for max_chunk_bytes in (64 << 20, 1):
+            monkeypatch.setattr(linalg, "MAX_CHUNK_BYTES", max_chunk_bytes)
             got = batched_transfer(snapshot.conductance, snapshot.capacitance,
-                                   s_values, b, d, max_chunk_bytes=max_chunk_bytes)
+                                   s_values, b, d)
             expected = expression_transfer(snapshot.conductance, snapshot.capacitance,
                                            s_values, b, d)
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)

@@ -45,24 +45,53 @@ KEEP = {
 }
 
 
-#: Option fields kept although no flow passes them, with the reason.
+#: Settings kept although no flow sets them, with the reason.
 SETTINGS_KEPT = {
     "RVFOptions.output_index": "picks the TFT output that is modelled",
     "RVFOptions.input_index": "picks the TFT input that is modelled",
+    "extract_caffeine_model.output_index": "picks the TFT output that is modelled",
+    "extract_caffeine_model.input_index": "picks the TFT input that is modelled",
+    "ac_analysis.assembly": "selects the legacy reference path that "
+                            "tests/test_assembly_equivalence.py compares against",
 }
 
 
+def _settings_sources():
+    """The option classes and the extraction flow's entry points whose
+    defaulted parameters are settings."""
+    from repro.baselines import extract_caffeine_model, fit_caffeine
+    from repro.circuit import TransientOptions, ac_analysis
+    from repro.circuit.linalg import batched_transfer
+    from repro.circuit.mna import MNASystem
+    from repro.rvf import RVFOptions, extract_rvf_model
+    from repro.sweep import SweepResult
+    from repro.tft import extract_tft, snapshot_transfer_function
+
+    return (TransientOptions, RVFOptions, extract_tft, snapshot_transfer_function,
+            batched_transfer, MNASystem.transfer_function, ac_analysis,
+            SweepResult.extract_combined_tft, extract_rvf_model, fit_caffeine,
+            extract_caffeine_model)
+
+
 def test_every_solver_setting_is_set_by_a_flow():
-    """Each field of :class:`TransientOptions` and :class:`RVFOptions` is
-    passed by keyword to the class in some call in :data:`USERS`, or is
-    listed in :data:`SETTINGS_KEPT`: a setting no flow sets belongs in a
-    module constant."""
-    from dataclasses import fields
+    """Each field of :class:`TransientOptions` and :class:`RVFOptions`, and
+    each defaulted keyword of the extraction flow's entry points, is set by
+    some call in :data:`USERS` or is listed in :data:`SETTINGS_KEPT`: a
+    setting no flow sets belongs in a module constant.
 
-    from repro.circuit import TransientOptions
-    from repro.rvf import RVFOptions
+    A call sets a parameter when it names it as a keyword or passes it by
+    position (``self`` aside).  Calls match by the called name alone, so a
+    same-named call elsewhere counts too.
+    """
+    import inspect
 
-    options = {cls.__name__: cls for cls in (TransientOptions, RVFOptions)}
+    parameters, settings = {}, set()
+    for source in _settings_sources():
+        params = [param for param in inspect.signature(source).parameters.values()
+                  if param.name != "self"]
+        parameters[source.__name__] = [param.name for param in params]
+        settings.update(f"{source.__name__}.{param.name}" for param in params
+                        if param.default is not inspect.Parameter.empty)
     passed = set()
     for tree in USERS:
         for path in sorted((ROOT / tree).rglob("*.py")):
@@ -70,13 +99,17 @@ def test_every_solver_setting_is_set_by_a_flow():
                 if not isinstance(node, ast.Call):
                     continue
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in options:
-                    passed.update(f"{name}.{kw.arg}" for kw in node.keywords if kw.arg)
-    unset = sorted(f"{name}.{field.name}" for name, cls in options.items()
-                   for field in fields(cls)
-                   if f"{name}.{field.name}" not in passed | SETTINGS_KEPT.keys())
+                if name not in parameters:
+                    continue
+                n_positional = next((k for k, arg in enumerate(node.args)
+                                     if isinstance(arg, ast.Starred)), len(node.args))
+                names = parameters[name][:n_positional]
+                names += [kw.arg for kw in node.keywords if kw.arg]
+                passed.update(f"{name}.{param}" for param in names)
+    unset = sorted(settings - passed - SETTINGS_KEPT.keys())
     assert unset == [], "set by no flow:\n" + "\n".join(unset)
     assert sorted(SETTINGS_KEPT.keys() & passed) == [], "kept settings a flow sets"
+    assert sorted(SETTINGS_KEPT.keys() - settings) == [], "SETTINGS_KEPT names no setting"
 
 
 def test_every_module_imports_and_exports_resolve():

@@ -28,7 +28,6 @@ from repro.runtime import (
 )
 from repro.runtime import batch as batch_module
 from repro.sweep import SweepOptions, run_sweep, waveform_sweep
-from repro.tft.state_estimator import StateEstimator
 
 
 def synthetic_model() -> HammersteinModel:
@@ -53,7 +52,7 @@ def synthetic_model() -> HammersteinModel:
     return HammersteinModel(
         branches=branches, gain_function=gain,
         static_function=gain.antiderivative().with_value_at(0.5, 0.3),
-        state_estimator=StateEstimator(), dc_input=0.5, dc_output=0.3)
+        dc_input=0.5, dc_output=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -211,13 +210,6 @@ class TestCompile:
             compile_model(model, dt=1e-9, input_range=(1.0, 1.0))
         with pytest.raises(ModelError, match="table_size"):
             compile_model(model, dt=1e-9, input_range=(0.0, 1.0), table_size=1)
-        delayed = HammersteinModel(
-            branches=model.branches, gain_function=model.gain_function,
-            static_function=model.static_function,
-            state_estimator=StateEstimator(delays=(1e-9,)),
-            dc_input=0.5, dc_output=0.3)
-        with pytest.raises(ModelError, match="one-dimensional"):
-            compile_model(delayed, dt=1e-9, input_range=(0.0, 1.0))
 
     def test_non_finite_stimuli_rejected_with_row_named(self, compiled):
         """NaN/Inf must raise, not silently index garbage table entries."""

@@ -14,7 +14,6 @@ from repro.rvf import (
     simulate_hammerstein,
 )
 from repro.rvf.timedomain import phi1, phi2
-from repro.tft import StateEstimator
 
 
 class TestBasisPrimitive:
@@ -153,8 +152,7 @@ def make_linear_model(pole=-2e9, residue=3e9, gain=0.2, dc_input=0.5, dc_output=
                                static_function=static, is_complex_pair=False)
     gain_function = PartialFractionFunction([-100.0 + 1j], [0.0], constant=gain)
     static_path = gain_function.antiderivative().with_value_at(dc_input, dc_output)
-    return HammersteinModel([branch], gain_function, static_path, StateEstimator(),
-                            dc_input, dc_output)
+    return HammersteinModel([branch], gain_function, static_path, dc_input, dc_output)
 
 
 class TestHammersteinModel:
@@ -192,7 +190,7 @@ class TestHammersteinModel:
         f = PartialFractionFunction([-100.0 + 1j], [0.0], constant=1.0)
         branch = HammersteinBranch(pole=-1e9 + 3e9j, residue_function=f,
                                    static_function=f.antiderivative(), is_complex_pair=True)
-        model = HammersteinModel([branch], f, f.antiderivative(), StateEstimator(), 0.0, 0.0)
+        model = HammersteinModel([branch], f, f.antiderivative(), 0.0, 0.0)
         assert model.frequency_poles.size == 2
         assert model.dynamic_order == 2
 

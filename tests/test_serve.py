@@ -23,7 +23,6 @@ from repro.serve import (
     ShardPool,
 )
 from repro.serve.stats import ALPHA
-from repro.tft.state_estimator import StateEstimator
 
 #: Generous wall-clock bound on any future in these tests; failure-path
 #: futures must resolve (successfully or not) well before this — the serving
@@ -51,7 +50,7 @@ def small_model(tau: float = 1.0) -> HammersteinModel:
     return HammersteinModel(
         branches=branches, gain_function=gain,
         static_function=gain.antiderivative().with_value_at(0.5, 0.3),
-        state_estimator=StateEstimator(), dc_input=0.5, dc_output=0.3)
+        dc_input=0.5, dc_output=0.3)
 
 
 @pytest.fixture(scope="module")

@@ -17,6 +17,7 @@ from repro.sweep import (
     run_sweep,
     waveform_sweep,
 )
+from repro.tft import extract_tft
 
 FAST = TransientOptions(t_stop=1e-6, dt=1e-8)
 
@@ -207,7 +208,8 @@ class TestTFTFeed:
         return run_sweep(eight_scenarios())
 
     def test_per_scenario_tft_datasets(self, sweep_result):
-        tfts = sweep_result.extract_tfts(max_snapshots=20)
+        tfts = {name: extract_tft(trajectory, max_snapshots=20)
+                for name, trajectory in sweep_result.trajectories().items()}
         assert set(tfts) == set(sweep_result.names)
         for dataset in tfts.values():
             assert dataset.n_states == 20

@@ -1,4 +1,4 @@
-"""Tests for Jacobian snapshots, state estimators and the TFT transform."""
+"""Tests for Jacobian snapshots and the TFT transform."""
 
 import threading
 
@@ -11,8 +11,6 @@ from repro.circuits import build_common_source_amplifier, build_rc_ladder
 from repro.exceptions import ReproError, SingularMatrixError
 from repro.tft import (
     SnapshotTrajectory,
-    StateEstimator,
-    TFTDataset,
     default_frequency_grid,
     extract_tft,
     snapshot_transfer_function,
@@ -96,44 +94,12 @@ class TestSnapshotTrajectory:
         assert str(len(trajectory)) in trajectory.describe()
 
 
-class TestStateEstimator:
-    def test_default_is_one_dimensional(self):
-        assert StateEstimator().dimension == 1
-
-    def test_embed_returns_input_itself(self):
-        est = StateEstimator()
-        t = np.linspace(0, 1e-6, 11)
-        u = np.sin(2 * np.pi * 1e6 * t)
-        x = est.embed(t, u)
-        assert x.shape == (11, 1)
-        assert np.allclose(x[:, 0], u)
-
-    def test_delays_add_dimensions(self):
-        est = StateEstimator(delays=(1e-9, 2e-9))
-        assert est.dimension == 3
-
-    def test_delayed_coordinate_is_shifted_input(self):
-        est = StateEstimator(delays=(0.1,))
-        t = np.linspace(0, 1.0, 101)
-        u = t.copy()
-        x = est.embed(t, u)
-        assert np.allclose(x[50, 1], u[40], atol=1e-9)
-
-    def test_delays_must_be_positive(self):
-        with pytest.raises(ReproError):
-            StateEstimator(delays=(-1e-9,))
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ReproError):
-            StateEstimator().embed(np.zeros(5), np.zeros(6))
-
-
 class TestExtractTFT:
     def test_shapes(self, cs_tft):
         _, tft = cs_tft
         assert tft.response.shape == (tft.n_states, tft.n_frequencies, 1, 1)
         assert tft.dc_response.shape == (tft.n_states, 1, 1)
-        assert tft.states.shape == (tft.n_states, 1)
+        assert tft.states.shape == (tft.n_states,)
 
     def test_linear_circuit_has_flat_state_axis(self, rc_trajectory):
         system, trajectory = rc_trajectory
@@ -141,6 +107,8 @@ class TestExtractTFT:
         response = tft.siso_response()
         spread = np.max(np.abs(response - response[0][None, :]))
         assert spread < 1e-9
+        # The state of each snapshot is the input at its time, x = u(t_k).
+        assert np.array_equal(tft.state_axis(), trajectory.subsample(40).inputs()[:, 0])
 
     def test_matches_ac_analysis_at_dc_operating_point(self):
         # For a circuit held at DC, the TFT of the first snapshot must equal
@@ -198,23 +166,13 @@ class TestTFTDataset:
         ordered = tft.sorted_by_state()
         assert np.all(np.diff(ordered.state_axis()) >= 0)
 
-    def test_save_and_load_roundtrip(self, cs_tft, tmp_path):
-        _, tft = cs_tft
-        path = tmp_path / "tft.npz"
-        tft.save(path)
-        loaded = TFTDataset.load(path)
-        assert loaded.n_states == tft.n_states
-        assert np.allclose(loaded.response, tft.response)
-        assert np.allclose(loaded.states, tft.states)
-        assert loaded.input_names == tft.input_names
-
     def test_describe_contains_shape(self, cs_tft):
         _, tft = cs_tft
         text = tft.describe()
         assert str(tft.n_states) in text
 
 
-def serial_reference(trajectory, frequencies, max_snapshots=None, gmin=0.0):
+def serial_reference(trajectory, frequencies, max_snapshots=None):
     """``extract_tft``'s response arrays from one serial loop over the snapshots.
 
     The loop ``extract_tft`` ran before its snapshots were spread over the
@@ -231,7 +189,7 @@ def serial_reference(trajectory, frequencies, max_snapshots=None, gmin=0.0):
     for k, snapshot in enumerate(trajectory):
         response[k], dc_response[k] = snapshot_transfer_function(
             snapshot, trajectory.input_matrix, trajectory.output_matrix,
-            frequencies, gmin=gmin)
+            frequencies)
     return response, dc_response
 
 
@@ -288,11 +246,6 @@ class TestThreadedTFT:
         assert trajectory[0].order >= 64
         tft = extract_tft(trajectory, frequency_grid(1e4, 1e10, 2))
         assert_same_bits(tft, serial_reference(trajectory, frequency_grid(1e4, 1e10, 2)))
-
-    def test_gmin_regularised_snapshots(self, buffer_trajectory, cores):
-        tft = extract_tft(buffer_trajectory, self.GRID, max_snapshots=24, gmin=1e-9)
-        assert_same_bits(tft, serial_reference(buffer_trajectory, self.GRID, 24,
-                                               gmin=1e-9))
 
     def test_single_snapshot(self, buffer_trajectory, cores):
         single = SnapshotTrajectory(buffer_trajectory.system)
