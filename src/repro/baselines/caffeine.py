@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from ..exceptions import FittingError, ModelError
 from ..rvf.hammerstein import HammersteinBranch, HammersteinModel, ModelMetadata
@@ -64,6 +63,16 @@ MUTATION_RATE = 0.35
 CROSSOVER_RATE = 0.5
 #: Seed of the search's random stream, so a fit is reproducible.
 SEED = 2013
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """The error function, for the antiderivative of ``exp(-z^2)``.
+
+    ``scipy.special`` is imported here, at first use, so that importing the
+    package does not load it.
+    """
+    from scipy.special import erf
+    return erf(x)
 
 
 @dataclass(frozen=True)

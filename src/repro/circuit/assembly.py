@@ -17,7 +17,8 @@ wall time.  :class:`CompiledMNA` removes that cost with three ideas:
    All standard MOSFET (diode) instances of a circuit are grouped and their
    drain currents, ``gm`` and ``gds`` (junction currents and conductances)
    computed with NumPy array math in one pass, then scattered into the
-   Jacobian through precomputed index arrays.
+   currents and the Jacobian through precomputed index arrays.  A stack of
+   states is one flat pass over all its rows' devices.
 
 3. **One shared sparsity pattern.**  In sparse mode every matrix (``G``,
    ``C`` and any combination ``G + a C``) lives on a single CSC pattern that
@@ -109,27 +110,15 @@ def _record_stamps(devices: Sequence[Device], v: np.ndarray, n: int,
     return vec, rows, cols, vals
 
 
-def _scatter_add(target: np.ndarray, positions: np.ndarray, values: np.ndarray,
-                 per_shape: dict) -> None:
-    """``np.add.at`` into the last axis of ``target``, one row at a time.
+def _rows_flat(count: int, width: int, *blocks: np.ndarray) -> np.ndarray:
+    """Flat indices of ``blocks`` in each of ``count`` rows of ``width``.
 
-    ``target`` is ``(width,)`` or a C-contiguous ``(S, width)`` stack and
-    ``values`` has ``positions.size`` entries per row.  A stack is scattered
-    through its flat view with per-row offsets, so every row accumulates its
-    entries in the same order as a 1-D call on that row (same bits).  The
-    offset indices are kept in ``per_shape``, a dict owned by the object
-    that owns ``positions``.
+    Block by block, the indices of row 0, then of row 1, and so on: a gather
+    through them gives each block as one contiguous run in row-major order,
+    and a scatter visits each row's entries in the order of the block.
     """
-    if target.ndim == 1:
-        np.add.at(target, positions, values)
-        return
-    key = (id(positions), target.shape)
-    index = per_shape.get(key)
-    if index is None:
-        width = target.shape[-1]
-        index = per_shape[key] = (np.arange(0, target.size, width)[:, None]
-                                  + positions).reshape(-1)
-    np.add.at(target.reshape(-1), index, values.reshape(-1))
+    offsets = np.arange(count, dtype=np.intp)[:, None] * width
+    return np.concatenate([(offsets + block).reshape(-1) for block in blocks])
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -144,77 +133,169 @@ def _vectorizable_mosfet(device: Device) -> bool:
             and type(device)._forward_current is MOSFET._forward_current)
 
 
-class _MOSFETGroup:
-    """Vectorised static evaluation of a batch of square-law MOSFETs.
+def _vectorizable_diode(device: Device) -> bool:
+    """Standard Shockley diodes whose static stamps we can batch."""
+    return (isinstance(device, Diode)
+            and type(device).stamp_static is Diode.stamp_static
+            and type(device).current_and_conductance is Diode.current_and_conductance)
 
-    Reproduces :meth:`MOSFET.stamp_static` (including the reverse-operation
-    drain/source swap) with array math.  Ground terminals are mapped to a
-    ghost slot ``n`` so gathers and scatters need no masking; the ghost slot
-    of the current vector is discarded afterwards.
+
+class _DeviceGroup:
+    """Vectorised static stamps of a batch of devices of one model.
+
+    Ground terminals are mapped to a ghost slot ``n`` so gathers and
+    scatters need no masking; the ghost slot of the current vector is
+    discarded afterwards.  A stack of S states is evaluated on contiguous
+    ``(S * m,)`` arrays: one gather takes the terminal voltages, and one
+    scatter adds the currents and the Jacobian values, through flat indices
+    made once per stack size (:meth:`_tiles`, read-only).  Every row gets
+    the arithmetic and the accumulation order of a one-state call: each
+    current entry and each Jacobian entry receives its devices' terms in
+    device order, as the per-device stamps add them.
+
+    A subclass evaluates its devices in :meth:`_evaluate` into B value
+    blocks of ``(S * m,)``; block ``b + B`` is the negation of block ``b``.
+    It names its ``TERMINALS``, the ``GATHER`` order of their voltages, the
+    ``PARAMS`` arrays tiled per stack size, the ``(terminal, block)`` pairs
+    of its ``CURRENT`` and the ``STAMPS`` table of ``(row terminal, column
+    terminal, block)``.
     """
 
-    #: Jacobian stamp table of ``MOSFET.stamp_static``: (row key, col key,
-    #: block of the ``(..., 6 * m)`` value array).
-    _STAMPS = (("d", "g", 0), ("d", "d", 1), ("d", "s", 2),
-               ("s", "g", 3), ("s", "d", 4), ("s", "s", 5))
+    TERMINALS: tuple[str, ...] = ()
+    GATHER: tuple[str, ...] = ()
+    PARAMS: tuple[str, ...] = ()
+    CURRENT: tuple[tuple[str, int], ...] = ()
+    STAMPS: tuple[tuple[str, str, int], ...] = ()
 
-    def __init__(self, devices: Sequence[MOSFET], n: int) -> None:
+    def __init__(self, devices: Sequence[Device], n: int) -> None:
         self.devices = tuple(devices)
         self.n = n
-        idx = {"d": [], "g": [], "s": []}
-        for dev in devices:
-            d, g, s, _b = dev.node_index
-            idx["d"].append(d if d >= 0 else n)
-            idx["g"].append(g if g >= 0 else n)
-            idx["s"].append(s if s >= 0 else n)
-        self._d = np.asarray(idx["d"], dtype=np.intp)
-        self._g = np.asarray(idx["g"], dtype=np.intp)
-        self._s = np.asarray(idx["s"], dtype=np.intp)
-        self._sign = np.asarray([float(dev.polarity) for dev in devices])
-        self._gd_ss = np.concatenate((self._g, self._d, self._s, self._s))
-        self._sign2 = np.concatenate((self._sign, self._sign))
-        self._beta = np.asarray([dev.params.beta for dev in devices])
-        self._vto = np.asarray([dev.params.vto for dev in devices])
-        self._lam = np.asarray([dev.params.lam for dev in devices])
-        self._delta = np.asarray([dev.params.smoothing for dev in devices])
-        self._four_delta2 = 4.0 * self._delta * self._delta
-        self._per_shape: dict = {}
+        nodes = [dict(zip(self.TERMINALS, self._nodes(dev))) for dev in devices]
+        self.node = {name: np.asarray([d[name] if d[name] >= 0 else n for d in nodes],
+                                      dtype=np.intp)
+                     for name in self.TERMINALS}
+        # Non-ground Jacobian stamp slots, device by device in table order.
+        slots = [(d[row], d[col], block, k) for k, d in enumerate(nodes)
+                 for row, col, block in self.STAMPS if d[row] >= 0 and d[col] >= 0]
+        self.slot_rows, self.slot_cols, self.slot_block, self.slot_device = (
+            np.asarray(column, dtype=np.intp).reshape(-1)
+            for column in (zip(*slots) if slots else ((), (), (), ())))
+        #: Flat position of each slot in an operand row, and the row width
+        #: (set by :meth:`place`).
+        self.slot_pos = np.zeros(0, dtype=np.intp)
+        self.width = 0
+        self._per_count: dict[int, dict[str, np.ndarray]] = {}
 
-    # ------------------------------------------------------------- structure
-    def jacobian_entries(self) -> list[tuple[int, int, int, int]]:
-        """Non-ground Jacobian stamp slots as ``(row, col, device, kind)``."""
-        entries = []
-        for k, dev in enumerate(self.devices):
-            d, g, s, _b = dev.node_index
-            nodes = {"d": d, "g": g, "s": s}
-            for row_key, col_key, kind in self._STAMPS:
-                row, col = nodes[row_key], nodes[col_key]
-                if row >= 0 and col >= 0:
-                    entries.append((row, col, k, kind))
-        return entries
+    @staticmethod
+    def _nodes(device) -> tuple[int, ...]:
+        raise NotImplementedError
 
-    # ------------------------------------------------------------ evaluation
-    def currents_and_conductances(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Terminal currents and the ``(..., 6 * m)`` Jacobian values.
+    def place(self, positions: np.ndarray, width: int) -> None:
+        """Set the flat operand positions of the stamp slots."""
+        self.slot_pos = np.asarray(positions, dtype=np.intp)
+        self.width = int(width)
+        self._per_count.clear()
 
-        ``v_ext`` is the solution vector (or a stack of them) extended with a
-        trailing zero for the ghost (ground) slot.  The returned current array
-        is the per-device physical drain current with the polarity sign
-        applied; the values hold one block of ``m`` per stamp kind.
+    def fingerprint(self) -> list[np.ndarray]:
+        """Every array the evaluation reads, for :meth:`CompiledMNA.matches`."""
+        return ([self.node[name] for name in self.TERMINALS]
+                + [getattr(self, name) for name in self.PARAMS]
+                + [self.slot_block, self.slot_device, self.slot_pos,
+                   np.array([self.width])])
+
+    def _tiles(self, count: int) -> dict[str, np.ndarray]:
+        """Read-only gather/scatter indices and parameters for ``count`` rows.
+
+        The scatter targets a flat buffer of ``count`` current rows of
+        ``n + 1`` entries followed by ``count`` operand rows of
+        :attr:`width` entries; ``take`` picks each scattered value from the
+        signed value blocks.
         """
-        m = self._sign.size
+        tiles = self._per_count.get(count)
+        if tiles is None:
+            n_ext, size = self.n + 1, count * len(self.devices)
+            devices = np.arange(len(self.devices), dtype=np.intp)
+            tiles = {name: np.tile(getattr(self, name), count) for name in self.PARAMS}
+            tiles["gather"] = _rows_flat(count, n_ext,
+                                         *(self.node[name] for name in self.GATHER))
+            tiles["scatter"] = np.concatenate((
+                _rows_flat(count, n_ext, *(self.node[name] for name, _ in self.CURRENT)),
+                _rows_flat(count, self.width, self.slot_pos) + count * n_ext))
+            tiles["take"] = np.concatenate(
+                [_rows_flat(count, len(devices), devices) + block * size
+                 for _, block in self.CURRENT]
+                + [_rows_flat(count, len(devices), self.slot_device)
+                   + np.tile(self.slot_block * size, count)])
+            for array in tiles.values():
+                array.setflags(write=False)
+            self._per_count[count] = tiles
+        return tiles
+
+    def stamp(self, v_ext: np.ndarray, out: np.ndarray, count: int) -> None:
+        """Add the group's currents and Jacobian values into ``out``.
+
+        ``v_ext`` is a flat view of ``count`` states of ``n + 1`` entries
+        (ghost slot last), ``out`` the flat buffer of :meth:`_tiles`.
+        """
+        tiles = self._tiles(count)
+        blocks = self._evaluate(v_ext.take(tiles["gather"]), tiles)
+        signed = np.concatenate((blocks, -blocks))
+        np.add.at(out, tiles["scatter"], signed.take(tiles["take"]))
+
+    def _evaluate(self, terminals: np.ndarray, tiles: dict[str, np.ndarray]) -> np.ndarray:
+        """The value blocks, concatenated.
+
+        ``terminals`` holds the ``GATHER`` voltages, one ``(S * m,)`` block
+        each, and ``tiles`` the tiled ``PARAMS``.
+        """
+        raise NotImplementedError
+
+
+class _MOSFETGroup(_DeviceGroup):
+    """Square-law MOSFETs: :meth:`MOSFET.stamp_static` in array math.
+
+    Reproduces the drain current, ``gm`` and ``gds`` including the
+    reverse-operation drain/source swap.  Blocks: the physical drain
+    current, ``gm``, ``gds`` and ``gm + gds``.
+    """
+
+    TERMINALS = ("d", "g", "s")
+    GATHER = ("g", "d", "s", "s")
+    PARAMS = ("sign", "sign2", "beta", "vto", "lam", "delta", "four_delta2")
+    #: The current enters the drain and leaves the source.
+    CURRENT = (("d", 0), ("s", 4))
+    STAMPS = (("d", "g", 1), ("d", "d", 2), ("d", "s", 7),
+              ("s", "g", 5), ("s", "d", 6), ("s", "s", 3))
+
+    def __init__(self, devices: Sequence[MOSFET], n: int) -> None:
+        super().__init__(devices, n)
+        self.sign = np.asarray([float(dev.polarity) for dev in devices])
+        # Tiled per stack size this is the sign of the gate block, then of
+        # the drain block, of the gathered voltages.
+        self.sign2 = np.concatenate((self.sign, self.sign))
+        self.beta = np.asarray([dev.params.beta for dev in devices])
+        self.vto = np.asarray([dev.params.vto for dev in devices])
+        self.lam = np.asarray([dev.params.lam for dev in devices])
+        self.delta = np.asarray([dev.params.smoothing for dev in devices])
+        self.four_delta2 = 4.0 * self.delta * self.delta
+
+    @staticmethod
+    def _nodes(device) -> tuple[int, ...]:
+        d, g, s, _b = device.node_index
+        return d, g, s
+
+    def _evaluate(self, terminals: np.ndarray, tiles: dict[str, np.ndarray]) -> np.ndarray:
+        size = terminals.size // 4
         # Gate and drain voltages minus the source voltage, in one pass.
-        terminals = v_ext.take(self._gd_ss, axis=-1)
-        controls = (terminals[..., :2 * m] - terminals[..., 2 * m:]) * self._sign2
-        vgs, vds = controls[..., :m], controls[..., m:]
-        sign = self._sign
+        controls = (terminals[:2 * size] - terminals[2 * size:]) * tiles["sign2"]
+        vgs, vds = controls[:size], controls[size:]
         reverse = vds < 0.0
         vgs_f = np.where(reverse, vgs - vds, vgs)
         vds_f = np.abs(vds)
 
-        delta = self._delta
-        x = vgs_f - self._vto
-        root = np.sqrt(x * x + self._four_delta2)
+        delta = tiles["delta"]
+        x = vgs_f - tiles["vto"]
+        root = np.sqrt(x * x + tiles["four_delta2"])
         vov = 0.5 * (x + root)
         dvov = 0.5 * (1.0 + x / root)
         vdsat = np.maximum(vov, delta)
@@ -230,94 +311,62 @@ class _MOSFETGroup:
         df_dvdseff = vov - vds_eff
         df_dvov = vds_eff
 
-        clm = 1.0 + self._lam * vds_f
-        beta = self._beta
-        i_f = beta * f * clm
+        lam = tiles["lam"]
+        clm = 1.0 + lam * vds_f
+        beta = tiles["beta"]
+        beta_f = beta * f
+        i_f = beta_f * clm
         gm_f = beta * (df_dvov * dvov + df_dvdseff * dveff_dvdsat * dvdsat_dvgs) * clm
-        gds_f = beta * df_dvdseff * dveff_dvds * clm + beta * f * self._lam
+        gds_f = beta * df_dvdseff * dveff_dvds * clm + beta_f * lam
 
         i_d = np.where(reverse, -i_f, i_f)
         gm = np.where(reverse, -gm_f, gm_f)
         gds = np.where(reverse, gm_f + gds_f, gds_f)
-
-        current = sign * i_d
-        gm_gds = gm + gds
-        values = np.concatenate((gm, gds, -gm_gds, -gm, -gds, gm_gds), axis=-1)
-        return current, values
-
-    def scatter_currents(self, i_ext: np.ndarray, current: np.ndarray) -> None:
-        _scatter_add(i_ext, self._d, current, self._per_shape)
-        _scatter_add(i_ext, self._s, -current, self._per_shape)
+        return np.concatenate((tiles["sign"] * i_d, gm, gds, gm + gds))
 
 
-def _vectorizable_diode(device: Device) -> bool:
-    """Standard Shockley diodes whose static stamps we can batch."""
-    return (isinstance(device, Diode)
-            and type(device).stamp_static is Diode.stamp_static
-            and type(device).current_and_conductance is Diode.current_and_conductance)
+class _DiodeGroup(_DeviceGroup):
+    """Shockley diodes: :meth:`Diode.current_and_conductance` in array math.
 
-
-class _DiodeGroup:
-    """Vectorised static evaluation of a batch of Shockley diodes.
-
-    Reproduces :meth:`Diode.current_and_conductance` (exponential region,
-    linearised extrapolation above ``v_crit`` and the tiny parallel
-    conductance) with array math, exactly as :class:`_MOSFETGroup` does for
-    the square-law MOSFET.  The nonlinear *dynamic* stamps (junction/
-    diffusion charge) stay on the generic per-device path — they are absent
-    for many diodes and far off the static Newton hot path.
+    Reproduces the exponential region, the linearised extrapolation above
+    ``v_crit`` and the tiny parallel conductance.  Blocks: the current and
+    the conductance.  The nonlinear *dynamic* stamps (junction/diffusion
+    charge) stay on the generic per-device path — they are absent for many
+    diodes and far off the static Newton hot path.
     """
 
-    #: Jacobian stamp table: (row key, col key, block of the ``(..., 2 * m)``
-    #: value array) — +g on the diagonal slots, -g off-diagonal.
-    _STAMPS = (("p", "p", 0), ("n", "n", 0), ("p", "n", 1), ("n", "p", 1))
+    TERMINALS = ("p", "n")
+    GATHER = ("p", "n")
+    PARAMS = ("i_s", "vt", "v_crit", "g_crit", "i_crit")
+    CURRENT = (("p", 0), ("n", 2))
+    #: +g on the diagonal slots, -g off-diagonal.
+    STAMPS = (("p", "p", 1), ("n", "n", 1), ("p", "n", 3), ("n", "p", 3))
 
     def __init__(self, devices: Sequence[Diode], n: int) -> None:
-        self.devices = tuple(devices)
-        self.n = n
-        self._pos = np.asarray([d.pos if d.pos >= 0 else n for d in devices],
-                               dtype=np.intp)
-        self._neg = np.asarray([d.neg if d.neg >= 0 else n for d in devices],
-                               dtype=np.intp)
-        self._i_s = np.asarray([d.saturation_current for d in devices])
-        self._vt = np.asarray([d._vt for d in devices])
-        self._v_crit = np.asarray([d._v_crit for d in devices])
-        exp_crit = np.exp(self._v_crit / self._vt) if devices else np.zeros(0)
-        self._g_crit = self._i_s * exp_crit / self._vt
-        self._i_crit = self._i_s * (exp_crit - 1.0)
-        self._per_shape: dict = {}
+        super().__init__(devices, n)
+        self.i_s = np.asarray([d.saturation_current for d in devices])
+        self.vt = np.asarray([d._vt for d in devices])
+        self.v_crit = np.asarray([d._v_crit for d in devices])
+        exp_crit = np.exp(self.v_crit / self.vt) if devices else np.zeros(0)
+        self.g_crit = self.i_s * exp_crit / self.vt
+        self.i_crit = self.i_s * (exp_crit - 1.0)
 
-    # ------------------------------------------------------------- structure
-    def jacobian_entries(self) -> list[tuple[int, int, int, int]]:
-        """Non-ground Jacobian stamp slots as ``(row, col, device, kind)``."""
-        entries = []
-        for k, dev in enumerate(self.devices):
-            nodes = {"p": dev.pos, "n": dev.neg}
-            for row_key, col_key, kind in self._STAMPS:
-                row, col = nodes[row_key], nodes[col_key]
-                if row >= 0 and col >= 0:
-                    entries.append((row, col, k, kind))
-        return entries
+    @staticmethod
+    def _nodes(device) -> tuple[int, ...]:
+        return device.pos, device.neg
 
-    # ------------------------------------------------------------ evaluation
-    def currents_and_conductances(self, v_ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Diode currents and the ``(..., 2 * m)`` Jacobian values."""
-        vd = v_ext.take(self._pos, axis=-1) - v_ext.take(self._neg, axis=-1)
-        expv = np.exp(np.minimum(vd / self._vt, 700.0))
-        below = vd <= self._v_crit
-        current = np.where(below, self._i_s * (expv - 1.0),
-                           self._i_crit + self._g_crit * (vd - self._v_crit))
-        conductance = np.where(below, self._i_s * expv / self._vt, self._g_crit)
+    def _evaluate(self, terminals: np.ndarray, tiles: dict[str, np.ndarray]) -> np.ndarray:
+        size = terminals.size // 2
+        vd = terminals[:size] - terminals[size:]
+        vt, v_crit, i_s = tiles["vt"], tiles["v_crit"], tiles["i_s"]
+        expv = np.exp(np.minimum(vd / vt, 700.0))
+        below = vd <= v_crit
+        current = np.where(below, i_s * (expv - 1.0),
+                           tiles["i_crit"] + tiles["g_crit"] * (vd - v_crit))
+        conductance = np.where(below, i_s * expv / vt, tiles["g_crit"])
         # Same regularisation as the scalar model: a tiny parallel conductance
         # keeps strongly reverse-biased diodes off an exactly singular Jacobian.
-        conductance = conductance + 1e-12
-        current = current + 1e-12 * vd
-        values = np.concatenate((conductance, -conductance), axis=-1)
-        return current, values
-
-    def scatter_currents(self, i_ext: np.ndarray, current: np.ndarray) -> None:
-        _scatter_add(i_ext, self._pos, current, self._per_shape)
-        _scatter_add(i_ext, self._neg, -current, self._per_shape)
+        return np.concatenate((current + 1e-12 * vd, conductance + 1e-12))
 
 
 class CompiledMNA:
@@ -381,28 +430,16 @@ class CompiledMNA:
         self._ns_pattern = (ns_rows, ns_cols)
         self._nd_pattern = (nd_rows, nd_cols)
 
-        # Each stamp slot takes entry ``kind * m + device`` of its group's
-        # ``(..., kinds * m)`` value array.
-        mosfet_entries = self._mosfets.jacobian_entries()
-        mos_rows = np.asarray([e[0] for e in mosfet_entries], dtype=np.intp)
-        mos_cols = np.asarray([e[1] for e in mosfet_entries], dtype=np.intp)
-        self._mos_take = np.asarray(
-            [e[3] * len(self._mosfets.devices) + e[2] for e in mosfet_entries],
-            dtype=np.intp)
-
-        diode_entries = self._diodes.jacobian_entries()
-        dio_rows = np.asarray([e[0] for e in diode_entries], dtype=np.intp)
-        dio_cols = np.asarray([e[1] for e in diode_entries], dtype=np.intp)
-        self._dio_take = np.asarray(
-            [e[3] * len(self._diodes.devices) + e[2] for e in diode_entries],
-            dtype=np.intp)
+        groups = (self._mosfets, self._diodes)
+        #: The vectorised groups that have devices, in stamping order.
+        self._groups = tuple(group for group in groups if group.devices)
 
         if self.is_sparse:
             diag = np.arange(n, dtype=np.intp)
-            all_rows = np.concatenate([ls_rows, ld_rows, ns_rows, nd_rows, mos_rows,
-                                       dio_rows, diag])
-            all_cols = np.concatenate([ls_cols, ld_cols, ns_cols, nd_cols, mos_cols,
-                                       dio_cols, diag])
+            all_rows = np.concatenate([ls_rows, ld_rows, ns_rows, nd_rows]
+                                      + [group.slot_rows for group in groups] + [diag])
+            all_cols = np.concatenate([ls_cols, ld_cols, ns_cols, nd_cols]
+                                      + [group.slot_cols for group in groups] + [diag])
             pattern = _sp.csc_matrix(
                 (np.ones(all_rows.size), (all_rows, all_cols)), shape=(n, n))
             pattern.sum_duplicates()
@@ -424,8 +461,8 @@ class CompiledMNA:
 
             self._ns_pos = positions(ns_rows, ns_cols)
             self._nd_pos = positions(nd_rows, nd_cols)
-            self._mos_pos = positions(mos_rows, mos_cols)
-            self._dio_pos = positions(dio_rows, dio_cols)
+            for group in groups:
+                group.place(positions(group.slot_rows, group.slot_cols), self.nnz)
             self._g_base = np.zeros(self.nnz)
             np.add.at(self._g_base, positions(ls_rows, ls_cols), ls_vals)
             self._c_base = np.zeros(self.nnz)
@@ -441,16 +478,14 @@ class CompiledMNA:
             np.add.at(self._c_base, (ld_rows, ld_cols), ld_vals)
             self._g_lin = self._g_base
             self._c_lin = self._c_base
-            self._mos_pos = mos_rows * n + mos_cols  # flat indices into raveled G
-            self._dio_pos = dio_rows * n + dio_cols
+            for group in groups:  # flat indices into raveled G
+                group.place(group.slot_rows * n + group.slot_cols, n * n)
             self._ns_pos = ns_rows * n + ns_cols
             self._nd_pos = nd_rows * n + nd_cols
 
-        self._static_has_nl = (bool(self._nl_static) or bool(self._mosfets.devices)
-                               or bool(self._diodes.devices))
+        self._static_has_nl = bool(self._nl_static) or bool(self._groups)
         self._dynamic_has_nl = bool(self._nl_dynamic)
-        self._diag_idx = np.arange(n)
-        #: Scatter indices and broadcast operands per stack shape.
+        #: Broadcast operands per stack shape.
         self._per_shape: dict = {}
 
     def _verify(self) -> None:
@@ -482,42 +517,36 @@ class CompiledMNA:
         """
         n = self.n_unknowns
         lead = v.shape[:-1]
-        i_ext = np.empty(lead + (n + 1,))
-        i_ext[..., :n] = self._i0
-        i_ext[..., :n] += self._matvec(self._g_lin, v)
-        i_ext[..., n] = 0.0
-        i_vec = i_ext[..., :n]
-
         if not self._static_has_nl:
-            return i_vec.copy(), self._stacked(self._g_base, lead)
+            return (self._i0 + self._matvec(self._g_lin, v),
+                    self._stacked(self._g_base, lead))
 
-        g_op = np.empty(lead + self._g_base.shape)
+        # One buffer: the current rows (ghost slot last), then the operand
+        # rows, so each device group adds into both with one scatter.
+        count = v.size // n
+        buffer = np.empty(count * (n + 1 + self._g_base.size))
+        i_ext = buffer[:count * (n + 1)].reshape(lead + (n + 1,))
+        g_op = buffer[count * (n + 1):].reshape(lead + self._g_base.shape)
+        i_vec = i_ext[..., :n]
+        np.add(self._i0, self._matvec(self._g_lin, v), out=i_vec)
+        i_ext[..., n] = 0.0
         g_op[...] = self._g_base
-        flat = g_op.reshape(lead + (-1,))
-
-        if self._mosfets.devices or self._diodes.devices:
+        if self._groups:
             v_ext = np.zeros(lead + (n + 1,))
             v_ext[..., :n] = v
-        if self._mosfets.devices:
-            current, values = self._mosfets.currents_and_conductances(v_ext)
-            self._mosfets.scatter_currents(i_ext, current)
-            _scatter_add(flat, self._mos_pos, values.take(self._mos_take, axis=-1),
-                         self._per_shape)
+            for group in self._groups:
+                group.stamp(v_ext.reshape(-1), buffer, count)
 
-        if self._diodes.devices:
-            current, values = self._diodes.currents_and_conductances(v_ext)
-            self._diodes.scatter_currents(i_ext, current)
-            _scatter_add(flat, self._dio_pos, values.take(self._dio_take, axis=-1),
-                         self._per_shape)
-
-        for row in np.ndindex(lead) if self._nl_static else ():
-            if self.is_sparse:
-                vals = self._stamp_generic(self._nl_static, v[row], i_vec[row], False,
-                                           self._ns_pattern)
-                np.add.at(flat[row], self._ns_pos, vals)
-            else:
-                for device in self._nl_static:
-                    device.stamp_static(v[row], i_vec[row], g_op[row])
+        if self._nl_static:
+            flat = g_op.reshape(lead + (-1,))
+            for row in np.ndindex(lead):
+                if self.is_sparse:
+                    vals = self._stamp_generic(self._nl_static, v[row], i_vec[row],
+                                               False, self._ns_pattern)
+                    np.add.at(flat[row], self._ns_pos, vals)
+                else:
+                    for device in self._nl_static:
+                        device.stamp_static(v[row], i_vec[row], g_op[row])
 
         return i_vec.copy(), g_op
 
@@ -554,9 +583,11 @@ class CompiledMNA:
         return (matrix @ v[..., None])[..., 0]
 
     def _stacked(self, base: np.ndarray, lead: tuple) -> np.ndarray:
-        """A constant operand, broadcast read-only over a stack's rows."""
-        if not lead:
-            return base
+        """A constant operand as a read-only view, broadcast over a stack's rows.
+
+        A 1-D state (empty ``lead``) gets a read-only view too, so a caller
+        that writes into the operand raises instead of corrupting the engine.
+        """
         key = (id(base), lead)
         view = self._per_shape.get(key)
         if view is None:
@@ -580,13 +611,10 @@ class CompiledMNA:
                                                     other._fingerprint()))
 
     def _fingerprint(self) -> list[np.ndarray]:
-        mos, dio = self._mosfets, self._diodes
         arrays = [np.array([self.n_unknowns, self.n_nodes, self.is_sparse]),
-                  self._i0, self._q0, self._g_base, self._c_base,
-                  self._mos_pos, self._mos_take, self._dio_pos, self._dio_take,
-                  mos._d, mos._g, mos._s, mos._sign, mos._beta, mos._vto,
-                  mos._lam, mos._delta, dio._pos, dio._neg, dio._i_s, dio._vt,
-                  dio._v_crit, dio._g_crit, dio._i_crit]
+                  self._i0, self._q0, self._g_base, self._c_base]
+        for group in (self._mosfets, self._diodes):
+            arrays += group.fingerprint()
         if self.is_sparse:
             arrays += [self._indices, self._indptr]
         return arrays
@@ -611,16 +639,29 @@ class CompiledMNA:
 
     # -------------------------------------------------------------- operands
     def combine(self, g_op: np.ndarray, c_op: np.ndarray, alpha: float) -> np.ndarray:
-        """Fresh operand ``G + alpha * C``."""
+        """Fresh C-contiguous operand ``G + alpha * C``.
+
+        A ``C`` that is one operand broadcast over a stack (a linear charge
+        model's) is scaled once, not once per row: the same products.
+        """
+        if c_op.ndim > self._c_base.ndim and c_op.strides[0] == 0:
+            c_op = c_op[0]
         return g_op + alpha * c_op
 
     def add_diag(self, op: np.ndarray, value: float, n_rows: int) -> None:
-        """Add ``value`` to the first ``n_rows`` diagonal entries, in place."""
+        """Add ``value`` to the first ``n_rows`` diagonal entries, in place.
+
+        ``op`` is C-contiguous, as :meth:`combine` returns it.
+        """
+        if not op.flags.c_contiguous:
+            raise ValueError("add_diag needs a C-contiguous operand")
         if self.is_sparse:
             op[..., self._diag_pos[:n_rows]] += value
         else:
-            idx = self._diag_idx[:n_rows]
-            op[..., idx, idx] += value
+            # The diagonal is every (n + 1)-th entry of a row-major matrix.
+            n = self.n_unknowns
+            diagonal = op.reshape(op.shape[:-2] + (n * n,))[..., :n_rows * (n + 1):n + 1]
+            diagonal += value
 
     def materialize(self, op: np.ndarray):
         """Turn an operand into a matrix usable by the linear solvers.

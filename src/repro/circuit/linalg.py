@@ -40,11 +40,12 @@ MAX_CHUNK_BYTES = 64 << 20
 _LAPACK: dict = {}
 
 
-def _lapack(name: str, *arrays: np.ndarray):
-    key = (name,) + tuple(a.dtype.char for a in arrays)
+def _lapack(name: str, a: np.ndarray, b: np.ndarray | None = None):
+    """LAPACK routine ``name`` for the operands ``a`` (and ``b``)."""
+    key = (name, a.dtype.char, a.dtype.char if b is None else b.dtype.char)
     func = _LAPACK.get(key)
     if func is None:
-        func, = _sla.get_lapack_funcs((name,), arrays)
+        func, = _sla.get_lapack_funcs((name,), (a,) if b is None else (a, b))
         _LAPACK[key] = func
     return func
 
@@ -79,44 +80,56 @@ class FactorizationCache:
         #: The factorised matrix: ``(dense,)`` or CSC ``(data, indices, indptr)``.
         self._key: tuple = ()
         self._lu = None          # splu object (sparse) or (lu, piv) (dense)
+        #: Flat index of an entry in which a dense matrix last differed from
+        #: the factorised one.
+        self._probe = 0
 
     def solve(self, matrix, rhs: np.ndarray) -> np.ndarray:
         """Solve ``matrix @ x = rhs``, reusing the factors of an equal matrix."""
+        if _sp.issparse(matrix):
+            return self._solve_sparse(matrix, rhs)
         self.solves += 1
-        sparse = _sp.issparse(matrix)
-        key = ((matrix.data, matrix.indices, matrix.indptr) if sparse
-               else (np.asarray(matrix),))
+        matrix = np.asarray(matrix)
+        key = self._key
+        # The entry that differed last time rejects most unequal matrices
+        # before the full comparison.
+        if (self._lu is not None and len(key) == 1 and key[0].shape == matrix.shape
+                and key[0].item(self._probe) == matrix.item(self._probe)):
+            equal = key[0] == matrix
+            if equal.all():
+                self.reuses += 1
+                lu, piv = self._lu
+                return _lapack("getrs", lu, rhs)(lu, piv, rhs)[0]
+            self._probe = int(equal.argmin())
+        self.factorizations += 1
+        self._lu = None
+        lu, piv, info = _lapack("getrf", matrix)(matrix)
+        # Singular matrices are routine during gmin/source stepping.  getrf
+        # reports an exactly zero pivot in ``info``; a NaN or infinite one (a
+        # non-finite Jacobian) shows on the diagonal of the factors.
+        if info or not np.isfinite(lu.diagonal()).all():
+            raise SingularMatrixError(
+                "dense LU factorisation produced a zero or non-finite pivot")
+        self._key, self._lu = (matrix.copy(),), (lu, piv)
+        if self._probe >= matrix.size:
+            self._probe = 0
+        return _lapack("getrs", lu, rhs)(lu, piv, rhs)[0]
+
+    def _solve_sparse(self, matrix, rhs: np.ndarray) -> np.ndarray:
+        self.solves += 1
+        key = (matrix.data, matrix.indices, matrix.indptr)
         if (self._lu is not None and len(key) == len(self._key)
                 and all(map(np.array_equal, key, self._key))):
             self.reuses += 1
         else:
-            self._factorize(matrix, sparse, key)
-        if sparse:
-            return self._lu.solve(rhs)
-        lu, piv = self._lu
-        return _lapack("getrs", lu, rhs)(lu, piv, rhs)[0]
-
-    def _factorize(self, matrix, sparse: bool, key: tuple) -> None:
-        self.factorizations += 1
-        self._lu = None
-        if sparse:
+            self.factorizations += 1
+            self._lu = None
             try:
                 lu = _spla.splu(_sp.csc_matrix(matrix))
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SingularMatrixError(f"sparse LU factorisation failed: {exc}") from exc
-        else:
-            dense, = key
-            lu, piv, info = _lapack("getrf", dense)(dense)
-            pivots = np.abs(lu.diagonal())
-            # Singular probes are routine during gmin/source stepping; a zero
-            # pivot (info > 0) or a NaN or infinite one (a non-finite
-            # Jacobian) raises the typed error.
-            if info or not (pivots.min() > 0.0 and pivots.max() < np.inf):
-                raise SingularMatrixError(
-                    "dense LU factorisation produced a zero or non-finite pivot")
-            lu = (lu, piv)
-        self._key = tuple(part.copy() for part in key)
-        self._lu = lu
+            self._key, self._lu = tuple(part.copy() for part in key), lu
+        return self._lu.solve(rhs)
 
 
 def batched_transfer(g_mat: np.ndarray, c_mat: np.ndarray, s_values: np.ndarray,

@@ -55,15 +55,11 @@ class NewtonResult:
 def _solve_step(jacobian, rhs: np.ndarray, iteration: int,
                 linear_solver: FactorizationCache | None) -> np.ndarray:
     try:
-        delta = (solve_linear(jacobian, rhs) if linear_solver is None
-                 else linear_solver.solve(jacobian, rhs))
+        return (solve_linear(jacobian, rhs) if linear_solver is None
+                else linear_solver.solve(jacobian, rhs))
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"singular Jacobian during Newton iteration {iteration}") from exc
-    if not np.isfinite(delta).all():
-        raise SingularMatrixError(
-            f"non-finite Newton update at iteration {iteration}")
-    return delta
 
 
 def _max_abs(x: np.ndarray) -> list[float]:
@@ -122,7 +118,9 @@ def _iterate(evaluate, v: np.ndarray, max_iterations: int,
     """The Newton loop over the rows of ``v`` (see :func:`newton_solve`).
 
     Per-row scalars are Python floats, so each row's damping, line-search
-    and convergence decisions are the 1-D solve's float arithmetic.
+    and convergence decisions are the 1-D solve's float arithmetic.  What
+    does not depend on a row's decisions runs once on the stack: the
+    right-hand sides, the finiteness check of the updates and the norms.
     """
     results: list = [None] * v.shape[0]
     rows = list(range(v.shape[0]))
@@ -130,17 +128,25 @@ def _iterate(evaluate, v: np.ndarray, max_iterations: int,
     residual_norm = _max_abs(residual)
 
     for iteration in range(1, max_iterations + 1):
+        rhs = -residual
         delta = np.empty_like(v)
-        keep = []
+        errors: dict[int, SingularMatrixError] = {}
         for k, row in enumerate(rows):
             try:
-                delta[k] = _solve_step(jacobian[k], -residual[k], iteration,
-                                       solvers[row])
-                keep.append(k)
+                delta[k] = _solve_step(jacobian[k], rhs[k], iteration, solvers[row])
             except SingularMatrixError as exc:
-                results[row] = NewtonResult(v[k], False, iteration,
-                                            residual_norm[k], error=exc)
-        if len(keep) < len(rows):
+                errors[k] = exc
+                delta[k] = 0.0
+        finite = np.isfinite(delta)
+        if not finite.all():
+            for k in np.flatnonzero(~finite.all(axis=-1)).tolist():
+                errors.setdefault(k, SingularMatrixError(
+                    f"non-finite Newton update at iteration {iteration}"))
+        if errors:
+            for k, exc in errors.items():
+                results[rows[k]] = NewtonResult(v[k], False, iteration,
+                                                residual_norm[k], error=exc)
+            keep = [k for k in range(len(rows)) if k not in errors]
             if not keep:
                 return results
             rows = [rows[k] for k in keep]
@@ -174,21 +180,24 @@ def _iterate(evaluate, v: np.ndarray, max_iterations: int,
                 norm_new[k] = norm
                 jacobian_new[k] = trial_jacobian[j]
 
-        update_norm = _max_abs(v_new - v)
+        # A row converges when its residual is small and its last update
+        # small relative to its solution; the update norms are only needed
+        # once some residual is.
+        small = [k for k, norm in enumerate(norm_new) if norm <= ABS_TOL]
+        if small:
+            update_norm = _max_abs(v_new - v)
+            scale = _max_abs(v_new)
         v, residual, jacobian = v_new, residual_new, jacobian_new
         residual_norm = norm_new
-
-        converged = [
-            k for k, scale in enumerate(_max_abs(v))
-            if (update_norm[k] <= REL_TOL * scale + ABS_TOL
-                and residual_norm[k] <= ABS_TOL)]
+        converged = [k for k in small
+                     if update_norm[k] <= REL_TOL * scale[k] + ABS_TOL]
         if converged:
             for k in converged:
                 results[rows[k]] = NewtonResult(v[k], True, iteration,
                                                 residual_norm[k])
-            keep = [k for k in range(len(rows)) if k not in converged]
-            if not keep:
+            if len(converged) == len(rows):
                 return results
+            keep = [k for k in range(len(rows)) if k not in converged]
             rows = [rows[k] for k in keep]
             v, residual = v[keep], residual[keep]
             residual_norm = [residual_norm[k] for k in keep]

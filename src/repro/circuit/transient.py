@@ -56,7 +56,9 @@ class SnapshotCallback(Protocol):
 
     ``record`` is called once per accepted time step with the time, solution,
     input vector, output vector and the static/dynamic Jacobians evaluated at
-    the accepted solution.
+    the accepted solution.  The arrays belong to the solver: they are valid
+    during the call and must not be modified, so a recorder copies what it
+    keeps.
     """
 
     def record(self, t: float, v: np.ndarray, u: np.ndarray, y: np.ndarray,
@@ -263,6 +265,9 @@ def transient_analysis(system: MNASystem | Sequence[MNASystem],
     snapshot_callback:
         Optional recorder receiving ``(t, v, u, y, G, C)`` at accepted steps
         (for a family, a sequence of one recorder or ``None`` per system).
+        The arrays it receives are the solver's, not copies: valid during
+        the call and not to be modified, so a recorder copies what it keeps
+        (:class:`~repro.tft.SnapshotTrajectory` makes that one copy).
     initial_state:
         Optional starting solution; when omitted the DC operating point at
         ``t = 0`` is used (the standard SPICE behaviour).  For a family, a
@@ -383,9 +388,8 @@ def _start_row(row: _Row, engine, initial_state,
     # dq/dt at the initial point; at a true DC point this is ~0.
     qdot = excitation - i_vec
     if row.callback is not None:
-        row.callback.record(0.0, v.copy(), u0, system.output(v),
-                            engine.materialize(g_op.copy()),
-                            engine.materialize(c_op.copy()))
+        row.callback.record(0.0, v, u0, system.output(v), engine.materialize(g_op),
+                            engine.materialize(c_op))
     return v, q_vec, qdot
 
 
@@ -506,11 +510,13 @@ def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]
         last: list = [None] * len(rows)
 
         def residual_and_jacobian(v_trial: np.ndarray, at):
-            """Residual and Jacobian of the rows at ``at`` (an int for 1-D)."""
+            """Residual and Jacobian of the rows at ``at`` (a list; an int for 1-D)."""
             i_trial, g_trial = engine.eval_static(v_trial)
             q_trial, c_trial = engine.eval_dynamic(v_trial)
-            # Every row, in order, needs no gather.
-            sel = at if v_trial.ndim == 1 or len(at) < len(rows) else slice(None)
+            # ``at`` ascends, so a run of consecutive rows (all of them, say)
+            # is a slice and needs no gather.
+            sel = (slice(at[0], at[-1] + 1)
+                   if v_trial.ndim > 1 and at[-1] - at[0] == len(at) - 1 else at)
             if trap_step:
                 residual = ((2.0 / dt) * (q_trial - q_prev[sel]) - qdot_prev[sel]
                             + i_trial - excitation[sel])
@@ -524,7 +530,7 @@ def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]
             if v_trial.ndim == 1:
                 last[at] = (evaluated, ())
             else:
-                for j, k in enumerate(at.tolist()):
+                for j, k in enumerate(at):
                     last[k] = (evaluated, j)
             return residual, engine.materialize(jac)
 
@@ -538,10 +544,9 @@ def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]
                                          linear_solver=rows[k].cache)]
                 except SingularMatrixError as exc:
                     return [NewtonResult(start[0], False, 0, np.inf, error=exc)]
-            at = np.asarray(positions)
-            return newton_solve(lambda x, sub: residual_and_jacobian(x, at[sub]),
-                                start, NEWTON_ITERATIONS,
-                                linear_solver=[rows[k].cache for k in positions])
+            return newton_solve(
+                lambda x, sub: residual_and_jacobian(x, [positions[j] for j in sub]),
+                start, NEWTON_ITERATIONS, linear_solver=[rows[k].cache for k in positions])
 
         results = solve(list(range(len(rows))), guess)
         retry = []
@@ -640,8 +645,8 @@ def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]
         # Accept the step.
         group.v_prev = group.v
         dt_prev = dt
-        group.v = v = _stack([result.solution for result in results])
-        q_vec = _stack([evaluated[0][j] for evaluated, j in last])
+        group.v = v = np.array([result.solution for result in results])
+        q_vec = np.array([evaluated[0][j] for evaluated, j in last])
         if trap_step:
             group.qdot = (2.0 / dt) * (q_vec - q_prev) - qdot_prev
         else:
@@ -660,9 +665,9 @@ def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]
                 row.outputs.append(y_new)
                 if row.callback is not None:
                     (_, g_op, c_op), j = last[k]
-                    row.callback.record(t, v[k].copy(), u_new, y_new,
-                                        engine.materialize(g_op[j].copy()),
-                                        engine.materialize(c_op[j].copy()))
+                    row.callback.record(t, v[k], u_new, y_new,
+                                        engine.materialize(g_op[j]),
+                                        engine.materialize(c_op[j]))
             except Exception as exc:  # noqa: BLE001 - the row's own run raises it
                 row.error = exc
         keep = [k for k, row in enumerate(rows) if row.error is None]
@@ -699,7 +704,3 @@ def _integrate(group: _Group, engine, options: TransientOptions) -> list[_Group]
                     f"transient analysis exceeded MAX_POINTS={MAX_POINTS}")
             group.take([])
     return split
-
-
-def _stack(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0][None] if len(parts) == 1 else np.stack(parts)

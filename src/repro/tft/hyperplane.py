@@ -19,6 +19,11 @@ from ..exceptions import ReproError
 __all__ = ["TFTDataset"]
 
 
+def _check_shape(name: str, array: np.ndarray, expected: tuple[int, ...]) -> None:
+    if array.shape != expected:
+        raise ReproError(f"{name} has shape {array.shape}; the response needs {expected}")
+
+
 @dataclass
 class TFTDataset:
     """State x frequency samples of the circuit's small-signal response.
@@ -35,6 +40,12 @@ class TFTDataset:
         Instantaneous DC (``s = 0``) transfer functions, shape ``(K, M_o, M_i)``.
     times:
         Time stamps of the originating snapshots, shape ``(K,)`` (optional).
+    outputs:
+        Circuit outputs at the snapshots, shape ``(K, M_o)``, or ``(K,)``
+        for one output (optional).
+
+    A field whose shape does not fit ``K``, ``M_o`` and ``M_i`` of the
+    response raises :class:`~repro.exceptions.ReproError` naming it.
     """
 
     frequencies: np.ndarray
@@ -50,22 +61,26 @@ class TFTDataset:
         self.frequencies = np.asarray(self.frequencies, dtype=float).ravel()
         self.states = np.asarray(self.states, dtype=float).ravel()
         self.response = np.asarray(self.response, dtype=complex)
-        if self.response.ndim == 2:
-            self.response = self.response[:, :, None, None]
-        self.dc_response = np.asarray(self.dc_response, dtype=complex)
-        if self.dc_response.ndim == 1:
-            self.dc_response = self.dc_response[:, None, None]
-        k, l = self.response.shape[:2]
+        if self.response.ndim != 4:
+            raise ReproError(f"response has shape {self.response.shape}; expected "
+                             "(K, L, M_o, M_i)")
+        k, l, n_outputs, n_inputs = self.response.shape
         if self.frequencies.size != l:
             raise ReproError(
                 f"response has {l} frequency samples but grid has {self.frequencies.size}")
         if self.states.size != k:
             raise ReproError(
                 f"response has {k} states but {self.states.size} state samples given")
+        self.dc_response = np.asarray(self.dc_response, dtype=complex)
+        _check_shape("dc_response", self.dc_response, (k, n_outputs, n_inputs))
+        if self.times is not None:
+            self.times = np.asarray(self.times, dtype=float)
+            _check_shape("times", self.times, (k,))
         if self.outputs is not None:
-            self.outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
-            if self.outputs.shape[0] != k:
-                self.outputs = self.outputs.T
+            self.outputs = np.asarray(self.outputs, dtype=float)
+            if self.outputs.ndim == 1:
+                self.outputs = self.outputs[:, None]
+            _check_shape("outputs", self.outputs, (k, n_outputs))
 
     # ------------------------------------------------------------------ shape
     @property

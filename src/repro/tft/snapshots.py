@@ -65,7 +65,8 @@ class SnapshotTrajectory:
 
         The sparse-assembly transient engine delivers ``scipy.sparse`` CSC
         matrices; the TFT transform math downstream is dense, so snapshots
-        are stored densified either way.
+        are stored densified either way.  The solver's arrays are only
+        lent for the call, so this is the one copy a snapshot keeps.
         """
         if hasattr(matrix, "toarray"):
             return matrix.toarray()

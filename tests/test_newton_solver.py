@@ -216,6 +216,44 @@ class TestFactorizationCache:
             assert x.dtype == np.dtype(dtype)
             assert np.array_equal(x, lu_solve(lu_factor(a), b))
 
+    @pytest.mark.parametrize("kind", ["fortran", "float32", "complex"])
+    def test_other_layouts_and_dtypes_keep_their_bytes_and_counters(self, kind):
+        """Fortran-ordered, float32 and complex matrices solve as
+        ``scipy.linalg`` does."""
+        from scipy.linalg import lu_factor, lu_solve
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((27, 27)) + 5.0 * np.eye(27)
+        b = rng.standard_normal(27)
+        if kind == "fortran":
+            a = np.asfortranarray(a)
+        elif kind == "float32":
+            a = a.astype(np.float32)
+        else:
+            a = a + 1j * rng.standard_normal((27, 27))
+        cache = FactorizationCache()
+        first = cache.solve(a, b)
+        again = cache.solve(a.copy(order="K"), b)
+        assert (cache.factorizations, cache.reuses, cache.solves) == (1, 1, 2)
+        expected = lu_solve(lu_factor(a), b)
+        assert first.dtype == expected.dtype
+        assert first.tobytes() == again.tobytes() == expected.tobytes()
+        if kind == "float32":
+            # An equal float64 matrix reuses the float32 factors, as
+            # ``np.array_equal`` decides.
+            assert cache.solve(a.astype(float), b).tobytes() == expected.tobytes()
+            assert (cache.factorizations, cache.reuses) == (1, 2)
+
+    def test_signed_zeros_count_as_equal(self):
+        """``-0.0`` and ``+0.0`` are equal entries, as with ``np.array_equal``,
+        also where the last differing entry is looked at first."""
+        b = np.array([1.0, 2.0])
+        cache = FactorizationCache()
+        for entry in (5.0, 0.0, -0.0):        # the second moves the probe to [0, 1]
+            a = np.array([[2.0, entry], [1.0, 3.0]])
+            x = cache.solve(a, b)
+        assert (cache.factorizations, cache.reuses) == (2, 1)
+        assert x.tobytes() == FactorizationCache().solve(a, b).tobytes()
+
     def test_solve_linear_sparse_singular(self):
         singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrixError):

@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -226,3 +229,23 @@ def test_no_module_imports_a_name_it_never_uses():
             unused.extend(f"{path.relative_to(ROOT)}:{line} {name}"
                           for line, name in _imported_names(tree) if name not in used)
     assert unused == [], "imported but never used:\n" + "\n".join(unused)
+
+
+def test_program_imports_leave_scipy_special_unloaded():
+    """``import repro`` and the ``repro`` modules the benchmark program
+    imports (``perfbench/program.py`` and its ``pipeline.py``) do not load
+    ``scipy.special``: the CAFFEINE baseline imports it where its ``erf``
+    term is evaluated, so no process pays for it at start-up."""
+    modules = {"repro"}
+    for name in ("program.py", "pipeline.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        modules.update(node.module for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.module
+                       and node.module.split(".")[0] == "repro")
+    code = "".join(f"import {module}\n" for module in sorted(modules))
+    code += "import sys\nprint('scipy.special' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert len(modules) > 5
+    assert out.stdout.strip() == "False", sorted(modules)

@@ -11,6 +11,7 @@ from repro.circuits import build_common_source_amplifier, build_rc_ladder
 from repro.exceptions import ReproError, SingularMatrixError
 from repro.tft import (
     SnapshotTrajectory,
+    TFTDataset,
     default_frequency_grid,
     extract_tft,
     snapshot_transfer_function,
@@ -170,6 +171,49 @@ class TestTFTDataset:
         _, tft = cs_tft
         text = tft.describe()
         assert str(tft.n_states) in text
+
+
+def small_dataset(**fields):
+    """A K = 5, L = 3, one-input one-output dataset with ``fields`` replaced."""
+    k, l = 5, 3
+    values = dict(frequencies=np.logspace(3, 5, l), states=np.linspace(0.0, 1.0, k),
+                  response=np.ones((k, l, 1, 1)), dc_response=np.ones((k, 1, 1)),
+                  times=np.arange(k) * 1e-9, outputs=np.zeros((k, 1)))
+    values.update(fields)
+    return TFTDataset(**values)
+
+
+class TestTFTDatasetShapes:
+    def test_documented_shapes_are_accepted(self):
+        dataset = small_dataset()
+        assert dataset.outputs.shape == (5, 1) and dataset.times.shape == (5,)
+        assert small_dataset(times=None, outputs=None).outputs is None
+
+    def test_one_output_may_be_given_flat(self):
+        assert small_dataset(outputs=np.arange(5.0)).outputs.shape == (5, 1)
+
+    @pytest.mark.parametrize("outputs", [np.zeros(6), np.zeros((1, 5)), np.zeros((5, 2)),
+                                         np.zeros((5, 1, 1))],
+                             ids=["K+1", "transposed", "two-outputs", "3-d"])
+    def test_outputs_must_fit_the_states_and_outputs(self, outputs):
+        with pytest.raises(ReproError, match="outputs"):
+            small_dataset(outputs=outputs)
+
+    @pytest.mark.parametrize("dc_response", [np.ones(5), np.ones((6, 1, 1)),
+                                             np.ones((5, 2, 1))],
+                             ids=["flat", "K+1", "two-outputs"])
+    def test_dc_response_must_be_k_by_outputs_by_inputs(self, dc_response):
+        with pytest.raises(ReproError, match="dc_response"):
+            small_dataset(dc_response=dc_response)
+
+    @pytest.mark.parametrize("times", [np.zeros(4), np.zeros((5, 1))], ids=["K-1", "2-d"])
+    def test_times_must_be_one_per_state(self, times):
+        with pytest.raises(ReproError, match="times"):
+            small_dataset(times=times)
+
+    def test_response_must_be_four_dimensional(self):
+        with pytest.raises(ReproError, match="response"):
+            small_dataset(response=np.ones((5, 3)))
 
 
 def serial_reference(trajectory, frequencies, max_snapshots=None):

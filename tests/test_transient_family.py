@@ -13,7 +13,8 @@ import pytest
 import repro.circuit.dc as dc_module
 import repro.circuit.newton as newton_module
 import repro.circuit.transient as transient_module
-from repro.circuit import Sine, TransientOptions, transient_analysis
+from repro.circuit import Circuit, Sine, TransientOptions, transient_analysis
+from repro.circuit.devices.mosfet import MOSFET
 from repro.circuits import (build_diode_limiter, build_output_buffer,
                             buffer_training_waveform, build_rc_ladder)
 from repro.circuits.buffer import BufferParams
@@ -68,6 +69,46 @@ def solo_run(waveform, options, snapshots=False, builder=build_output_buffer,
     system = builder(input_waveform=waveform, **kwargs).build()
     trajectory = SnapshotTrajectory(system) if snapshots else None
     return transient_analysis(system, options, snapshot_callback=trajectory), trajectory
+
+
+def grounded_diodes():
+    """Diodes with a grounded terminal either way round, and a floating one."""
+    circuit = Circuit("grounded_diodes")
+    circuit.voltage_source("Vin", "in", "0", Sine(0.0, 0.5, 1e6), is_input=True)
+    circuit.resistor("Rs", "in", "a", 1e3)
+    circuit.diode("D1", "a", "0")
+    circuit.diode("D2", "0", "a")
+    circuit.diode("D3", "a", "b")
+    circuit.resistor("Rb", "b", "0", 1e3)
+    circuit.add_output("va", "a")
+    return circuit
+
+
+#: Circuits of the stacked-evaluation property, with their vectorised group.
+STACKED_CIRCUITS = {
+    "buffer": (lambda: build_output_buffer(input_waveform=Sine(0.9, 0.1, 1e6)), "_mosfets"),
+    "diode_limiter": (lambda: build_diode_limiter(input_waveform=Sine(0.0, 0.5, 1e6)),
+                      "_diodes"),
+    "grounded_diodes": (grounded_diodes, "_diodes"),
+}
+
+
+def bias_kinds(devices, v):
+    """``forward``/``reverse`` per device at state ``v``, and ``grounded``
+    for a device with a terminal at ground."""
+    def voltage(node):
+        return v[node] if node >= 0 else 0.0
+    for device in devices:
+        if isinstance(device, MOSFET):
+            drain, gate, source, _bulk = device.node_index
+            bias = device.polarity * (voltage(drain) - voltage(source))
+            terminals = (drain, gate, source)
+        else:
+            bias = voltage(device.pos) - voltage(device.neg)
+            terminals = (device.pos, device.neg)
+        yield "reverse" if bias < 0.0 else "forward"
+        if min(terminals) < 0:
+            yield "grounded"
 
 
 class TestBufferFamily:
@@ -141,6 +182,46 @@ class TestStackedEvaluation:
             for stacked, single in zip((i_stack, g_stack, q_stack, c_stack),
                                        engine.eval_static(v) + engine.eval_dynamic(v)):
                 np.testing.assert_array_equal(bits(stacked[k]), bits(single))
+
+    @pytest.mark.parametrize("assembly", ["dense", "sparse"])
+    def test_constant_operands_are_read_only(self, assembly):
+        """A linear circuit's ``G`` and ``C`` are the engine's own arrays, for
+        one state and for a stack: writing into them raises."""
+        engine = build_rc_ladder(input_waveform=Sine(0.5, 0.1, 1e6)).build().compile(assembly)
+        v = np.zeros(engine.n_unknowns)
+        for state in (v, np.stack([v, v])):
+            for _, operand in (engine.eval_static(state), engine.eval_dynamic(state)):
+                with pytest.raises(ValueError, match="read-only"):
+                    operand[...] = 1.0
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5])
+    @pytest.mark.parametrize("assembly", ["dense", "sparse"])
+    @pytest.mark.parametrize("name", sorted(STACKED_CIRCUITS))
+    def test_seeded_stacks_equal_their_rows_byte_for_byte(self, name, assembly, size):
+        """25 seeded draws of an ``(S, n)`` stack per circuit and size.
+
+        The draws span -2..2 V with exact zeros, so they hold forward- and
+        reverse-biased devices; the buffer's MOSFETs and the grounded diodes
+        also have grounded terminals.
+        """
+        builder, group = STACKED_CIRCUITS[name]
+        engine = builder().build().compile(assembly)
+        devices = getattr(engine, group).devices
+        seen = set()
+        for seed in range(25):
+            rng = np.random.default_rng([seed, size])
+            stack = rng.uniform(-2.0, 2.0, (size, engine.n_unknowns))
+            stack[rng.random(stack.shape) < 0.15] = 0.0
+            i_stack, g_stack = engine.eval_static(stack)
+            q_stack, c_stack = engine.eval_dynamic(stack)
+            for k, v in enumerate(stack):
+                for stacked, single in zip((i_stack, g_stack, q_stack, c_stack),
+                                           engine.eval_static(v) + engine.eval_dynamic(v)):
+                    assert stacked[k].shape == single.shape
+                    assert stacked[k].tobytes() == np.ascontiguousarray(single).tobytes()
+                seen.update(bias_kinds(devices, v))
+        expected = {"forward", "reverse"} | ({"grounded"} if name != "diode_limiter" else set())
+        assert seen == expected
 
     def test_engines_match_only_the_same_circuit(self):
         def engine(**kwargs):

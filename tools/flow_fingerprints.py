@@ -7,13 +7,17 @@ period/150``, 110 snapshots, 4 frequencies per decade over 1 Hz .. 10 GHz),
 the RVF and CAFFEINE models extracted from it at the error bound 1e-3, their
 responses to the 24-bit 2.5 GS/s test pattern at 10 ps, the RVF model's
 exports and compiled registry key, its validation RMSE on three fixed
-held-out sines, and the buffer's AC response.
+held-out sines, and the buffer's AC response.  The last lines give the
+engine's iteration path instead of a fingerprint: the training transient's
+Newton iterations and LU factorisations, reuses and solves, and the Newton
+iterations of each row of the held-out transient family.
 
     python tools/flow_fingerprints.py
 
 Two trees that print the same lines compute every one of these outputs bit
-for bit alike.  Bits may differ between BLAS builds, so compare runs of one
-machine.
+for bit alike, along the same iteration path.  Bits may differ between BLAS
+builds, so compare runs of one machine.  To compare with another tree, run
+this script with that tree's ``src`` first on ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from repro.circuits import build_output_buffer, buffer_test_pattern, buffer_trai
 from repro.runtime import compile_model, content_hash, validate_model
 from repro.rvf import (RVFOptions, extract_rvf_model, model_equations, simulate_hammerstein,
                        to_verilog_a)
-from repro.sweep import waveform_sweep
+from repro.sweep import SweepOptions, run_sweep, waveform_sweep
 from repro.tft import SnapshotTrajectory, default_frequency_grid, extract_tft
 
 ERROR_BOUND = 1e-3
@@ -54,13 +58,14 @@ def fingerprint(*parts) -> str:
 
 
 def flow_outputs():
-    """``(name, fingerprint)`` for each output, in flow order."""
+    """``(name, fingerprint)`` for each output, in flow order, then
+    ``(name, count)`` for the iteration path."""
     waveform = buffer_training_waveform()
     system = build_output_buffer(input_waveform=waveform).build()
     trajectory = SnapshotTrajectory(system)
     period = 1.0 / waveform.frequency
     transient = TransientOptions(t_stop=period, dt=period / 150)
-    transient_analysis(system, transient, snapshot_callback=trajectory)
+    training = transient_analysis(system, transient, snapshot_callback=trajectory)
     tft = extract_tft(trajectory, default_frequency_grid(1.0, 10e9, 4), max_snapshots=110)
     yield "tft.state_axis", fingerprint(tft.state_axis())
     yield "tft.response", fingerprint(tft.response, tft.dc_response)
@@ -82,8 +87,8 @@ def flow_outputs():
     yield "rvf.compiled_key", content_hash(compiled)[:16]
     heldout = [Sine(offset=waveform.offset, amplitude=amplitude, frequency=frequency)
                for amplitude, frequency in HELDOUT]
-    report = validate_model(compiled, waveform_sweep(build_output_buffer, heldout,
-                                                     transient=transient))
+    scenarios = waveform_sweep(build_output_buffer, heldout, transient=transient)
+    report = validate_model(compiled, scenarios)
     yield "rvf.heldout_rmse", fingerprint(float(report.max_relative_rmse))
 
     caffeine = extract_caffeine_model(tft, error_bound=ERROR_BOUND,
@@ -96,6 +101,16 @@ def flow_outputs():
 
     ac = ac_analysis(system, frequency_grid(1e5, 30e9, 6))
     yield "ac.buffer", fingerprint(ac.response)
+
+    yield "transient.newton_iterations", str(training.newton_iterations)
+    yield "transient.lu_factorizations", str(training.cache_factorizations)
+    yield "transient.lu_reuses", str(training.cache_reuses)
+    yield "transient.lu_solves", str(training.cache_solves)
+    # The held-out sweep as validate_model runs it: serial, without
+    # snapshots, so one transient family.
+    family = run_sweep(scenarios, SweepOptions(capture_snapshots=False))
+    yield "heldout.newton_iterations", " ".join(
+        str(result.transient.newton_iterations) for result in family)
 
 
 def main() -> int:
